@@ -59,6 +59,10 @@ def parse_graph_spec(spec: str, fmt: str = "graph6") -> Graph:
     if spec == "petersen":
         return petersen()
     kind, _, rest = spec.partition(":")
+    if kind == "file":
+        with open(rest, encoding="utf-8") as fh:
+            text = fh.read()
+        return _one_graph6(text) if fmt == "graph6" else parse_edge_list(text)
     try:
         if kind == "kdd":
             return complete_bipartite(int(rest))
@@ -73,15 +77,26 @@ def parse_graph_spec(spec: str, fmt: str = "graph6") -> Graph:
             return prism(int(rest))
         if kind == "hypercube":
             return hypercube(int(rest))
-        if kind == "file":
-            with open(rest, encoding="utf-8") as fh:
-                text = fh.read()
-            if fmt == "graph6":
-                return parse_graph6(text.strip().splitlines()[0])
-            return parse_edge_list(text)
     except ValueError as exc:
         raise DomainError(f"bad graph spec {spec!r}: {exc}") from None
     raise DomainError(f"unknown graph spec {spec!r}")
+
+
+def _one_graph6(text: str) -> Graph:
+    """The graph of a file holding exactly one graph6 line; blank lines are
+    ignored."""
+    lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines:
+        raise FormatError("line 1: expected one graph6 line, the file has none")
+    if len(lines) > 1:
+        raise FormatError(
+            f"line {lines[1][0]}: expected one graph6 line, found a second"
+        )
+    lineno, line = lines[0]
+    try:
+        return parse_graph6(line)
+    except FormatError as exc:
+        raise FormatError(f"line {lineno}: {exc}") from None
 
 
 def load_corpus(path: str | None, fmt: str):

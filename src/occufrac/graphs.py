@@ -119,7 +119,7 @@ class Graph:
                     m ^= low
                 frontier = nxt & ~comp
             seen |= comp
-            out.append(_mask_vertices(comp))
+            out.append(mask_vertices(comp))
         return out
 
     def disjoint_union(self, other: "Graph") -> "Graph":
@@ -139,7 +139,8 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edges()})"
 
 
-def _mask_vertices(mask: int):
+def mask_vertices(mask: int):
+    """The set bits of a vertex bitmask, in increasing order."""
     out = []
     while mask:
         low = mask & -mask
@@ -331,97 +332,137 @@ def generate(family: str, *params: int) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# Canonical form
+# Canonical form and automorphism orbits
 #
-# The key is the lexicographically smallest upper-triangle bit string over
-# all relabelings whose position degrees are non-decreasing. Branch and
-# bound on the growing bit prefix, with candidates deduplicated per twin
-# class (swapping twins is an automorphism, so one branch suffices).
+# Individualization-refinement (McKay and Piperno, "Practical graph
+# isomorphism, II") over ordered partitions held as lists of vertex bitmasks:
+# refine the degree cells to an equitable partition, then individualize each
+# vertex of the first non-singleton cell in turn. A leaf orders the vertices;
+# the canonical order is the leaf whose relabeled upper triangle is smallest.
+# Leaves with equal certificates give automorphisms, which prune siblings in
+# one orbit and abandon subtrees mapped onto explored ones. Only cell
+# positions and neighbor counts steer the search, never vertex labels.
 
-def _twin_classes(g: Graph):
-    """Class id per vertex; u, v share a class iff swapping them is an
-    automorphism (N(u) - v == N(v) - u). The relation is transitive."""
-    reps = {}
-    cls = [0] * g.n
-    for v in range(g.n):
-        found = None
-        for u in reps:
-            if (g.adj[u] & ~(1 << v)) == (g.adj[v] & ~(1 << u)):
-                found = u
-                break
-        if found is None:
-            reps[v] = len(reps)
-            cls[v] = reps[v]
-        else:
-            cls[v] = reps[found]
-    return cls
+def _refine(adj, cells, splitters):
+    """Refine ordered cells until each vertex of a cell has the same number
+    of neighbors in every cell; a split cell's fragments keep its place,
+    ordered by that number. `splitters` are the cells not yet known to give
+    uniform counts; one left out must follow from the others by subtraction,
+    as the largest fragment of a split cell does."""
+    queue = list(splitters)
+    for w in queue:
+        if len(cells) == len(adj):
+            break
+        out = []
+        for cell in cells:
+            groups = {}
+            m = cell if cell & (cell - 1) else 0
+            while m:
+                low = m & -m
+                c = (adj[low.bit_length() - 1] & w).bit_count()
+                groups[c] = groups.get(c, 0) | low
+                m ^= low
+            if len(groups) > 1:
+                parts = [groups[c] for c in sorted(groups)]
+                big = max(parts, key=int.bit_count)
+                queue += [p for p in parts if p != big]
+                out += parts
+            else:
+                out.append(cell)
+        cells = out
+    return cells
+
+
+def _certificate(adj, order) -> int:
+    """Upper-triangle bits of the graph relabeled by `order`, column by
+    column, as one integer (the first bit is the most significant)."""
+    cert = 0
+    for j in range(1, len(order)):
+        row = adj[order[j]]
+        for i in range(j):
+            cert = cert << 1 | (row >> order[i] & 1)
+    return cert
+
+
+def _orbit_reps(n: int, automorphisms):
+    """Smallest vertex of each vertex's orbit under the generated group."""
+    rep = list(range(n))
+    changed = True
+    while changed:
+        changed = False
+        for perm in automorphisms:
+            for v, w in enumerate(perm):
+                if rep[v] != rep[w]:
+                    rep[v] = rep[w] = min(rep[v], rep[w])
+                    changed = True
+    return rep
+
+
+def _canonical_form(g: Graph):
+    """(canonical key, smallest vertex of each vertex's automorphism orbit)."""
+    n, adj = g.n, g.adj
+    cells = [
+        sum(1 << v for v in range(n) if adj[v].bit_count() == d)
+        for d in sorted({m.bit_count() for m in adj})
+    ]
+    automorphisms = []
+    leaves = []  # the first and the best leaf: (certificate, ordering, path)
+
+    def visit(cells, path):
+        # returns the depth at which to resume; len(path) carries on
+        if len(cells) == n:
+            order = [c.bit_length() - 1 for c in cells]
+            cert = _certificate(adj, order)
+            for ref_cert, ref_order, ref_path in leaves:
+                if cert == ref_cert:
+                    automorphisms.append([b for _, b in sorted(zip(ref_order, order))])
+                    # abandon the child of the deepest node shared with ref
+                    return next(k for k, (a, b) in enumerate(zip(path, ref_path)) if a != b)
+            if not leaves:
+                leaves[:] = [(cert, order, path)] * 2
+            elif cert < leaves[1][0]:
+                leaves[1] = (cert, order, path)
+            return len(path)
+        t = next(i for i, c in enumerate(cells) if c & (c - 1))
+        tried, known = [], 0
+        for v in mask_vertices(cells[t]):
+            if tried and known < len(automorphisms):
+                # orbits under the automorphisms found so far that fix the path
+                known = len(automorphisms)
+                fixing = [p for p in automorphisms if all(p[u] == u for u in path)]
+                rep = _orbit_reps(n, fixing)
+            if known and rep[v] in {rep[u] for u in tried}:
+                continue
+            tried.append(v)
+            child = cells[:t] + [1 << v, cells[t] ^ 1 << v] + cells[t + 1 :]
+            resume = visit(_refine(adj, child, [1 << v]), path + [v])
+            if resume < len(path):
+                return resume
+        return len(path)
+
+    big = max(cells, key=int.bit_count, default=0)
+    visit(_refine(adj, cells, [c for c in cells if c != big]), [])
+    nbits = n * (n - 1) // 2
+    pad = -nbits % 8
+    key = bytes([n]) + (leaves[1][0] << pad).to_bytes((nbits + pad) // 8, "big")
+    return key, _orbit_reps(n, automorphisms)
 
 
 def canonical_key(g: Graph, limit: int = CANONICAL_LIMIT) -> bytes:
-    """Isomorphism-invariant key: equal keys iff isomorphic (n <= limit)."""
+    """Isomorphism-invariant key: equal keys iff isomorphic (n <= limit).
+    A vertex count byte, then the canonical upper triangle column by column,
+    so the edgeless graph has the smallest key on its vertex count."""
     if g.n > limit:
         raise CapabilityError(
             f"canonical_key supports at most {limit} vertices, got {g.n}"
         )
-    n = g.n
-    if n <= 1:
-        return bytes([n])
-    degrees = [g.degree(v) for v in range(n)]
-    twins = _twin_classes(g)
-    best: list | None = None
-
-    def search(placed, placed_mask, prefix):
-        nonlocal best
-        depth = len(placed)
-        if depth == n:
-            if best is None or prefix < best:
-                best = list(prefix)
-            return
-        last_deg = degrees[placed[-1]] if placed else -1
-        tried = set()
-        cands = []
-        for v in range(n):
-            if placed_mask >> v & 1:
-                continue
-            if degrees[v] < last_deg:
-                continue
-            if twins[v] in tried:
-                continue
-            tried.add(twins[v])
-            bits = 0
-            for p in placed:
-                bits = bits << 1 | (g.adj[v] >> p & 1)
-            cands.append((bits, degrees[v], v))
-        cands.sort()
-        for bits, _deg, v in cands:
-            prefix.append(bits)
-            # best is re-read each iteration: it may tighten under our feet
-            if best is None or prefix <= best[: depth + 1]:
-                search(placed + [v], placed_mask | 1 << v, prefix)
-            prefix.pop()
-
-    search([], 0, [])
-    assert best is not None
-    bits = []
-    for depth, val in enumerate(best):
-        bits.extend((val >> shift) & 1 for shift in range(depth - 1, -1, -1))
-    packed = bytearray([n])
-    for i in range(0, len(bits), 8):
-        byte = 0
-        for b in bits[i : i + 8]:
-            byte = byte << 1 | b
-        byte <<= max(0, 8 - len(bits[i : i + 8]))
-        packed.append(byte)
-    return bytes(packed)
+    return _canonical_form(g)[0]
 
 
 def label_key(g: Graph) -> bytes:
-    """Labeling-dependent fallback key for graphs above the canonical limit."""
-    out = bytearray()
-    out += g.n.to_bytes(2, "big")
-    for m in g.adj:
-        out += m.to_bytes((g.n + 7) // 8 or 1, "big")
-    return bytes(out)
+    """Labeling-dependent key: equal keys iff equal labeled graphs."""
+    width = (g.n + 7) // 8 or 1
+    return g.n.to_bytes(2, "big") + b"".join(m.to_bytes(width, "big") for m in g.adj)
 
 
 # ---------------------------------------------------------------------------
@@ -476,54 +517,14 @@ def is_connected(g: Graph) -> bool:
     return g.n <= 1 or len(g.components()) == 1
 
 
-def _extend_automorphism(g: Graph, perm: list, used: int, v: int) -> bool:
-    """Backtracking: can the partial map perm[0..v-1] extend to an automorphism?"""
-    n = g.n
-    if v == n:
-        return True
-    deg_v = g.degree(v)
-    for img in range(n):
-        if used >> img & 1:
-            continue
-        if g.degree(img) != deg_v:
-            continue
-        ok = True
-        for w in range(v):
-            if g.has_edge(v, w) != g.has_edge(img, perm[w]):
-                ok = False
-                break
-        if ok:
-            perm.append(img)
-            if _extend_automorphism(g, perm, used | 1 << img, v + 1):
-                return True
-            perm.pop()
-    return False
-
-
-def vertex_orbit(g: Graph, v: int = 0, limit: int = TRANSITIVITY_LIMIT):
-    """Orbit of vertex v under the full automorphism group (exhaustive)."""
+def is_vertex_transitive(g: Graph, limit: int = TRANSITIVITY_LIMIT) -> bool:
+    """All vertices lie in one orbit of the automorphism group."""
     if g.n > limit:
         raise CapabilityError(
             f"automorphism orbit supports at most {limit} vertices, got {g.n};"
             " pass an explicit vertex-transitivity assertion instead"
         )
-    orbit = []
-    for target in range(g.n):
-        if g.degree(target) != g.degree(v):
-            continue
-        perm = [target]
-        if v == 0:
-            if _extend_automorphism(g, perm, 1 << target, 1):
-                orbit.append(target)
-        else:
-            raise DomainError("vertex_orbit is implemented for v = 0")
-    return orbit
-
-
-def is_vertex_transitive(g: Graph, limit: int = TRANSITIVITY_LIMIT) -> bool:
-    if g.n == 0:
-        return True
-    return len(vertex_orbit(g, 0, limit)) == g.n
+    return len(set(_canonical_form(g)[1])) <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -545,12 +546,10 @@ def isomorphism_classes(n: int):
     for _, g in isomorphism_classes(n - 1):
         for mask in range(1 << (n - 1)):
             adj = list(g.adj) + [mask]
-            for w in _mask_vertices(mask):
+            for w in mask_vertices(mask):
                 adj[w] |= 1 << (n - 1)
             h = Graph._from_adj(adj)
-            key = canonical_key(h)
-            if key not in seen:
-                seen[key] = h
+            seen.setdefault(canonical_key(h), h)
     return tuple(sorted(seen.items()))
 
 

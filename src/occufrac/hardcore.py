@@ -16,9 +16,15 @@ from functools import lru_cache
 
 from .errors import CapabilityError, CertificateError, DomainError
 from .exactmath import IntPolynomial
-from .graphs import Graph, canonical_key, isomorphism_classes, regular_degree
+from .graphs import (
+    Graph,
+    canonical_key,
+    isomorphism_classes,
+    mask_vertices,
+    regular_degree,
+)
 from .lp import LinearProgram, LPSolution, make_lp, solve
-from .polynomials import independence_poly, independent_sets, mask_to_set, occupancy
+from .polynomials import independence_poly, independent_sets, occupancy
 
 MIN_D, MAX_D = 2, 7
 
@@ -278,7 +284,7 @@ def free_neighborhood_distribution(g: Graph, lam: Fraction, limit: int = 14):
     for mask in independent_sets(g):
         w = lam ** mask.bit_count()
         total += w
-        iset = mask_to_set(mask)
+        iset = frozenset(mask_vertices(mask))
         for v in range(g.n):
             free = _free_neighborhood(g, v, iset)
             weights[by_key[canonical_key(free)]] += w

@@ -15,22 +15,33 @@ from math import comb, factorial
 
 from .errors import CapabilityError, DomainError
 from .exactmath import IntPolynomial, binomial_poly
-from .graphs import CANONICAL_LIMIT, Graph, canonical_key, label_key
+from .graphs import CANONICAL_LIMIT, Graph, canonical_key, label_key, mask_vertices
 
 INDEPENDENCE_BUDGET = 30
 MATCHING_BUDGET = 40
 ORACLE_LIMIT = 24
 
-# Memo tables keyed by component key. Inserts are idempotent (same key, same
-# polynomial), so plain dicts are safe to share between threads under the GIL.
+# Memo tables keyed by component: b"l" + label_key for the labeled graph and,
+# up to CANONICAL_LIMIT vertices, b"c" + canonical_key for its isomorphism
+# class. Inserts are idempotent (same key, same polynomial), so plain dicts
+# are safe to share between threads under the GIL.
 _IND_MEMO: dict = {}
 _MATCH_MEMO: dict = {}
 
 
-def _component_key(g: Graph) -> bytes:
-    if g.n <= CANONICAL_LIMIT:
-        return b"c" + canonical_key(g)
-    return b"l" + label_key(g)
+def _memoized(memo: dict, g: Graph, compute) -> IntPolynomial:
+    """compute(g), looked up by the cheap labeled key first and by the
+    canonical key only when that misses; the result is stored under both."""
+    lkey = b"l" + label_key(g)
+    poly = memo.get(lkey)
+    if poly is not None:
+        return poly
+    ckey = b"c" + canonical_key(g) if g.n <= CANONICAL_LIMIT else lkey
+    poly = memo.get(ckey)
+    if poly is None:
+        poly = memo[ckey] = compute(g)
+    memo[lkey] = poly
+    return poly
 
 
 def independence_poly(g: Graph, budget: int = INDEPENDENCE_BUDGET) -> IntPolynomial:
@@ -77,35 +88,31 @@ def _independence_component(g: Graph) -> IntPolynomial:
         return IntPolynomial.one()
     if g.n == 1:
         return IntPolynomial((1, 1))
-    key = _component_key(g)
-    cached = _IND_MEMO.get(key)
-    if cached is not None:
-        return cached
+    return _memoized(_IND_MEMO, g, _independence_step)
+
+
+def _independence_step(g: Graph) -> IntPolynomial:
     pivot = max(range(g.n), key=lambda v: (g.degree(v), -v))
     without_v = _split_components(g.delete_vertices([pivot]), _independence_component)
     closed = [pivot] + list(g.neighbors(pivot))
     without_nbhd = _split_components(
         g.delete_vertices(closed), _independence_component
     )
-    poly = without_v + without_nbhd.shift(1)
-    _IND_MEMO[key] = poly
-    return poly
+    return without_v + without_nbhd.shift(1)
 
 
 def _matching_component(g: Graph) -> IntPolynomial:
     if g.edge_count == 0:
         return IntPolynomial.one()
-    key = _component_key(g)
-    cached = _MATCH_MEMO.get(key)
-    if cached is not None:
-        return cached
+    return _memoized(_MATCH_MEMO, g, _matching_step)
+
+
+def _matching_step(g: Graph) -> IntPolynomial:
     u = max(range(g.n), key=lambda v: (g.degree(v), -v))
     v = next(g.neighbors(u))
     without_e = _split_components(g.delete_edge(u, v), _matching_component)
     without_uv = _split_components(g.delete_vertices([u, v]), _matching_component)
-    poly = without_e + without_uv.shift(1)
-    _MATCH_MEMO[key] = poly
-    return poly
+    return without_e + without_uv.shift(1)
 
 
 def kdd_independence_poly(d: int) -> IntPolynomial:
@@ -245,15 +252,6 @@ def matchings(g: Graph):
     yield from extend([], 0, 0)
 
 
-def mask_to_set(mask: int) -> frozenset:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(out)
-
-
 def event_probability_oracle(
     g: Graph,
     model: str,
@@ -278,7 +276,7 @@ def event_probability_oracle(
         for mask in independent_sets(g):
             w = lam ** mask.bit_count()
             total += w
-            if predicate(mask_to_set(mask)):
+            if predicate(frozenset(mask_vertices(mask))):
                 hit += w
     elif model == "matching":
         if g.edge_count > limit:

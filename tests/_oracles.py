@@ -6,7 +6,7 @@ enumeration, conditional marginals from direct matching enumeration.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 from occufrac.graphs import Graph, regular_degree
 from occufrac.polynomials import matchings
@@ -33,24 +33,20 @@ def brute_independence_counts(g: Graph):
 
 
 def brute_matching_counts(g: Graph):
-    """Count matchings of each size by testing all edge subsets."""
+    """Count matchings of each size by growing edge subsets one edge at a
+    time in list order, dropping every subset that uses a vertex twice."""
     edges = g.edges()
     counts = [0] * (len(edges) + 1)
-    for mask in range(1 << len(edges)):
-        used = 0
-        ok = True
-        m = mask
-        while m:
-            low = m & -m
-            u, v = edges[low.bit_length() - 1]
+
+    def grow(start, used, size):
+        counts[size] += 1
+        for idx in range(start, len(edges)):
+            u, v = edges[idx]
             bits = 1 << u | 1 << v
-            if used & bits:
-                ok = False
-                break
-            used |= bits
-            m ^= low
-        if ok:
-            counts[bin(mask).count("1")] += 1
+            if not used & bits:
+                grow(idx + 1, used | bits, size + 1)
+
+    grow(0, 0, 0)
     while counts and counts[-1] == 0:
         counts.pop()
     return counts
@@ -162,6 +158,81 @@ def empirical_edge_marginals(g: Graph, lam: Fraction):
         gf = [num_f.get(triple, {}).get(t, Fraction(0)) / total for t in range(d)]
         out[triple] = (ge, gf)
     return out
+
+
+def brute_canonical_bits(g: Graph):
+    """Smallest upper-triangle bit string over all n! relabelings."""
+    n = g.n
+    return min(
+        tuple(g.adj[p[j]] >> p[i] & 1 for j in range(1, n) for i in range(j))
+        for p in permutations(range(n))
+    )
+
+
+def brute_orbits(g: Graph):
+    """Smallest vertex of each vertex's automorphism orbit, by testing every
+    bijection that maps each degree class onto itself."""
+    classes = {}
+    for v in range(g.n):
+        classes.setdefault(g.degree(v), []).append(v)
+    blocks = list(classes.values())
+    edges = g.edges()
+    rep = list(range(g.n))
+    for images in product(*(permutations(b) for b in blocks)):
+        perm = [0] * g.n
+        for block, image in zip(blocks, images):
+            for v, w in zip(block, image):
+                perm[v] = w
+        if all(g.has_edge(perm[u], perm[v]) for u, v in edges):
+            for v in range(g.n):
+                rep[perm[v]] = min(rep[perm[v]], v)
+    return rep
+
+
+def _extend_automorphism(g: Graph, perm: list, used: int, v: int) -> bool:
+    """Backtracking: can the partial map perm[0..v-1] extend to an automorphism?"""
+    n = g.n
+    if v == n:
+        return True
+    deg_v = g.degree(v)
+    for img in range(n):
+        if used >> img & 1:
+            continue
+        if g.degree(img) != deg_v:
+            continue
+        ok = True
+        for w in range(v):
+            if g.has_edge(v, w) != g.has_edge(img, perm[w]):
+                ok = False
+                break
+        if ok:
+            perm.append(img)
+            if _extend_automorphism(g, perm, used | 1 << img, v + 1):
+                return True
+            perm.pop()
+    return False
+
+
+def backtrack_orbit_of_zero(g: Graph):
+    """Orbit of vertex 0: every vertex some automorphism maps 0 to, each
+    found by an exhaustive backtracking search for an extension."""
+    return [
+        target
+        for target in range(g.n)
+        if g.degree(target) == g.degree(0)
+        and _extend_automorphism(g, [target], 1 << target, 1)
+    ]
+
+
+def random_regular_graph(rng, n: int, d: int) -> Graph:
+    """A random simple d-regular graph: pair up d copies of each vertex at
+    random and start again until no loop or double edge appears."""
+    while True:
+        points = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(points)
+        edges = {(min(a, b), max(a, b)) for a, b in zip(points[::2], points[1::2])}
+        if len(edges) == n * d // 2 and all(a != b for a, b in edges):
+            return Graph(n, sorted(edges))
 
 
 def random_graph(rng, n: int, p: float) -> Graph:

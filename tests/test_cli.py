@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from occufrac.cli import main
 
 
@@ -141,3 +143,31 @@ def test_missing_file_is_usage_error(capsys):
     code, report, err = run_cli(capsys, "counts", "--graph", "file:/nonexistent/g.g6")
     assert code == 2
     assert report is None
+
+
+def test_graph6_file_holds_exactly_one_graph(tmp_path, capsys):
+    one = tmp_path / "one.g6"
+    one.write_text("\nC~\n\n")
+    code, report, _ = run_cli(capsys, "counts", "--graph", f"file:{one}")
+    assert code == 0
+    assert report["results"]["matchings"] == ["1", "6", "3"]
+
+    two = tmp_path / "two.g6"
+    two.write_text("C~\nA_\n")
+    code, report, err = run_cli(capsys, "counts", "--graph", f"file:{two}")
+    assert code == 2 and report is None
+    assert "line 2" in err
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [("", "line 1"), ("  \n", "line 1"), ("C~\nA_\n", "line 2"), ("\nA_X\n", "line 2.*offset")],
+)
+def test_graph6_file_errors_are_format_errors_naming_the_line(tmp_path, text, where):
+    from occufrac.cli import parse_graph_spec
+    from occufrac.errors import FormatError
+
+    path = tmp_path / "graph.g6"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=where):
+        parse_graph_spec(f"file:{path}")

@@ -2,9 +2,16 @@ import random
 
 import pytest
 
+from _oracles import (
+    backtrack_orbit_of_zero,
+    brute_canonical_bits,
+    brute_orbits,
+    random_regular_graph,
+)
 from occufrac.errors import CapabilityError, DomainError, FormatError
 from occufrac.graphs import (
     Graph,
+    _canonical_form,
     bipartition,
     canonical_key,
     complete,
@@ -14,6 +21,7 @@ from occufrac.graphs import (
     graph_class_count,
     hypercube,
     is_connected,
+    isomorphism_classes,
     is_d_regular,
     is_triangle_free,
     is_vertex_transitive,
@@ -162,7 +170,88 @@ def test_complete_bipartite_regular_bipartite():
 
 
 def test_class_counts_match_known_sequence():
-    assert [graph_class_count(n) for n in range(7)] == [1, 1, 2, 4, 11, 34, 156]
+    counts = [graph_class_count(n) for n in range(8)]
+    assert counts == [1, 1, 2, 4, 11, 34, 156, 1044]
+    for n in range(8):
+        assert isomorphism_classes(n)[0][1].edge_count == 0
+
+
+def _labelled_graphs(n):
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    for mask in range(1 << len(pairs)):
+        yield Graph(n, [e for k, e in enumerate(pairs) if mask >> k & 1])
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_canonical_key_agrees_with_brute_force_minimum(n):
+    # equal keys iff equal minima over all relabelings, on every labelled graph
+    pairs = {(brute_canonical_bits(g), canonical_key(g)) for g in _labelled_graphs(n)}
+    assert len({b for b, _ in pairs}) == len({k for _, k in pairs}) == len(pairs)
+
+
+def _decode_key(key):
+    n = key[0]
+    bits = int.from_bytes(key[1:], "big")
+    nbits = n * (n - 1) // 2
+    bits >>= 8 * len(key[1:]) - nbits
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    return Graph(n, [e for k, e in enumerate(pairs) if bits >> (nbits - 1 - k) & 1])
+
+
+def test_canonical_key_is_an_upper_triangle_of_a_relabeling():
+    # the vertex count byte, then the column-wise upper-triangle bits
+    rng = random.Random(5)
+    for n in range(8):
+        assert canonical_key(Graph(n)) == bytes([n]) + bytes((n * (n - 1) // 2 + 7) // 8)
+    for n in range(2, 7):
+        for _ in range(20):
+            g = Graph(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.5])
+            h = _decode_key(canonical_key(g))
+            assert brute_canonical_bits(h) == brute_canonical_bits(g)
+            assert canonical_key(h) == canonical_key(g)
+
+
+def _shuffled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.relabel(perm)
+
+
+def test_canonical_key_relabel_invariance_up_to_the_limit():
+    rng = random.Random(11)
+    graphs = [
+        Graph(10),
+        complete(10),
+        complete_bipartite(5),
+        petersen(),
+        cycle(10),
+        prism(5),
+        cycle(5).disjoint_union(cycle(5)),
+    ] + [random_regular_graph(rng, 10, 3) for _ in range(10)]
+    for g in graphs:
+        base = canonical_key(g)
+        for _ in range(20):
+            assert canonical_key(_shuffled(g, rng)) == base
+    assert canonical_key(petersen()) != canonical_key(prism(5))
+    assert canonical_key(cycle(10)) != canonical_key(cycle(5).disjoint_union(cycle(5)))
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_orbits_match_brute_force(n):
+    rng = random.Random(n)
+    for _, g in isomorphism_classes(n):
+        h = _shuffled(g, rng)
+        assert _canonical_form(h)[1] == brute_orbits(h)
+
+
+def test_orbits_agree_with_backtracking_search():
+    from occufrac.corpus import transitive_bipartite_corpus
+
+    graphs = [g for _, g in transitive_bipartite_corpus()] + [hypercube(4), petersen()]
+    graphs += [Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), prism(3).disjoint_union(cycle(3))]
+    for g in graphs:
+        orbit_of_zero = [v for v, r in enumerate(_canonical_form(g)[1]) if r == 0]
+        assert orbit_of_zero == backtrack_orbit_of_zero(g)
 
 
 def test_hypercube_prism():

@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import brute_independence_counts, brute_matching_counts, random_graph
+from _oracles import (
+    brute_independence_counts,
+    brute_matching_counts,
+    random_graph,
+    random_regular_graph,
+)
+from occufrac import polynomials
 from occufrac.errors import CapabilityError, DomainError
 from occufrac.exactmath import IntPolynomial
 from occufrac.graphs import (
@@ -13,10 +19,12 @@ from occufrac.graphs import (
     cycle,
     hypercube,
     kdd_union,
+    label_key,
     petersen,
     prism,
 )
 from occufrac.polynomials import (
+    clear_memo_tables,
     edge_occupancy,
     event_probability_oracle,
     independence_poly,
@@ -55,6 +63,47 @@ def test_polys_match_brute_force_enumeration():
         assert list(independence_poly(g).coeffs) == brute_independence_counts(g)
         if g.edge_count <= 16:
             assert list(matching_poly(g).coeffs) == brute_matching_counts(g)
+
+
+def _relabeled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.relabel(perm)
+
+
+def test_memoized_polys_match_brute_force_cold_and_warm():
+    # connected cubic graphs above the canonical limit are keyed by label only;
+    # their small subproblems by label and by isomorphism class
+    rng = random.Random(7)
+    graphs = [random_regular_graph(rng, n, 3) for n in (12, 14, 16, 16)]
+    expected = [(brute_independence_counts(g), brute_matching_counts(g)) for g in graphs]
+
+    def check(g, counts):
+        assert list(independence_poly(g).coeffs) == counts[0]
+        assert list(matching_poly(g).coeffs) == counts[1]
+
+    for g, counts in zip(graphs, expected):
+        clear_memo_tables()
+        check(g, counts)
+    for g, counts in zip(graphs, expected):
+        check(_relabeled(g, rng), counts)  # small subproblems hit by class
+        check(g, counts)
+    sizes = len(polynomials._IND_MEMO), len(polynomials._MATCH_MEMO)
+    for g, counts in zip(graphs, expected):
+        check(g, counts)  # each labeled graph is now a hit
+    assert (len(polynomials._IND_MEMO), len(polynomials._MATCH_MEMO)) == sizes
+    assert b"l" + label_key(graphs[-1]) in polynomials._IND_MEMO
+    for memo in (polynomials._IND_MEMO, polynomials._MATCH_MEMO):
+        assert {key[:1] for key in memo} == {b"l", b"c"}
+
+
+def test_clear_memo_tables_empties_every_table():
+    independence_poly(petersen())
+    matching_poly(prism(6))
+    tables = [t for name, t in vars(polynomials).items() if name.endswith("_MEMO")]
+    assert len(tables) == 2 and all(tables)
+    clear_memo_tables()
+    assert not any(tables)
 
 
 def test_disjoint_union_multiplicativity():
