@@ -14,13 +14,13 @@ from .errors import DomainError
 from .exactmath import IntPolynomial
 from .graphs import Graph, bipartition, is_vertex_transitive, kdd_union, regular_degree
 from .polynomials import (
-    event_probability_oracle,
     independence_poly,
     kdd_independence_poly,
     kdd_matching_poly,
     matching_poly,
     occupancy,
     size_distribution,
+    state_polynomials,
 )
 
 DEFAULT_TOLERANCE = Fraction(1, 10**9)
@@ -139,24 +139,34 @@ def fkg_check(g: Graph, vertices, lam: Fraction, mode: str = "occupied") -> Corr
     if not (set(vs) <= set(sides[0]) or set(vs) <= set(sides[1])):
         raise DomainError("vertices must lie on one side of the bipartition")
 
-    if mode == "occupied":
-        def event(target):
-            return lambda iset: all(v in iset for v in target)
-    else:
-        def event(target):
-            return lambda iset: all(
-                not any(u in iset for u in g.neighbors(v)) for v in target
-            )
+    if lam <= 0:
+        raise DomainError("fugacity must be positive")
 
-    joint = event_probability_oracle(g, "hardcore", lam, event(vs))
+    # one pass labels each single event by its vertex and the joint event
+    # by "joint"
+    targets = set(vs)
+
+    def holds(mask, v):
+        if mode == "occupied":
+            return mask >> v & 1
+        return not g.adj[v] & mask
+
+    def classify(mask):
+        hits = [v for v in targets if holds(mask, v)]
+        return hits + ["joint"] if len(hits) == len(targets) else hits
+
+    total, by_event = state_polynomials(g, "hardcore", classify)
+    z = total(lam)
+    zero = IntPolynomial.zero()
+    joint = by_event.get("joint", zero)(lam) / z
     product = Fraction(1)
     for v in vs:
-        product *= event_probability_oracle(g, "hardcore", lam, event([v]))
+        product *= by_event.get(v, zero)(lam) / z
     comp_of = {}
     for idx, comp in enumerate(g.components()):
         for v in comp:
             comp_of[v] = idx
-    strict = lam > 0 and len({comp_of[v] for v in vs}) < len(vs)
+    strict = len({comp_of[v] for v in vs}) < len(vs)
     ok = joint > product if strict else joint >= product
     return CorrelationVerdict(joint=joint, product=product, strict_expected=strict, ok=ok)
 

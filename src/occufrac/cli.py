@@ -23,18 +23,7 @@ from .errors import (
     StructureError,
 )
 from .exactmath import format_rational, parse_rational
-from .graphs import (
-    Graph,
-    complete,
-    complete_bipartite,
-    cycle,
-    hypercube,
-    kdd_union,
-    parse_edge_list,
-    parse_graph6,
-    petersen,
-    prism,
-)
+from .graphs import Graph, generate, parse_edge_list, parse_graph6
 from .lp import solve
 from .polynomials import (
     edge_occupancy,
@@ -54,32 +43,19 @@ def _rat(value) -> str:
 
 
 def parse_graph_spec(spec: str, fmt: str = "graph6") -> Graph:
-    """kdd:D, hdn:D:N, cycle:N, complete:N, prism:N, hypercube:K, petersen,
-    or file:PATH (decoded per --format)."""
-    if spec == "petersen":
-        return petersen()
+    """kdd:D, hdn:D:N, cycle:N, complete:N, prism:N, hypercube:K, petersen
+    (any family of `graphs.generate`, parameters separated by colons), or
+    file:PATH (decoded per --format)."""
     kind, _, rest = spec.partition(":")
     if kind == "file":
         with open(rest, encoding="utf-8") as fh:
             text = fh.read()
         return _one_graph6(text) if fmt == "graph6" else parse_edge_list(text)
     try:
-        if kind == "kdd":
-            return complete_bipartite(int(rest))
-        if kind == "hdn":
-            d, n = rest.split(":")
-            return kdd_union(int(d), int(n))
-        if kind == "cycle":
-            return cycle(int(rest))
-        if kind == "complete":
-            return complete(int(rest))
-        if kind == "prism":
-            return prism(int(rest))
-        if kind == "hypercube":
-            return hypercube(int(rest))
+        params = [int(p) for p in rest.split(":")] if rest else []
     except ValueError as exc:
         raise DomainError(f"bad graph spec {spec!r}: {exc}") from None
-    raise DomainError(f"unknown graph spec {spec!r}")
+    return generate(kind, *params)
 
 
 def _one_graph6(text: str) -> Graph:
@@ -279,9 +255,10 @@ def cmd_verify_lower_bound(args, start):
 
 
 def cmd_verify_given_size(args, start):
-    named = load_corpus(args.corpus, args.format)
     if args.corpus is None:
         named = corpus.given_size_corpus()
+    else:
+        named = load_corpus(args.corpus, args.format)
     rows = []
     verdict = "pass"
     any_applicable = False

@@ -309,9 +309,7 @@ def petersen() -> Graph:
 
 
 _FAMILIES = {
-    "complete_bipartite": (complete_bipartite, 1),
     "kdd": (complete_bipartite, 1),
-    "H": (kdd_union, 2),
     "hdn": (kdd_union, 2),
     "cycle": (cycle, 1),
     "complete": (complete, 1),

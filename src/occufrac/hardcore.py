@@ -24,7 +24,7 @@ from .graphs import (
     regular_degree,
 )
 from .lp import LinearProgram, LPSolution, make_lp, solve
-from .polynomials import independence_poly, independent_sets, occupancy
+from .polynomials import independence_poly, occupancy, state_polynomials
 
 MIN_D, MAX_D = 2, 7
 
@@ -54,7 +54,8 @@ class NeighborhoodConfig:
 @lru_cache(maxsize=None)
 def enumerate_configs(d: int):
     """All isomorphism classes on 0..d vertices, ordered by vertex count then
-    canonical key. Column order of the primal program."""
+    canonical key. Column order of the primal program; the empty class
+    comes first, at index 0."""
     if not MIN_D <= d <= MAX_D:
         raise CapabilityError(f"configuration enumeration supports {MIN_D} <= d <= {MAX_D}")
     configs = []
@@ -64,10 +65,6 @@ def enumerate_configs(d: int):
                 NeighborhoodConfig(len(configs), g, key, independence_poly(g))
             )
     return tuple(configs)
-
-
-def empty_config_index(d: int) -> int:
-    return 0
 
 
 def edgeless_config_index(d: int) -> int:
@@ -127,7 +124,7 @@ def dual_certificate(d: int, lam: Fraction) -> CertificateReport:
     u = Fraction(1) / (1 + lam) ** d
     norm_price = 2 / (2 - u)
     balance_price = 1 - norm_price
-    expected_tight = {empty_config_index(d), edgeless_config_index(d)}
+    expected_tight = {0, edgeless_config_index(d)}
     slacks = []
     tight = []
     for cfg in configs:
@@ -243,19 +240,21 @@ def triangle_free_lp(d: int, lam: Fraction):
 
 
 def uncovered_count_distribution(g: Graph, lam: Fraction):
-    """Exact law of the number of uncovered neighbors of a uniform vertex."""
+    """Exact law of the number of uncovered neighbors of a uniform vertex,
+    by enumeration capped at ORACLE_LIMIT vertices."""
     d = regular_degree(g)
     if d is None:
         raise DomainError("graph must be regular")
-    total = Fraction(0)
-    weights = [Fraction(0)] * (d + 1)
-    for mask in independent_sets(g):
-        w = lam ** mask.bit_count()
-        total += w
-        for v in range(g.n):
-            uncovered = sum(1 for u in g.neighbors(v) if not (g.adj[u] & mask))
-            weights[uncovered] += w
-    return [w / (total * g.n) for w in weights]
+    vertices = range(g.n)
+
+    def classify(mask):
+        uncovered = sum(1 << u for u in vertices if not g.adj[u] & mask)
+        return [(g.adj[v] & uncovered).bit_count() for v in vertices]
+
+    total, by_count = state_polynomials(g, "hardcore", classify)
+    z = total(lam) * g.n
+    zero = IntPolynomial.zero()
+    return [by_count.get(t, zero)(lam) / z for t in range(d + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -275,20 +274,26 @@ def free_neighborhood_distribution(g: Graph, lam: Fraction, limit: int = 14):
     d = regular_degree(g)
     if d is None:
         raise DomainError("graph must be regular")
-    if g.n > limit:
-        raise CapabilityError(f"free-neighborhood oracle capped at {limit} vertices")
+    neighbors = [[(1 << w, g.adj[w]) for w in g.neighbors(v)] for v in range(g.n)]
+
+    def classify(mask):
+        # w in N(v) is free when no vertex of the set outside N(v) is
+        # adjacent to it; an occupied v blocks all of N(v)
+        out = []
+        for v, around in enumerate(neighbors):
+            outside = mask & ~g.adj[v]
+            out.append(sum(bit for bit, adj_w in around if not adj_w & outside))
+        return out
+
+    total, by_mask = state_polynomials(g, "hardcore", classify, limit)
     configs = enumerate_configs(d)
     by_key = {cfg.key: cfg.index for cfg in configs}
-    weights = [Fraction(0)] * len(configs)
-    total = Fraction(0)
-    for mask in independent_sets(g):
-        w = lam ** mask.bit_count()
-        total += w
-        iset = frozenset(mask_vertices(mask))
-        for v in range(g.n):
-            free = _free_neighborhood(g, v, iset)
-            weights[by_key[canonical_key(free)]] += w
-    probs = [w / (total * g.n) for w in weights]
+    weights = [IntPolynomial.zero()] * len(configs)
+    for mask, poly in by_mask.items():
+        idx = by_key[canonical_key(g.induced(mask_vertices(mask)))]
+        weights[idx] = weights[idx] + poly
+    z = total(lam) * g.n
+    probs = [w(lam) / z for w in weights]
 
     balance = sum(
         (p * (cfg.vacancy(lam) - cfg.crowding(lam, d)) for p, cfg in zip(probs, configs)),
@@ -308,15 +313,6 @@ def free_neighborhood_distribution(g: Graph, lam: Fraction, limit: int = 14):
     if via_vacancy != alpha or via_crowding != alpha:
         raise CertificateError("free-neighborhood law does not reproduce occupancy")
     return probs
-
-
-def _free_neighborhood(g: Graph, v: int, iset: frozenset) -> Graph:
-    """Induced subgraph on neighbors of v not blocked by the independent set
-    outside N(v). If v itself is occupied the neighborhood is empty."""
-    nbrs = list(g.neighbors(v))
-    outside = iset.difference(nbrs)  # contains v itself whenever v is occupied
-    free = [w for w in nbrs if not any(g.has_edge(w, x) for x in outside)]
-    return g.induced(free)
 
 
 def objective_value(probs, d: int, lam: Fraction) -> Fraction:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .errors import CapabilityError, CertificateError, DomainError
+from .errors import CertificateError, DomainError
 from .exactmath import IntPolynomial
 from .graphs import Graph, regular_degree
 from .hardcore import CertificateReport
@@ -24,7 +24,7 @@ from .polynomials import (
     edge_occupancy,
     kdd_edge_occupancy,
     kdd_matching_poly,
-    matchings,
+    state_polynomials,
 )
 
 
@@ -428,23 +428,25 @@ def edge_neighborhood_distribution(g: Graph, lam: Fraction, limit: int = 20):
     d = regular_degree(g)
     if d is None or d < 2:
         raise DomainError("graph must be d-regular with d >= 2")
-    if g.edge_count > limit:
-        raise CapabilityError(f"edge-neighborhood oracle capped at {limit} edges")
     edges = g.edges()
-    weights: dict = {}
-    total = Fraction(0)
-    for matching in matchings(g):
-        w = lam ** len(matching)
-        total += w
-        matched_mask = 0
+
+    everyone = (1 << g.n) - 1
+
+    def classify(matching):
+        partner = {}
         for u, v in matching:
-            matched_mask |= 1 << u | 1 << v
+            partner[u] = 1 << v
+            partner[v] = 1 << u
+        unmatched = everyone & ~sum(partner.values())
+        out = []
         for u, v in edges:
-            for left, right in ((u, v), (v, u)):
-                triple = _edge_triple(g, left, right, matching, matched_mask)
-                weights[triple] = weights.get(triple, Fraction(0)) + w
-    denom = total * len(edges) * 2
-    law = {t: w / denom for t, w in sorted(weights.items())}
+            out.append(_edge_triple(g, u, v, partner, unmatched))
+            out.append(_edge_triple(g, v, u, partner, unmatched))
+        return out
+
+    total, by_triple = state_polynomials(g, "matching", classify, limit)
+    denom = total(lam) * len(edges) * 2
+    law = {t: w(lam) / denom for t, w in sorted(by_triple.items())}
 
     if sum(law.values(), Fraction(0)) != 1:
         raise CertificateError("edge-neighborhood law does not sum to 1")
@@ -468,40 +470,14 @@ def edge_neighborhood_distribution(g: Graph, lam: Fraction, limit: int = 20):
     return law
 
 
-def _edge_triple(g: Graph, left: int, right: int, matching, matched_mask: int):
-    """Configuration (i, j, k) of the oriented edge (left, right): a
-    neighboring edge survives iff its far endpoint is not matched by an
-    edge avoiding both endpoints of the chosen edge."""
+def _edge_triple(g: Graph, left: int, right: int, partner: dict, unmatched: int):
+    """Configuration (i, j, k) of the oriented edge (left, right) under a
+    matching given by `partner` (matched vertex -> bit of its partner) and
+    the bitmask of unmatched vertices: a neighboring edge survives iff its
+    far endpoint is unmatched or matched to an endpoint of the chosen edge."""
     ends = 1 << left | 1 << right
-
-    def free(w):
-        if not (matched_mask >> w & 1):
-            return True
-        for a, b in matching:
-            if a == w or b == w:
-                return (1 << a | 1 << b) & ends != 0
-        return False
-
-    i = j = k = 0
-    left_mask = g.adj[left] & ~ends
-    right_mask = g.adj[right] & ~ends
-    both = left_mask & right_mask
-    m = both
-    while m:
-        low = m & -m
-        if free(low.bit_length() - 1):
-            k += 1
-        m ^= low
-    m = left_mask & ~both
-    while m:
-        low = m & -m
-        if free(low.bit_length() - 1):
-            i += 1
-        m ^= low
-    m = right_mask & ~both
-    while m:
-        low = m & -m
-        if free(low.bit_length() - 1):
-            j += 1
-        m ^= low
-    return (i, j, k)
+    live = (unmatched | partner.get(left, 0) | partner.get(right, 0)) & ~ends
+    at_left = g.adj[left] & live
+    at_right = g.adj[right] & live
+    k = (at_left & at_right).bit_count()
+    return (at_left.bit_count() - k, at_right.bit_count() - k, k)

@@ -1,6 +1,7 @@
 """Independence and matching polynomials, occupancy fractions, size
-distributions, and a brute-force probability oracle for the hard-core and
-monomer-dimer models. Everything is exact.
+distributions, and the brute-force enumeration engine (with the probability
+oracle built on it) for the hard-core and monomer-dimer models. Everything
+is exact.
 
 "Matching polynomial" throughout means the generating polynomial
 sum_k m_k * x^k counting matchings by size, not the signed characteristic
@@ -9,6 +10,7 @@ version.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -252,6 +254,43 @@ def matchings(g: Graph):
     yield from extend([], 0, 0)
 
 
+def state_polynomials(g: Graph, model: str, classify, limit: int = ORACLE_LIMIT):
+    """Enumerate every state of the model on g once and count states by size.
+
+    A state is an independent set as a vertex bitmask (hardcore) or a
+    matching as a frozenset of (u, v) edges (matching). `classify(state)`
+    yields labels; each yield counts the state once under that label.
+    Returns (total, {label: IntPolynomial}), where coefficient k counts the
+    states (with multiplicity) of size k, so a probability at fugacity lam
+    is a ratio of two polynomials evaluated once. The total comes from the
+    enumeration, never from the deletion recurrences, so it cross-checks
+    them. The default size cap keeps enumeration at desk scale; pass a
+    larger `limit` explicitly to override it.
+    """
+    if model == "hardcore":
+        if g.n > limit:
+            raise CapabilityError(f"oracle limit is {limit} vertices, got {g.n}")
+        states, size, width = independent_sets(g), int.bit_count, g.n + 1
+    elif model == "matching":
+        if g.edge_count > limit:
+            raise CapabilityError(
+                f"oracle limit is {limit} edges, got {g.edge_count}"
+            )
+        states, size, width = matchings(g), len, g.n // 2 + 1
+    else:
+        raise DomainError(f"unknown model {model!r}")
+    total = [0] * width
+    counts = defaultdict(lambda: [0] * width)
+    for state in states:
+        k = size(state)
+        total[k] += 1
+        for label in classify(state):
+            counts[label][k] += 1
+    return IntPolynomial(total), {
+        label: IntPolynomial(row) for label, row in counts.items()
+    }
+
+
 def event_probability_oracle(
     g: Graph,
     model: str,
@@ -260,37 +299,21 @@ def event_probability_oracle(
     limit: int = ORACLE_LIMIT,
 ) -> Fraction:
     """Exact probability of an event under the hard-core or monomer-dimer
-    model, by full enumeration.
+    model, by full enumeration (see `state_polynomials`).
 
     `predicate` receives a frozenset of vertices (hardcore) or of (u, v)
-    edges (matching). The default size cap keeps enumeration at desk scale;
-    pass a larger `limit` explicitly to override it.
+    edges (matching).
     """
     if lam <= 0:
         raise DomainError("fugacity must be positive")
-    total = Fraction(0)
-    hit = Fraction(0)
-    if model == "hardcore":
-        if g.n > limit:
-            raise CapabilityError(f"oracle limit is {limit} vertices, got {g.n}")
-        for mask in independent_sets(g):
-            w = lam ** mask.bit_count()
-            total += w
-            if predicate(frozenset(mask_vertices(mask))):
-                hit += w
-    elif model == "matching":
-        if g.edge_count > limit:
-            raise CapabilityError(
-                f"oracle limit is {limit} edges, got {g.edge_count}"
-            )
-        for matching in matchings(g):
-            w = lam ** len(matching)
-            total += w
-            if predicate(matching):
-                hit += w
-    else:
-        raise DomainError(f"unknown model {model!r}")
-    return hit / total
+
+    def classify(state):
+        if model == "hardcore":
+            state = frozenset(mask_vertices(state))
+        return (True,) if predicate(state) else ()
+
+    total, hits = state_polynomials(g, model, classify, limit)
+    return hits.get(True, IntPolynomial.zero())(lam) / total(lam)
 
 
 def clear_memo_tables():

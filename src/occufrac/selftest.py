@@ -85,14 +85,13 @@ def _run(number, name, budget, fn, quick):
 def _c1(failures, details, quick):
     checks = 0
     for d in GRID_D if not quick else (2, 3):
-        empty_idx = hardcore.empty_config_index(d)
         edgeless_idx = hardcore.edgeless_config_index(d)
         for lam in _grid(quick):
             sol = solve(hardcore.build_primal(d, lam))
             expected = kdd_occupancy(d, lam)
             if sol.status != "optimal" or sol.value != expected:
                 failures.append(f"optimum mismatch d={d} lam={format_rational(lam)}")
-            if set(sol.support) != {empty_idx, edgeless_idx}:
+            if set(sol.support) != {0, edgeless_idx}:  # 0 is the empty class
                 failures.append(f"support mismatch d={d} lam={format_rational(lam)}")
             checks += 1
     details["lp_solves"] = checks

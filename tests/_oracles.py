@@ -8,8 +8,9 @@ enumeration, conditional marginals from direct matching enumeration.
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from occufrac.graphs import Graph, regular_degree
-from occufrac.polynomials import matchings
+from occufrac.graphs import Graph, canonical_key, mask_vertices, regular_degree
+from occufrac.hardcore import enumerate_configs
+from occufrac.polynomials import independent_sets, matchings
 
 
 def brute_independence_counts(g: Graph):
@@ -108,8 +109,6 @@ def _solve_square(matrix, rhs):
 def empirical_edge_marginals(g: Graph, lam: Fraction):
     """Conditional uncovered-neighbor marginals per configuration triple,
     straight from enumeration: triple -> (from-edge law, from-neighbor law)."""
-    from occufrac.matching import _edge_triple
-
     d = regular_degree(g)
     edges = g.edges()
     num_e: dict = {}
@@ -117,9 +116,6 @@ def empirical_edge_marginals(g: Graph, lam: Fraction):
     den: dict = {}
     for matching in matchings(g):
         w = lam ** len(matching)
-        matched = 0
-        for u, v in matching:
-            matched |= 1 << u | 1 << v
 
         def uncovered(a, b):
             for x, y in matching:
@@ -129,7 +125,7 @@ def empirical_edge_marginals(g: Graph, lam: Fraction):
 
         for u, v in edges:
             for left, right in ((u, v), (v, u)):
-                triple = _edge_triple(g, left, right, matching, matched)
+                triple = edge_triple_by_definition(g, left, right, matching)
                 den[triple] = den.get(triple, Fraction(0)) + w * (d - 1)
                 t_edge = sum(
                     1
@@ -158,6 +154,76 @@ def empirical_edge_marginals(g: Graph, lam: Fraction):
         gf = [num_f.get(triple, {}).get(t, Fraction(0)) / total for t in range(d)]
         out[triple] = (ge, gf)
     return out
+
+
+def edge_triple_by_definition(g: Graph, left: int, right: int, matching):
+    """(i, j, k) of the oriented edge (left, right) under a matching: delete
+    the vertices covered by matching edges that avoid both endpoints, then
+    count the surviving neighbors of left only, of right only, and of both."""
+    blocked = {x for e in matching if left not in e and right not in e for x in e}
+    at_left = set(g.neighbors(left)) - {right} - blocked
+    at_right = set(g.neighbors(right)) - {left} - blocked
+    return (len(at_left - at_right), len(at_right - at_left), len(at_left & at_right))
+
+
+# Fraction-weighted reference laws: one weight lam^size per state, summed
+# state by state, against which the library's integer-count engine is
+# compared.
+
+def reference_uncovered_law(g: Graph, lam: Fraction):
+    """Law of the number of uncovered neighbors of a uniform vertex."""
+    d = regular_degree(g)
+    total = Fraction(0)
+    weights = [Fraction(0)] * (d + 1)
+    for mask in independent_sets(g):
+        w = lam ** mask.bit_count()
+        total += w
+        for v in range(g.n):
+            uncovered = sum(1 for u in g.neighbors(v) if not (g.adj[u] & mask))
+            weights[uncovered] += w
+    return [w / (total * g.n) for w in weights]
+
+
+def _free_neighborhood(g: Graph, v: int, iset: frozenset) -> Graph:
+    """Induced subgraph on neighbors of v not blocked by the independent set
+    outside N(v). If v itself is occupied the neighborhood is empty."""
+    nbrs = list(g.neighbors(v))
+    outside = iset.difference(nbrs)  # contains v itself whenever v is occupied
+    free = [w for w in nbrs if not any(g.has_edge(w, x) for x in outside)]
+    return g.induced(free)
+
+
+def reference_free_neighborhood_law(g: Graph, lam: Fraction):
+    """Law of the free-neighborhood class of a uniform vertex, aligned with
+    enumerate_configs(d)."""
+    configs = enumerate_configs(regular_degree(g))
+    by_key = {cfg.key: cfg.index for cfg in configs}
+    weights = [Fraction(0)] * len(configs)
+    total = Fraction(0)
+    for mask in independent_sets(g):
+        w = lam ** mask.bit_count()
+        total += w
+        iset = frozenset(mask_vertices(mask))
+        for v in range(g.n):
+            weights[by_key[canonical_key(_free_neighborhood(g, v, iset))]] += w
+    return [w / (total * g.n) for w in weights]
+
+
+def reference_edge_law(g: Graph, lam: Fraction):
+    """Law of the (i, j, k) triple of a uniform oriented edge, keyed by
+    triple in sorted order."""
+    edges = g.edges()
+    weights: dict = {}
+    total = Fraction(0)
+    for matching in matchings(g):
+        w = lam ** len(matching)
+        total += w
+        for u, v in edges:
+            for left, right in ((u, v), (v, u)):
+                triple = edge_triple_by_definition(g, left, right, matching)
+                weights[triple] = weights.get(triple, Fraction(0)) + w
+    denom = total * len(edges) * 2
+    return {t: w / denom for t, w in sorted(weights.items())}
 
 
 def brute_canonical_bits(g: Graph):

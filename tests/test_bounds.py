@@ -31,6 +31,7 @@ from occufrac.graphs import (
     prism,
 )
 from occufrac.polynomials import (
+    event_probability_oracle,
     kdd_independence_poly,
     kdd_matching_poly,
     occupancy,
@@ -128,6 +129,32 @@ def test_fkg_known_values():
     assert fkg_check(cycle(6), [0, 2], ONE, "uncovered").ok
 
 
+def _event(g, mode, target):
+    if mode == "occupied":
+        return lambda s: all(v in s for v in target)
+    return lambda s: all(not any(u in s for u in g.neighbors(v)) for v in target)
+
+
+def test_fkg_one_pass_equals_per_event_oracle():
+    lam = Fraction(3, 5)
+    for g, vs in (
+        (hypercube(3), [0, 3, 5]),
+        (cycle(8), [0, 2, 2]),  # a repeated vertex is one more factor
+        (kdd_union(2, 8), [0, 1, 4]),
+    ):
+        for mode in ("occupied", "uncovered"):
+            verdict = fkg_check(g, vs, lam, mode)
+
+            def oracle(target):
+                return event_probability_oracle(g, "hardcore", lam, _event(g, mode, target))
+
+            assert verdict.joint == oracle(vs)
+            product = Fraction(1)
+            for v in vs:
+                product *= oracle([v])
+            assert verdict.product == product
+
+
 def test_fkg_precondition_errors():
     with pytest.raises(DomainError):
         fkg_check(cycle(6), [0, 1], ONE)  # opposite sides
@@ -135,6 +162,8 @@ def test_fkg_precondition_errors():
         fkg_check(petersen(), [0, 2], ONE)  # not bipartite
     with pytest.raises(DomainError):
         fkg_check(cycle(6), [0], ONE)
+    with pytest.raises(DomainError):
+        fkg_check(cycle(6), [0, 2], Fraction(0))
 
 
 def test_counts_known_values():

@@ -83,6 +83,40 @@ def test_verify_given_size_builtin(capsys):
     assert report["verdict"] == "pass"
 
 
+def test_verify_given_size_builtin_loads_no_other_corpus(capsys, monkeypatch):
+    from occufrac import corpus
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("regular_corpus built without --corpus")
+
+    monkeypatch.setattr(corpus, "regular_corpus", refuse)
+    code, report, _ = run_cli(capsys, "verify", "given-size")
+    assert code == 0
+    assert report["verdict"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["nonsense:3", "complete_bipartite:3", "H:2:8", "petersen:3", "kdd:x", "kdd:",
+     "hdn:2", "hdn:2:6", "cycle:2", "kdd:3:4"],
+)
+def test_bad_graph_specs_are_usage_errors(capsys, spec):
+    code, report, err = run_cli(capsys, "counts", "--graph", spec)
+    assert code == 2 and report is None
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "spec, independent",
+    [("kdd:2", 7), ("hdn:2:8", 49), ("cycle:5", 11), ("complete:4", 5),
+     ("prism:3", 13), ("hypercube:2", 7), ("petersen", 76)],
+)
+def test_graph_specs_name_generate_families(capsys, spec, independent):
+    code, report, _ = run_cli(capsys, "counts", "--graph", spec)
+    assert code == 0
+    assert sum(int(c) for c in report["results"]["independent_sets"]) == independent
+
+
 def test_counts_and_file_input(tmp_path, capsys):
     path = tmp_path / "graph.el"
     path.write_text("3\n0 1\n1 2\n")

@@ -76,11 +76,13 @@ def test_parse_edge_list():
 
 
 def test_generate_families():
-    assert generate("complete_bipartite", 2) == complete_bipartite(2)
-    g = generate("H", 2, 8)
+    assert generate("kdd", 2) == complete_bipartite(2)
+    g = generate("hdn", 2, 8)
     assert [len(c) for c in g.components()] == [4, 4]
     with pytest.raises(DomainError):
-        generate("H", 2, 6)
+        generate("hdn", 2, 6)
+    with pytest.raises(DomainError):
+        generate("H", 2, 8)
     with pytest.raises(DomainError):
         generate("cycle", 2)
     with pytest.raises(DomainError):

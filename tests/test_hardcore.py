@@ -10,7 +10,6 @@ from occufrac.hardcore import (
     check_mean_size_dominance,
     dual_certificate,
     edgeless_config_index,
-    empty_config_index,
     enumerate_configs,
     free_neighborhood_distribution,
     objective_scale,
@@ -39,7 +38,7 @@ def test_enumerate_configs_counts():
 
 def test_config_order_and_special_entries():
     configs = enumerate_configs(3)
-    assert configs[empty_config_index(3)].graph.n == 0
+    assert configs[0].graph.n == 0
     edgeless = configs[edgeless_config_index(3)]
     assert edgeless.graph.n == 3 and edgeless.graph.edge_count == 0
     sizes = [c.graph.n for c in configs]
@@ -52,7 +51,7 @@ def test_config_weights_special_values():
     for d in (2, 3, 4):
         for lam in (Fraction(1, 2), ONE, Fraction(3)):
             configs = enumerate_configs(d)
-            empty = configs[empty_config_index(d)]
+            empty = configs[0]
             edgeless = configs[edgeless_config_index(d)]
             assert empty.vacancy(lam) == 1
             assert empty.crowding(lam, d) == 0
@@ -67,7 +66,7 @@ def test_primal_known_value_d2():
     assert sol.value == Fraction(2, 7)
     support = dict(zip(sol.support, (sol.primal[j] for j in sol.support)))
     assert support == {
-        empty_config_index(2): Fraction(3, 7),
+        0: Fraction(3, 7),
         edgeless_config_index(2): Fraction(4, 7),
     }
 
@@ -78,7 +77,7 @@ def test_primal_optimum_closed_form_on_grid():
             sol = solve(build_primal(d, lam))
             assert sol.value == kdd_occupancy(d, lam)
             assert set(sol.support) == {
-                empty_config_index(d),
+                0,
                 edgeless_config_index(d),
             }
 
@@ -91,7 +90,7 @@ def test_candidate_point_objective_value():
             p_empty = (1 - u) / (2 - u)
             p_edgeless = 1 / (2 - u)
             probs = [Fraction(0)] * len(enumerate_configs(d))
-            probs[empty_config_index(d)] = p_empty
+            probs[0] = p_empty
             probs[edgeless_config_index(d)] = p_edgeless
             assert objective_value(probs, d, lam) == kdd_occupancy(d, lam)
 
@@ -208,11 +207,16 @@ def test_triangle_free_feasibility_of_real_graphs():
         assert lam / (d * (1 + lam)) * mean <= bound
 
 
+def test_uncovered_count_distribution_is_capped():
+    with pytest.raises(CapabilityError, match="^oracle limit is 24 vertices, got 25$"):
+        uncovered_count_distribution(cycle(25), ONE)
+
+
 def test_free_neighborhood_distribution_known_values():
     probs = free_neighborhood_distribution(complete_bipartite(2), ONE)
     support = {i: p for i, p in enumerate(probs) if p}
     assert support == {
-        empty_config_index(2): Fraction(3, 7),
+        0: Fraction(3, 7),
         edgeless_config_index(2): Fraction(4, 7),
     }
 
@@ -243,7 +247,7 @@ def test_free_neighborhood_distribution_feasible_on_corpus():
 
 
 def test_free_neighborhood_capability_limits():
-    with pytest.raises(CapabilityError):
+    with pytest.raises(CapabilityError, match="^oracle limit is 14 vertices, got 16$"):
         free_neighborhood_distribution(cycle(16), ONE)
     with pytest.raises(DomainError):
         free_neighborhood_distribution(Graph(3, [(0, 1)]), ONE)

@@ -283,7 +283,7 @@ def test_edge_neighborhood_objective_below_optimum():
 
 
 def test_edge_neighborhood_capability():
-    with pytest.raises(CapabilityError):
+    with pytest.raises(CapabilityError, match="^oracle limit is 20 edges, got 25$"):
         edge_neighborhood_distribution(complete_bipartite(5), ONE)
     with pytest.raises(DomainError):
         edge_neighborhood_distribution(cycle(6), Fraction(0))

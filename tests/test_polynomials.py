@@ -8,6 +8,9 @@ from _oracles import (
     brute_matching_counts,
     random_graph,
     random_regular_graph,
+    reference_edge_law,
+    reference_free_neighborhood_law,
+    reference_uncovered_law,
 )
 from occufrac import polynomials
 from occufrac.errors import CapabilityError, DomainError
@@ -20,6 +23,7 @@ from occufrac.graphs import (
     hypercube,
     kdd_union,
     label_key,
+    mask_vertices,
     petersen,
     prism,
 )
@@ -37,6 +41,7 @@ from occufrac.polynomials import (
     matchings,
     occupancy,
     size_distribution,
+    state_polynomials,
 )
 
 ONE = Fraction(1)
@@ -212,6 +217,73 @@ def test_oracle_limit():
         )
         == 1
     )
+
+
+def test_engine_total_counts_states_by_brute_force():
+    rng = random.Random(29)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(0, 9), rng.choice((0.2, 0.4, 0.6)))
+        total, labels = state_polynomials(g, "hardcore", lambda mask: ())
+        assert list(total.coeffs) == brute_independence_counts(g)
+        assert labels == {}
+        total, _ = state_polynomials(g, "matching", lambda m: ())
+        assert list(total.coeffs) == brute_matching_counts(g)
+
+
+def test_engine_counts_each_yield_by_size():
+    p3 = Graph(3, [(0, 1), (1, 2)])
+    # sets: {}, {0}, {1}, {2}, {0, 2}; each yields one label per member
+    total, by_vertex = state_polynomials(p3, "hardcore", mask_vertices)
+    assert total == IntPolynomial((1, 3, 1))
+    assert by_vertex == {
+        0: IntPolynomial((0, 1, 1)),
+        1: IntPolynomial((0, 1)),
+        2: IntPolynomial((0, 1, 1)),
+    }
+    total, by_size = state_polynomials(cycle(4), "matching", lambda m: ["x"] * len(m))
+    assert total == IntPolynomial((1, 4, 2))
+    assert by_size == {"x": IntPolynomial((0, 4, 4))}
+
+
+def test_engine_limits_and_models():
+    with pytest.raises(CapabilityError, match="^oracle limit is 24 vertices, got 25$"):
+        state_polynomials(cycle(25), "hardcore", lambda s: ())
+    with pytest.raises(CapabilityError, match="^oracle limit is 24 edges, got 25$"):
+        state_polynomials(complete_bipartite(5), "matching", lambda s: ())
+    total, _ = state_polynomials(complete_bipartite(5), "matching", lambda s: (), limit=25)
+    assert total == matching_poly(complete_bipartite(5))
+    with pytest.raises(DomainError):
+        state_polynomials(cycle(4), "potts", lambda s: ())
+
+
+def _has_triangle(g):
+    return any(g.adj[u] & g.adj[v] for u, v in g.edges())
+
+
+def test_engine_laws_equal_fraction_references():
+    # random regular graphs, both with and without triangles: the laws
+    # built from integer counts equal the state-by-state Fraction sums
+    from occufrac.hardcore import (
+        free_neighborhood_distribution,
+        uncovered_count_distribution,
+    )
+    from occufrac.matching import edge_neighborhood_distribution
+
+    rng = random.Random(41)
+    drawn = {True: [], False: []}
+    while min(len(v) for v in drawn.values()) < 3:
+        n, d = rng.choice(((8, 3), (10, 3), (9, 4)))
+        g = random_regular_graph(rng, n, d)
+        kind = drawn[_has_triangle(g)]
+        if len(kind) < 3:
+            kind.append(g)
+    for g in drawn[True] + drawn[False]:
+        lam = Fraction(rng.randint(1, 7), rng.randint(1, 7))
+        assert uncovered_count_distribution(g, lam) == reference_uncovered_law(g, lam)
+        assert free_neighborhood_distribution(g, lam) == reference_free_neighborhood_law(
+            g, lam
+        )
+        assert edge_neighborhood_distribution(g, lam) == reference_edge_law(g, lam)
 
 
 def test_enumerators_agree_with_polynomials():
