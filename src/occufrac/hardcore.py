@@ -23,7 +23,7 @@ from .graphs import (
     mask_vertices,
     regular_degree,
 )
-from .lp import LinearProgram, LPSolution, make_lp, solve
+from .lp import LinearProgram, LPSolution, make_lp, primal_value, solve
 from .polynomials import independence_poly, occupancy, state_polynomials
 
 MIN_D, MAX_D = 2, 7
@@ -264,10 +264,10 @@ def free_neighborhood_distribution(g: Graph, lam: Fraction, limit: int = 14):
     """Exact law of the free-neighborhood class of a uniform vertex under
     the hard-core model, as a vector aligned with enumerate_configs(d).
 
-    Verifies on the way out that the vector is a distribution satisfying
-    the balance constraint and that both closed forms of the occupancy,
-    lam/(1+lam) E[vacancy] and scale-adjusted E[crowding], equal the true
-    occupancy of g.
+    Verifies on the way out that the vector is a feasible point of
+    build_primal(d, lam) (a distribution satisfying the balance constraint)
+    whose objective is the true occupancy of g. With the balance holding,
+    that objective is lam/(1+lam) E[vacancy] = lam/(1+lam) E[crowding].
     """
     if lam <= 0:
         raise DomainError("fugacity must be positive")
@@ -294,38 +294,15 @@ def free_neighborhood_distribution(g: Graph, lam: Fraction, limit: int = 14):
         weights[idx] = weights[idx] + poly
     z = total(lam) * g.n
     probs = [w(lam) / z for w in weights]
-
-    balance = sum(
-        (p * (cfg.vacancy(lam) - cfg.crowding(lam, d)) for p, cfg in zip(probs, configs)),
-        Fraction(0),
-    )
-    if sum(probs, Fraction(0)) != 1 or balance != 0:
-        raise CertificateError("free-neighborhood law violates the constraints")
-    alpha = occupancy(g, lam)
-    via_vacancy = (
-        lam / (1 + lam)
-        * sum((p * cfg.vacancy(lam) for p, cfg in zip(probs, configs)), Fraction(0))
-    )
-    via_crowding = (
-        lam / (1 + lam)
-        * sum((p * cfg.crowding(lam, d) for p, cfg in zip(probs, configs)), Fraction(0))
-    )
-    if via_vacancy != alpha or via_crowding != alpha:
+    if objective_value(probs, d, lam) != occupancy(g, lam):
         raise CertificateError("free-neighborhood law does not reproduce occupancy")
     return probs
 
 
 def objective_value(probs, d: int, lam: Fraction) -> Fraction:
-    """Program objective of a distribution vector aligned with the columns."""
-    configs = enumerate_configs(d)
-    scale = objective_scale(lam)
-    return sum(
-        (
-            scale * p * (cfg.vacancy(lam) + cfg.crowding(lam, d))
-            for p, cfg in zip(probs, configs)
-        ),
-        Fraction(0),
-    )
+    """Program objective of a distribution vector aligned with the columns;
+    raises CertificateError when it is not a feasible point of the program."""
+    return primal_value(build_primal(d, lam), probs)
 
 
 def lp_optimum(d: int, lam: Fraction) -> LPSolution:

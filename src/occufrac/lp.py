@@ -4,8 +4,9 @@
 
 Two-phase simplex over Fractions with Bland's anti-cycling rule, so every
 solve terminates and every reported optimum, basis and dual vector is
-exact. Dense tableau; the programs solved here have at most a handful of
-rows.
+exact. Dense tableau with the reduced costs as its last row, from which
+the dual is read as well; the programs solved here have at most a handful
+of rows.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import StructureError
+from .errors import CertificateError, StructureError
 
 ZERO = Fraction(0)
 
@@ -59,6 +60,9 @@ class LPSolution:
 
     @property
     def support(self):
+        """Columns with a nonzero primal entry; () when there is no primal."""
+        if self.primal is None:
+            return ()
         return tuple(j for j, x in enumerate(self.primal) if x != 0)
 
 
@@ -73,6 +77,8 @@ class DualSlackReport:
 
 
 def _pivot(tableau, basis, row, col):
+    """Pivot on (row, col); every other row, the reduced-cost row included,
+    is eliminated in the same sweep."""
     piv = tableau[row][col]
     inv = 1 / piv
     tableau[row] = [a * inv for a in tableau[row]]
@@ -87,32 +93,27 @@ def _pivot(tableau, basis, row, col):
     basis[row] = col
 
 
-def _reduced_cost(tableau, basis, cost, col):
-    rc = cost[col]
-    for r, b in enumerate(basis):
-        cb = cost[b]
-        if cb != 0:
-            rc -= cb * tableau[r][col]
-    return rc
+def _reduced_cost_row(tableau, basis, cost):
+    """cost - c_B B^-1 [A | I] over every column, then -c_B x_B: the row the
+    simplex prices with and the pivots keep current."""
+    priced = [(cost[b], tableau[r]) for r, b in enumerate(basis) if cost[b] != 0]
+    return [
+        c - sum(cb * row[j] for cb, row in priced)
+        for j, c in enumerate(list(cost) + [ZERO])
+    ]
 
 
-def _run_simplex(tableau, basis, cost, allowed_cols):
-    """Maximize cost over the tableau with Bland's rule. Returns True when
-    optimal, False when unbounded."""
+def _run_simplex(tableau, basis, allowed_cols):
+    """Maximize with Bland's rule over the tableau whose last row holds the
+    reduced costs. Returns True when optimal, False when unbounded."""
     while True:
-        entering = -1
-        basic = set(basis)
-        for j in allowed_cols:
-            if j in basic:
-                continue
-            if _reduced_cost(tableau, basis, cost, j) > 0:
-                entering = j
-                break  # Bland: smallest improving index
+        # Bland: smallest improving index; basic columns price out to 0
+        entering = next((j for j in allowed_cols if tableau[-1][j] > 0), -1)
         if entering == -1:
             return True
         leaving = -1
         best_ratio = None
-        for r in range(len(tableau)):
+        for r in range(len(basis)):
             a = tableau[r][entering]
             if a <= 0:
                 continue
@@ -129,48 +130,32 @@ def _run_simplex(tableau, basis, cost, allowed_cols):
         _pivot(tableau, basis, leaving, entering)
 
 
-def _solve_square(matrix, rhs):
-    """Exact Gaussian elimination for a square nonsingular system."""
-    n = len(rhs)
-    aug = [list(matrix[r]) + [rhs[r]] for r in range(n)]
-    for col in range(n):
-        pivot_row = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [a * inv for a in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * p for a, p in zip(aug[r], aug[col])]
-    return [aug[r][-1] for r in range(n)]
-
-
 def solve(lp: LinearProgram) -> LPSolution:
     """Two-phase simplex. On "optimal" the result carries exact certificates:
-    A x = b, x >= 0, value = c.x = dual.b, and every reduced cost <= 0."""
+    A x = b, x >= 0, value = c.x = dual.b, and every reduced cost <= 0.
+
+    The dual is read off the reduced costs of the artificial columns, whose
+    entries in the tableau are the accumulated row operations:
+    y_r = -sign_r * rc[n + r], sign_r = -1 on a row negated for its rhs."""
     m, n = lp.nrows, lp.ncols
 
     # phase 1: artificial identity basis, rhs made non-negative
+    sign = [-1 if b < 0 else 1 for b in lp.rhs]
     tableau = []
     for r in range(m):
         row = list(lp.rows[r]) + [ZERO] * m + [lp.rhs[r]]
-        if lp.rhs[r] < 0:
+        if sign[r] < 0:
             row = [-a for a in row]
         row[n + r] = Fraction(1)
         tableau.append(row)
     basis = [n + r for r in range(m)]
-    phase1_cost = [ZERO] * n + [Fraction(-1)] * m
-    all_cols = range(n + m)
-    _run_simplex(tableau, basis, phase1_cost, all_cols)
-    infeasibility = sum(
-        (tableau[r][-1] for r in range(m) if basis[r] >= n), ZERO
-    )
-    if infeasibility != 0:
+    tableau.append(_reduced_cost_row(tableau, basis, [ZERO] * n + [Fraction(-1)] * m))
+    _run_simplex(tableau, basis, range(n + m))
+    if tableau[-1][-1] != 0:  # the artificials still carry mass
         return LPSolution(status="infeasible")
 
     # drive zero-level artificials out of the basis; rows with no original
-    # pivot entry are redundant and get dropped (their dual price is 0)
-    kept = list(range(m))
+    # pivot entry are redundant and get dropped
     for r in range(m - 1, -1, -1):
         if basis[r] < n:
             continue
@@ -178,48 +163,51 @@ def solve(lp: LinearProgram) -> LPSolution:
         if col is None:
             del tableau[r]
             del basis[r]
-            del kept[r]
         else:
             _pivot(tableau, basis, r, col)
 
-    # phase 2 over original columns only
-    phase2_cost = list(lp.objective) + [ZERO] * m
-    if not _run_simplex(tableau, basis, phase2_cost, range(n)):
+    # phase 2 over original columns only; the phase-1 row goes first so the
+    # two reduced-cost rows never take memory together
+    tableau.pop()
+    tableau.append(_reduced_cost_row(tableau, basis, lp.objective + (ZERO,) * m))
+    if not _run_simplex(tableau, basis, range(n)):
         return LPSolution(status="unbounded")
 
     primal = [ZERO] * n
     for r, b in enumerate(basis):
         primal[b] = tableau[r][-1]
-    value = sum((c * x for c, x in zip(lp.objective, primal)), ZERO)
-
-    # dual prices from B^T y = c_B on the kept rows, 0 on dropped rows
-    mm = len(basis)
-    bt = [[lp.rows[kept[r]][basis[i]] for r in range(mm)] for i in range(mm)]
-    cb = [lp.objective[b] for b in basis]
-    y_kept = _solve_square(bt, cb)
-    dual = [ZERO] * m
-    for idx, r in enumerate(kept):
-        dual[r] = y_kept[idx]
-
+    rc = tableau[-1]
     solution = LPSolution(
         status="optimal",
-        value=value,
+        value=-rc[-1],
         primal=tuple(primal),
         basis=tuple(basis),
-        dual=tuple(dual),
+        dual=tuple(-sign[r] * rc[n + r] for r in range(m)),
     )
     _check_optimal(lp, solution)
     return solution
 
 
+def primal_value(lp: LinearProgram, x) -> Fraction:
+    """c . x of a feasible point x: raises CertificateError naming the
+    first row with A x != b, or the first negative entry."""
+    if len(x) != lp.ncols:
+        raise StructureError(f"point has {len(x)} entries for {lp.ncols} columns")
+    for j, v in enumerate(x):
+        if v < 0:
+            raise CertificateError(f"negative entry {v} in column {j}", ("column", j))
+    support = [(j, v) for j, v in enumerate(x) if v != 0]
+    for r, (row, b) in enumerate(zip(lp.rows, lp.rhs)):
+        lhs = sum((row[j] * v for j, v in support), ZERO)
+        if lhs != b:
+            raise CertificateError(f"row {r} violated: A x = {lhs}, b = {b}", ("row", r))
+    return sum((lp.objective[j] * v for j, v in support), ZERO)
+
+
 def _check_optimal(lp: LinearProgram, sol: LPSolution):
     # exactness self-checks; violations would mean a solver bug
-    for r in range(lp.nrows):
-        lhs = sum((a * x for a, x in zip(lp.rows[r], sol.primal)), ZERO)
-        if lhs != lp.rhs[r]:
-            raise AssertionError(f"primal infeasible in row {r}")
-    if any(x < 0 for x in sol.primal):
-        raise AssertionError("negative primal entry")
+    if primal_value(lp, sol.primal) != sol.value:
+        raise AssertionError("objective row disagrees with c . x")
     report = dual_slacks(lp, sol.dual)
     if not report.feasible:
         raise AssertionError("dual infeasible at claimed optimum")

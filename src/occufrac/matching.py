@@ -19,7 +19,7 @@ from .errors import CertificateError, DomainError
 from .exactmath import IntPolynomial
 from .graphs import Graph, regular_degree
 from .hardcore import CertificateReport
-from .lp import LinearProgram, make_lp, solve
+from .lp import LinearProgram, make_lp, primal_value
 from .polynomials import (
     edge_occupancy,
     kdd_edge_occupancy,
@@ -420,8 +420,8 @@ def edge_neighborhood_distribution(g: Graph, lam: Fraction, limit: int = 20):
     """Exact law of the (i, j, k) configuration of a uniform oriented edge
     under the monomer-dimer model, as a dict keyed by triple.
 
-    Verifies that all marginal constraint rows hold exactly and that the
-    objective reproduces the edge occupancy of g.
+    Verifies that the law is a feasible point of build_primal(d, lam) and
+    that its objective reproduces the edge occupancy of g.
     """
     if lam <= 0:
         raise DomainError("fugacity must be positive")
@@ -447,27 +447,29 @@ def edge_neighborhood_distribution(g: Graph, lam: Fraction, limit: int = 20):
     total, by_triple = state_polynomials(g, "matching", classify, limit)
     denom = total(lam) * len(edges) * 2
     law = {t: w(lam) / denom for t, w in sorted(by_triple.items())}
-
-    if sum(law.values(), Fraction(0)) != 1:
-        raise CertificateError("edge-neighborhood law does not sum to 1")
-    for t in range(d - 1):
-        row = Fraction(0)
-        for (i, j, k), q in law.items():
-            row += q * Fraction(1, 2) * (
-                marginal_from_neighbor(i, j, k, lam, d)[t]
-                + marginal_from_neighbor(j, i, k, lam, d)[t]
-                - marginal_from_edge(i, j, k, lam, d)[t]
-                - marginal_from_edge(j, i, k, lam, d)[t]
-            )
-        if row != 0:
-            raise CertificateError(f"marginal constraint row t={t} violated")
-    objective = sum(
-        (q * local_edge_occupancy(i, j, k, lam, d) for (i, j, k), q in law.items()),
-        Fraction(0),
-    )
-    if objective != edge_occupancy(g, lam):
+    if objective_value(law, d, lam) != edge_occupancy(g, lam):
         raise CertificateError("edge-neighborhood law misses the edge occupancy")
     return law
+
+
+def objective_value(law: dict, d: int, lam: Fraction) -> Fraction:
+    """Program objective of a law keyed by triple; raises CertificateError
+    when it is not a feasible point of build_primal(d, lam), naming a
+    violated marginal row by its t."""
+    column = {triple: c for c, triple in enumerate(enumerate_triples(d))}
+    point = [Fraction(0)] * len(column)
+    for triple, q in law.items():
+        if triple not in column:
+            raise CertificateError(f"triple {triple} is not admissible for d={d}", triple)
+        point[column[triple]] = q
+    try:
+        return primal_value(build_primal(d, lam), point)
+    except CertificateError as exc:
+        kind, r = exc.args[1]
+        if kind == "row" and r > 0:  # row r >= 1 is the marginal constraint at t = r - 1
+            message = f"marginal constraint row t={r - 1} violated"
+            raise CertificateError(message, exc.args[1]) from exc
+        raise
 
 
 def _edge_triple(g: Graph, left: int, right: int, partner: dict, unmatched: int):

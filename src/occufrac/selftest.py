@@ -16,10 +16,10 @@ from .graphs import bipartition, regular_degree
 from .lp import dual_slacks, solve
 from .polynomials import (
     edge_occupancy,
-    event_probability_oracle,
     kdd_edge_occupancy,
     kdd_occupancy,
     occupancy,
+    state_polynomials,
 )
 
 GRID_D = (2, 3, 4, 5)
@@ -320,48 +320,32 @@ def _c10(failures, details, quick):
         graphs = [(n, g) for n, g in graphs if g.n <= 8]
     oracle_checks = 0
     for name, g in graphs:
+        # one enumeration per model. Every occupied vertex, uncovered vertex
+        # and matched edge yields its label once, so a label counts the sum
+        # of its per-vertex (per-edge) events. The totals come from the
+        # enumeration, not the recurrences, so the checks cross-check both.
+        def vertex_events(mask):
+            for v in range(g.n):
+                if mask >> v & 1:
+                    yield "occupied"
+                if not g.adj[v] & mask:
+                    yield "uncovered"
+
+        z_ind, ind = state_polynomials(g, "hardcore", vertex_events)
+        edges = g.edges()
+        z_match, match = state_polynomials(
+            g, "matching", lambda mset: ("matched",) * len(mset), max(36, len(edges))
+        )
         for lam in lams:
-            avg = sum(
-                (
-                    event_probability_oracle(
-                        g, "hardcore", lam, lambda iset, v=v: v in iset
-                    )
-                    for v in range(g.n)
-                ),
-                Fraction(0),
-            ) / g.n
-            if avg != occupancy(g, lam):
+            alpha = occupancy(g, lam)
+            per_vertex = z_ind(lam) * g.n
+            if ind["occupied"](lam) / per_vertex != alpha:
                 failures.append(f"{name} vertex oracle lam={format_rational(lam)}")
             # occupancy again through uncovered probabilities
-            unc = sum(
-                (
-                    event_probability_oracle(
-                        g,
-                        "hardcore",
-                        lam,
-                        lambda iset, v=v: not any(u in iset for u in g.neighbors(v)),
-                    )
-                    for v in range(g.n)
-                ),
-                Fraction(0),
-            ) / g.n
-            if lam / (1 + lam) * unc != occupancy(g, lam):
+            if lam / (1 + lam) * ind["uncovered"](lam) / per_vertex != alpha:
                 failures.append(f"{name} uncovered oracle lam={format_rational(lam)}")
-            edges = g.edges()
-            eavg = sum(
-                (
-                    event_probability_oracle(
-                        g,
-                        "matching",
-                        lam,
-                        lambda mset, e=e: e in mset,
-                        limit=max(36, len(edges)),
-                    )
-                    for e in edges
-                ),
-                Fraction(0),
-            ) / len(edges)
-            if eavg != edge_occupancy(g, lam):
+            per_edge = z_match(lam) * len(edges)
+            if match["matched"](lam) / per_edge != edge_occupancy(g, lam):
                 failures.append(f"{name} edge oracle lam={format_rational(lam)}")
             oracle_checks += 1
 
@@ -381,13 +365,7 @@ def _c10(failures, details, quick):
         if g.edge_count <= 25:
             try:
                 law = matching.edge_neighborhood_distribution(g, lam, limit=25)
-                objective = sum(
-                    (
-                        q * matching.local_edge_occupancy(i, j, k, lam, d)
-                        for (i, j, k), q in law.items()
-                    ),
-                    Fraction(0),
-                )
+                objective = matching.objective_value(law, d, lam)
                 if objective > kdd_edge_occupancy(d, lam):
                     failures.append(f"{name} edge-neighborhood objective above optimum")
                 law_checks += 1

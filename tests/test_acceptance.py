@@ -64,3 +64,17 @@ def test_criterion_09_given_size_suite():
 
 def test_criterion_10_oracle_consistency():
     _check(10)
+
+
+def test_criterion_10_catches_wrong_recurrences(monkeypatch):
+    # the one-pass oracle still cross-checks the recurrence values
+    from fractions import Fraction
+
+    import occufrac.selftest as selftest
+
+    monkeypatch.setattr(selftest, "occupancy", lambda g, lam: Fraction(1, 3))
+    monkeypatch.setattr(selftest, "edge_occupancy", lambda g, lam: Fraction(1, 3))
+    result = selftest.run_criterion(10, quick=True)
+    assert not result.passed
+    kinds = {f.split()[1] for f in result.failures}
+    assert kinds == {"vertex", "uncovered", "edge"}

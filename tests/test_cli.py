@@ -205,3 +205,28 @@ def test_graph6_file_errors_are_format_errors_naming_the_line(tmp_path, text, wh
     path.write_text(text)
     with pytest.raises(FormatError, match=where):
         parse_graph_spec(f"file:{path}")
+
+
+def test_python_dash_m_entry_point():
+    # an uninstalled checkout runs the CLI as `python -m occufrac`
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import occufrac
+
+    src = str(Path(occufrac.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "occufrac", "occupancy", "--graph", "kdd:3"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    report = json.loads(proc.stdout)
+    assert report["results"]["occupancy"] == "4/15"

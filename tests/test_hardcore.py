@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from occufrac.errors import CapabilityError, DomainError
+from occufrac.errors import CapabilityError, CertificateError, DomainError
 from occufrac.exactmath import IntPolynomial
 from occufrac.graphs import Graph, complete, complete_bipartite, cycle, petersen
 from occufrac.hardcore import (
+    NeighborhoodConfig,
     build_primal,
     check_mean_size_dominance,
     dual_certificate,
@@ -272,3 +273,33 @@ def test_concurrent_certificates_are_consistent():
         parallel = list(pool.map(lambda dl: dual_certificate(*dl).optimum, jobs))
     serial = [dual_certificate(d, lam).optimum for d, lam in jobs]
     assert parallel == serial
+
+
+def test_solver_dual_is_the_certificate_dual():
+    # the dual read off the reduced-cost row is the hand-built price pair
+    for d in (2, 3, 4, 5):
+        for lam in (Fraction(1, 2), ONE, Fraction(3)):
+            assert solve(build_primal(d, lam)).dual == solver_dual_for_certificate(d, lam)
+
+
+def test_objective_value_rejects_infeasible_points():
+    probs = [Fraction(0)] * len(enumerate_configs(2))
+    probs[0] = ONE  # all mass on the empty class breaks the balance row
+    with pytest.raises(CertificateError, match="row 1"):
+        objective_value(probs, 2, ONE)
+
+
+def test_corrupted_crowding_is_detected(monkeypatch):
+    # mutation contract, twin of the matching one: a wrong crowding on a
+    # class that carries mass must surface as a failing law check
+    target = edgeless_config_index(2)  # both neighbors free, not adjacent
+    assert free_neighborhood_distribution(cycle(6), ONE)[target] > 0
+    original = NeighborhoodConfig.crowding
+
+    def corrupted(self, lam, d):
+        value = original(self, lam, d)
+        return value + 1 if self.index == target else value
+
+    monkeypatch.setattr(NeighborhoodConfig, "crowding", corrupted)
+    with pytest.raises(CertificateError, match="row 1"):
+        free_neighborhood_distribution(cycle(6), ONE)

@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from _oracles import brute_lp_max
-from occufrac.errors import StructureError
-from occufrac.lp import dual_slacks, make_lp, solve
+from occufrac.errors import CertificateError, StructureError
+from occufrac.lp import dual_slacks, make_lp, primal_value, solve
+
+ONE = Fraction(1)
 
 
 def test_simplex_sanity():
@@ -141,3 +143,49 @@ def test_zero_dual_on_positive_objective_reports_negative_slack():
     report = dual_slacks(lp, [Fraction(0)])
     assert not report.feasible
     assert min(report.slacks) < 0
+
+
+def test_support_is_empty_without_a_primal():
+    assert solve(make_lp([1], [[1]], [-1])).support == ()
+    assert solve(make_lp([1, 0], [[1, -1]], [0])).support == ()
+
+
+def test_primal_value_checks_the_point():
+    lp = make_lp([3, 1, 0], [[1, 1, 0], [0, 1, 1]], [1, 2])
+    assert primal_value(lp, [Fraction(1, 2), Fraction(1, 2), Fraction(3, 2)]) == 2
+    with pytest.raises(StructureError):
+        primal_value(lp, [ONE, ONE])
+    with pytest.raises(CertificateError, match="row 1"):
+        primal_value(lp, [ONE, Fraction(0), ONE])
+    with pytest.raises(CertificateError, match="negative"):
+        primal_value(lp, [Fraction(2), -ONE, Fraction(3)])
+
+
+def test_duals_with_redundant_and_negated_rows():
+    # a summed or duplicated row is dropped after phase 1 and a negative rhs
+    # flips its row; the dual read off the tableau must still certify
+    rng = random.Random(31)
+    dropped = negated = 0
+    for _ in range(120):
+        lp = _random_lp(rng, rng.randint(2, 6), rng.randint(1, 3))
+        rows, rhs = [list(r) for r in lp.rows], list(lp.rhs)
+        if lp.nrows > 1 and rng.random() < 0.5:
+            rows.append([a + b for a, b in zip(rows[0], rows[1])])
+            rhs.append(rhs[0] + rhs[1])
+        else:
+            rows.append(rows[0])
+            rhs.append(rhs[0])
+        flip = rng.randrange(len(rows))
+        if rhs[flip] > 0:
+            rows[flip] = [-a for a in rows[flip]]
+            rhs[flip] = -rhs[flip]
+        lp = make_lp(lp.objective, rows, rhs)
+        sol = solve(lp)
+        if sol.status != "optimal":
+            continue
+        report = dual_slacks(lp, sol.dual)
+        assert report.feasible
+        assert report.dual_objective == sol.value
+        dropped += len(sol.basis) < lp.nrows
+        negated += any(b < 0 for b in lp.rhs)
+    assert dropped >= 20 and negated >= 20

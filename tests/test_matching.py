@@ -21,6 +21,7 @@ from occufrac.matching import (
     local_matching_poly,
     marginal_from_edge,
     marginal_from_neighbor,
+    objective_value,
     raw_slack_scaled,
     reduced_slack,
     slack_profile,
@@ -329,3 +330,21 @@ def test_edge_neighborhood_law_of_union_matches_single_block():
         Fraction(0),
     )
     assert objective == kdd_edge_occupancy(2, ONE)
+
+
+def test_solver_dual_is_the_row_price_dual():
+    # the dual read off the reduced-cost row is the recurrence's prices
+    for d in range(2, 9):
+        for lam in (Fraction(1, 2), ONE, Fraction(3)):
+            expected = standard_dual_vector(dual_row_prices(d, lam))
+            assert solve(build_primal(d, lam)).dual == expected
+
+
+def test_objective_value_of_laws():
+    for d in (2, 3, 4):
+        law = edge_neighborhood_distribution(complete_bipartite(d), ONE)
+        assert objective_value(law, d, ONE) == kdd_edge_occupancy(d, ONE)
+    with pytest.raises(CertificateError, match="not admissible"):
+        objective_value({(1, 0, 1): ONE}, 2, ONE)
+    with pytest.raises(CertificateError, match="row 0"):
+        objective_value({(1, 1, 0): Fraction(2)}, 2, ONE)
