@@ -499,10 +499,6 @@ def bipartition(g: Graph):
     return side0, side1
 
 
-def is_bipartite(g: Graph) -> bool:
-    return bipartition(g) is not None
-
-
 def is_triangle_free(g: Graph) -> bool:
     for u in range(g.n):
         for v in g.neighbors(u):

@@ -23,8 +23,8 @@ from .graphs import (
     mask_vertices,
     regular_degree,
 )
-from .lp import LinearProgram, LPSolution, make_lp, primal_value, solve
-from .polynomials import independence_poly, occupancy, state_polynomials
+from .lp import LinearProgram, dual_slacks, make_lp, primal_value, solve
+from .polynomials import independence_poly, kdd_occupancy, occupancy, state_polynomials
 
 MIN_D, MAX_D = 2, 7
 
@@ -56,7 +56,9 @@ def enumerate_configs(d: int):
     """All isomorphism classes on 0..d vertices, ordered by vertex count then
     canonical key. Column order of the primal program; the empty class
     comes first, at index 0."""
-    if not MIN_D <= d <= MAX_D:
+    if d < MIN_D:
+        raise DomainError(f"need d >= {MIN_D}")
+    if d > MAX_D:
         raise CapabilityError(f"configuration enumeration supports {MIN_D} <= d <= {MAX_D}")
     configs = []
     for n in range(d + 1):
@@ -76,11 +78,13 @@ def objective_scale(lam: Fraction) -> Fraction:
     return lam / (2 * (1 + lam))
 
 
+@lru_cache(maxsize=1)  # the last program: build, solve and certify share it
 def build_primal(d: int, lam: Fraction) -> LinearProgram:
     """maximize scale * sum p_C (vacancy + crowding)
     s.t. sum p_C = 1 and sum p_C (vacancy - crowding) = 0, p >= 0."""
     if lam <= 0:
         raise DomainError("fugacity must be positive")
+    lam = Fraction(lam)  # 1 and Fraction(1) share a cache entry: build exactly
     configs = enumerate_configs(d)
     scale = objective_scale(lam)
     objective = []
@@ -105,59 +109,51 @@ class CertificateReport:
     tight: tuple  # column ids with slack exactly 0
     optimum: Fraction
 
-    @property
-    def feasible(self) -> bool:
-        return all(s >= 0 for _, s in self.slacks)
+
+def solver_dual_for_certificate(d: int, lam: Fraction):
+    """The certificate prices as the dual of build_primal(d, lam)'s rows:
+    scale * (norm, balance), where with u = (1+lam)^(-d) the mass row has
+    norm = 2/(2-u) and the vacancy/crowding balance row balance = 1 - norm."""
+    if lam <= 0:
+        raise DomainError("fugacity must be positive")
+    norm_price = 2 / (2 - Fraction(1) / (1 + lam) ** d)
+    scale = objective_scale(lam)
+    return (scale * norm_price, scale * (1 - norm_price))
 
 
 def dual_certificate(d: int, lam: Fraction) -> CertificateReport:
-    """Evaluate the two-variable dual candidate and certify optimality.
-
-    With u = (1+lam)^(-d), the prices are norm = 2/(2-u) on the mass
-    constraint and balance = 1 - norm on the vacancy/crowding balance; the
-    certified optimum is scale * norm. Tight exactly on the empty class and
-    the d-vertex edgeless class, strictly slack elsewhere.
-    """
-    if lam <= 0:
-        raise DomainError("fugacity must be positive")
+    """Price build_primal(d, lam) with solver_dual_for_certificate and
+    certify optimality. Slacks are reported divided by objective_scale(lam):
+    norm + balance (vacancy - crowding) - (vacancy + crowding). Tight exactly
+    on the empty class and the d-vertex edgeless class, strictly slack
+    elsewhere; the dual objective is the occupancy fraction of K_{d,d}."""
+    lam = Fraction(lam)  # an int lam would make objective_scale a float
+    dual = solver_dual_for_certificate(d, lam)
+    report = dual_slacks(build_primal(d, lam), dual)
     configs = enumerate_configs(d)
-    u = Fraction(1) / (1 + lam) ** d
-    norm_price = 2 / (2 - u)
-    balance_price = 1 - norm_price
-    expected_tight = {0, edgeless_config_index(d)}
-    slacks = []
-    tight = []
-    for cfg in configs:
-        a = cfg.vacancy(lam)
-        b = cfg.crowding(lam, d)
-        slack = norm_price + balance_price * (a - b) - (a + b)
-        slacks.append((cfg.label, slack))
-        if slack == 0:
-            tight.append(cfg.index)
-        elif slack < 0:
+    scale = objective_scale(lam)
+    slacks = [s / scale for s in report.slacks]
+    expected_tight = (0, edgeless_config_index(d))
+    for cfg, slack in zip(configs, slacks):
+        if slack < 0:
             raise CertificateError(
                 f"negative dual slack at configuration {cfg.label}", cfg, slack
             )
-        elif cfg.index in expected_tight:
+        if slack > 0 and cfg.index in expected_tight:
             raise CertificateError(
                 f"expected tight configuration {cfg.label} has slack {slack}", cfg
             )
-    if set(tight) != expected_tight:
-        unexpected = [configs[i].label for i in tight if i not in expected_tight]
+    unexpected = [configs[j].label for j in report.tight if j not in expected_tight]
+    if unexpected:
         raise CertificateError(f"unexpected tight configurations {unexpected}")
+    if report.dual_objective != kdd_occupancy(d, lam):
+        raise CertificateError(f"strong duality fails: dual objective {report.dual_objective}")
     return CertificateReport(
-        dual_values={"norm": norm_price, "balance": balance_price},
-        slacks=tuple(slacks),
-        tight=tuple(configs[i].label for i in sorted(tight)),
-        optimum=objective_scale(lam) * norm_price,
+        dual_values={"norm": dual[0] / scale, "balance": dual[1] / scale},
+        slacks=tuple((cfg.label, s) for cfg, s in zip(configs, slacks)),
+        tight=tuple(configs[j].label for j in report.tight),
+        optimum=report.dual_objective,
     )
-
-
-def solver_dual_for_certificate(d: int, lam: Fraction):
-    """The certificate prices rescaled to the standard-form dual vector."""
-    report = dual_certificate(d, lam)
-    scale = objective_scale(lam)
-    return (scale * report.dual_values["norm"], scale * report.dual_values["balance"])
 
 
 def check_mean_size_dominance(c: Graph, d: int, lam: Fraction):
@@ -303,7 +299,3 @@ def objective_value(probs, d: int, lam: Fraction) -> Fraction:
     """Program objective of a distribution vector aligned with the columns;
     raises CertificateError when it is not a feasible point of the program."""
     return primal_value(build_primal(d, lam), probs)
-
-
-def lp_optimum(d: int, lam: Fraction) -> LPSolution:
-    return solve(build_primal(d, lam))

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .errors import CertificateError, DomainError
 from .exactmath import IntPolynomial
 from .graphs import Graph, regular_degree
 from .hardcore import CertificateReport
-from .lp import LinearProgram, make_lp, primal_value
+from .lp import LinearProgram, dual_slacks, make_lp, primal_value
 from .polynomials import (
     edge_occupancy,
     kdd_edge_occupancy,
@@ -120,11 +121,13 @@ def marginal_from_neighbor(i: int, j: int, k: int, lam: Fraction, d: int):
     return [w / z for w in out]
 
 
+@lru_cache(maxsize=1)  # the last program: build, solve and certify share it
 def build_primal(d: int, lam: Fraction) -> LinearProgram:
     """maximize sum q(i,j,k) * local_edge_occupancy subject to sum q = 1 and,
     for t = 0..d-2, equality of the symmetrized neighbor/edge marginals."""
     if lam <= 0:
         raise DomainError("fugacity must be positive")
+    lam = Fraction(lam)  # 1 and Fraction(1) share a cache entry: build exactly
     triples = enumerate_triples(d)
     objective = [local_edge_occupancy(i, j, k, lam, d) for i, j, k in triples]
     rows = [[Fraction(1)] * len(triples)]
@@ -268,35 +271,10 @@ def reduced_slack(i: int, j: int, k: int, duals: MatchingDuals) -> Fraction:
     return val
 
 
-def raw_slack_scaled(i: int, j: int, k: int, duals: MatchingDuals) -> Fraction:
-    """The unsimplified dual slack scaled by 2(d-1)(lam + M): equals
-    lam * reduced_slack once the diagonal constraints hold."""
-    d, lam = duals.d, duals.lam
-    _check_triple(i, j, k, d)
-    m = local_matching_poly(i, j, k)
-    mprime = m.derivative()(lam)
-    val = duals.optimum * (lam * mprime + 2 * (d - 1) * m(lam)) - lam * mprime
-    for a, b in ((i, j), (j, i)):
-        for idx, coeff in (
-            (a + k - 2, (a + k - 1) * k * lam),
-            (a + k - 1, (d - a - k) * k * lam + (a + k) * b * lam - (d - 1) * k * lam),
-            (a + k, (d - 1 - a - k) * b * lam + a + k - (d - 1) * _star(b, lam)),
-            (a + k + 1, d - 1 - a - k),
-        ):
-            if coeff:
-                val += _price_or_zero(duals, idx) * coeff
-    return val
-
-
-def _price_or_zero(duals: MatchingDuals, t: int) -> Fraction:
-    if 0 <= t <= duals.d - 1:
-        return duals.price(t)
-    raise DomainError(f"price index {t} out of range")
-
-
 def check_dual_constraints(d: int, lam: Fraction) -> CertificateReport:
     """Full dual certificate: verifies the two slack-profile forms agree,
-    the raw and simplified slacks differ by the factor lam, the telescoping
+    strong duality on build_primal(d, lam), that each column's slack there
+    times 2(d-1)(lam + M) is lam times the simplified slack, the telescoping
     identity, zero slack exactly on the diagonal (i, i, 0) triples, and
     strict positivity everywhere else."""
     duals = dual_row_prices(d, lam)
@@ -308,13 +286,16 @@ def check_dual_constraints(d: int, lam: Fraction) -> CertificateReport:
     if profile[d - 1] != closing / kdd_matching_poly(d)(lam):
         raise CertificateError("slack profile end value mismatch")
 
+    priced = dual_slacks(build_primal(d, lam), standard_dual_vector(duals))
+    if priced.dual_objective != duals.optimum:
+        raise CertificateError(f"strong duality fails: dual objective {priced.dual_objective}")
     slacks = []
     tight = []
     values = {}
-    for i, j, k in enumerate_triples(d):
+    for (i, j, k), raw in zip(enumerate_triples(d), priced.slacks):
         val = reduced_slack(i, j, k, duals)
         values[(i, j, k)] = val
-        if raw_slack_scaled(i, j, k, duals) != lam * val:
+        if 2 * (d - 1) * conditional_partition(i, j, k, lam) * raw != lam * val:
             raise CertificateError(
                 f"raw and simplified slacks inconsistent at ({i},{j},{k})"
             )

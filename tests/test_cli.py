@@ -36,6 +36,19 @@ def test_certify_hardcore(capsys):
     assert len(report["results"]["slacks"]) == 8
 
 
+def test_certify_hardcore_degree_outside_domain_or_cap(capsys):
+    # d < 2 is outside the paper's domain (usage error, like matching);
+    # d > 7 is beyond the class enumeration (capability error)
+    for d in ("0", "1"):
+        code, report, err = run_cli(capsys, "certify", "hardcore", "--d", d, "--lambda", "1")
+        assert (code, report, err) == (2, None, "error: need d >= 2\n")
+    code, report, err = run_cli(capsys, "certify", "hardcore", "--d", "8", "--lambda", "1")
+    assert code == 3 and report is None
+    assert err == "capability error: configuration enumeration supports 2 <= d <= 7\n"
+    code, _, err = run_cli(capsys, "certify", "matching", "--d", "1", "--lambda", "1")
+    assert (code, err) == (2, "error: need d >= 2\n")
+
+
 def test_certify_matching(capsys):
     code, report, _ = run_cli(capsys, "certify", "matching", "--d", "3", "--lambda", "1")
     assert code == 0

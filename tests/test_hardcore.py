@@ -33,7 +33,7 @@ def test_enumerate_configs_counts():
     assert len(enumerate_configs(4)) == 19
     with pytest.raises(CapabilityError):
         enumerate_configs(8)
-    with pytest.raises(CapabilityError):
+    with pytest.raises(DomainError, match="^need d >= 2$"):
         enumerate_configs(1)
 
 
@@ -70,6 +70,15 @@ def test_primal_known_value_d2():
         0: Fraction(3, 7),
         edgeless_config_index(2): Fraction(4, 7),
     }
+
+
+def test_integer_fugacity_is_exact():
+    # 2 and Fraction(2) are one cache key, so either must build the exact program
+    exact = build_primal(3, Fraction(2))
+    build_primal.cache_clear()
+    assert build_primal(3, 2) == exact
+    assert build_primal(3, Fraction(2)) is build_primal(3, 2)
+    assert dual_certificate(3, 2) == dual_certificate(3, Fraction(2))
 
 
 def test_primal_optimum_closed_form_on_grid():
@@ -301,5 +310,36 @@ def test_corrupted_crowding_is_detected(monkeypatch):
         return value + 1 if self.index == target else value
 
     monkeypatch.setattr(NeighborhoodConfig, "crowding", corrupted)
+    build_primal.cache_clear()  # the warm-up call cached the clean program
     with pytest.raises(CertificateError, match="row 1"):
         free_neighborhood_distribution(cycle(6), ONE)
+
+
+def test_perturbed_balance_price_fails_certificate(monkeypatch):
+    # mutation contract: the certificate prices build_primal with the
+    # closed-form dual, so a wrong balance price must surface as a slack
+    import occufrac.hardcore as mod
+
+    original = mod.solver_dual_for_certificate
+    # the empty class has vacancy - crowding = 1: raising the balance price
+    # lifts its slack off 0, lowering it makes the slack negative
+    cases = ((Fraction(1, 100), "expected tight"), (Fraction(-1, 100), "negative dual slack"))
+    for delta, message in cases:
+
+        def perturbed(d, lam, delta=delta):
+            norm, balance = original(d, lam)
+            return norm, balance + delta
+
+        monkeypatch.setattr(mod, "solver_dual_for_certificate", perturbed)
+        for d in (2, 3, 5):
+            with pytest.raises(CertificateError, match=message):
+                dual_certificate(d, ONE)
+
+
+def test_dual_objective_is_checked_against_kdd_occupancy(monkeypatch):
+    import occufrac.hardcore as mod
+
+    original = mod.kdd_occupancy
+    monkeypatch.setattr(mod, "kdd_occupancy", lambda d, lam: original(d, lam) + 1)
+    with pytest.raises(CertificateError, match="strong duality"):
+        dual_certificate(3, ONE)

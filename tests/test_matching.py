@@ -22,7 +22,6 @@ from occufrac.matching import (
     marginal_from_edge,
     marginal_from_neighbor,
     objective_value,
-    raw_slack_scaled,
     reduced_slack,
     slack_profile,
     slack_profile_explicit,
@@ -120,6 +119,14 @@ def test_dual_prices_are_lp_dual():
             assert report.dual_objective == solve(lp).value == duals.optimum
 
 
+def test_float_fugacity_is_exact():
+    # 0.5 and Fraction(1, 2) are one cache key, so either must build the exact program
+    exact = build_primal(3, Fraction(1, 2))
+    build_primal.cache_clear()
+    assert build_primal(3, 0.5) == exact
+    assert build_primal(3, Fraction(1, 2)) is build_primal(3, 0.5)
+
+
 def test_dual_prices_reject_zero_fugacity():
     with pytest.raises(DomainError):
         dual_row_prices(3, Fraction(0))
@@ -168,24 +175,16 @@ def test_reduced_slack_known_values():
     assert reduced_slack(0, 0, 1, duals3) > 0
 
 
-def test_raw_slack_is_lam_times_reduced():
+def test_program_slack_is_lam_times_reduced():
+    # build_primal's dual slack, scaled by 2(d-1)(lam+M), is lam times the
+    # simplified slack L(i,j,k)
     for d in (2, 3, 4, 5):
         for lam in (Fraction(1, 2), ONE, Fraction(3)):
             duals = dual_row_prices(d, lam)
-            for i, j, k in enumerate_triples(d):
-                assert raw_slack_scaled(i, j, k, duals) == lam * reduced_slack(i, j, k, duals)
-
-
-def test_raw_slack_matches_standard_dual_slack():
-    # the raw form is the standard-form dual slack scaled by 2(d-1)(lam+M)
-    for d in (2, 3, 4):
-        lam = ONE
-        duals = dual_row_prices(d, lam)
-        lp = build_primal(d, lam)
-        report = dual_slacks(lp, standard_dual_vector(duals))
-        for idx, (i, j, k) in enumerate(enumerate_triples(d)):
-            scale = 2 * (d - 1) * conditional_partition(i, j, k, lam)
-            assert raw_slack_scaled(i, j, k, duals) == scale * report.slacks[idx]
+            report = dual_slacks(build_primal(d, lam), standard_dual_vector(duals))
+            for (i, j, k), slack in zip(enumerate_triples(d), report.slacks):
+                scale = 2 * (d - 1) * conditional_partition(i, j, k, lam)
+                assert scale * slack == lam * reduced_slack(i, j, k, duals)
 
 
 def test_check_dual_constraints_full_grid():
@@ -231,10 +230,10 @@ def test_laguerre_identity():
         assert laguerre_identity_holds(d)
 
 
-def test_corrupted_prices_fail_certification():
+def test_corrupted_prices_fail_certification(monkeypatch):
     # the simplified diagonal slack vanishes identically, so corruption has
-    # to show up in the equality-constraint residuals and in the raw form
-    # disagreeing with lam * simplified
+    # to show up in the equality-constraint residuals and in the certificate
+    import occufrac.matching as mod
     from occufrac.matching import MatchingDuals, _diagonal_residual
 
     duals = dual_row_prices(3, ONE)
@@ -242,10 +241,40 @@ def test_corrupted_prices_fail_certification():
     broken = MatchingDuals(d=3, lam=ONE, prices=bad, optimum=duals.optimum)
     assert all(reduced_slack(i, i, 0, broken) == 0 for i in range(3))
     assert any(_diagonal_residual(broken, i) != 0 for i in range(3))
-    assert any(
-        raw_slack_scaled(i, j, k, broken) != ONE * reduced_slack(i, j, k, broken)
-        for i, j, k in enumerate_triples(3)
-    )
+    monkeypatch.setattr(mod, "dual_row_prices", lambda d, lam: broken)
+    with pytest.raises(CertificateError):
+        check_dual_constraints(3, ONE)
+
+
+def test_shifted_prices_fail_only_against_the_program(monkeypatch):
+    # adding one constant to every price, the pinned price_{d-1} included,
+    # leaves the diagonal residuals, the slack profile and every simplified
+    # slack unchanged; only the program, which has no row at t = d-1, sees it
+    import occufrac.matching as mod
+    from occufrac.matching import MatchingDuals, _diagonal_residual
+
+    for d in (3, 5):
+        duals = dual_row_prices(d, ONE)
+        shifted = MatchingDuals(
+            d=d, lam=ONE, prices=tuple(p + 1 for p in duals.prices), optimum=duals.optimum
+        )
+        assert all(_diagonal_residual(shifted, i) == 0 for i in range(d))
+        for t in range(d):
+            assert slack_profile(t, shifted) == slack_profile(t, duals)
+        for i, j, k in enumerate_triples(d):
+            assert reduced_slack(i, j, k, shifted) == reduced_slack(i, j, k, duals)
+        monkeypatch.setattr(mod, "dual_row_prices", lambda d, lam, s=shifted: s)
+        with pytest.raises(CertificateError, match="^raw and simplified slacks inconsistent"):
+            check_dual_constraints(d, ONE)
+
+
+def test_wrong_mass_price_fails_strong_duality(monkeypatch):
+    import occufrac.matching as mod
+
+    original = mod.standard_dual_vector
+    monkeypatch.setattr(mod, "standard_dual_vector", lambda duals: (1,) + original(duals)[1:])
+    with pytest.raises(CertificateError, match="strong duality"):
+        check_dual_constraints(3, ONE)
 
 
 def test_edge_neighborhood_distribution_known_values():
