@@ -175,7 +175,7 @@ def test_reduced_slack_known_values():
     assert reduced_slack(0, 0, 1, duals3) > 0
 
 
-def test_program_slack_is_lam_times_reduced():
+def test_raw_slack_is_lam_times_reduced():
     # build_primal's dual slack, scaled by 2(d-1)(lam+M), is lam times the
     # simplified slack L(i,j,k)
     for d in (2, 3, 4, 5):
@@ -185,6 +185,23 @@ def test_program_slack_is_lam_times_reduced():
             for (i, j, k), slack in zip(enumerate_triples(d), report.slacks):
                 scale = 2 * (d - 1) * conditional_partition(i, j, k, lam)
                 assert scale * slack == lam * reduced_slack(i, j, k, duals)
+
+
+def test_raw_slack_matches_standard_dual_slack():
+    # the raw form lam * L(i,j,k) is the standard-form dual slack scaled by
+    # 2(d-1)(lam+M), so the standard dual is feasible and tight on exactly
+    # the columns the certificate reports tight
+    for d in (2, 3, 4):
+        lam = ONE
+        duals = dual_row_prices(d, lam)
+        report = dual_slacks(build_primal(d, lam), standard_dual_vector(duals))
+        triples = enumerate_triples(d)
+        for idx, (i, j, k) in enumerate(triples):
+            scale = 2 * (d - 1) * conditional_partition(i, j, k, lam)
+            assert lam * reduced_slack(i, j, k, duals) == scale * report.slacks[idx]
+        assert report.feasible
+        tight = {"({},{},{})".format(*triples[idx]) for idx in report.tight}
+        assert tight == set(check_dual_constraints(d, lam).tight)
 
 
 def test_check_dual_constraints_full_grid():
