@@ -44,10 +44,11 @@ class NeighborhoodConfig:
 
     def vacancy(self, lam: Fraction) -> Fraction:
         """Probability all vertices of the neighborhood are unoccupied: 1/P(lam)."""
-        return 1 / self.poly(lam)
+        return 1 / self.poly(Fraction(lam))
 
     def crowding(self, lam: Fraction, d: int) -> Fraction:
         """(1+lam) P'(lam) / (d P(lam)): scaled mean occupied-neighbor count."""
+        lam = Fraction(lam)
         return (1 + lam) * self.poly.derivative()(lam) / (d * self.poly(lam))
 
 
@@ -75,6 +76,7 @@ def edgeless_config_index(d: int) -> int:
 
 
 def objective_scale(lam: Fraction) -> Fraction:
+    lam = Fraction(lam)
     return lam / (2 * (1 + lam))
 
 
@@ -127,7 +129,6 @@ def dual_certificate(d: int, lam: Fraction) -> CertificateReport:
     norm + balance (vacancy - crowding) - (vacancy + crowding). Tight exactly
     on the empty class and the d-vertex edgeless class, strictly slack
     elsewhere; the dual objective is the occupancy fraction of K_{d,d}."""
-    lam = Fraction(lam)  # an int lam would make objective_scale a float
     dual = solver_dual_for_certificate(d, lam)
     report = dual_slacks(build_primal(d, lam), dual)
     configs = enumerate_configs(d)
@@ -172,6 +173,7 @@ def check_mean_size_dominance(c: Graph, d: int, lam: Fraction):
         raise DomainError("conditional mean size is undefined for the empty graph")
     if c.n > d:
         raise DomainError("configuration exceeds d vertices")
+    lam = Fraction(lam)
     p = independence_poly(c)
     lhs = lam * p.derivative()(lam) / (p(lam) - 1)
     rhs = lam * d * (1 + lam) ** (d - 1) / ((1 + lam) ** d - 1)
@@ -224,6 +226,7 @@ def triangle_free_lp(d: int, lam: Fraction):
         raise DomainError("fugacity must be positive")
     if d < 1:
         raise DomainError("need d >= 1")
+    lam = Fraction(lam)
     objective = [Fraction(t) for t in range(d + 1)]
     ones = [Fraction(1)] * (d + 1)
     balance = [t - d * Fraction(1, 1) / (1 + lam) ** t for t in range(d + 1)]

@@ -2,11 +2,13 @@
 
     maximize c . x   subject to   A x = b,  x >= 0
 
-Two-phase simplex over Fractions with Bland's anti-cycling rule, so every
-solve terminates and every reported optimum, basis and dual vector is
-exact. Dense tableau with the reduced costs as its last row, from which
-the dual is read as well; the programs solved here have at most a handful
-of rows.
+Two-phase revised simplex over Fractions. It keeps the basis inverse
+B^-1 (rows x rows) and the basic values x_B, prices with y = c_B B^-1 and
+r_j = c_j - y . A_j, and enters the column with the largest reduced cost
+(Dantzig); the pivot after a degenerate one uses Bland's smallest-index
+rule instead, so every solve terminates. The dual is y itself. Every
+reported optimum, basis and dual vector is exact and checked before it is
+returned; the programs solved here have at most a dozen rows.
 """
 
 from __future__ import annotations
@@ -76,48 +78,67 @@ class DualSlackReport:
     dual_objective: Fraction
 
 
-def _pivot(tableau, basis, row, col):
-    """Pivot on (row, col); every other row, the reduced-cost row included,
-    is eliminated in the same sweep."""
-    piv = tableau[row][col]
-    inv = 1 / piv
-    tableau[row] = [a * inv for a in tableau[row]]
-    prow = tableau[row]
-    for r in range(len(tableau)):
-        if r == row:
+def _pivot(inverse, values, basis, row, col, alpha):
+    """Bring column col into the basis at row, where alpha = B^-1 A_col:
+    the same row operations update B^-1 and x_B."""
+    inv = 1 / alpha[row]
+    prow = [a * inv for a in inverse[row]]
+    inverse[row] = prow
+    values[row] *= inv
+    for r, factor in enumerate(alpha):
+        if r == row or factor == 0:
             continue
-        factor = tableau[r][col]
-        if factor == 0:
-            continue
-        tableau[r] = [a - factor * p for a, p in zip(tableau[r], prow)]
+        inverse[r] = [a - factor * p for a, p in zip(inverse[r], prow)]
+        values[r] -= factor * values[row]
     basis[row] = col
 
 
-def _reduced_cost_row(tableau, basis, cost):
-    """cost - c_B B^-1 [A | I] over every column, then -c_B x_B: the row the
-    simplex prices with and the pivots keep current."""
-    priced = [(cost[b], tableau[r]) for r, b in enumerate(basis) if cost[b] != 0]
+def _dot(u, col) -> Fraction:
+    return sum((a * x for a, x in zip(u, col) if x != 0), ZERO)
+
+
+def _prices(inverse, basis, cost):
+    """y = c_B B^-1, one price per row of the original program."""
     return [
-        c - sum(cb * row[j] for cb, row in priced)
-        for j, c in enumerate(list(cost) + [ZERO])
+        sum((cost[b] * u for b, u in zip(basis, inv_col) if cost[b] != 0), ZERO)
+        for inv_col in zip(*inverse)
     ]
 
 
-def _run_simplex(tableau, basis, allowed_cols):
-    """Maximize with Bland's rule over the tableau whose last row holds the
-    reduced costs. Returns True when optimal, False when unbounded."""
+def _column(inverse, col):
+    """B^-1 A_j for a column A_j of the original program."""
+    return [_dot(inv_row, col) for inv_row in inverse]
+
+
+def _run_simplex(columns, cost, inverse, values, basis):
+    """Maximize cost . x over the columns from a feasible basis, keeping
+    B^-1 (inverse) and x_B (values) current. Enters the column with the
+    largest reduced cost r_j = c_j - y . A_j (Dantzig), except right after a
+    degenerate pivot, where it enters the smallest improving index (Bland):
+    a cycle consists of degenerate pivots only, so every pivot in it would
+    follow Bland's rule, which cannot cycle. The leaving row is the smallest
+    ratio, ties to the smallest basic index. Returns True when optimal,
+    False when unbounded."""
+    bland = False
     while True:
-        # Bland: smallest improving index; basic columns price out to 0
-        entering = next((j for j in allowed_cols if tableau[-1][j] > 0), -1)
+        y = _prices(inverse, basis, cost)
+        reduced = ((j, cost[j] - _dot(y, col)) for j, col in enumerate(columns))
+        if bland:
+            entering = next((j for j, rc in reduced if rc > 0), -1)
+        else:
+            entering, best = -1, ZERO
+            for j, rc in reduced:
+                if rc > best:
+                    entering, best = j, rc
         if entering == -1:
             return True
+        alpha = _column(inverse, columns[entering])
         leaving = -1
         best_ratio = None
-        for r in range(len(basis)):
-            a = tableau[r][entering]
+        for r, a in enumerate(alpha):
             if a <= 0:
                 continue
-            ratio = tableau[r][-1] / a
+            ratio = values[r] / a
             if (
                 best_ratio is None
                 or ratio < best_ratio
@@ -127,31 +148,29 @@ def _run_simplex(tableau, basis, allowed_cols):
                 leaving = r
         if leaving == -1:
             return False
-        _pivot(tableau, basis, leaving, entering)
+        bland = best_ratio == 0
+        _pivot(inverse, values, basis, leaving, entering, alpha)
 
 
 def solve(lp: LinearProgram) -> LPSolution:
-    """Two-phase simplex. On "optimal" the result carries exact certificates:
-    A x = b, x >= 0, value = c.x = dual.b, and every reduced cost <= 0.
+    """Two-phase revised simplex. On "optimal" the result carries exact
+    certificates: A x = b, x >= 0, value = c.x = dual.b, and every reduced
+    cost <= 0.
 
-    The dual is read off the reduced costs of the artificial columns, whose
-    entries in the tableau are the accumulated row operations:
-    y_r = -sign_r * rc[n + r], sign_r = -1 on a row negated for its rhs."""
+    Artificial column r is sign_r e_r, with sign_r = -1 on a row whose rhs
+    is negative, so the starting basis inverse is diag(sign) and B^-1 stays
+    the inverse of a basis of the program as given: the dual is y = c_B B^-1
+    itself, with no sign to undo."""
     m, n = lp.nrows, lp.ncols
+    columns = list(zip(*lp.rows)) if m else [()] * n  # the program's own entries
 
-    # phase 1: artificial identity basis, rhs made non-negative
+    # phase 1: artificial basis, minimize the artificials' sum
     sign = [-1 if b < 0 else 1 for b in lp.rhs]
-    tableau = []
-    for r in range(m):
-        row = list(lp.rows[r]) + [ZERO] * m + [lp.rhs[r]]
-        if sign[r] < 0:
-            row = [-a for a in row]
-        row[n + r] = Fraction(1)
-        tableau.append(row)
+    inverse = [[Fraction(sign[r]) if c == r else ZERO for c in range(m)] for r in range(m)]
+    values = [sign[r] * b for r, b in enumerate(lp.rhs)]
     basis = [n + r for r in range(m)]
-    tableau.append(_reduced_cost_row(tableau, basis, [ZERO] * n + [Fraction(-1)] * m))
-    _run_simplex(tableau, basis, range(n + m))
-    if tableau[-1][-1] != 0:  # the artificials still carry mass
+    _run_simplex(columns, [ZERO] * n + [Fraction(-1)] * m, inverse, values, basis)
+    if any(v != 0 for b, v in zip(basis, values) if b >= n):
         return LPSolution(status="infeasible")
 
     # drive zero-level artificials out of the basis; rows with no original
@@ -159,30 +178,25 @@ def solve(lp: LinearProgram) -> LPSolution:
     for r in range(m - 1, -1, -1):
         if basis[r] < n:
             continue
-        col = next((j for j in range(n) if tableau[r][j] != 0), None)
+        col = next((j for j, a in enumerate(columns) if _dot(inverse[r], a) != 0), None)
         if col is None:
-            del tableau[r]
-            del basis[r]
+            del inverse[r], values[r], basis[r]
         else:
-            _pivot(tableau, basis, r, col)
+            _pivot(inverse, values, basis, r, col, _column(inverse, columns[col]))
 
-    # phase 2 over original columns only; the phase-1 row goes first so the
-    # two reduced-cost rows never take memory together
-    tableau.pop()
-    tableau.append(_reduced_cost_row(tableau, basis, lp.objective + (ZERO,) * m))
-    if not _run_simplex(tableau, basis, range(n)):
+    # phase 2 over the original columns, from the feasible basis
+    if not _run_simplex(columns, lp.objective, inverse, values, basis):
         return LPSolution(status="unbounded")
 
     primal = [ZERO] * n
-    for r, b in enumerate(basis):
-        primal[b] = tableau[r][-1]
-    rc = tableau[-1]
+    for b, v in zip(basis, values):
+        primal[b] = v
     solution = LPSolution(
         status="optimal",
-        value=-rc[-1],
+        value=sum((lp.objective[b] * v for b, v in zip(basis, values)), ZERO),
         primal=tuple(primal),
         basis=tuple(basis),
-        dual=tuple(-sign[r] * rc[n + r] for r in range(m)),
+        dual=tuple(_prices(inverse, basis, lp.objective)) if basis else (ZERO,) * m,
     )
     _check_optimal(lp, solution)
     return solution

@@ -139,6 +139,7 @@ def occupancy(g: Graph, lam: Fraction) -> Fraction:
     lam * P'(lam) / (n * P(lam))."""
     if lam <= 0:
         raise DomainError("fugacity must be positive")
+    lam = Fraction(lam)
     if g.n == 0:
         raise DomainError("occupancy needs a nonempty graph")
     p = independence_poly(g)
@@ -150,6 +151,7 @@ def edge_occupancy(g: Graph, lam: Fraction) -> Fraction:
     lam * M'(lam) / (|E| * M(lam))."""
     if lam <= 0:
         raise DomainError("fugacity must be positive")
+    lam = Fraction(lam)
     m = g.edge_count
     if m == 0:
         raise DomainError("edge_occupancy needs at least one edge")
@@ -161,6 +163,7 @@ def kdd_occupancy(d: int, lam: Fraction) -> Fraction:
     """Closed form lam(1+lam)^(d-1) / (2(1+lam)^d - 1)."""
     if lam <= 0:
         raise DomainError("fugacity must be positive")
+    lam = Fraction(lam)
     return lam * (1 + lam) ** (d - 1) / (2 * (1 + lam) ** d - 1)
 
 
@@ -168,6 +171,7 @@ def kdd_edge_occupancy(d: int, lam: Fraction) -> Fraction:
     """lam * M_{K_{d-1,d-1}}(lam) / M_{K_{d,d}}(lam)."""
     if lam <= 0:
         raise DomainError("fugacity must be positive")
+    lam = Fraction(lam)
     return lam * kdd_matching_poly(d - 1)(lam) / kdd_matching_poly(d)(lam)
 
 

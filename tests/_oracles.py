@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's recurrence/solver code paths:
 polynomials come from raw subset enumeration, LP optima from basis
-enumeration, conditional marginals from direct matching enumeration.
+enumeration, conditional marginals from direct matching enumeration, and the dense
+tableau simplex with Bland's rule that the revised solver replaced.
 """
 
 from fractions import Fraction
@@ -10,6 +11,7 @@ from itertools import combinations, permutations, product
 
 from occufrac.graphs import Graph, canonical_key, mask_vertices, regular_degree
 from occufrac.hardcore import enumerate_configs
+from occufrac.lp import LPSolution
 from occufrac.polynomials import independent_sets, matchings
 
 
@@ -104,6 +106,106 @@ def _solve_square(matrix, rhs):
                 f = aug[r][col]
                 aug[r] = [a - f * p for a, p in zip(aug[r], aug[col])]
     return [aug[r][-1] for r in range(n)]
+
+
+ZERO = Fraction(0)
+
+
+def _tableau_pivot(tableau, basis, row, col):
+    """Pivot on (row, col); every other row, the reduced-cost row included,
+    is eliminated in the same sweep."""
+    piv = tableau[row][col]
+    inv = 1 / piv
+    tableau[row] = [a * inv for a in tableau[row]]
+    prow = tableau[row]
+    for r in range(len(tableau)):
+        if r == row:
+            continue
+        factor = tableau[r][col]
+        if factor == 0:
+            continue
+        tableau[r] = [a - factor * p for a, p in zip(tableau[r], prow)]
+    basis[row] = col
+
+
+def _reduced_cost_row(tableau, basis, cost):
+    """cost - c_B B^-1 [A | I] over every column, then -c_B x_B."""
+    priced = [(cost[b], tableau[r]) for r, b in enumerate(basis) if cost[b] != 0]
+    return [
+        c - sum(cb * row[j] for cb, row in priced)
+        for j, c in enumerate(list(cost) + [ZERO])
+    ]
+
+
+def _run_tableau(tableau, basis, allowed_cols):
+    """Maximize with Bland's rule over the tableau whose last row holds the
+    reduced costs. Returns True when optimal, False when unbounded."""
+    while True:
+        entering = next((j for j in allowed_cols if tableau[-1][j] > 0), -1)
+        if entering == -1:
+            return True
+        leaving = -1
+        best_ratio = None
+        for r in range(len(basis)):
+            a = tableau[r][entering]
+            if a <= 0:
+                continue
+            ratio = tableau[r][-1] / a
+            if (
+                best_ratio is None
+                or ratio < best_ratio
+                or (ratio == best_ratio and basis[r] < basis[leaving])
+            ):
+                best_ratio = ratio
+                leaving = r
+        if leaving == -1:
+            return False
+        _tableau_pivot(tableau, basis, leaving, entering)
+
+
+def tableau_solve(lp) -> LPSolution:
+    """Two-phase dense-tableau simplex with Bland's rule, the reduced costs
+    kept as the tableau's last row. The dual is read off the reduced costs
+    of the artificial columns: y_r = -sign_r * rc[n + r], sign_r = -1 on a
+    row negated for its rhs. Reference for occufrac.lp.solve."""
+    m, n = lp.nrows, lp.ncols
+    sign = [-1 if b < 0 else 1 for b in lp.rhs]
+    tableau = []
+    for r in range(m):
+        row = list(lp.rows[r]) + [ZERO] * m + [lp.rhs[r]]
+        if sign[r] < 0:
+            row = [-a for a in row]
+        row[n + r] = Fraction(1)
+        tableau.append(row)
+    basis = [n + r for r in range(m)]
+    tableau.append(_reduced_cost_row(tableau, basis, [ZERO] * n + [Fraction(-1)] * m))
+    _run_tableau(tableau, basis, range(n + m))
+    if tableau[-1][-1] != 0:
+        return LPSolution(status="infeasible")
+    for r in range(m - 1, -1, -1):
+        if basis[r] < n:
+            continue
+        col = next((j for j in range(n) if tableau[r][j] != 0), None)
+        if col is None:
+            del tableau[r]
+            del basis[r]
+        else:
+            _tableau_pivot(tableau, basis, r, col)
+    tableau.pop()
+    tableau.append(_reduced_cost_row(tableau, basis, lp.objective + (ZERO,) * m))
+    if not _run_tableau(tableau, basis, range(n)):
+        return LPSolution(status="unbounded")
+    primal = [ZERO] * n
+    for r, b in enumerate(basis):
+        primal[b] = tableau[r][-1]
+    rc = tableau[-1]
+    return LPSolution(
+        status="optimal",
+        value=-rc[-1],
+        primal=tuple(primal),
+        basis=tuple(basis),
+        dual=tuple(-sign[r] * rc[n + r] for r in range(m)),
+    )
 
 
 def empirical_edge_marginals(g: Graph, lam: Fraction):

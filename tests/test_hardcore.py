@@ -20,7 +20,7 @@ from occufrac.hardcore import (
     triangle_free_lp,
     uncovered_count_distribution,
 )
-from occufrac.lp import dual_slacks, solve
+from occufrac.lp import dual_slacks, make_lp, solve
 from occufrac.polynomials import kdd_occupancy, occupancy
 
 ONE = Fraction(1)
@@ -79,6 +79,24 @@ def test_integer_fugacity_is_exact():
     assert build_primal(3, 2) == exact
     assert build_primal(3, Fraction(2)) is build_primal(3, 2)
     assert dual_certificate(3, 2) == dual_certificate(3, Fraction(2))
+
+
+def test_integer_fugacity_gives_fractions():
+    # an int lam must compute exactly, not through int / int floats
+    g = complete(3)
+    for lam in (1, 2, 3):
+        exact = Fraction(lam)
+        pairs = [
+            (objective_scale(lam), objective_scale(exact)),
+            (check_mean_size_dominance(g, 3, lam)[1], check_mean_size_dominance(g, 3, exact)[1]),
+            (triangle_free_lp(3, lam)[1], triangle_free_lp(3, exact)[1]),
+        ]
+        for cfg in enumerate_configs(3):
+            pairs.append((cfg.vacancy(lam), cfg.vacancy(exact)))
+            pairs.append((cfg.crowding(lam, 3), cfg.crowding(exact, 3)))
+        for got, want in pairs:
+            assert type(got) is Fraction
+            assert got == want
 
 
 def test_primal_optimum_closed_form_on_grid():
@@ -285,7 +303,7 @@ def test_concurrent_certificates_are_consistent():
 
 
 def test_solver_dual_is_the_certificate_dual():
-    # the dual read off the reduced-cost row is the hand-built price pair
+    # the solver's dual y = c_B B^-1 is the hand-built price pair
     for d in (2, 3, 4, 5):
         for lam in (Fraction(1, 2), ONE, Fraction(3)):
             assert solve(build_primal(d, lam)).dual == solver_dual_for_certificate(d, lam)
@@ -343,3 +361,22 @@ def test_dual_objective_is_checked_against_kdd_occupancy(monkeypatch):
     monkeypatch.setattr(mod, "kdd_occupancy", lambda d, lam: original(d, lam) + 1)
     with pytest.raises(CertificateError, match="strong duality"):
         dual_certificate(3, ONE)
+
+
+def test_unexpected_tight_column_is_reported(monkeypatch):
+    # raising one strictly slack column's objective to y . A_j makes it
+    # tight while every slack stays >= 0 and y . b is unchanged, so only
+    # the unexpected-tight check can fire
+    import occufrac.hardcore as mod
+
+    d = 4
+    program = build_primal(d, ONE)
+    slacks = dual_slacks(program, solver_dual_for_certificate(d, ONE)).slacks
+    j = next(j for j, s in enumerate(slacks) if s > 0)
+    objective = list(program.objective)
+    objective[j] += slacks[j]
+    tightened = make_lp(objective, program.rows, program.rhs)
+    monkeypatch.setattr(mod, "build_primal", lambda d, lam: tightened)
+    label = enumerate_configs(d)[j].label
+    with pytest.raises(CertificateError, match=rf"unexpected tight configurations \['{label}'\]"):
+        dual_certificate(d, ONE)

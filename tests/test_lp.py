@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import brute_lp_max
+from _oracles import brute_lp_max, tableau_solve
+from occufrac import lp as lp_module
 from occufrac.errors import CertificateError, StructureError
 from occufrac.lp import dual_slacks, make_lp, primal_value, solve
 
-ONE = Fraction(1)
+ZERO, ONE = Fraction(0), Fraction(1)
 
 
 def test_simplex_sanity():
@@ -26,6 +27,9 @@ def test_infeasible_and_unbounded():
     assert solve(make_lp([1], [[1]], [-1])).status == "infeasible"
     assert solve(make_lp([1, 0], [[1, -1]], [0])).status == "unbounded"
     assert solve(make_lp([0, 1], [[1, 1], [1, 1]], [1, 2])).status == "infeasible"
+    # no rows at all: x >= 0 is the whole feasible set
+    assert solve(make_lp([1, 0], [], [])).status == "unbounded"
+    assert solve(make_lp([-1, 0], [], [])).value == 0
 
 
 def test_redundant_rows():
@@ -45,7 +49,7 @@ def test_dimension_mismatch():
 
 
 def test_degenerate_instance_terminates():
-    # Beale's cycling example in equality form; Bland's rule must terminate
+    # Beale's cycling example in equality form; the two-phase solve must terminate
     lp = make_lp(
         [Fraction(3, 4), -150, Fraction(1, 50), -6, 0, 0, 0],
         [
@@ -163,7 +167,7 @@ def test_primal_value_checks_the_point():
 
 def test_duals_with_redundant_and_negated_rows():
     # a summed or duplicated row is dropped after phase 1 and a negative rhs
-    # flips its row; the dual read off the tableau must still certify
+    # flips its row; the dual y = c_B B^-1 must still certify
     rng = random.Random(31)
     dropped = negated = 0
     for _ in range(120):
@@ -189,3 +193,96 @@ def test_duals_with_redundant_and_negated_rows():
         dropped += len(sol.basis) < lp.nrows
         negated += any(b < 0 for b in lp.rhs)
     assert dropped >= 20 and negated >= 20
+
+
+def test_degenerate_fallback_stops_dantzig_cycling(monkeypatch):
+    # from the slack basis {4, 5, 6} of Beale's example, largest-reduced-cost
+    # pricing alone cycles; the Bland pivot after each degenerate one must
+    # reach the optimum in a few pivots
+    objective = (Fraction(3, 4), Fraction(-150), Fraction(1, 50), Fraction(-6), ZERO, ZERO, ZERO)
+    rows = (
+        (Fraction(1, 4), Fraction(-60), Fraction(-1, 25), Fraction(9), ONE, ZERO, ZERO),
+        (Fraction(1, 2), Fraction(-90), Fraction(-1, 50), Fraction(3), ZERO, ONE, ZERO),
+        (ZERO, ZERO, ONE, ZERO, ZERO, ZERO, ONE),
+    )
+    pivots = []
+    pivot = lp_module._pivot
+
+    def counted(*args):
+        pivots.append(args[4])
+        if len(pivots) > 50:
+            raise AssertionError(f"still pivoting after 50 pivots: {pivots[:12]}")
+        pivot(*args)
+
+    monkeypatch.setattr(lp_module, "_pivot", counted)
+    inverse = [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]
+    values = [ZERO, ZERO, ONE]
+    basis = [4, 5, 6]
+    assert lp_module._run_simplex(list(zip(*rows)), objective, inverse, values, basis)
+    x = [ZERO] * 7
+    for b, v in zip(basis, values):
+        x[b] = v
+    assert primal_value(make_lp(objective, rows, (ZERO, ZERO, ONE)), x) == Fraction(1, 20)
+
+
+def _differential_lp(rng, kind):
+    """A random LP whose first row, all ones, bounds it. "degenerate" takes
+    entries in -1..1 and a sparse point behind the rhs, "free-rhs" an
+    independent rhs, the other kinds entries in -4..4 and a point in 0..3.
+    Then one summed, duplicated or negated row; "contradiction" repeats a
+    row with its rhs shifted by one and "unbounded" adds a zero column with
+    a positive objective."""
+    n, m = rng.randint(2, 6), rng.randint(1, 3)
+    lo, hi = (-1, 1) if kind == "degenerate" else (-4, 4)
+    rows = [[ONE] * n] + [[Fraction(rng.randint(lo, hi)) for _ in range(n)] for _ in range(m - 1)]
+    if kind == "free-rhs":
+        rhs = [Fraction(rng.randint(0, 6))] + [Fraction(rng.randint(-6, 6)) for _ in range(m - 1)]
+    else:
+        share = 0.3 if kind == "degenerate" else 1
+        x = [Fraction(rng.randint(0, 3)) if rng.random() < share else ZERO for _ in range(n)]
+        rhs = [sum(a * xi for a, xi in zip(row, x)) for row in rows]
+    r = rng.randrange(m)
+    change = rng.choice(("sum", "duplicate", "negate"))
+    if kind == "contradiction":
+        rows.append(list(rows[r]))
+        rhs.append(rhs[r] + 1)
+    elif change == "sum" and m > 1:
+        rows.append([a + b for a, b in zip(rows[0], rows[-1])])
+        rhs.append(rhs[0] + rhs[-1])
+    elif change == "duplicate":
+        rows.append(list(rows[r]))
+        rhs.append(rhs[r])
+    else:
+        rows[r] = [-a for a in rows[r]]
+        rhs[r] = -rhs[r]
+    objective = [Fraction(rng.randint(-5, 5)) for _ in range(n)]
+    if kind == "unbounded":
+        objective.append(ONE)
+        for row in rows:
+            row.append(ZERO)
+    return make_lp(objective, rows, rhs)
+
+
+def test_matches_tableau_reference_on_random_lps():
+    # 240 LPs: each status at least 30 times, and rows dropped after phase 1
+    rng = random.Random(2007)
+    kinds = ("feasible", "degenerate", "free-rhs", "contradiction", "unbounded")
+    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    dropped = 0
+    for i in range(240):
+        lp = _differential_lp(rng, kinds[i % len(kinds)])
+        sol, ref = solve(lp), tableau_solve(lp)
+        assert (sol.status, sol.value) == (ref.status, ref.value)
+        statuses[sol.status] += 1
+        if sol.status == "infeasible":
+            assert brute_lp_max(lp.objective, lp.rows, lp.rhs) is None
+        if sol.status != "optimal":
+            continue
+        assert sol.value == brute_lp_max(lp.objective, lp.rows, lp.rhs)
+        assert primal_value(lp, sol.primal) == sol.value
+        report = dual_slacks(lp, sol.dual)
+        assert report.feasible
+        assert report.dual_objective == sol.value
+        dropped += len(sol.basis) < lp.nrows
+    assert min(statuses.values()) >= 30, statuses
+    assert dropped >= 30

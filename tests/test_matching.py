@@ -94,6 +94,18 @@ def test_primal_optimum_on_grid():
             assert sol.value == edge_occupancy(kdd, lam)
 
 
+def test_primal_optimum_large_d():
+    # beyond the grid above: one fugacity each at d = 10, 11, 12
+    lam = Fraction(7, 5)
+    for d in (10, 11, 12):
+        triples = enumerate_triples(d)
+        sol = solve(build_primal(d, lam))
+        assert sol.value == kdd_edge_occupancy(d, lam)
+        for idx in sol.support:
+            i, j, k = triples[idx]
+            assert i == j and k == 0
+
+
 def test_primal_support_on_diagonal():
     for d in (2, 3, 4):
         triples = enumerate_triples(d)
@@ -379,7 +391,7 @@ def test_edge_neighborhood_law_of_union_matches_single_block():
 
 
 def test_solver_dual_is_the_row_price_dual():
-    # the dual read off the reduced-cost row is the recurrence's prices
+    # the solver's dual y = c_B B^-1 is the recurrence's prices
     for d in range(2, 9):
         for lam in (Fraction(1, 2), ONE, Fraction(3)):
             expected = standard_dual_vector(dual_row_prices(d, lam))

@@ -160,6 +160,21 @@ def test_occupancy_closed_forms():
             assert edge_occupancy(complete_bipartite(d), lam) == kdd_edge_occupancy(d, lam)
 
 
+def test_integer_fugacity_gives_fractions():
+    # an int lam must compute exactly, not through int / int floats
+    for d, lam in ((2, 1), (3, 1), (3, 2)):
+        kdd = complete_bipartite(d)
+        exact = Fraction(lam)
+        for got, want in (
+            (occupancy(kdd, lam), occupancy(kdd, exact)),
+            (edge_occupancy(kdd, lam), edge_occupancy(kdd, exact)),
+            (kdd_occupancy(d, lam), kdd_occupancy(d, exact)),
+            (kdd_edge_occupancy(d, lam), kdd_edge_occupancy(d, exact)),
+        ):
+            assert type(got) is Fraction
+            assert got == want
+
+
 def test_occupancy_domain_errors():
     with pytest.raises(DomainError):
         occupancy(cycle(4), Fraction(0))
