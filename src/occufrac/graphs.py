@@ -397,7 +397,8 @@ def _orbit_reps(n: int, automorphisms):
 
 
 def _canonical_form(g: Graph):
-    """(canonical key, smallest vertex of each vertex's automorphism orbit)."""
+    """(canonical key, smallest vertex of each vertex's automorphism orbit,
+    automorphisms as image lists that generate a group with those orbits)."""
     n, adj = g.n, g.adj
     cells = [
         sum(1 << v for v in range(n) if adj[v].bit_count() == d)
@@ -443,7 +444,7 @@ def _canonical_form(g: Graph):
     nbits = n * (n - 1) // 2
     pad = -nbits % 8
     key = bytes([n]) + (leaves[1][0] << pad).to_bytes((nbits + pad) // 8, "big")
-    return key, _orbit_reps(n, automorphisms)
+    return key, _orbit_reps(n, automorphisms), automorphisms
 
 
 def canonical_key(g: Graph, limit: int = CANONICAL_LIMIT) -> bytes:
@@ -524,21 +525,66 @@ def is_vertex_transitive(g: Graph, limit: int = TRANSITIVITY_LIMIT) -> bool:
 # ---------------------------------------------------------------------------
 # Isomorphism classes on a fixed number of vertices
 
+def _mask_orbit_reps(n: int, automorphisms, keep):
+    """Smallest mask of each orbit of the group generated by `automorphisms`
+    on vertex masks of 0..n-1, over the masks that `keep` accepts; `keep`
+    must be constant on orbits."""
+    images = []
+    for perm in automorphisms:
+        image = [0] * (1 << n)
+        for mask in range(1, 1 << n):
+            low = mask & -mask
+            image[mask] = image[mask ^ low] | 1 << perm[low.bit_length() - 1]
+        images.append(image)
+    seen = bytearray(1 << n)
+    reps = []
+    for mask in range(1 << n):
+        if seen[mask] or not keep(mask):
+            continue
+        reps.append(mask)
+        seen[mask] = 1
+        stack = [mask]
+        while stack:
+            m = stack.pop()
+            for image in images:
+                if not seen[image[m]]:
+                    seen[image[m]] = 1
+                    stack.append(image[m])
+    return reps
+
+
 @lru_cache(maxsize=None)
 def isomorphism_classes(n: int):
     """All isomorphism classes on exactly n vertices, sorted by canonical key.
 
-    Grown incrementally: every n-vertex class arises from an (n-1)-vertex
-    class by attaching one new vertex, so extending representatives with
-    every neighborhood subset and deduplicating by key is exhaustive.
+    Grown from the (n-1)-vertex classes by attaching one new vertex with a
+    neighborhood mask, canonicalizing only two kinds of extension:
+    - masks whose new vertex has minimum degree in the extended graph.
+      Deleting a vertex of minimum degree from any n-vertex graph leaves
+      some (n-1)-vertex class, so every class is reached this way;
+    - one mask per orbit of the class's automorphisms on masks. Masks in
+      one orbit give isomorphic extensions, and automorphisms preserve
+      degrees, so the first filter keeps or drops whole orbits. A
+      generating set of only a subgroup leaves more orbits, which is
+      still exhaustive.
+    Extensions are deduplicated by canonical key, so no class appears
+    twice (McKay, "Isomorph-free exhaustive generation", 1998).
     """
     if n > 7:
         raise CapabilityError("isomorphism class enumeration capped at 7 vertices")
+    if n < 0:
+        raise DomainError("vertex count must be non-negative")
     if n == 0:
         return ((canonical_key(Graph(0)), Graph(0)),)
     seen = {}
     for _, g in isomorphism_classes(n - 1):
-        for mask in range(1 << (n - 1)):
+        degrees = [m.bit_count() for m in g.adj]
+
+        def least_degree(mask):
+            k = mask.bit_count()
+            return all(k <= deg + (mask >> w & 1) for w, deg in enumerate(degrees))
+
+        for mask in _mask_orbit_reps(n - 1, _canonical_form(g)[2], least_degree):
             adj = list(g.adj) + [mask]
             for w in mask_vertices(mask):
                 adj[w] |= 1 << (n - 1)

@@ -72,7 +72,7 @@ def enumerate_configs(d: int):
 
 def edgeless_config_index(d: int) -> int:
     """Index of the d-vertex edgeless class (first class on d vertices)."""
-    return sum(len(isomorphism_classes(n)) for n in range(d))
+    return next(cfg.index for cfg in enumerate_configs(d) if cfg.graph.n == d)
 
 
 def objective_scale(lam: Fraction) -> Fraction:

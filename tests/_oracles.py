@@ -7,6 +7,7 @@ tableau simplex with Bland's rule that the revised solver replaced.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from occufrac.graphs import Graph, canonical_key, mask_vertices, regular_degree
@@ -335,6 +336,22 @@ def brute_canonical_bits(g: Graph):
         tuple(g.adj[p[j]] >> p[i] & 1 for j in range(1, n) for i in range(j))
         for p in permutations(range(n))
     )
+
+
+@lru_cache(maxsize=None)
+def every_mask_classes(n: int):
+    """(canonical key, representative) of every class on n vertices, sorted
+    by key: each (n-1)-vertex representative extended by every neighborhood
+    mask of a new vertex, deduplicated by canonical key."""
+    if n == 0:
+        return ((canonical_key(Graph(0)), Graph(0)),)
+    seen = {}
+    for _, g in every_mask_classes(n - 1):
+        for mask in range(1 << (n - 1)):
+            edges = g.edges() + [(w, n - 1) for w in mask_vertices(mask)]
+            h = Graph(n, edges)
+            seen.setdefault(canonical_key(h), h)
+    return tuple(sorted(seen.items()))
 
 
 def brute_orbits(g: Graph):

@@ -6,8 +6,10 @@ from _oracles import (
     backtrack_orbit_of_zero,
     brute_canonical_bits,
     brute_orbits,
+    every_mask_classes,
     random_regular_graph,
 )
+from occufrac import graphs
 from occufrac.errors import CapabilityError, DomainError, FormatError
 from occufrac.graphs import (
     Graph,
@@ -178,6 +180,38 @@ def test_class_counts_match_known_sequence():
         assert isomorphism_classes(n)[0][1].edge_count == 0
 
 
+def test_isomorphism_classes_domain_and_cap_messages():
+    with pytest.raises(DomainError, match="^vertex count must be non-negative$"):
+        isomorphism_classes(-1)
+    with pytest.raises(
+        CapabilityError, match="^isomorphism class enumeration capped at 7 vertices$"
+    ):
+        isomorphism_classes(8)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_isomorphism_classes_match_every_mask_growth(n):
+    classes = isomorphism_classes(n)
+    assert [key for key, _ in classes] == [key for key, _ in every_mask_classes(n)]
+    for key, rep in classes:
+        assert rep.n == n and canonical_key(rep) == key
+
+
+def test_cold_class_enumeration_canonicalizes_few_extensions(monkeypatch):
+    # extending every class by every mask takes 11292 canonical forms
+    calls = []
+    original = graphs._canonical_form
+
+    def counted(g):
+        calls.append(g.n)
+        return original(g)
+
+    monkeypatch.setattr(graphs, "_canonical_form", counted)
+    isomorphism_classes.cache_clear()
+    assert len(isomorphism_classes(7)) == 1044
+    assert len(calls) < 2500
+
+
 def _labelled_graphs(n):
     pairs = [(i, j) for j in range(1, n) for i in range(j)]
     for mask in range(1 << len(pairs)):
@@ -244,6 +278,18 @@ def test_orbits_match_brute_force(n):
     for _, g in isomorphism_classes(n):
         h = _shuffled(g, rng)
         assert _canonical_form(h)[1] == brute_orbits(h)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_canonical_form_generators_are_automorphisms(n):
+    # the orbit filter of isomorphism_classes extends one mask per orbit of
+    # these generators, so each must map edges onto edges
+    rng = random.Random(n)
+    for _, g in isomorphism_classes(n):
+        for h in (g, _shuffled(g, rng), _shuffled(g, rng)):
+            for perm in _canonical_form(h)[2]:
+                assert sorted(perm) == list(range(n))
+                assert all(h.has_edge(perm[u], perm[v]) for u, v in h.edges())
 
 
 def test_orbits_agree_with_backtracking_search():
