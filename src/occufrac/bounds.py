@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import DomainError
-from .exactmath import IntPolynomial
+from .exactmath import IntPolynomial, fugacity
 from .graphs import Graph, bipartition, is_vertex_transitive, kdd_union, regular_degree
 from .polynomials import (
     independence_poly,
@@ -52,10 +52,11 @@ def _tree_gap(alpha: Fraction, d: int, lam: Fraction) -> Fraction:
 def tree_occupancy(d: int, lam: Fraction, tolerance: Fraction = DEFAULT_TOLERANCE) -> TreeOccupancy:
     """Bisect the fixed-point equation exactly; the returned bracket has
     width <= tolerance, straddles the sign change, and sits inside (0, 1/2)."""
+    lam = fugacity(lam)
     if d < 2:
         raise DomainError("need d >= 2")
-    if lam <= 0 or tolerance <= 0:
-        raise DomainError("fugacity and tolerance must be positive")
+    if tolerance <= 0:
+        raise DomainError("tolerance must be positive")
     lo, hi = Fraction(0), Fraction(1, 2)
     while hi - lo > tolerance or lo == 0:
         mid = (lo + hi) / 2
@@ -94,6 +95,7 @@ def verify_lower_bound(
 ) -> LowerBoundVerdict:
     """Check occupancy(g) > tree occupancy: exact value against a rational
     bracket, tightening the bracket 16x whenever the value falls inside it."""
+    lam = fugacity(lam)
     d = regular_degree(g)
     if d is None:
         raise DomainError("graph must be regular")
@@ -128,6 +130,7 @@ def fkg_check(g: Graph, vertices, lam: Fraction, mode: str = "occupied") -> Corr
     """Exact check that same-side vertices of a bipartite graph are
     positively correlated, for occupation or uncoveredness, with strictness
     whenever two of them share a connected component."""
+    lam = fugacity(lam)
     if mode not in ("occupied", "uncovered"):
         raise DomainError(f"unknown mode {mode!r}")
     sides = bipartition(g)
@@ -138,9 +141,6 @@ def fkg_check(g: Graph, vertices, lam: Fraction, mode: str = "occupied") -> Corr
         raise DomainError("need at least two vertices")
     if not (set(vs) <= set(sides[0]) or set(vs) <= set(sides[1])):
         raise DomainError("vertices must lie on one side of the bipartition")
-
-    if lam <= 0:
-        raise DomainError("fugacity must be positive")
 
     # one pass labels each single event by its vertex and the joint event
     # by "joint"
@@ -225,6 +225,7 @@ def mode_probability_bound_check(d: int, n: int, model: str = "hardcore"):
 
 def log_concavity_check(p: IntPolynomial, lam: Fraction) -> bool:
     """Pr[size=j]^2 >= Pr[size=j+1] Pr[size=j-1] across the distribution."""
+    lam = fugacity(lam)
     dist = size_distribution(p, lam)
     return all(
         dist[j] ** 2 >= dist[j + 1] * dist[j - 1] for j in range(1, len(dist) - 1)
@@ -247,6 +248,7 @@ def binomial_base_inequalities(d: int) -> bool:
 def variance_check(d: int, lam: Fraction):
     """Exact size variances on K_{d,d} for both models, checked against the
     d/4 bound (one quarter of the vertex count over two)."""
+    lam = fugacity(lam)
     bound = Fraction(d, 4)
     var_hc = size_distribution(kdd_independence_poly(d), lam).variance()
     var_md = size_distribution(kdd_matching_poly(d), lam).variance()

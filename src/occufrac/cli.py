@@ -22,7 +22,7 @@ from .errors import (
     FormatError,
     StructureError,
 )
-from .exactmath import format_rational, parse_rational
+from .exactmath import format_rational, fugacity, parse_rational
 from .graphs import Graph, generate, parse_edge_list, parse_graph6
 from .lp import solve
 from .polynomials import (
@@ -76,8 +76,9 @@ def _one_graph6(text: str) -> Graph:
 
 
 def load_corpus(path: str | None, fmt: str):
-    """A corpus file is one graph per line: graph6 lines, or `spec:` graph
-    specs; without a file the bundled regular corpus is used."""
+    """A corpus file is one graph per line: graph6 lines, or graph specs
+    (whose `file:` entries hold one graph6 line); without a file the
+    bundled regular corpus is used. Errors name the corpus line."""
     if path is None:
         return corpus.regular_corpus(12)
     named = []
@@ -86,24 +87,18 @@ def load_corpus(path: str | None, fmt: str):
             s = line.strip()
             if not s or s.startswith("#"):
                 continue
-            if fmt == "graph6":
-                named.append((f"line{idx}", parse_graph6(s)))
-            else:
-                named.append((f"line{idx}", parse_graph_spec(s, fmt)))
+            try:
+                g = parse_graph6(s) if fmt == "graph6" else parse_graph_spec(s)
+            except (DomainError, FormatError, OSError) as exc:
+                raise type(exc)(f"line {idx}: {exc}") from None
+            named.append((f"line{idx}", g))
     return named
-
-
-def _positive_fugacity(text: str) -> Fraction:
-    lam = parse_rational(text)
-    if lam <= 0:
-        raise DomainError("fugacity must be positive")
-    return lam
 
 
 def _grid_arg(text: str | None):
     if not text:
         return corpus.FUGACITY_GRID
-    return tuple(_positive_fugacity(part) for part in text.split(","))
+    return tuple(fugacity(parse_rational(part)) for part in text.split(","))
 
 
 def _report(command: str, inputs: dict, results: dict, verdict: str, start: float) -> dict:
@@ -126,7 +121,7 @@ def _emit(report: dict) -> None:
 
 def cmd_poly(args, start):
     g = parse_graph_spec(args.graph, args.format)
-    lam = _positive_fugacity(args.lam)
+    lam = fugacity(parse_rational(args.lam))
     ip = independence_poly(g)
     mp = matching_poly(g)
     results = {
@@ -140,7 +135,7 @@ def cmd_poly(args, start):
 
 def cmd_occupancy(args, start):
     g = parse_graph_spec(args.graph, args.format)
-    lam = _positive_fugacity(args.lam)
+    lam = fugacity(parse_rational(args.lam))
     results = {"occupancy": _rat(occupancy(g, lam))}
     return _report("occupancy", {"graph": args.graph, "lambda": args.lam}, results, "pass", start), EXIT_PASS
 
@@ -156,7 +151,7 @@ def cmd_counts(args, start):
 
 
 def cmd_certify_hardcore(args, start):
-    lam = _positive_fugacity(args.lam)
+    lam = fugacity(parse_rational(args.lam))
     inputs = {"d": args.d, "lambda": args.lam}
     try:
         report = hardcore.dual_certificate(args.d, lam)
@@ -179,7 +174,7 @@ def cmd_certify_hardcore(args, start):
 
 def cmd_certify_matching(args, start):
     inputs = {"d": args.d, "grid": args.grid or "default"}
-    grid = _grid_arg(args.grid) if args.grid else (_positive_fugacity(args.lam),)
+    grid = _grid_arg(args.grid) if args.grid else (fugacity(parse_rational(args.lam)),)
     results_by_lam = {}
     verdict = "pass"
     for lam in grid:
@@ -206,7 +201,7 @@ def cmd_certify_matching(args, start):
 
 
 def cmd_tree(args, start):
-    lam = _positive_fugacity(args.lam)
+    lam = fugacity(parse_rational(args.lam))
     tol = parse_rational(args.tol)
     bracket = bounds.tree_occupancy(args.d, lam, tol)
     results = {

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import FormatError
+from .errors import DomainError, FormatError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -28,6 +28,17 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(int(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad rational {text!r}: {exc}") from None
+
+
+def fugacity(lam) -> Fraction:
+    """The fugacity lam as an exact Fraction. The paper's domain is lam > 0,
+    and every public function with a `lam` parameter passes it through here
+    first, so this is the one place that rule is written."""
+    if type(lam) is not Fraction:
+        lam = Fraction(lam)
+    if lam.numerator <= 0:
+        raise DomainError("fugacity must be positive")
+    return lam
 
 
 def format_rational(x: Fraction) -> str:

@@ -447,13 +447,13 @@ def _canonical_form(g: Graph):
     return key, _orbit_reps(n, automorphisms), automorphisms
 
 
-def canonical_key(g: Graph, limit: int = CANONICAL_LIMIT) -> bytes:
-    """Isomorphism-invariant key: equal keys iff isomorphic (n <= limit).
+def canonical_key(g: Graph) -> bytes:
+    """Isomorphism-invariant key: equal keys iff isomorphic (n <= CANONICAL_LIMIT).
     A vertex count byte, then the canonical upper triangle column by column,
     so the edgeless graph has the smallest key on its vertex count."""
-    if g.n > limit:
+    if g.n > CANONICAL_LIMIT:
         raise CapabilityError(
-            f"canonical_key supports at most {limit} vertices, got {g.n}"
+            f"canonical_key supports at most {CANONICAL_LIMIT} vertices, got {g.n}"
         )
     return _canonical_form(g)[0]
 
@@ -473,10 +473,6 @@ def regular_degree(g: Graph):
         return None
     d = g.degree(0)
     return d if all(g.degree(v) == d for v in range(g.n)) else None
-
-
-def is_d_regular(g: Graph, d: int) -> bool:
-    return g.n > 0 and regular_degree(g) == d
 
 
 def bipartition(g: Graph):
@@ -500,23 +496,11 @@ def bipartition(g: Graph):
     return side0, side1
 
 
-def is_triangle_free(g: Graph) -> bool:
-    for u in range(g.n):
-        for v in g.neighbors(u):
-            if v > u and g.adj[u] & g.adj[v]:
-                return False
-    return True
-
-
-def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(g.components()) == 1
-
-
-def is_vertex_transitive(g: Graph, limit: int = TRANSITIVITY_LIMIT) -> bool:
+def is_vertex_transitive(g: Graph) -> bool:
     """All vertices lie in one orbit of the automorphism group."""
-    if g.n > limit:
+    if g.n > TRANSITIVITY_LIMIT:
         raise CapabilityError(
-            f"automorphism orbit supports at most {limit} vertices, got {g.n};"
+            f"automorphism orbit supports at most {TRANSITIVITY_LIMIT} vertices, got {g.n};"
             " pass an explicit vertex-transitivity assertion instead"
         )
     return len(set(_canonical_form(g)[1])) <= 1
@@ -591,7 +575,3 @@ def isomorphism_classes(n: int):
             h = Graph._from_adj(adj)
             seen.setdefault(canonical_key(h), h)
     return tuple(sorted(seen.items()))
-
-
-def graph_class_count(n: int) -> int:
-    return len(isomorphism_classes(n))

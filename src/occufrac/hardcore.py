@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import CapabilityError, CertificateError, DomainError
-from .exactmath import IntPolynomial
+from .exactmath import IntPolynomial, fugacity
 from .graphs import (
     Graph,
     canonical_key,
@@ -27,6 +27,7 @@ from .lp import LinearProgram, dual_slacks, make_lp, primal_value, solve
 from .polynomials import independence_poly, kdd_occupancy, occupancy, state_polynomials
 
 MIN_D, MAX_D = 2, 7
+FREE_LAW_LIMIT = 14
 
 
 @dataclass(frozen=True)
@@ -44,11 +45,11 @@ class NeighborhoodConfig:
 
     def vacancy(self, lam: Fraction) -> Fraction:
         """Probability all vertices of the neighborhood are unoccupied: 1/P(lam)."""
-        return 1 / self.poly(Fraction(lam))
+        return 1 / self.poly(fugacity(lam))
 
     def crowding(self, lam: Fraction, d: int) -> Fraction:
         """(1+lam) P'(lam) / (d P(lam)): scaled mean occupied-neighbor count."""
-        lam = Fraction(lam)
+        lam = fugacity(lam)
         return (1 + lam) * self.poly.derivative()(lam) / (d * self.poly(lam))
 
 
@@ -76,7 +77,7 @@ def edgeless_config_index(d: int) -> int:
 
 
 def objective_scale(lam: Fraction) -> Fraction:
-    lam = Fraction(lam)
+    lam = fugacity(lam)
     return lam / (2 * (1 + lam))
 
 
@@ -84,9 +85,7 @@ def objective_scale(lam: Fraction) -> Fraction:
 def build_primal(d: int, lam: Fraction) -> LinearProgram:
     """maximize scale * sum p_C (vacancy + crowding)
     s.t. sum p_C = 1 and sum p_C (vacancy - crowding) = 0, p >= 0."""
-    if lam <= 0:
-        raise DomainError("fugacity must be positive")
-    lam = Fraction(lam)  # 1 and Fraction(1) share a cache entry: build exactly
+    lam = fugacity(lam)  # 1 and Fraction(1) share a cache entry: build exactly
     configs = enumerate_configs(d)
     scale = objective_scale(lam)
     objective = []
@@ -116,8 +115,7 @@ def solver_dual_for_certificate(d: int, lam: Fraction):
     """The certificate prices as the dual of build_primal(d, lam)'s rows:
     scale * (norm, balance), where with u = (1+lam)^(-d) the mass row has
     norm = 2/(2-u) and the vacancy/crowding balance row balance = 1 - norm."""
-    if lam <= 0:
-        raise DomainError("fugacity must be positive")
+    lam = fugacity(lam)
     norm_price = 2 / (2 - Fraction(1) / (1 + lam) ** d)
     scale = objective_scale(lam)
     return (scale * norm_price, scale * (1 - norm_price))
@@ -129,6 +127,7 @@ def dual_certificate(d: int, lam: Fraction) -> CertificateReport:
     norm + balance (vacancy - crowding) - (vacancy + crowding). Tight exactly
     on the empty class and the d-vertex edgeless class, strictly slack
     elsewhere; the dual objective is the occupancy fraction of K_{d,d}."""
+    lam = fugacity(lam)
     dual = solver_dual_for_certificate(d, lam)
     report = dual_slacks(build_primal(d, lam), dual)
     configs = enumerate_configs(d)
@@ -167,13 +166,11 @@ def check_mean_size_dominance(c: Graph, d: int, lam: Fraction):
     other than the edgeless one (where both sides coincide); lhs is
     undefined for the empty graph.
     """
-    if lam <= 0:
-        raise DomainError("fugacity must be positive")
+    lam = fugacity(lam)
     if c.n == 0:
         raise DomainError("conditional mean size is undefined for the empty graph")
     if c.n > d:
         raise DomainError("configuration exceeds d vertices")
-    lam = Fraction(lam)
     p = independence_poly(c)
     lhs = lam * p.derivative()(lam) / (p(lam) - 1)
     rhs = lam * d * (1 + lam) ** (d - 1) / ((1 + lam) ** d - 1)
@@ -222,11 +219,9 @@ def triangle_free_lp(d: int, lam: Fraction):
     """LP over the law of Y in {0..d}: maximize E[Y] subject to
     E[Y] = d E[(1+lam)^(-Y)]. Returns (program, occupancy_bound) where
     occupancy_bound = lam/(d(1+lam)) * optimum."""
-    if lam <= 0:
-        raise DomainError("fugacity must be positive")
+    lam = fugacity(lam)
     if d < 1:
         raise DomainError("need d >= 1")
-    lam = Fraction(lam)
     objective = [Fraction(t) for t in range(d + 1)]
     ones = [Fraction(1)] * (d + 1)
     balance = [t - d * Fraction(1, 1) / (1 + lam) ** t for t in range(d + 1)]
@@ -241,6 +236,7 @@ def triangle_free_lp(d: int, lam: Fraction):
 def uncovered_count_distribution(g: Graph, lam: Fraction):
     """Exact law of the number of uncovered neighbors of a uniform vertex,
     by enumeration capped at ORACLE_LIMIT vertices."""
+    lam = fugacity(lam)
     d = regular_degree(g)
     if d is None:
         raise DomainError("graph must be regular")
@@ -259,7 +255,7 @@ def uncovered_count_distribution(g: Graph, lam: Fraction):
 # ---------------------------------------------------------------------------
 # Empirical free-neighborhood distribution of an actual graph
 
-def free_neighborhood_distribution(g: Graph, lam: Fraction, limit: int = 14):
+def free_neighborhood_distribution(g: Graph, lam: Fraction):
     """Exact law of the free-neighborhood class of a uniform vertex under
     the hard-core model, as a vector aligned with enumerate_configs(d).
 
@@ -267,9 +263,9 @@ def free_neighborhood_distribution(g: Graph, lam: Fraction, limit: int = 14):
     build_primal(d, lam) (a distribution satisfying the balance constraint)
     whose objective is the true occupancy of g. With the balance holding,
     that objective is lam/(1+lam) E[vacancy] = lam/(1+lam) E[crowding].
+    Enumeration is capped at FREE_LAW_LIMIT vertices.
     """
-    if lam <= 0:
-        raise DomainError("fugacity must be positive")
+    lam = fugacity(lam)
     d = regular_degree(g)
     if d is None:
         raise DomainError("graph must be regular")
@@ -284,7 +280,7 @@ def free_neighborhood_distribution(g: Graph, lam: Fraction, limit: int = 14):
             out.append(sum(bit for bit, adj_w in around if not adj_w & outside))
         return out
 
-    total, by_mask = state_polynomials(g, "hardcore", classify, limit)
+    total, by_mask = state_polynomials(g, "hardcore", classify, FREE_LAW_LIMIT)
     configs = enumerate_configs(d)
     by_key = {cfg.key: cfg.index for cfg in configs}
     weights = [IntPolynomial.zero()] * len(configs)
@@ -301,4 +297,5 @@ def free_neighborhood_distribution(g: Graph, lam: Fraction, limit: int = 14):
 def objective_value(probs, d: int, lam: Fraction) -> Fraction:
     """Program objective of a distribution vector aligned with the columns;
     raises CertificateError when it is not a feasible point of the program."""
+    lam = fugacity(lam)
     return primal_value(build_primal(d, lam), probs)

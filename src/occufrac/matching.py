@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import factorial
 
 from .errors import CertificateError, DomainError
-from .exactmath import IntPolynomial
+from .exactmath import IntPolynomial, fugacity
 from .graphs import Graph, regular_degree
 from .hardcore import CertificateReport
 from .lp import LinearProgram, dual_slacks, make_lp, primal_value
@@ -62,15 +62,15 @@ def _check_triple(i, j, k, d):
 def conditional_partition(i: int, j: int, k: int, lam: Fraction) -> Fraction:
     """Partition function of the local model with the chosen edge added:
     lam + M(lam)."""
+    lam = fugacity(lam)
     return lam + local_matching_poly(i, j, k)(lam)
 
 
 def local_edge_occupancy(i: int, j: int, k: int, lam: Fraction, d: int) -> Fraction:
     """Expected fraction of the 2(d-1) incident edges that are matched,
     conditioned on the configuration: lam M' / (2(d-1)(lam + M))."""
+    lam = fugacity(lam)
     _check_triple(i, j, k, d)
-    if lam <= 0:
-        raise DomainError("fugacity must be positive")
     m = local_matching_poly(i, j, k)
     return lam * m.derivative()(lam) / (2 * (d - 1) * conditional_partition(i, j, k, lam))
 
@@ -84,6 +84,7 @@ def marginal_from_edge(i: int, j: int, k: int, lam: Fraction, d: int):
     """Law of the number of uncovered same-side neighbors of the chosen
     edge, conditioned on the configuration. Vector over t = 0..d-1;
     coinciding case values accumulate."""
+    lam = fugacity(lam)
     _check_triple(i, j, k, d)
     z = conditional_partition(i, j, k, lam)
     out = [Fraction(0)] * d
@@ -102,6 +103,7 @@ def marginal_from_edge(i: int, j: int, k: int, lam: Fraction, d: int):
 def marginal_from_neighbor(i: int, j: int, k: int, lam: Fraction, d: int):
     """Law of the number of uncovered neighbors, on the side of the chosen
     edge, of a uniform same-side neighboring edge. Vector over t = 0..d-1."""
+    lam = fugacity(lam)
     _check_triple(i, j, k, d)
     if d < 2:
         raise DomainError("need d >= 2")
@@ -125,9 +127,7 @@ def marginal_from_neighbor(i: int, j: int, k: int, lam: Fraction, d: int):
 def build_primal(d: int, lam: Fraction) -> LinearProgram:
     """maximize sum q(i,j,k) * local_edge_occupancy subject to sum q = 1 and,
     for t = 0..d-2, equality of the symmetrized neighbor/edge marginals."""
-    if lam <= 0:
-        raise DomainError("fugacity must be positive")
-    lam = Fraction(lam)  # 1 and Fraction(1) share a cache entry: build exactly
+    lam = fugacity(lam)  # 1 and Fraction(1) share a cache entry: build exactly
     triples = enumerate_triples(d)
     objective = [local_edge_occupancy(i, j, k, lam, d) for i, j, k in triples]
     rows = [[Fraction(1)] * len(triples)]
@@ -172,10 +172,9 @@ def dual_row_prices(d: int, lam: Fraction) -> MatchingDuals:
     prices: pin price[d-1] = 0, read price[d-2] off the (d-1, d-1, 0)
     constraint, then recurse downward. Verifies every diagonal constraint
     afterwards."""
+    lam = fugacity(lam)
     if d < 2:
         raise DomainError("need d >= 2")
-    if lam <= 0:
-        raise DomainError("fugacity must be positive")
     alpha = kdd_edge_occupancy(d, lam)
     prices = [Fraction(0)] * d
     prices[d - 2] = (
@@ -238,12 +237,11 @@ def slack_profile(t: int, duals: MatchingDuals) -> Fraction:
 def slack_profile_explicit(t: int, d: int, lam: Fraction) -> Fraction:
     """Closed form: t(d-1)/M_d * sum_{l=t-1}^{d-2} (d-1-t)!/(l+1-t)! *
     lam^(d-l) * M_l, with M_s the matching polynomial of K_{s,s}."""
+    lam = fugacity(lam)
     if t == 0:
         return Fraction(0)
     if not 1 <= t <= d - 1:
         raise DomainError(f"slack profile defined for 0 <= t <= {d - 1}")
-    if lam <= 0:
-        raise DomainError("fugacity must be positive")
     total = Fraction(0)
     for ell in range(t - 1, d - 1):
         total += (
@@ -277,6 +275,7 @@ def check_dual_constraints(d: int, lam: Fraction) -> CertificateReport:
     times 2(d-1)(lam + M) is lam times the simplified slack, the telescoping
     identity, zero slack exactly on the diagonal (i, i, 0) triples, and
     strict positivity everywhere else."""
+    lam = fugacity(lam)
     duals = dual_row_prices(d, lam)
     profile = [slack_profile(t, duals) for t in range(d)]
     for t in range(1, d):
@@ -335,6 +334,7 @@ def check_dual_constraints(d: int, lam: Fraction) -> CertificateReport:
 def check_monotone_profile(d: int, lam: Fraction) -> dict:
     """Strict monotonicity of the slack profile plus the positivity of the
     normalized increments and the crude star bound M_t > t lam M_{t-1}."""
+    lam = fugacity(lam)
     if d < 3:
         raise DomainError("profile monotonicity needs d >= 3")
     duals = dual_row_prices(d, lam)
@@ -366,6 +366,7 @@ def check_monotone_profile(d: int, lam: Fraction) -> dict:
 def check_profile_recurrence(d: int, lam: Fraction) -> bool:
     """(d-1-t) F(t+1) = (t+1)[t lam F(t) + (d-1) lam - (d-1) alpha (1+(d+t)lam)]
     for t = 1..d-2, with alpha the extremal edge occupancy."""
+    lam = fugacity(lam)
     duals = dual_row_prices(d, lam)
     alpha = duals.optimum
     for t in range(1, d - 1):
@@ -404,8 +405,7 @@ def edge_neighborhood_distribution(g: Graph, lam: Fraction, limit: int = 20):
     Verifies that the law is a feasible point of build_primal(d, lam) and
     that its objective reproduces the edge occupancy of g.
     """
-    if lam <= 0:
-        raise DomainError("fugacity must be positive")
+    lam = fugacity(lam)
     d = regular_degree(g)
     if d is None or d < 2:
         raise DomainError("graph must be d-regular with d >= 2")
@@ -437,6 +437,7 @@ def objective_value(law: dict, d: int, lam: Fraction) -> Fraction:
     """Program objective of a law keyed by triple; raises CertificateError
     when it is not a feasible point of build_primal(d, lam), naming a
     violated marginal row by its t."""
+    lam = fugacity(lam)
     column = {triple: c for c, triple in enumerate(enumerate_triples(d))}
     point = [Fraction(0)] * len(column)
     for triple, q in law.items():

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import CapabilityError, DomainError
-from .exactmath import IntPolynomial, binomial_poly
+from .exactmath import IntPolynomial, binomial_poly, fugacity
 from .graphs import CANONICAL_LIMIT, Graph, canonical_key, label_key, mask_vertices
 
 INDEPENDENCE_BUDGET = 30
@@ -46,21 +46,24 @@ def _memoized(memo: dict, g: Graph, compute) -> IntPolynomial:
     return poly
 
 
-def independence_poly(g: Graph, budget: int = INDEPENDENCE_BUDGET) -> IntPolynomial:
+def independence_poly(g: Graph) -> IntPolynomial:
     """Independence polynomial: coefficient of x^k counts independent k-sets.
 
     Deletion recurrence P(G) = P(G - v) + x * P(G - N[v]) with the pivot at
     a maximum-degree vertex (smallest label on ties), memoized per connected
-    component.
+    component. The budget applies per component, as in matching_poly.
     """
-    if g.n > budget:
+    # components matter only when the whole graph is over the budget
+    largest = max(map(len, g.components())) if g.n > INDEPENDENCE_BUDGET else g.n
+    if largest > INDEPENDENCE_BUDGET:
         raise CapabilityError(
-            f"independence_poly budget is {budget} vertices, got {g.n}"
+            f"independence_poly budget is {INDEPENDENCE_BUDGET} vertices"
+            f" per component, got {largest}"
         )
     return _split_components(g, _independence_component)
 
 
-def matching_poly(g: Graph, budget: int = MATCHING_BUDGET) -> IntPolynomial:
+def matching_poly(g: Graph) -> IntPolynomial:
     """Matching generating polynomial: coefficient of x^k counts k-matchings.
 
     Edge recurrence M(G) = M(G - e) + x * M(G - u - v) on a pivot edge at a
@@ -69,9 +72,9 @@ def matching_poly(g: Graph, budget: int = MATCHING_BUDGET) -> IntPolynomial:
     """
     for comp in g.components():
         sub = g.induced(comp)
-        if sub.edge_count > budget:
+        if sub.edge_count > MATCHING_BUDGET:
             raise CapabilityError(
-                f"matching_poly budget is {budget} edges per component,"
+                f"matching_poly budget is {MATCHING_BUDGET} edges per component,"
                 f" got {sub.edge_count}"
             )
     return _split_components(g, _matching_component)
@@ -137,9 +140,7 @@ def kdd_matching_poly(d: int) -> IntPolynomial:
 def occupancy(g: Graph, lam: Fraction) -> Fraction:
     """Expected fraction of vertices in the weighted random independent set:
     lam * P'(lam) / (n * P(lam))."""
-    if lam <= 0:
-        raise DomainError("fugacity must be positive")
-    lam = Fraction(lam)
+    lam = fugacity(lam)
     if g.n == 0:
         raise DomainError("occupancy needs a nonempty graph")
     p = independence_poly(g)
@@ -149,9 +150,7 @@ def occupancy(g: Graph, lam: Fraction) -> Fraction:
 def edge_occupancy(g: Graph, lam: Fraction) -> Fraction:
     """Expected fraction of edges in the weighted random matching:
     lam * M'(lam) / (|E| * M(lam))."""
-    if lam <= 0:
-        raise DomainError("fugacity must be positive")
-    lam = Fraction(lam)
+    lam = fugacity(lam)
     m = g.edge_count
     if m == 0:
         raise DomainError("edge_occupancy needs at least one edge")
@@ -161,17 +160,13 @@ def edge_occupancy(g: Graph, lam: Fraction) -> Fraction:
 
 def kdd_occupancy(d: int, lam: Fraction) -> Fraction:
     """Closed form lam(1+lam)^(d-1) / (2(1+lam)^d - 1)."""
-    if lam <= 0:
-        raise DomainError("fugacity must be positive")
-    lam = Fraction(lam)
+    lam = fugacity(lam)
     return lam * (1 + lam) ** (d - 1) / (2 * (1 + lam) ** d - 1)
 
 
 def kdd_edge_occupancy(d: int, lam: Fraction) -> Fraction:
     """lam * M_{K_{d-1,d-1}}(lam) / M_{K_{d,d}}(lam)."""
-    if lam <= 0:
-        raise DomainError("fugacity must be positive")
-    lam = Fraction(lam)
+    lam = fugacity(lam)
     return lam * kdd_matching_poly(d - 1)(lam) / kdd_matching_poly(d)(lam)
 
 
@@ -209,8 +204,7 @@ class SizeDistribution:
 
 
 def size_distribution(poly: IntPolynomial, lam: Fraction) -> SizeDistribution:
-    if lam <= 0:
-        raise DomainError("fugacity must be positive")
+    lam = fugacity(lam)
     if poly.is_zero:
         raise DomainError("zero polynomial has no size distribution")
     total = poly(lam)
@@ -308,8 +302,7 @@ def event_probability_oracle(
     `predicate` receives a frozenset of vertices (hardcore) or of (u, v)
     edges (matching).
     """
-    if lam <= 0:
-        raise DomainError("fugacity must be positive")
+    lam = fugacity(lam)
 
     def classify(state):
         if model == "hardcore":

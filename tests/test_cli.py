@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -62,7 +63,7 @@ def test_zero_fugacity_is_usage_error(capsys):
     code, report, err = run_cli(capsys, "certify", "matching", "--d", "3", "--lambda", "0")
     assert code == 2
     assert report is None
-    assert "positive" in err
+    assert err == "error: fugacity must be positive\n"
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -73,6 +74,18 @@ def test_capability_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "poly", "--graph", "cycle:40")
     assert code == 3
     assert "budget" in err or "capability" in err
+
+
+def test_multi_component_graph_within_per_component_budgets(capsys):
+    # 36 vertices in six K_{3,3}: each component is within both budgets
+    from occufrac.polynomials import kdd_independence_poly, kdd_matching_poly
+
+    code, report, err = run_cli(capsys, "poly", "--graph", "hdn:3:36")
+    assert (code, err) == (0, "")
+    results = report["results"]
+    assert results["independence"] == [str(c) for c in (kdd_independence_poly(3) ** 6).coeffs]
+    assert results["matching"] == [str(c) for c in (kdd_matching_poly(3) ** 6).coeffs]
+    assert results["occupancy"] == "4/15"
 
 
 def test_tree_command(capsys):
@@ -157,6 +170,50 @@ def test_conjectures_command(tmp_path, capsys):
     assert report["verdict"] == "pass"
     rows = report["results"]["independent"]
     assert rows[-1]["candidate_attains_max"] is True
+
+
+def test_graph6_corpus_errors_name_the_corpus_line(tmp_path, capsys):
+    from occufrac.cli import load_corpus
+    from occufrac.errors import FormatError
+
+    path = tmp_path / "corpus.g6"
+    path.write_text("C~\n\nBAD!\n")
+    message = "line 3: graph6 body for n=3 needs 1 bytes, got 3 (byte offset 2)"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        load_corpus(str(path), "graph6")
+    code, report, err = run_cli(capsys, "verify", "given-size", "--corpus", str(path))
+    assert (code, report, err) == (2, None, f"error: {message}\n")
+
+
+def test_spec_corpus_errors_name_the_corpus_line(tmp_path, capsys):
+    from occufrac.cli import load_corpus
+    from occufrac.errors import DomainError
+
+    path = tmp_path / "corpus.txt"
+    path.write_text("cycle:8\n# comment\nnonsense:3\n")
+    with pytest.raises(DomainError, match="^line 3: unknown family 'nonsense'$"):
+        load_corpus(str(path), "spec")
+    path.write_text(f"cycle:8\nfile:{tmp_path / 'missing.g6'}\n")
+    code, report, err = run_cli(
+        capsys, "verify", "given-size", "--corpus", str(path), "--format", "spec"
+    )
+    assert (code, report) == (2, None)
+    assert err.startswith("error: line 2: ")
+
+
+def test_spec_corpus_file_entries_are_graph6(tmp_path, capsys):
+    from occufrac.graphs import cycle, to_graph6
+
+    g6 = tmp_path / "c8.g6"
+    g6.write_text(to_graph6(cycle(8)) + "\n")
+    path = tmp_path / "corpus.txt"
+    path.write_text(f"file:{g6}\nhdn:2:8\n")
+    code, report, _ = run_cli(
+        capsys, "verify", "given-size", "--corpus", str(path), "--format", "spec"
+    )
+    assert code == 0 and report["verdict"] == "pass"
+    assert [row["graph"] for row in report["results"]["checks"]] == ["line1", "line2"]
+    assert all(row["applicable"] for row in report["results"]["checks"])
 
 
 def test_decimal_fugacity_rejected(capsys):

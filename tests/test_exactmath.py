@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from occufrac.errors import FormatError
+from occufrac.errors import DomainError, FormatError
 from occufrac.exactmath import (
     IntPolynomial,
     binomial_poly,
     format_rational,
+    fugacity,
     parse_rational,
 )
 
@@ -18,6 +19,15 @@ def test_parse_and_format_roundtrip():
     assert format_rational(Fraction(3, 4)) == "3/4"
     assert format_rational(Fraction(6, 3)) == "2"
     assert format_rational(Fraction(-1, 2)) == "-1/2"
+
+
+def test_fugacity_is_a_positive_fraction():
+    for lam, want in ((1, Fraction(1)), (Fraction(7, 5), Fraction(7, 5)), (0.5, Fraction(1, 2))):
+        got = fugacity(lam)
+        assert type(got) is Fraction and got == want
+    for bad in (0, -1, Fraction(-1, 3), 0.0):
+        with pytest.raises(DomainError, match="^fugacity must be positive$"):
+            fugacity(bad)
 
 
 @pytest.mark.parametrize("bad", ["0.25", "1e-3", "1/0", "x", ""])

@@ -128,8 +128,7 @@ def test_kdd_union_power_identity():
             if n > 8 * d:
                 break
             union = kdd_union(d, n)
-            poly = independence_poly(union, budget=max(30, n))
-            assert poly == kdd_independence_poly(d) ** copies
+            assert independence_poly(union) == kdd_independence_poly(d) ** copies
             assert matching_poly(union) == kdd_matching_poly(d) ** copies
 
 
@@ -185,11 +184,23 @@ def test_occupancy_domain_errors():
 
 
 def test_budget_capability_errors():
-    with pytest.raises(CapabilityError):
+    with pytest.raises(
+        CapabilityError,
+        match="^independence_poly budget is 30 vertices per component, got 31$",
+    ):
         independence_poly(cycle(31))
-    with pytest.raises(CapabilityError):
+    with pytest.raises(
+        CapabilityError,
+        match="^matching_poly budget is 40 edges per component, got 66$",
+    ):
         matching_poly(complete(12))  # 66 edges in one component
-    independence_poly(cycle(31), budget=31)
+
+
+def test_independence_budget_applies_per_component():
+    # 32 vertices in four components of 8: within the budget without an override
+    assert independence_poly(kdd_union(4, 32)) == kdd_independence_poly(4) ** 4
+    with pytest.raises(CapabilityError, match="got 31$"):
+        independence_poly(cycle(31).disjoint_union(cycle(4)))
 
 
 def test_size_distribution_known_values():
