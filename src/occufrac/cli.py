@@ -48,14 +48,24 @@ def parse_graph_spec(spec: str, fmt: str = "graph6") -> Graph:
     file:PATH (decoded per --format)."""
     kind, _, rest = spec.partition(":")
     if kind == "file":
-        with open(rest, encoding="utf-8") as fh:
-            text = fh.read()
+        text = _read_text(rest)
         return _one_graph6(text) if fmt == "graph6" else parse_edge_list(text)
     try:
         params = [int(p) for p in rest.split(":")] if rest else []
     except ValueError as exc:
         raise DomainError(f"bad graph spec {spec!r}: {exc}") from None
     return generate(kind, *params)
+
+
+def _read_text(path: str) -> str:
+    """The UTF-8 text of a file; bytes that are not UTF-8 are a FormatError
+    naming the byte offset where they start."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 at byte offset {exc.start}") from None
 
 
 def _one_graph6(text: str) -> Graph:
@@ -82,16 +92,15 @@ def load_corpus(path: str | None, fmt: str):
     if path is None:
         return corpus.regular_corpus(12)
     named = []
-    with open(path, encoding="utf-8") as fh:
-        for idx, line in enumerate(fh, start=1):
-            s = line.strip()
-            if not s or s.startswith("#"):
-                continue
-            try:
-                g = parse_graph6(s) if fmt == "graph6" else parse_graph_spec(s)
-            except (DomainError, FormatError, OSError) as exc:
-                raise type(exc)(f"line {idx}: {exc}") from None
-            named.append((f"line{idx}", g))
+    for idx, line in enumerate(_read_text(path).splitlines(), start=1):
+        s = line.strip()
+        if not s or s.startswith("#"):
+            continue
+        try:
+            g = parse_graph6(s) if fmt == "graph6" else parse_graph_spec(s)
+        except (DomainError, FormatError, OSError) as exc:
+            raise type(exc)(f"line {idx}: {exc}") from None
+        named.append((f"line{idx}", g))
     return named
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DomainError, FormatError
+from .errors import DomainError, FormatError, StructureError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -89,10 +89,18 @@ class IntPolynomial:
         return 0
 
     def __call__(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """The value at an int or Fraction x = p/q: Horner over ints gives
+        sum c[k] p^k q^(n-k) for degree n, divided by q^n once."""
+        if not isinstance(x, (int, Fraction)):
+            raise StructureError(f"polynomial argument {x!r} is not an int or a Fraction")
+        if not self.coeffs:
+            return Fraction(0)
+        p, q = x.numerator, x.denominator
+        acc, scale = self.coeffs[-1], 1
+        for c in reversed(self.coeffs[:-1]):
+            scale *= q
+            acc = acc * p + c * scale
+        return Fraction(acc, scale)
 
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial(k * c for k, c in enumerate(self.coeffs) if k)

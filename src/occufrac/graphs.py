@@ -14,6 +14,7 @@ from .errors import CapabilityError, DomainError, FormatError
 
 CANONICAL_LIMIT = 10
 TRANSITIVITY_LIMIT = 16
+CLASS_LIMIT = 7
 
 
 class Graph:
@@ -537,7 +538,6 @@ def _mask_orbit_reps(n: int, automorphisms, keep):
     return reps
 
 
-@lru_cache(maxsize=None)
 def isomorphism_classes(n: int):
     """All isomorphism classes on exactly n vertices, sorted by canonical key.
 
@@ -554,24 +554,44 @@ def isomorphism_classes(n: int):
     Extensions are deduplicated by canonical key, so no class appears
     twice (McKay, "Isomorph-free exhaustive generation", 1998).
     """
-    if n > 7:
-        raise CapabilityError("isomorphism class enumeration capped at 7 vertices")
+    if n > CLASS_LIMIT:
+        raise CapabilityError(
+            f"isomorphism class enumeration capped at {CLASS_LIMIT} vertices"
+        )
     if n < 0:
         raise DomainError("vertex count must be non-negative")
+    return _classes_and_automorphisms(n)[0]
+
+
+@lru_cache(maxsize=None)
+def _classes_and_automorphisms(n: int):
+    """(classes, generators): the (canonical key, representative) pairs of
+    isomorphism_classes(n) and, aligned with them, the automorphism
+    generators of each representative from the canonical form that found
+    it, so growing the next level canonicalizes no representative twice.
+    Classes on CLASS_LIMIT vertices are never grown and keep none: at 7
+    vertices their generators would hold about 0.4 MB."""
     if n == 0:
-        return ((canonical_key(Graph(0)), Graph(0)),)
-    seen = {}
-    for _, g in isomorphism_classes(n - 1):
+        key, _, automorphisms = _canonical_form(Graph(0))
+        return ((key, Graph(0)),), (automorphisms,)
+    keep_generators = n < CLASS_LIMIT
+    found = {}
+    for (_, g), automorphisms in zip(*_classes_and_automorphisms(n - 1)):
         degrees = [m.bit_count() for m in g.adj]
 
         def least_degree(mask):
             k = mask.bit_count()
             return all(k <= deg + (mask >> w & 1) for w, deg in enumerate(degrees))
 
-        for mask in _mask_orbit_reps(n - 1, _canonical_form(g)[2], least_degree):
+        for mask in _mask_orbit_reps(n - 1, automorphisms, least_degree):
             adj = list(g.adj) + [mask]
             for w in mask_vertices(mask):
                 adj[w] |= 1 << (n - 1)
             h = Graph._from_adj(adj)
-            seen.setdefault(canonical_key(h), h)
-    return tuple(sorted(seen.items()))
+            key, _, generators = _canonical_form(h)
+            found.setdefault(key, (h, generators if keep_generators else ()))
+    ordered = sorted(found.items())
+    return (
+        tuple((key, h) for key, (h, _) in ordered),
+        tuple(generators for _, (_, generators) in ordered),
+    )

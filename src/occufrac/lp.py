@@ -2,19 +2,29 @@
 
     maximize c . x   subject to   A x = b,  x >= 0
 
-Two-phase revised simplex over Fractions. It keeps the basis inverse
-B^-1 (rows x rows) and the basic values x_B, prices with y = c_B B^-1 and
-r_j = c_j - y . A_j, and enters the column with the largest reduced cost
-(Dantzig); the pivot after a degenerate one uses Bland's smallest-index
-rule instead, so every solve terminates. The dual is y itself. Every
-reported optimum, basis and dual vector is exact and checked before it is
-returned; the programs solved here have at most a dozen rows.
+Entries are ints or Fractions, never floats. Each column is also carried
+once in integer form (q_j, e_j, a_j): c_j = e_j / q_j and A_j = a_j / q_j,
+with q_j > 0 the least common denominator of the column.
+
+Two-phase revised simplex. It keeps the basis inverse B^-1 (rows x rows)
+and the basic values x_B as Fractions, and prices with y = c_B B^-1 written
+as Y / D over integers: the reduced cost r_j = c_j - y . A_j is
+(e_j D - Y . a_j) / (D q_j), so one integer numerator per column decides
+its sign and, by cross-multiplication, its rank. It enters the column with
+the largest reduced cost (Dantzig); the pivot after a degenerate one uses
+Bland's smallest-index rule instead, so every solve terminates. The dual is
+y itself. Every reported optimum, basis and dual vector is exact and
+checked before it is returned; the programs solved here have at most a
+dozen rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import mul
 
 from .errors import CertificateError, StructureError
 
@@ -31,9 +41,12 @@ class LinearProgram:
         ncols = len(self.objective)
         if len(self.rows) != len(self.rhs):
             raise StructureError("row count does not match rhs length")
+        _check_exact(self.objective, "objective column {}")
         for r, row in enumerate(self.rows):
             if len(row) != ncols:
                 raise StructureError(f"row {r} has {len(row)} entries, need {ncols}")
+            _check_exact(row, f"row {r} column {{}}")
+        _check_exact(self.rhs, "rhs row {}")
 
     @property
     def ncols(self) -> int:
@@ -43,12 +56,37 @@ class LinearProgram:
     def nrows(self) -> int:
         return len(self.rows)
 
+    @cached_property
+    def integer_columns(self) -> tuple:
+        """Each column j once as (q_j, e_j, a_j): c_j = e_j / q_j and
+        A_j = a_j / q_j in ints, q_j > 0 the least common denominator of
+        c_j and A_j. Built on first use; the simplex and dual_slacks price
+        these, while primal_value and the rhs stay over Fractions."""
+        columns = []
+        for column in zip(self.objective, *self.rows):
+            q = lcm(*(x.denominator for x in column))
+            e, *a = (x.numerator * (q // x.denominator) for x in column)
+            columns.append((q, e, tuple(a)))
+        return tuple(columns)
+
+
+def _check_exact(values, where: str):
+    """Raise StructureError at the first entry that is not an int or a
+    Fraction; `where` names the entry from its index."""
+    for j, v in enumerate(values):
+        if not isinstance(v, (int, Fraction)):
+            raise StructureError(f"{where.format(j)} is {v!r}, not an int or a Fraction")
+
+
+def _fractions(values) -> tuple:
+    return tuple(Fraction(v) if isinstance(v, int) else v for v in values)
+
 
 def make_lp(objective, rows, rhs) -> LinearProgram:
+    """The program max c . x, A x = b, x >= 0 with its ints made Fractions;
+    an entry that is neither raises StructureError naming it."""
     return LinearProgram(
-        tuple(Fraction(c) for c in objective),
-        tuple(tuple(Fraction(a) for a in row) for row in rows),
-        tuple(Fraction(b) for b in rhs),
+        _fractions(objective), tuple(_fractions(row) for row in rows), _fractions(rhs)
     )
 
 
@@ -105,31 +143,44 @@ def _prices(inverse, basis, cost):
     ]
 
 
-def _column(inverse, col):
-    """B^-1 A_j for a column A_j of the original program."""
-    return [_dot(inv_row, col) for inv_row in inverse]
+def _column(inverse, column):
+    """B^-1 A_j for an integer column (q_j, e_j, a_j), A_j = a_j / q_j."""
+    q, _, a = column
+    return [_dot(inv_row, a) / q for inv_row in inverse]
+
+
+def _over_one_denominator(y):
+    """(Y, D) with y = Y / D, Y integers and D > 0 the least common
+    denominator."""
+    den = lcm(*(p.denominator for p in y))
+    return [p.numerator * (den // p.denominator) for p in y], den
 
 
 def _run_simplex(columns, cost, inverse, values, basis):
-    """Maximize cost . x over the columns from a feasible basis, keeping
-    B^-1 (inverse) and x_B (values) current. Enters the column with the
-    largest reduced cost r_j = c_j - y . A_j (Dantzig), except right after a
-    degenerate pivot, where it enters the smallest improving index (Bland):
-    a cycle consists of degenerate pivots only, so every pivot in it would
-    follow Bland's rule, which cannot cycle. The leaving row is the smallest
-    ratio, ties to the smallest basic index. Returns True when optimal,
-    False when unbounded."""
+    """Maximize cost . x from a feasible basis, keeping B^-1 (inverse) and
+    x_B (values) current. `columns` are the integer columns (q_j, e_j, a_j)
+    with e_j / q_j = cost[j]; `cost` also prices the artificial columns that
+    may be basic. Enters the column with the largest reduced cost
+    r_j = (e_j D - Y . a_j) / (D q_j), where y = c_B B^-1 = Y / D (Dantzig),
+    except right after a degenerate pivot, where it enters the smallest
+    improving index (Bland): a cycle consists of degenerate pivots only, so
+    every pivot in it would follow Bland's rule, which cannot cycle. D and
+    q_j are positive, so r_j > 0 iff its numerator is, and r_j > r_k iff
+    num_j q_k > num_k q_j. The leaving row is the smallest ratio, ties to
+    the smallest basic index. Returns True when optimal, False when
+    unbounded."""
     bland = False
     while True:
-        y = _prices(inverse, basis, cost)
-        reduced = ((j, cost[j] - _dot(y, col)) for j, col in enumerate(columns))
+        ys, den = _over_one_denominator(_prices(inverse, basis, cost))
         if bland:
-            entering = next((j for j, rc in reduced if rc > 0), -1)
+            improving = (j for j, (_, e, a) in enumerate(columns) if e * den > sum(map(mul, ys, a)))
+            entering = next(improving, -1)
         else:
-            entering, best = -1, ZERO
-            for j, rc in reduced:
-                if rc > best:
-                    entering, best = j, rc
+            entering, best_num, best_q = -1, 0, 1
+            for j, (q, e, a) in enumerate(columns):
+                num = e * den - sum(map(mul, ys, a))
+                if num > 0 and num * best_q > best_num * q:
+                    entering, best_num, best_q = j, num, q
         if entering == -1:
             return True
         alpha = _column(inverse, columns[entering])
@@ -162,14 +213,16 @@ def solve(lp: LinearProgram) -> LPSolution:
     the inverse of a basis of the program as given: the dual is y = c_B B^-1
     itself, with no sign to undo."""
     m, n = lp.nrows, lp.ncols
-    columns = list(zip(*lp.rows)) if m else [()] * n  # the program's own entries
+    columns = lp.integer_columns
 
-    # phase 1: artificial basis, minimize the artificials' sum
+    # phase 1: artificial basis, minimize the artificials' sum; an original
+    # column costs nothing, so its cost numerator is 0
     sign = [-1 if b < 0 else 1 for b in lp.rhs]
     inverse = [[Fraction(sign[r]) if c == r else ZERO for c in range(m)] for r in range(m)]
     values = [sign[r] * b for r, b in enumerate(lp.rhs)]
     basis = [n + r for r in range(m)]
-    _run_simplex(columns, [ZERO] * n + [Fraction(-1)] * m, inverse, values, basis)
+    phase_one = [(q, 0, a) for q, _, a in columns]
+    _run_simplex(phase_one, [ZERO] * n + [Fraction(-1)] * m, inverse, values, basis)
     if any(v != 0 for b, v in zip(basis, values) if b >= n):
         return LPSolution(status="infeasible")
 
@@ -178,7 +231,7 @@ def solve(lp: LinearProgram) -> LPSolution:
     for r in range(m - 1, -1, -1):
         if basis[r] < n:
             continue
-        col = next((j for j, a in enumerate(columns) if _dot(inverse[r], a) != 0), None)
+        col = next((j for j, (_, _, a) in enumerate(columns) if _dot(inverse[r], a) != 0), None)
         if col is None:
             del inverse[r], values[r], basis[r]
         else:
@@ -230,21 +283,24 @@ def _check_optimal(lp: LinearProgram, sol: LPSolution):
 
 
 def dual_slacks(lp: LinearProgram, dual) -> DualSlackReport:
-    """Slack (dual^T A - c)_j per column; feasible iff all slacks >= 0."""
+    """Slack (dual^T A - c)_j per column; feasible iff all slacks >= 0.
+    The dual entries must be ints or Fractions; with dual = Y / D over one
+    denominator, slack j is (Y . a_j - e_j D) / (D q_j) on the integer
+    columns."""
     if len(dual) != lp.nrows:
         raise StructureError(
             f"dual has {len(dual)} entries for {lp.nrows} rows"
         )
-    slacks = []
-    for j in range(lp.ncols):
-        s = -lp.objective[j]
-        for r in range(lp.nrows):
-            if dual[r] != 0:
-                s += dual[r] * lp.rows[r][j]
-        slacks.append(s)
+    for r, y in enumerate(dual):
+        if not isinstance(y, (int, Fraction)):
+            raise StructureError(f"dual entry {r} is {y!r}, not an int or a Fraction")
+    ys, den = _over_one_denominator(dual)
+    slacks = tuple(
+        Fraction(sum(map(mul, ys, a)) - e * den, den * q) for q, e, a in lp.integer_columns
+    )
     dual_obj = sum((y * b for y, b in zip(dual, lp.rhs)), ZERO)
     return DualSlackReport(
-        slacks=tuple(slacks),
+        slacks=slacks,
         feasible=all(s >= 0 for s in slacks),
         tight=tuple(j for j, s in enumerate(slacks) if s == 0),
         dual_objective=dual_obj,

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's recurrence/solver code paths:
 polynomials come from raw subset enumeration, LP optima from basis
-enumeration, conditional marginals from direct matching enumeration, and the dense
-tableau simplex with Bland's rule that the revised solver replaced.
+enumeration, conditional marginals from direct matching enumeration, the dense
+tableau simplex with Bland's rule that the revised solver replaced, and dual
+slacks priced entry by entry in Fractions.
 """
 
 from fractions import Fraction
@@ -54,6 +55,15 @@ def brute_matching_counts(g: Graph):
     while counts and counts[-1] == 0:
         counts.pop()
     return counts
+
+
+def fraction_horner(coeffs, x):
+    """sum coeffs[k] x^k by Horner's rule in Fractions, two Fraction
+    operations per coefficient. Reference for IntPolynomial.__call__."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def brute_lp_max(objective, rows, rhs):
@@ -207,6 +217,20 @@ def tableau_solve(lp) -> LPSolution:
         basis=tuple(basis),
         dual=tuple(-sign[r] * rc[n + r] for r in range(m)),
     )
+
+
+def fraction_dual_slacks(lp, dual):
+    """Slack (dual^T A - c)_j per column, one Fraction product per nonzero
+    dual entry and row. Reference for occufrac.lp.dual_slacks, which prices
+    the integer columns over one denominator."""
+    slacks = []
+    for j in range(lp.ncols):
+        s = -lp.objective[j]
+        for r in range(lp.nrows):
+            if dual[r] != 0:
+                s += dual[r] * lp.rows[r][j]
+        slacks.append(s)
+    return tuple(slacks)
 
 
 def empirical_edge_marginals(g: Graph, lam: Fraction):

@@ -243,6 +243,25 @@ def test_verify_lower_bound_corpus_file(tmp_path, capsys):
     assert len(report["results"]["checks"]) == 2
 
 
+def test_files_that_are_not_utf8_are_usage_errors(tmp_path, capsys):
+    bad = tmp_path / "bad.g6"
+    bad.write_bytes(b"\xff\xfe")
+    code, report, err = run_cli(capsys, "counts", "--graph", f"file:{bad}")
+    assert (code, report, err) == (2, None, f"error: {bad}: not UTF-8 at byte offset 0\n")
+
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_bytes(b"C~\n# caf\xe9\n")
+    code, report, err = run_cli(capsys, "verify", "given-size", "--corpus", str(corpus))
+    assert (code, report, err) == (2, None, f"error: {corpus}: not UTF-8 at byte offset 8\n")
+
+    specs = tmp_path / "corpus.txt"
+    specs.write_text(f"cycle:8\nfile:{bad}\n")
+    code, report, err = run_cli(
+        capsys, "verify", "given-size", "--corpus", str(specs), "--format", "spec"
+    )
+    assert (code, report, err) == (2, None, f"error: line 2: {bad}: not UTF-8 at byte offset 0\n")
+
+
 def test_missing_file_is_usage_error(capsys):
     code, report, err = run_cli(capsys, "counts", "--graph", "file:/nonexistent/g.g6")
     assert code == 2

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from occufrac.errors import DomainError, FormatError
+from _oracles import fraction_horner
+from occufrac.errors import DomainError, FormatError, StructureError
 from occufrac.exactmath import (
     IntPolynomial,
     binomial_poly,
@@ -53,6 +54,23 @@ def test_poly_eval_known_values():
     assert p(Fraction(1)) == 7
     assert IntPolynomial.zero()(Fraction(5, 3)) == 0
     assert IntPolynomial((1, 3))(Fraction(1, 2)) == Fraction(5, 2)
+
+
+def test_integer_horner_matches_fraction_horner():
+    rng = random.Random(2015)
+    polys = [IntPolynomial.zero(), IntPolynomial((0, 0)), IntPolynomial((-3,))]
+    for _ in range(60):
+        size = rng.randint(1, 12)
+        polys.append(IntPolynomial(rng.randint(-40, 40) for _ in range(size)))
+    points = [0, 1, -1, 3, -2, Fraction(-7, 3), Fraction(5, 8), Fraction(-1, 9)]
+    points += [Fraction(rng.randint(-30, 30), rng.randint(1, 30)) for _ in range(20)]
+    for poly in polys:
+        for x in points:
+            value = poly(x)
+            assert type(value) is Fraction
+            assert value == fraction_horner(poly.coeffs, x)
+    with pytest.raises(StructureError, match="^polynomial argument 0.5 is not an int or a Fraction$"):
+        IntPolynomial((1, 2))(0.5)
 
 
 def test_poly_derivative_known_values():

@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from _oracles import brute_lp_max, tableau_solve
+from _oracles import brute_lp_max, fraction_dual_slacks, tableau_solve
+from occufrac import hardcore, matching
 from occufrac import lp as lp_module
+from occufrac.corpus import FUGACITY_GRID
 from occufrac.errors import CertificateError, StructureError
-from occufrac.lp import dual_slacks, make_lp, primal_value, solve
+from occufrac.lp import LinearProgram, dual_slacks, make_lp, primal_value, solve
 
 ZERO, ONE = Fraction(0), Fraction(1)
 
@@ -46,6 +49,22 @@ def test_dimension_mismatch():
         make_lp([1], [[1]], [1, 2])
     with pytest.raises(StructureError):
         dual_slacks(make_lp([1], [[1]], [1]), [Fraction(1), Fraction(2)])
+
+
+def test_floats_are_rejected_with_their_position():
+    # 0.1 would otherwise be stored as 3602879701896397/36028797018963968
+    with pytest.raises(StructureError, match="^objective column 0 is 0.1, not an int or a Fraction$"):
+        make_lp([0.1, 1], [[1, 1]], [1])
+    with pytest.raises(StructureError, match="^row 1 column 0 is 0.5, not an int or a Fraction$"):
+        make_lp([1, 1], [[1, 1], [0.5, 1]], [1, 1])
+    with pytest.raises(StructureError, match="^rhs row 0 is 1.0, not an int or a Fraction$"):
+        make_lp([1, 1], [[1, 1]], [1.0])
+    with pytest.raises(StructureError, match="^row 0 column 0 is '1/2', not an int or a Fraction$"):
+        LinearProgram((ONE,), (("1/2",),), (ONE,))
+    with pytest.raises(StructureError, match="^dual entry 0 is 0.5, not an int or a Fraction$"):
+        dual_slacks(make_lp([1, 1], [[1, 1]], [1]), [0.5])
+    report = dual_slacks(make_lp([1, Fraction(1, 2)], [[1, 1]], [1]), [1])
+    assert report.slacks == (0, Fraction(1, 2)) and report.dual_objective == 1
 
 
 def test_degenerate_instance_terminates():
@@ -215,14 +234,15 @@ def test_degenerate_fallback_stops_dantzig_cycling(monkeypatch):
         pivot(*args)
 
     monkeypatch.setattr(lp_module, "_pivot", counted)
+    program = make_lp(objective, rows, (ZERO, ZERO, ONE))
     inverse = [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]
     values = [ZERO, ZERO, ONE]
     basis = [4, 5, 6]
-    assert lp_module._run_simplex(list(zip(*rows)), objective, inverse, values, basis)
+    assert lp_module._run_simplex(program.integer_columns, objective, inverse, values, basis)
     x = [ZERO] * 7
     for b, v in zip(basis, values):
         x[b] = v
-    assert primal_value(make_lp(objective, rows, (ZERO, ZERO, ONE)), x) == Fraction(1, 20)
+    assert primal_value(program, x) == Fraction(1, 20)
 
 
 def _differential_lp(rng, kind):
@@ -286,3 +306,111 @@ def test_matches_tableau_reference_on_random_lps():
         dropped += len(sol.basis) < lp.nrows
     assert min(statuses.values()) >= 30, statuses
     assert dropped >= 30
+
+
+def _assert_integer_columns(program):
+    assert len(program.integer_columns) == program.ncols
+    for j, (q, e, a) in enumerate(program.integer_columns):
+        assert type(q) is int and type(e) is int and all(type(x) is int for x in a)
+        assert q > 0 and gcd(q, e, *a) == 1
+        assert Fraction(e, q) == program.objective[j]
+        assert tuple(Fraction(x, q) for x in a) == tuple(row[j] for row in program.rows)
+
+
+@pytest.mark.parametrize("lam", FUGACITY_GRID)
+def test_integer_columns_of_the_certify_programs(lam):
+    for d in range(2, 8):
+        _assert_integer_columns(hardcore.build_primal(d, lam))
+    for d in range(2, 10):
+        _assert_integer_columns(matching.build_primal(d, lam))
+
+
+def _rational_lp(rng):
+    """A random LP over p/q entries with q in 1..6 and p in -6..6: some
+    entries zero, sometimes a whole zero column, sometimes no rows; the rhs
+    comes from a random rational point or, half the time, freely."""
+    n, m = rng.randint(1, 6), rng.choice((0, 1, 2, 2, 3, 3))
+
+    def entry():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 6)) if rng.random() < 0.8 else ZERO
+
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    if rng.random() < 0.3:
+        j = rng.randrange(n)
+        for row in rows:
+            row[j] = ZERO
+    if rng.random() < 0.5:
+        x = [Fraction(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(n)]
+        rhs = [sum(a * xi for a, xi in zip(row, x)) for row in rows]
+    else:
+        rhs = [entry() for _ in range(m)]
+    return make_lp([entry() for _ in range(n)], rows, rhs)
+
+
+def test_rational_lps_match_tableau_reference():
+    # integer-only programs have q_j = 1 everywhere; these scale every column
+    rng = random.Random(1508)
+    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    scaled = rowless = zero_columns = 0
+    for _ in range(300):
+        lp = _rational_lp(rng)
+        _assert_integer_columns(lp)
+        sol, ref = solve(lp), tableau_solve(lp)
+        assert (sol.status, sol.value) == (ref.status, ref.value)
+        statuses[sol.status] += 1
+        scaled += any(q > 1 for q, _, _ in lp.integer_columns)
+        rowless += lp.nrows == 0
+        zero_columns += any(not any(a) for _, _, a in lp.integer_columns)
+        if sol.status != "optimal":
+            continue
+        assert primal_value(lp, sol.primal) == sol.value
+        report = dual_slacks(lp, sol.dual)
+        assert report.slacks == fraction_dual_slacks(lp, sol.dual)
+        assert report.feasible and report.dual_objective == sol.value
+        ref_report = dual_slacks(lp, ref.dual)
+        assert ref_report.slacks == fraction_dual_slacks(lp, ref.dual)
+    assert min(statuses.values()) >= 30, statuses
+    assert scaled >= 250 and rowless >= 20 and zero_columns >= 60
+
+
+def test_dual_slacks_match_fraction_reference():
+    rng = random.Random(77)
+    for _ in range(100):
+        lp = _rational_lp(rng)
+        dual = [
+            rng.choice((0, rng.randint(-5, 5), Fraction(rng.randint(-9, 9), rng.randint(1, 12))))
+            for _ in range(lp.nrows)
+        ]
+        report = dual_slacks(lp, dual)
+        assert report.slacks == fraction_dual_slacks(lp, dual)
+        assert all(type(s) is Fraction for s in report.slacks)
+        assert report.tight == tuple(j for j, s in enumerate(report.slacks) if s == 0)
+    for lam in (Fraction(1, 4), Fraction(7, 5), Fraction(4)):
+        for d in (3, 5, 7):
+            program = hardcore.build_primal(d, lam)
+            dual = hardcore.solver_dual_for_certificate(d, lam)
+            assert dual_slacks(program, dual).slacks == fraction_dual_slacks(program, dual)
+        for d in (3, 6, 9):
+            program = matching.build_primal(d, lam)
+            dual = matching.standard_dual_vector(matching.dual_row_prices(d, lam))
+            assert dual_slacks(program, dual).slacks == fraction_dual_slacks(program, dual)
+
+
+@pytest.mark.parametrize(
+    ("module", "d", "pivots"),
+    [(matching, 8, 19), (matching, 10, 23), (matching, 12, 27), (hardcore, 6, 5), (hardcore, 7, 5)],
+)
+def test_certify_pivot_counts_are_pinned(monkeypatch, module, d, pivots):
+    # integer pricing enters the same column as Fraction pricing on every
+    # pivot, so the counts of the Fraction-priced solver stand
+    counted = []
+    pivot = lp_module._pivot
+
+    def count(*args):
+        counted.append(args[4])
+        pivot(*args)
+
+    monkeypatch.setattr(lp_module, "_pivot", count)
+    sol = solve(module.build_primal(d, Fraction(7, 5)))
+    assert sol.status == "optimal"
+    assert len(counted) == pivots
