@@ -78,19 +78,6 @@ class Graph:
                     adj[i] |= 1 << j
         return Graph._from_adj(adj)
 
-    def delete_vertices(self, vertices) -> "Graph":
-        drop = set(vertices)
-        keep = [v for v in range(self.n) if v not in drop]
-        return self.induced(keep)
-
-    def delete_edge(self, u: int, v: int) -> "Graph":
-        if not self.has_edge(u, v):
-            raise DomainError(f"edge ({u},{v}) not present")
-        adj = list(self.adj)
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
-        return Graph._from_adj(adj)
-
     def relabel(self, perm) -> "Graph":
         """Image under the permutation v -> perm[v]."""
         adj = [0] * self.n

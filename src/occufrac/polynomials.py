@@ -23,10 +23,12 @@ INDEPENDENCE_BUDGET = 30
 MATCHING_BUDGET = 40
 ORACLE_LIMIT = 24
 
-# Memo tables keyed by component: b"l" + label_key for the labeled graph and,
-# up to CANONICAL_LIMIT vertices, b"c" + canonical_key for its isomorphism
-# class. Inserts are idempotent (same key, same polynomial), so plain dicts
-# are safe to share between threads under the GIL.
+# Memo tables keyed by the connected components of the graphs passed in:
+# b"l" + label_key for the labeled component and, up to CANONICAL_LIMIT
+# vertices, b"c" + canonical_key for its isomorphism class. The recursion
+# inside a component memoizes its vertex masks in a table of its own.
+# Inserts are idempotent (same key, same polynomial), so plain dicts are
+# safe to share between threads under the GIL.
 _IND_MEMO: dict = {}
 _MATCH_MEMO: dict = {}
 
@@ -49,75 +51,142 @@ def _memoized(memo: dict, g: Graph, compute) -> IntPolynomial:
 def independence_poly(g: Graph) -> IntPolynomial:
     """Independence polynomial: coefficient of x^k counts independent k-sets.
 
-    Deletion recurrence P(G) = P(G - v) + x * P(G - N[v]) with the pivot at
-    a maximum-degree vertex (smallest label on ties), memoized per connected
-    component. The budget applies per component, as in matching_poly.
+    Deletion recurrence P(S) = P(S - v) + x * P(S - N[v]) over vertex
+    masks S of each connected component, with v the lowest vertex of S
+    (see `_mask_recursion`). The budget applies per component, as in
+    matching_poly.
     """
-    # components matter only when the whole graph is over the budget
-    largest = max(map(len, g.components())) if g.n > INDEPENDENCE_BUDGET else g.n
+    comps = g.components()
+    largest = max(map(len, comps), default=0)
     if largest > INDEPENDENCE_BUDGET:
         raise CapabilityError(
             f"independence_poly budget is {INDEPENDENCE_BUDGET} vertices"
             f" per component, got {largest}"
         )
-    return _split_components(g, _independence_component)
+    return _product(
+        _memoized(_IND_MEMO, g.induced(comp), _independence_masks)
+        if len(comp) > 1
+        else IntPolynomial((1, 1))
+        for comp in comps
+    )
 
 
 def matching_poly(g: Graph) -> IntPolynomial:
     """Matching generating polynomial: coefficient of x^k counts k-matchings.
 
-    Edge recurrence M(G) = M(G - e) + x * M(G - u - v) on a pivot edge at a
-    maximum-degree vertex, memoized per connected component. The budget
-    applies per component, which is where the recursion cost lives.
+    Vertex recurrence M(S) = M(S - v) + x * sum_{u in N(v) & S} M(S - u - v)
+    over vertex masks S of each connected component, with v the lowest
+    vertex of S (Godsil, "Algebraic Combinatorics", 1993, ch. 1; see
+    `_mask_recursion`). The budget applies per component, which is where
+    the recursion cost lives.
     """
-    for comp in g.components():
-        sub = g.induced(comp)
+    subs = [g.induced(comp) for comp in g.components()]
+    for sub in subs:
         if sub.edge_count > MATCHING_BUDGET:
             raise CapabilityError(
                 f"matching_poly budget is {MATCHING_BUDGET} edges per component,"
                 f" got {sub.edge_count}"
             )
-    return _split_components(g, _matching_component)
+    return _product(
+        _memoized(_MATCH_MEMO, sub, _matching_masks)
+        for sub in subs
+        if sub.n > 1
+    )
 
 
-def _split_components(g: Graph, component_fn) -> IntPolynomial:
+def _product(polys) -> IntPolynomial:
     poly = IntPolynomial.one()
-    for comp in g.components():
-        poly = poly * component_fn(g.induced(comp))
+    for factor in polys:
+        poly = poly * factor
     return poly
 
 
-def _independence_component(g: Graph) -> IntPolynomial:
-    # connected input; isolated vertex base case gives (1 + x)
-    if g.n == 0:
-        return IntPolynomial.one()
-    if g.n == 1:
-        return IntPolynomial((1, 1))
-    return _memoized(_IND_MEMO, g, _independence_step)
+def _independence_masks(g: Graph) -> IntPolynomial:
+    return IntPolynomial(_mask_recursion(g.adj, (1, 1), _independence_step))
 
 
-def _independence_step(g: Graph) -> IntPolynomial:
-    pivot = max(range(g.n), key=lambda v: (g.degree(v), -v))
-    without_v = _split_components(g.delete_vertices([pivot]), _independence_component)
-    closed = [pivot] + list(g.neighbors(pivot))
-    without_nbhd = _split_components(
-        g.delete_vertices(closed), _independence_component
-    )
-    return without_v + without_nbhd.shift(1)
+def _matching_masks(g: Graph) -> IntPolynomial:
+    return IntPolynomial(_mask_recursion(g.adj, (1,), _matching_step))
 
 
-def _matching_component(g: Graph) -> IntPolynomial:
-    if g.edge_count == 0:
-        return IntPolynomial.one()
-    return _memoized(_MATCH_MEMO, g, _matching_step)
+# The recursion inside one connected component. Subproblems are vertex
+# masks of the component's adjacency: induced subgraphs, so a mask is an
+# exact key and no Graph is built. Polynomials are coefficient tuples,
+# which stay free of trailing zeros because every coefficient up to the
+# degree counts at least one set or matching.
+
+def _mask_recursion(adj, single, step) -> tuple:
+    """The polynomial of the whole (connected) adjacency `adj`, where
+    step(adj, mask, poly) gives the polynomial of a connected mask of two or
+    more vertices from poly(mask') of smaller masks, and `single` is that of
+    one vertex. Masks split into components first; each component mask is
+    memoized for this call only."""
+    memo = {1 << v: single for v in range(len(adj))}
+
+    def poly(mask):
+        out = None
+        for comp in _mask_components(adj, mask):
+            p = memo.get(comp)
+            if p is None:
+                p = memo[comp] = step(adj, comp, poly)
+            out = p if out is None else _times(out, p)
+        return (1,) if out is None else out
+
+    return poly((1 << len(adj)) - 1)
 
 
-def _matching_step(g: Graph) -> IntPolynomial:
-    u = max(range(g.n), key=lambda v: (g.degree(v), -v))
-    v = next(g.neighbors(u))
-    without_e = _split_components(g.delete_edge(u, v), _matching_component)
-    without_uv = _split_components(g.delete_vertices([u, v]), _matching_component)
-    return without_e + without_uv.shift(1)
+def _mask_components(adj, mask):
+    """The connected components of the vertex mask, as masks, by a
+    breadth-first search over bitmasks from the lowest remaining vertex."""
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & mask & ~comp
+            comp |= frontier
+        yield comp
+        mask ^= comp
+
+
+def _independence_step(adj, mask, poly):
+    # P(S) = P(S - v) + x P(S - N[v]) at the lowest vertex v of S
+    low = mask & -mask
+    out = list(poly(mask ^ low))
+    _add_shifted(out, poly(mask & ~adj[low.bit_length() - 1] & ~low))
+    return tuple(out)
+
+
+def _matching_step(adj, mask, poly):
+    # M(S) = M(S - v) + x sum_{u in N(v) & S} M(S - u - v), v lowest in S
+    low = mask & -mask
+    rest = mask ^ low
+    out = list(poly(rest))
+    nbrs = adj[low.bit_length() - 1] & rest
+    while nbrs:
+        u = nbrs & -nbrs
+        _add_shifted(out, poly(rest ^ u))
+        nbrs ^= u
+    return tuple(out)
+
+
+def _add_shifted(out: list, p) -> None:
+    """out += x * p, in place on a coefficient list."""
+    out += [0] * (len(p) + 1 - len(out))
+    for i, c in enumerate(p, 1):
+        out[i] += c
+
+
+def _times(a, b):
+    """a * b over coefficient tuples."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, e in enumerate(b, i):
+            out[j] += c * e
+    return tuple(out)
 
 
 def kdd_independence_poly(d: int) -> IntPolynomial:

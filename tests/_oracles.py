@@ -3,15 +3,24 @@
 These deliberately avoid the library's recurrence/solver code paths:
 polynomials come from raw subset enumeration, LP optima from basis
 enumeration, conditional marginals from direct matching enumeration, the dense
-tableau simplex with Bland's rule that the revised solver replaced, and dual
-slacks priced entry by entry in Fractions.
+tableau simplex with Bland's rule that the revised solver replaced, dual
+slacks priced entry by entry in Fractions, and the Graph-object deletion
+recurrences that the vertex-mask recursion replaced.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from occufrac.graphs import Graph, canonical_key, mask_vertices, regular_degree
+from occufrac.exactmath import IntPolynomial
+from occufrac.graphs import (
+    CANONICAL_LIMIT,
+    Graph,
+    canonical_key,
+    label_key,
+    mask_vertices,
+    regular_degree,
+)
 from occufrac.hardcore import enumerate_configs
 from occufrac.lp import LPSolution
 from occufrac.polynomials import independent_sets, matchings
@@ -55,6 +64,64 @@ def brute_matching_counts(g: Graph):
     while counts and counts[-1] == 0:
         counts.pop()
     return counts
+
+
+def graph_deletion_poly(g: Graph, model: str) -> IntPolynomial:
+    """Independence ("hardcore") or matching polynomial by deletion
+    recurrences on relabelled Graph objects, with a maximum-degree pivot:
+    P(G) = P(G - v) + x P(G - N[v]) and M(G) = M(G - e) + x M(G - u - v)
+    on an edge e = uv. Connected components are memoized for this call by
+    labelled key and, up to CANONICAL_LIMIT vertices, by canonical key."""
+    memo = {}
+
+    def split(g, component):
+        poly = IntPolynomial.one()
+        for comp in g.components():
+            poly = poly * component(g.induced(comp))
+        return poly
+
+    def memoized(g, step):
+        lkey = b"l" + label_key(g)
+        if lkey not in memo:
+            ckey = b"c" + canonical_key(g) if g.n <= CANONICAL_LIMIT else lkey
+            if ckey not in memo:
+                memo[ckey] = step(g)
+            memo[lkey] = memo[ckey]
+        return memo[lkey]
+
+    def pivot(g):
+        return max(range(g.n), key=lambda v: (g.degree(v), -v))
+
+    def without(g, vertices):
+        return g.induced([w for w in range(g.n) if w not in vertices])
+
+    def independence(g):
+        if g.n <= 1:
+            return IntPolynomial((1,) * (g.n + 1))
+        return memoized(g, independence_step)
+
+    def independence_step(g):
+        v = pivot(g)
+        without_v = split(without(g, {v}), independence)
+        without_nbhd = split(without(g, {v, *g.neighbors(v)}), independence)
+        return without_v + without_nbhd.shift(1)
+
+    def matching(g):
+        if g.edge_count == 0:
+            return IntPolynomial.one()
+        return memoized(g, matching_step)
+
+    def matching_step(g):
+        u = pivot(g)
+        v = next(g.neighbors(u))
+        adj = list(g.adj)
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+        without_e = split(Graph._from_adj(adj), matching)
+        without_uv = split(without(g, {u, v}), matching)
+        return without_e + without_uv.shift(1)
+
+    return split(g, {"hardcore": independence, "matching": matching}[model])
 
 
 def fraction_horner(coeffs, x):

@@ -295,6 +295,32 @@ def test_orbits_agree_with_backtracking_search():
         assert orbit_of_zero == backtrack_orbit_of_zero(g)
 
 
+def _shrikhande():
+    # Cayley graph of Z4 x Z4 with connection set {±(0,1), ±(1,0), ±(1,1)}
+    steps = ((0, 1), (1, 0), (1, 1))
+    edges = [
+        (4 * a + b, 4 * ((a + s) % 4) + (b + t) % 4)
+        for a in range(4)
+        for b in range(4)
+        for s, t in steps
+    ]
+    return Graph(16, edges)
+
+
+def test_orbit_pruning_keeps_the_shrikhande_graph_transitive():
+    # srg(16,6,2,2): every pair of vertices has two common neighbours, so
+    # refinement gives the search little to go on and the verdict rests on
+    # pruning siblings by automorphisms. Pruning by automorphisms that do
+    # not fix the path so far skips whole orbits: it judged 6 of these 50
+    # labellings not transitive.
+    g = _shrikhande()
+    assert regular_degree(g) == 6
+    assert all((g.adj[u] & g.adj[v]).bit_count() == 2 for v in range(16) for u in range(v))
+    rng = random.Random(0)
+    for _ in range(50):
+        assert is_vertex_transitive(_shuffled(g, rng))
+
+
 def test_hypercube_prism():
     assert regular_degree(hypercube(3)) == 3
     assert regular_degree(prism(5)) == 3

@@ -6,6 +6,7 @@ import pytest
 from _oracles import (
     brute_independence_counts,
     brute_matching_counts,
+    graph_deletion_poly,
     random_graph,
     random_regular_graph,
     reference_edge_law,
@@ -77,11 +78,13 @@ def _relabeled(g, rng):
 
 
 def test_memoized_polys_match_brute_force_cold_and_warm():
-    # connected cubic graphs above the canonical limit are keyed by label only;
-    # their small subproblems by label and by isomorphism class
+    # connected cubic graphs above the canonical limit are keyed by label
+    # only; their subproblems are memoized within each call, not in the tables
     rng = random.Random(7)
     graphs = [random_regular_graph(rng, n, 3) for n in (12, 14, 16, 16)]
+    assert all(len(g.components()) == 1 for g in graphs)
     expected = [(brute_independence_counts(g), brute_matching_counts(g)) for g in graphs]
+    relabeled = []
 
     def check(g, counts):
         assert list(independence_poly(g).coeffs) == counts[0]
@@ -91,15 +94,85 @@ def test_memoized_polys_match_brute_force_cold_and_warm():
         clear_memo_tables()
         check(g, counts)
     for g, counts in zip(graphs, expected):
-        check(_relabeled(g, rng), counts)  # small subproblems hit by class
+        relabeled.append(_relabeled(g, rng))
+        check(relabeled[-1], counts)  # a new label key: recomputed
         check(g, counts)
     sizes = len(polynomials._IND_MEMO), len(polynomials._MATCH_MEMO)
     for g, counts in zip(graphs, expected):
         check(g, counts)  # each labeled graph is now a hit
     assert (len(polynomials._IND_MEMO), len(polynomials._MATCH_MEMO)) == sizes
     assert b"l" + label_key(graphs[-1]) in polynomials._IND_MEMO
+    top_level = {b"l" + label_key(g) for g in graphs + relabeled}
     for memo in (polynomials._IND_MEMO, polynomials._MATCH_MEMO):
-        assert {key[:1] for key in memo} == {b"l", b"c"}
+        assert set(memo) == top_level
+
+
+def test_small_components_are_probed_by_label_then_class():
+    clear_memo_tables()
+    g = cycle(7).disjoint_union(Graph(1)).disjoint_union(petersen())
+    h = _relabeled(g, random.Random(3))
+    assert independence_poly(h) == independence_poly(g)
+    assert matching_poly(h) == matching_poly(g)
+    # two labelled components of each graph, one class each; the isolated
+    # vertex needs no entry
+    for memo in (polynomials._IND_MEMO, polynomials._MATCH_MEMO):
+        assert sorted(key[:1] for key in memo) == [b"c"] * 2 + [b"l"] * 4
+
+
+def _six_regular(rng, n):
+    # two edge-disjoint random cubic graphs on one vertex set; drawing a
+    # 6-regular graph whole by rejection takes thousands of tries
+    first, second = random_regular_graph(rng, n, 3), random_regular_graph(rng, n, 3)
+    while True:
+        other = _relabeled(second, rng)
+        if not any(a & b for a, b in zip(first.adj, other.adj)):
+            return Graph(n, first.edges() + other.edges())
+
+
+def test_mask_recursion_matches_graph_deletion_reference():
+    # components at or near the budgets of 40 edges and 30 vertices, and
+    # sparse random graphs with many components, each under shuffled labellings
+    rng = random.Random(17)
+    cases = [("matching", matching_poly, g) for g in (
+        prism(12),
+        hypercube(4),
+        random_regular_graph(rng, 26, 3),
+        random_regular_graph(rng, 20, 4),
+        random_regular_graph(rng, 16, 5),
+    )]
+    cases += [("hardcore", independence_poly, random_regular_graph(rng, 30, d)) for d in (3, 4)]
+    cases += [("hardcore", independence_poly, _six_regular(rng, 30))]
+    for _ in range(4):
+        g = random_graph(rng, 18, 0.15)
+        cases += [("hardcore", independence_poly, g), ("matching", matching_poly, g)]
+    for model, poly, g in cases:
+        want = graph_deletion_poly(g, model)
+        for h in [g] + [_relabeled(g, rng) for _ in range(3)]:
+            clear_memo_tables()
+            assert poly(h) == want
+
+
+def test_cold_matching_recursion_takes_few_steps(monkeypatch):
+    # one step per connected vertex mask of two or more vertices; with the
+    # maximum-degree vertex of the mask as pivot these take 2818 and 1842
+    steps = []
+    original = polynomials._matching_step
+
+    def counted(adj, mask, poly):
+        steps.append(mask)
+        return original(adj, mask, poly)
+
+    monkeypatch.setattr(polynomials, "_matching_step", counted)
+    for g, bound, exact in (
+        (prism(12), 700, 594),
+        (random_regular_graph(random.Random(0), 24, 3), 800, 586),
+    ):
+        clear_memo_tables()
+        steps.clear()
+        matching_poly(g)
+        assert len(steps) == len(set(steps))
+        assert len(steps) < bound
+        assert len(steps) == exact
 
 
 def test_clear_memo_tables_empties_every_table():
