@@ -5,7 +5,6 @@ probabilities, and the empirical ratio conjecture report.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -333,26 +332,3 @@ def ratio_conjecture_report(corpus, d: int, n: int):
             )
         report[which] = rows
     return report
-
-
-def monomer_entropy(d: int, rho: Fraction, n: int) -> float:
-    """log(m_{floor(rho n)}(H)) / n for the n-vertex K_{d,d} union."""
-    if not 0 <= rho <= Fraction(1, 2):
-        raise DomainError("rho must lie in [0, 1/2]")
-    if n % (2 * d):
-        raise DomainError(f"2d = {2 * d} must divide n = {n}")
-    k = int(rho * n)
-    m = matching_poly(kdd_union(d, n)).coefficient(k)
-    if m == 0:
-        raise DomainError(f"no matchings of size {k} in the reference graph")
-    return math.log(m) / n
-
-
-def monomer_entropy_table(d: int, rho: Fraction, n_max: int):
-    """(n, entropy) rows for n = 2d, 4d, ..., n_max: a convergence display."""
-    rows = []
-    n = 2 * d
-    while n <= n_max:
-        rows.append((n, monomer_entropy(d, rho, n)))
-        n += 2 * d
-    return rows

@@ -102,6 +102,18 @@ class IntPolynomial:
             acc = acc * p + c * scale
         return Fraction(acc, scale)
 
+    def homogeneous(self, p: int, q: int, n: int) -> int:
+        """q^n P(p/q) = sum c[k] p^k q^(n-k) over integers, for n >= degree:
+        the numerator of the value at p/q over the denominator q^n, for
+        callers that put several values over one denominator."""
+        if n < self.degree:
+            raise DomainError(f"degree {n} is below the polynomial's degree {self.degree}")
+        acc, scale = 0, q ** (n - self.degree)
+        for c in reversed(self.coeffs):
+            acc = acc * p + c * scale
+            scale *= q
+        return acc
+
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial(k * c for k, c in enumerate(self.coeffs) if k)
 

@@ -43,15 +43,6 @@ class NeighborhoodConfig:
     def label(self) -> str:
         return f"{self.graph.n}v{self.graph.edge_count}e#{self.index}"
 
-    def vacancy(self, lam: Fraction) -> Fraction:
-        """Probability all vertices of the neighborhood are unoccupied: 1/P(lam)."""
-        return 1 / self.poly(fugacity(lam))
-
-    def crowding(self, lam: Fraction, d: int) -> Fraction:
-        """(1+lam) P'(lam) / (d P(lam)): scaled mean occupied-neighbor count."""
-        lam = fugacity(lam)
-        return (1 + lam) * self.poly.derivative()(lam) / (d * self.poly(lam))
-
 
 @lru_cache(maxsize=None)
 def enumerate_configs(d: int):
@@ -81,22 +72,29 @@ def objective_scale(lam: Fraction) -> Fraction:
     return lam / (2 * (1 + lam))
 
 
+def _column(poly: IntPolynomial, d: int, p: int, q: int):
+    """The column of a class with independence polynomial P at lam = p/q:
+    the numerators over 2d(1+lam)P, times q^(d+1), of the objective
+    lam (d + (1+lam) P'), the mass 2d(1+lam)P and the balance
+    2(1+lam)(d - (1+lam) P')."""
+    s = p + q  # q (1 + lam)
+    top = d * q**d
+    slope = s * poly.derivative().homogeneous(p, q, d - 1)  # q^d (1+lam) P'
+    den = 2 * d * s * poly.homogeneous(p, q, d)
+    return den, p * (top + slope), (den, 2 * s * (top - slope))
+
+
 @lru_cache(maxsize=1)  # the last program: build, solve and certify share it
 def build_primal(d: int, lam: Fraction) -> LinearProgram:
     """maximize scale * sum p_C (vacancy + crowding)
-    s.t. sum p_C = 1 and sum p_C (vacancy - crowding) = 0, p >= 0."""
+    s.t. sum p_C = 1 and sum p_C (vacancy - crowding) = 0, p >= 0, with
+    scale = objective_scale(lam). The vacancy 1/P(lam) of class C is the
+    probability that all its vertices are unoccupied, and its crowding
+    (1+lam) P'(lam) / (d P(lam)) the scaled mean occupied-neighbor count."""
     lam = fugacity(lam)  # 1 and Fraction(1) share a cache entry: build exactly
-    configs = enumerate_configs(d)
-    scale = objective_scale(lam)
-    objective = []
-    balance = []
-    for cfg in configs:
-        a = cfg.vacancy(lam)
-        b = cfg.crowding(lam, d)
-        objective.append(scale * (a + b))
-        balance.append(a - b)
-    ones = [Fraction(1)] * len(configs)
-    return make_lp(objective, [ones, balance], [Fraction(1), Fraction(0)])
+    p, q = lam.numerator, lam.denominator
+    columns = [_column(cfg.poly, d, p, q) for cfg in enumerate_configs(d)]
+    return LinearProgram.from_columns(columns, [Fraction(1), Fraction(0)])
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,14 @@
 
     maximize c . x   subject to   A x = b,  x >= 0
 
-Entries are ints or Fractions, never floats. Each column is also carried
-once in integer form (q_j, e_j, a_j): c_j = e_j / q_j and A_j = a_j / q_j,
-with q_j > 0 the least common denominator of the column.
+A program is held as integer columns: column j is (q_j, e_j, a_j) with
+c_j = e_j / q_j and A_j = a_j / q_j, q_j > 0 and gcd(q_j, e_j, a_j) = 1,
+so q_j is the least common denominator of the column. The rhs b is kept in
+Fractions. `LinearProgram.from_columns` takes columns over any positive
+scale, which is how the certify programs are built, and `make_lp` takes int
+or Fraction entries and converts each column through the lcm of its
+denominators. The Fraction views `objective` and `rows` are derived on
+first use; the solver and the certificate checks read the columns.
 
 Two-phase revised simplex. It keeps the basis inverse B^-1 (rows x rows)
 and the basic values x_B as Fractions, and prices with y = c_B B^-1 written
@@ -23,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .errors import CertificateError, StructureError
@@ -33,41 +38,50 @@ ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class LinearProgram:
-    objective: tuple
-    rows: tuple
+    """max c . x, A x = b, x >= 0 as integer columns and a Fraction rhs;
+    build one with `from_columns` or `make_lp`."""
+
+    integer_columns: tuple  # (q_j, e_j, a_j) per column, in lowest terms
     rhs: tuple
 
     def __post_init__(self):
-        ncols = len(self.objective)
-        if len(self.rows) != len(self.rhs):
-            raise StructureError("row count does not match rhs length")
-        _check_exact(self.objective, "objective column {}")
-        for r, row in enumerate(self.rows):
-            if len(row) != ncols:
-                raise StructureError(f"row {r} has {len(row)} entries, need {ncols}")
-            _check_exact(row, f"row {r} column {{}}")
         _check_exact(self.rhs, "rhs row {}")
+        for j, (q, e, a) in enumerate(self.integer_columns):
+            if len(a) != self.nrows:
+                raise StructureError(f"column {j} has {len(a)} entries, need {self.nrows}")
+            if not all(type(x) is int for x in (q, e, *a)) or q <= 0:
+                raise StructureError(f"column {j} is not (q, e, a) over ints with q > 0")
+
+    @classmethod
+    def from_columns(cls, columns, rhs) -> LinearProgram:
+        """The program whose column j is c_j = e_j / q_j, A_j = a_j / q_j for
+        integers (q_j, e_j, a_j) with q_j > 0: each is divided by its gcd."""
+        reduced = []
+        for q, e, a in columns:
+            g = gcd(q, e, *a) or 1  # an all-zero column is rejected below
+            reduced.append((q // g, e // g, tuple(x // g for x in a)))
+        return cls(tuple(reduced), _fractions(rhs))
 
     @property
     def ncols(self) -> int:
-        return len(self.objective)
+        return len(self.integer_columns)
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self.rhs)
 
     @cached_property
-    def integer_columns(self) -> tuple:
-        """Each column j once as (q_j, e_j, a_j): c_j = e_j / q_j and
-        A_j = a_j / q_j in ints, q_j > 0 the least common denominator of
-        c_j and A_j. Built on first use; the simplex and dual_slacks price
-        these, while primal_value and the rhs stay over Fractions."""
-        columns = []
-        for column in zip(self.objective, *self.rows):
-            q = lcm(*(x.denominator for x in column))
-            e, *a = (x.numerator * (q // x.denominator) for x in column)
-            columns.append((q, e, tuple(a)))
-        return tuple(columns)
+    def objective(self) -> tuple:
+        """c as Fractions."""
+        return tuple(Fraction(e, q) for q, e, _ in self.integer_columns)
+
+    @cached_property
+    def rows(self) -> tuple:
+        """A as a tuple of Fraction rows."""
+        return tuple(
+            tuple(Fraction(a[r], q) for q, _, a in self.integer_columns)
+            for r in range(self.nrows)
+        )
 
 
 def _check_exact(values, where: str):
@@ -83,11 +97,23 @@ def _fractions(values) -> tuple:
 
 
 def make_lp(objective, rows, rhs) -> LinearProgram:
-    """The program max c . x, A x = b, x >= 0 with its ints made Fractions;
-    an entry that is neither raises StructureError naming it."""
-    return LinearProgram(
-        _fractions(objective), tuple(_fractions(row) for row in rows), _fractions(rhs)
-    )
+    """The program max c . x, A x = b, x >= 0 from int or Fraction entries,
+    each column over the least common denominator of its entries; an entry
+    that is neither raises StructureError naming it."""
+    objective, rows, rhs = tuple(objective), [tuple(row) for row in rows], tuple(rhs)
+    if len(rows) != len(rhs):
+        raise StructureError("row count does not match rhs length")
+    _check_exact(objective, "objective column {}")
+    for r, row in enumerate(rows):
+        if len(row) != len(objective):
+            raise StructureError(f"row {r} has {len(row)} entries, need {len(objective)}")
+        _check_exact(row, f"row {r} column {{}}")
+    columns = []
+    for column in zip(objective, *rows):
+        q = lcm(*(x.denominator for x in column))
+        e, *a = (x.numerator * (q // x.denominator) for x in column)
+        columns.append((q, e, tuple(a)))
+    return LinearProgram(tuple(columns), _fractions(rhs))
 
 
 @dataclass(frozen=True)
@@ -257,18 +283,24 @@ def solve(lp: LinearProgram) -> LPSolution:
 
 def primal_value(lp: LinearProgram, x) -> Fraction:
     """c . x of a feasible point x: raises CertificateError naming the
-    first row with A x != b, or the first negative entry."""
+    first row with A x != b, or the first negative entry. With x_j / q_j
+    = w_j / D over one denominator, row r is (sum w_j a_jr) / D."""
     if len(x) != lp.ncols:
         raise StructureError(f"point has {len(x)} entries for {lp.ncols} columns")
     for j, v in enumerate(x):
         if v < 0:
             raise CertificateError(f"negative entry {v} in column {j}", ("column", j))
-    support = [(j, v) for j, v in enumerate(x) if v != 0]
-    for r, (row, b) in enumerate(zip(lp.rows, lp.rhs)):
-        lhs = sum((row[j] * v for j, v in support), ZERO)
+    support, scaled = [], []
+    for (q, e, a), v in zip(lp.integer_columns, x):
+        if v != 0:
+            support.append((e, a))
+            scaled.append(Fraction(v, q))
+    weights, den = _over_one_denominator(scaled)
+    for r, b in enumerate(lp.rhs):
+        lhs = Fraction(sum(w * a[r] for w, (_, a) in zip(weights, support)), den)
         if lhs != b:
             raise CertificateError(f"row {r} violated: A x = {lhs}, b = {b}", ("row", r))
-    return sum((lp.objective[j] * v for j, v in support), ZERO)
+    return Fraction(sum(w * e for w, (e, _) in zip(weights, support)), den)
 
 
 def _check_optimal(lp: LinearProgram, sol: LPSolution):

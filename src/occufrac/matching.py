@@ -20,7 +20,7 @@ from .errors import CertificateError, DomainError
 from .exactmath import IntPolynomial, fugacity
 from .graphs import Graph, regular_degree
 from .hardcore import CertificateReport
-from .lp import LinearProgram, dual_slacks, make_lp, primal_value
+from .lp import LinearProgram, dual_slacks, primal_value
 from .polynomials import (
     edge_occupancy,
     kdd_edge_occupancy,
@@ -80,74 +80,51 @@ def _star(t: int, lam: Fraction) -> Fraction:
     return 1 + t * lam
 
 
-def marginal_from_edge(i: int, j: int, k: int, lam: Fraction, d: int):
-    """Law of the number of uncovered same-side neighbors of the chosen
-    edge, conditioned on the configuration. Vector over t = 0..d-1;
-    coinciding case values accumulate."""
-    lam = fugacity(lam)
-    _check_triple(i, j, k, d)
-    z = conditional_partition(i, j, k, lam)
-    out = [Fraction(0)] * d
-    pend = i * lam * _star(j + k, lam) + k * lam * _star(j + k - 1, lam)
+def _marginal_gap(i: int, j: int, k: int, d: int, p: int, q: int) -> list:
+    """Neighbor marginal minus edge marginal of (i, j, k) at lam = p/q for
+    t = 0..d-2, times (d-1) q^2 (lam + M): each entry is a form of degree 2
+    in (p, q). Conditioned on the configuration, the edge marginal is the
+    law of the number of uncovered same-side neighbors of the chosen edge,
+    and the neighbor marginal that of the number of uncovered neighbors, on
+    the side of the chosen edge, of a uniform same-side neighboring edge."""
+    pq, qq = p * q, q * q
+    pend = i * p * (q + (j + k) * p) + k * p * (q + (j + k - 1) * p)
+    a = i + k
+    gap = [0] * (d - 1)
     for t, weight in (
-        (0, lam),
-        (1, pend),
-        (i + k, _star(j, lam)),
-        (i + k - 1, k * lam),
+        (0, pend - (d - 1) * pq),
+        (1, (d - 1) * pq - pend),
+        (a - 2, (a - 1) * k * pq),
+        (a - 1, (a * j - (a - 1) * k) * pq),
+        (a, (a - d + 1) * qq - a * j * pq),
+        (a + 1, (d - 1 - a) * qq),
     ):
-        if weight:
-            out[t] += weight  # t is in range whenever the weight is nonzero
-    return [w / z for w in out]
-
-
-def marginal_from_neighbor(i: int, j: int, k: int, lam: Fraction, d: int):
-    """Law of the number of uncovered neighbors, on the side of the chosen
-    edge, of a uniform same-side neighboring edge. Vector over t = 0..d-1."""
-    lam = fugacity(lam)
-    _check_triple(i, j, k, d)
-    if d < 2:
-        raise DomainError("need d >= 2")
-    z = (d - 1) * conditional_partition(i, j, k, lam)
-    pend = i * lam * _star(j + k, lam) + k * lam * _star(j + k - 1, lam)
-    out = [Fraction(0)] * d
-    for t, weight in (
-        (0, pend),
-        (1, (d - 1) * lam + (d - 2) * pend),
-        (i + k - 2, (i + k - 1) * k * lam),
-        (i + k - 1, (d - i - k) * k * lam + (i + k) * j * lam),
-        (i + k, (d - 1 - i - k) * j * lam + (i + k)),
-        (i + k + 1, d - 1 - i - k),
-    ):
-        if weight:
-            out[t] += weight
-    return [w / z for w in out]
+        if 0 <= t < d - 1:  # weights off 0..d-1 are zero, and t = d-1 has no row
+            gap[t] += weight
+    return gap
 
 
 @lru_cache(maxsize=1)  # the last program: build, solve and certify share it
 def build_primal(d: int, lam: Fraction) -> LinearProgram:
     """maximize sum q(i,j,k) * local_edge_occupancy subject to sum q = 1 and,
-    for t = 0..d-2, equality of the symmetrized neighbor/edge marginals."""
+    for t = 0..d-2, equality of the symmetrized neighbor/edge marginals.
+
+    Column (i, j, k) is over 2(d-1)(lam + M), M = local_matching_poly(i, j, k),
+    with numerators evaluated as forms of degree 2 at lam = p/q: lam M' in
+    the objective, the denominator itself in the mass row, and in marginal
+    row t the gap of (i, j, k) plus the gap of its (j, i, k) twin, which
+    has the same M."""
     lam = fugacity(lam)  # 1 and Fraction(1) share a cache entry: build exactly
+    p, q = lam.numerator, lam.denominator
     triples = enumerate_triples(d)
-    objective = [local_edge_occupancy(i, j, k, lam, d) for i, j, k in triples]
-    rows = [[Fraction(1)] * len(triples)]
-    cols = {}
+    gaps = {triple: _marginal_gap(*triple, d, p, q) for triple in triples}
+    columns = []
     for i, j, k in triples:
-        ge = marginal_from_edge(i, j, k, lam, d)
-        gf = marginal_from_neighbor(i, j, k, lam, d)
-        cols[(i, j, k)] = (ge, gf)
-    for t in range(d - 1):
-        row = []
-        for i, j, k in triples:
-            ge_ij, gf_ij = cols[(i, j, k)]
-            ge_ji, gf_ji = cols[(j, i, k)]
-            row.append(
-                Fraction(1, 2)
-                * (gf_ij[t] + gf_ji[t] - ge_ij[t] - ge_ji[t])
-            )
-        rows.append(row)
-    rhs = [Fraction(1)] + [Fraction(0)] * (d - 1)
-    return make_lp(objective, rows, rhs)
+        m = local_matching_poly(i, j, k)
+        den = 2 * (d - 1) * (p * q + m.homogeneous(p, q, 2))
+        marginal = [x + y for x, y in zip(gaps[(i, j, k)], gaps[(j, i, k)])]
+        columns.append((den, p * m.derivative().homogeneous(p, q, 1), [den] + marginal))
+    return LinearProgram.from_columns(columns, [Fraction(1)] + [Fraction(0)] * (d - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ These deliberately avoid the library's recurrence/solver code paths:
 polynomials come from raw subset enumeration, LP optima from basis
 enumeration, conditional marginals from direct matching enumeration, the dense
 tableau simplex with Bland's rule that the revised solver replaced, dual
-slacks priced entry by entry in Fractions, and the Graph-object deletion
-recurrences that the vertex-mask recursion replaced.
+slacks priced entry by entry in Fractions, the Graph-object deletion
+recurrences that the vertex-mask recursion replaced, and the Fraction-entry
+builds of the two certify programs that the integer-column builds replaced.
 """
 
 from fractions import Fraction
@@ -21,8 +22,9 @@ from occufrac.graphs import (
     mask_vertices,
     regular_degree,
 )
-from occufrac.hardcore import enumerate_configs
+from occufrac.hardcore import enumerate_configs, objective_scale
 from occufrac.lp import LPSolution
+from occufrac.matching import conditional_partition, enumerate_triples, local_edge_occupancy
 from occufrac.polynomials import independent_sets, matchings
 
 
@@ -298,6 +300,90 @@ def fraction_dual_slacks(lp, dual):
                 s += dual[r] * lp.rows[r][j]
         slacks.append(s)
     return tuple(slacks)
+
+
+def vacancy(cfg, lam: Fraction) -> Fraction:
+    """Probability all vertices of the neighborhood class are unoccupied: 1/P(lam)."""
+    return 1 / cfg.poly(lam)
+
+
+def crowding(cfg, lam: Fraction, d: int) -> Fraction:
+    """(1+lam) P'(lam) / (d P(lam)): scaled mean occupied-neighbor count."""
+    return (1 + lam) * cfg.poly.derivative()(lam) / (d * cfg.poly(lam))
+
+
+def fraction_hardcore_primal(d: int, lam: Fraction):
+    """(objective, rows, rhs) of hardcore.build_primal(d, lam) in Fractions,
+    entry by entry from the vacancy and crowding of each class."""
+    scale = objective_scale(lam)
+    objective, balance = [], []
+    for cfg in enumerate_configs(d):
+        a, b = vacancy(cfg, lam), crowding(cfg, lam, d)
+        objective.append(scale * (a + b))
+        balance.append(a - b)
+    return objective, [[Fraction(1)] * len(objective), balance], [Fraction(1), Fraction(0)]
+
+
+def _star(t: int, lam: Fraction) -> Fraction:
+    return 1 + t * lam
+
+
+def marginal_from_edge(i: int, j: int, k: int, lam: Fraction, d: int):
+    """Law of the number of uncovered same-side neighbors of the chosen
+    edge, conditioned on the configuration. Vector over t = 0..d-1;
+    coinciding case values accumulate."""
+    z = conditional_partition(i, j, k, lam)
+    out = [Fraction(0)] * d
+    pend = i * lam * _star(j + k, lam) + k * lam * _star(j + k - 1, lam)
+    for t, weight in (
+        (0, lam),
+        (1, pend),
+        (i + k, _star(j, lam)),
+        (i + k - 1, k * lam),
+    ):
+        if weight:
+            out[t] += weight  # t is in range whenever the weight is nonzero
+    return [w / z for w in out]
+
+
+def marginal_from_neighbor(i: int, j: int, k: int, lam: Fraction, d: int):
+    """Law of the number of uncovered neighbors, on the side of the chosen
+    edge, of a uniform same-side neighboring edge. Vector over t = 0..d-1."""
+    z = (d - 1) * conditional_partition(i, j, k, lam)
+    pend = i * lam * _star(j + k, lam) + k * lam * _star(j + k - 1, lam)
+    out = [Fraction(0)] * d
+    for t, weight in (
+        (0, pend),
+        (1, (d - 1) * lam + (d - 2) * pend),
+        (i + k - 2, (i + k - 1) * k * lam),
+        (i + k - 1, (d - i - k) * k * lam + (i + k) * j * lam),
+        (i + k, (d - 1 - i - k) * j * lam + (i + k)),
+        (i + k + 1, d - 1 - i - k),
+    ):
+        if weight:
+            out[t] += weight
+    return [w / z for w in out]
+
+
+def fraction_matching_primal(d: int, lam: Fraction):
+    """(objective, rows, rhs) of matching.build_primal(d, lam) in Fractions:
+    the mass row, then for t = 0..d-2 half the neighbor-minus-edge marginal
+    of each triple plus that of its (j, i, k) twin."""
+    triples = enumerate_triples(d)
+    objective = [local_edge_occupancy(i, j, k, lam, d) for i, j, k in triples]
+    laws = {
+        (i, j, k): (marginal_from_edge(i, j, k, lam, d), marginal_from_neighbor(i, j, k, lam, d))
+        for i, j, k in triples
+    }
+    rows = [[Fraction(1)] * len(triples)]
+    for t in range(d - 1):
+        row = []
+        for i, j, k in triples:
+            ge_ij, gf_ij = laws[(i, j, k)]
+            ge_ji, gf_ji = laws[(j, i, k)]
+            row.append(Fraction(1, 2) * (gf_ij[t] + gf_ji[t] - ge_ij[t] - ge_ji[t]))
+        rows.append(row)
+    return objective, rows, [Fraction(1)] + [Fraction(0)] * (d - 1)
 
 
 def empirical_edge_marginals(g: Graph, lam: Fraction):

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -12,8 +11,6 @@ from occufrac.bounds import (
     log_concavity_check,
     mode_probability_bound_check,
     mode_probability_exceeds_half_inv_sqrt,
-    monomer_entropy,
-    monomer_entropy_table,
     ratio_conjecture_report,
     tree_occupancy,
     uniqueness_threshold,
@@ -272,17 +269,6 @@ def test_ratio_conjecture_never_raises_on_ties():
         [("prism3", prism(3)), ("K33", complete_bipartite(3))], 3, 6
     )
     assert report["independent"]
-
-
-def test_monomer_entropy():
-    assert monomer_entropy(2, Fraction(0), 8) == 0
-    assert monomer_entropy(2, Fraction(1, 2), 8) == math.log(4) / 8
-    with pytest.raises(DomainError):
-        monomer_entropy(2, Fraction(1, 2), 6)
-    table = monomer_entropy_table(2, Fraction(1, 4), 24)
-    assert [n for n, _ in table] == [4, 8, 12, 16, 20, 24]
-    values = [v for _, v in table]
-    assert values == sorted(values)  # monotone display for this rho
 
 
 def test_occupancy_vs_tree_value_orders():

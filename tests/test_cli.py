@@ -1,5 +1,6 @@
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -57,6 +58,17 @@ def test_certify_matching(capsys):
     assert block["optimum"] == "7/34"
     assert block["laguerre"] is True
     assert len(block["slacks"]) == 14
+
+
+def test_certify_matching_beyond_the_benchmark_degrees(capsys):
+    code, report, _ = run_cli(capsys, "certify", "matching", "--d", "20", "--lambda", "7/5")
+    assert (code, report["verdict"]) == (0, "pass")
+    slacks = report["results"]["7/5"]["slacks"]
+    assert len(slacks) == 20 * 21 * 41 // 6
+    for label, slack in slacks:
+        i, j, k = map(int, label.strip("()").split(","))
+        if (i, j, k) != (i, i, 0):
+            assert Fraction(slack) > 0, label
 
 
 def test_zero_fugacity_is_usage_error(capsys):

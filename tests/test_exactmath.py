@@ -69,8 +69,13 @@ def test_integer_horner_matches_fraction_horner():
             value = poly(x)
             assert type(value) is Fraction
             assert value == fraction_horner(poly.coeffs, x)
+            p, q = Fraction(x).numerator, Fraction(x).denominator
+            for n in (max(poly.degree, 0), poly.degree + 3):
+                assert poly.homogeneous(p, q, n) == value * q**n
     with pytest.raises(StructureError, match="^polynomial argument 0.5 is not an int or a Fraction$"):
         IntPolynomial((1, 2))(0.5)
+    with pytest.raises(DomainError, match="^degree 1 is below the polynomial's degree 2$"):
+        IntPolynomial((1, 2, 3)).homogeneous(1, 2, 1)
 
 
 def test_poly_derivative_known_values():

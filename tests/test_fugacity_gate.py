@@ -16,7 +16,7 @@ import pytest
 from occufrac import bounds, hardcore, matching, polynomials
 from occufrac.errors import DomainError
 from occufrac.graphs import Graph, cycle
-from occufrac.hardcore import NeighborhoodConfig, enumerate_configs
+from occufrac.hardcore import NeighborhoodConfig
 from occufrac.polynomials import kdd_independence_poly
 
 GATE_MESSAGE = "fugacity must be positive"
@@ -24,10 +24,6 @@ MODULES = (polynomials, hardcore, matching, bounds)
 ONE = Fraction(1)
 C6 = cycle(6)
 EDGE = Graph(2, [(0, 1)])
-
-
-def _config():
-    return enumerate_configs(2)[-1]  # the one class on 2 vertices with an edge
 
 
 CALLS = {
@@ -41,8 +37,6 @@ CALLS = {
     "polynomials.event_probability_oracle": lambda lam: polynomials.event_probability_oracle(
         C6, "hardcore", lam, lambda s: 0 in s
     ),
-    "NeighborhoodConfig.vacancy": lambda lam: _config().vacancy(lam),
-    "NeighborhoodConfig.crowding": lambda lam: _config().crowding(lam, 2),
     "hardcore.objective_scale": lambda lam: hardcore.objective_scale(lam),
     "hardcore.build_primal": lambda lam: hardcore.build_primal(2, lam),
     "hardcore.solver_dual_for_certificate": lambda lam: hardcore.solver_dual_for_certificate(
@@ -64,10 +58,6 @@ CALLS = {
     ),
     "matching.conditional_partition": lambda lam: matching.conditional_partition(1, 1, 0, lam),
     "matching.local_edge_occupancy": lambda lam: matching.local_edge_occupancy(
-        1, 1, 0, lam, 3
-    ),
-    "matching.marginal_from_edge": lambda lam: matching.marginal_from_edge(1, 1, 0, lam, 3),
-    "matching.marginal_from_neighbor": lambda lam: matching.marginal_from_neighbor(
         1, 1, 0, lam, 3
     ),
     "matching.build_primal": lambda lam: matching.build_primal(3, lam),

@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from _oracles import crowding, vacancy
 from occufrac.errors import CapabilityError, CertificateError, DomainError
 from occufrac.exactmath import IntPolynomial
 from occufrac.graphs import Graph, complete, complete_bipartite, cycle, petersen
 from occufrac.hardcore import (
-    NeighborhoodConfig,
     build_primal,
     check_mean_size_dominance,
     dual_certificate,
@@ -54,12 +54,12 @@ def test_config_weights_special_values():
             configs = enumerate_configs(d)
             empty = configs[0]
             edgeless = configs[edgeless_config_index(d)]
-            assert empty.vacancy(lam) == 1
-            assert empty.crowding(lam, d) == 0
-            assert edgeless.vacancy(lam) == 1 / (1 + lam) ** d
-            assert edgeless.crowding(lam, d) == 1
+            assert vacancy(empty, lam) == 1
+            assert crowding(empty, lam, d) == 0
+            assert vacancy(edgeless, lam) == 1 / (1 + lam) ** d
+            assert crowding(edgeless, lam, d) == 1
             for cfg in configs:
-                assert 0 < cfg.vacancy(lam) <= 1
+                assert 0 < vacancy(cfg, lam) <= 1
 
 
 def test_primal_known_value_d2():
@@ -91,9 +91,6 @@ def test_integer_fugacity_gives_fractions():
             (check_mean_size_dominance(g, 3, lam)[1], check_mean_size_dominance(g, 3, exact)[1]),
             (triangle_free_lp(3, lam)[1], triangle_free_lp(3, exact)[1]),
         ]
-        for cfg in enumerate_configs(3):
-            pairs.append((cfg.vacancy(lam), cfg.vacancy(exact)))
-            pairs.append((cfg.crowding(lam, 3), cfg.crowding(exact, 3)))
         for got, want in pairs:
             assert type(got) is Fraction
             assert got == want
@@ -319,18 +316,24 @@ def test_objective_value_rejects_infeasible_points():
 def test_corrupted_crowding_is_detected(monkeypatch):
     # mutation contract, twin of the matching one: a wrong crowding on a
     # class that carries mass must surface as a failing law check
+    import occufrac.hardcore as mod
+
     target = edgeless_config_index(2)  # both neighbors free, not adjacent
     assert free_neighborhood_distribution(cycle(6), ONE)[target] > 0
-    original = NeighborhoodConfig.crowding
+    edgeless = enumerate_configs(2)[target].poly
+    original = mod._column
 
-    def corrupted(self, lam, d):
-        value = original(self, lam, d)
-        return value + 1 if self.index == target else value
+    def corrupted(poly, d, p, q):
+        den, objective, (mass, balance) = original(poly, d, p, q)
+        if poly == edgeless:  # crowding one more: the balance entry one less
+            balance -= den
+        return den, objective, (mass, balance)
 
-    monkeypatch.setattr(NeighborhoodConfig, "crowding", corrupted)
+    monkeypatch.setattr(mod, "_column", corrupted)
     build_primal.cache_clear()  # the warm-up call cached the clean program
     with pytest.raises(CertificateError, match="row 1"):
         free_neighborhood_distribution(cycle(6), ONE)
+    build_primal.cache_clear()
 
 
 def test_perturbed_balance_price_fails_certificate(monkeypatch):

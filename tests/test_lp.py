@@ -4,7 +4,13 @@ from math import gcd
 
 import pytest
 
-from _oracles import brute_lp_max, fraction_dual_slacks, tableau_solve
+from _oracles import (
+    brute_lp_max,
+    fraction_dual_slacks,
+    fraction_hardcore_primal,
+    fraction_matching_primal,
+    tableau_solve,
+)
 from occufrac import hardcore, matching
 from occufrac import lp as lp_module
 from occufrac.corpus import FUGACITY_GRID
@@ -60,7 +66,7 @@ def test_floats_are_rejected_with_their_position():
     with pytest.raises(StructureError, match="^rhs row 0 is 1.0, not an int or a Fraction$"):
         make_lp([1, 1], [[1, 1]], [1.0])
     with pytest.raises(StructureError, match="^row 0 column 0 is '1/2', not an int or a Fraction$"):
-        LinearProgram((ONE,), (("1/2",),), (ONE,))
+        make_lp((ONE,), (("1/2",),), (ONE,))
     with pytest.raises(StructureError, match="^dual entry 0 is 0.5, not an int or a Fraction$"):
         dual_slacks(make_lp([1, 1], [[1, 1]], [1]), [0.5])
     report = dual_slacks(make_lp([1, Fraction(1, 2)], [[1, 1]], [1]), [1])
@@ -323,6 +329,56 @@ def test_integer_columns_of_the_certify_programs(lam):
         _assert_integer_columns(hardcore.build_primal(d, lam))
     for d in range(2, 10):
         _assert_integer_columns(matching.build_primal(d, lam))
+
+
+# p/q with p != q in 5..9, the kind of fugacity the benchmark draws
+BENCHMARK_STYLE = (Fraction(7, 5), Fraction(5, 8), Fraction(9, 7), Fraction(6, 5))
+
+
+@pytest.mark.parametrize("lam", FUGACITY_GRID + BENCHMARK_STYLE)
+def test_certify_programs_match_the_fraction_builders(lam):
+    cases = [(hardcore.build_primal, fraction_hardcore_primal, d) for d in range(2, 8)]
+    cases += [(matching.build_primal, fraction_matching_primal, d) for d in range(2, 11)]
+    for build, reference, d in cases:
+        objective, rows, rhs = reference(d, lam)
+        program = build(d, lam)
+        assert program.integer_columns == make_lp(objective, rows, rhs).integer_columns
+        assert program.objective == tuple(objective)
+        assert program.rows == tuple(tuple(row) for row in rows)
+        assert program.rhs == tuple(rhs)
+        _assert_integer_columns(program)
+
+
+def test_columns_constructor_reduces_and_validates():
+    half = Fraction(1, 2)
+    program = LinearProgram.from_columns([(4, 2, (6, -2)), (3, 0, (0, 0))], [1, half])
+    assert program.integer_columns == ((2, 1, (3, -1)), (1, 0, (0, 0)))
+    assert program == make_lp([half, 0], [[3 * half, 0], [-half, 0]], [1, half])
+    assert type(program.rhs[0]) is Fraction
+    with pytest.raises(StructureError, match="^column 0 has 1 entries, need 2$"):
+        LinearProgram.from_columns([(1, 1, (1,))], [1, 1])
+    for column in ((-1, 1, (1,)), (0, 0, (0,)), (1, Fraction(1, 2), (1,))):
+        with pytest.raises(StructureError, match="^column 0 is not"):
+            LinearProgram((column,), (ONE,))
+    for column in ((-2, 2, (4,)), (0, 0, (0,))):
+        with pytest.raises(StructureError, match="^column 0 is not"):
+            LinearProgram.from_columns([column], [ONE])
+
+
+@pytest.mark.parametrize("lam", [ONE, Fraction(7, 5)])
+def test_certify_never_builds_the_fraction_rows(lam):
+    # solve, certificate and law checks all read the integer columns
+    for module, certify, d in (
+        (hardcore, hardcore.dual_certificate, 7),
+        (matching, matching.check_dual_constraints, 9),
+    ):
+        module.build_primal.cache_clear()
+        program = module.build_primal(d, lam)
+        sol = solve(program)
+        certify(d, lam)
+        assert primal_value(program, sol.primal) == sol.value
+        assert module.build_primal(d, lam) is program
+        assert "rows" not in vars(program)
 
 
 def _rational_lp(rng):

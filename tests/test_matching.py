@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import empirical_edge_marginals
+from _oracles import empirical_edge_marginals, marginal_from_edge, marginal_from_neighbor
 from occufrac.errors import CapabilityError, CertificateError, DomainError
 from occufrac.graphs import complete, complete_bipartite, cycle, prism, regular_degree
 from occufrac.lp import dual_slacks, solve
@@ -19,8 +19,6 @@ from occufrac.matching import (
     laguerre_identity_residual,
     local_edge_occupancy,
     local_matching_poly,
-    marginal_from_edge,
-    marginal_from_neighbor,
     objective_value,
     reduced_slack,
     slack_profile,
@@ -349,24 +347,26 @@ def test_edge_neighborhood_capability():
 
 
 def test_corrupted_neighbor_marginal_is_detected(monkeypatch):
-    # mutation contract: a wrong neighbor-marginal formula must surface as
-    # a named failing constraint, not slip through silently
+    # mutation contract: a wrong neighbor-marginal entry must surface as a
+    # named failing constraint, not slip through silently
     import occufrac.matching as mod
 
-    original = mod.marginal_from_neighbor
+    original = mod._marginal_gap
 
-    def corrupted(i, j, k, lam, d):
-        out = list(original(i, j, k, lam, d))
+    def corrupted(i, j, k, d, p, q):
+        gap = original(i, j, k, d, p, q)
         if (i, j, k) == (1, 1, 0):
-            out[0], out[1] = out[1], out[0]
-        return out
+            gap[0] -= p * q  # a wrong neighbor weight at t = 0
+        return gap
 
-    monkeypatch.setattr(mod, "marginal_from_neighbor", corrupted)
+    monkeypatch.setattr(mod, "_marginal_gap", corrupted)
+    build_primal.cache_clear()
     with pytest.raises(CertificateError, match="t="):
         edge_neighborhood_distribution(complete_bipartite(2), ONE)
-    # and the LP built from the corrupted marginals misses the true optimum
+    # and the LP built from the corrupted column misses the true optimum
     sol = solve(build_primal(2, ONE))
     assert sol.value != kdd_edge_occupancy(2, ONE)
+    build_primal.cache_clear()
 
 
 def test_dual_certificates_beyond_acceptance_grid():
