@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from occufrac.exactmath import IntPolynomial
+from occufrac.exactmath import IntPolynomial, fugacity
 from occufrac.graphs import (
     CANONICAL_LIMIT,
     Graph,
@@ -304,11 +304,12 @@ def fraction_dual_slacks(lp, dual):
 
 def vacancy(cfg, lam: Fraction) -> Fraction:
     """Probability all vertices of the neighborhood class are unoccupied: 1/P(lam)."""
-    return 1 / cfg.poly(lam)
+    return 1 / cfg.poly(fugacity(lam))
 
 
 def crowding(cfg, lam: Fraction, d: int) -> Fraction:
     """(1+lam) P'(lam) / (d P(lam)): scaled mean occupied-neighbor count."""
+    lam = fugacity(lam)
     return (1 + lam) * cfg.poly.derivative()(lam) / (d * cfg.poly(lam))
 
 
@@ -332,6 +333,7 @@ def marginal_from_edge(i: int, j: int, k: int, lam: Fraction, d: int):
     """Law of the number of uncovered same-side neighbors of the chosen
     edge, conditioned on the configuration. Vector over t = 0..d-1;
     coinciding case values accumulate."""
+    lam = fugacity(lam)
     z = conditional_partition(i, j, k, lam)
     out = [Fraction(0)] * d
     pend = i * lam * _star(j + k, lam) + k * lam * _star(j + k - 1, lam)
@@ -349,6 +351,7 @@ def marginal_from_edge(i: int, j: int, k: int, lam: Fraction, d: int):
 def marginal_from_neighbor(i: int, j: int, k: int, lam: Fraction, d: int):
     """Law of the number of uncovered neighbors, on the side of the chosen
     edge, of a uniform same-side neighboring edge. Vector over t = 0..d-1."""
+    lam = fugacity(lam)
     z = (d - 1) * conditional_partition(i, j, k, lam)
     pend = i * lam * _star(j + k, lam) + k * lam * _star(j + k - 1, lam)
     out = [Fraction(0)] * d

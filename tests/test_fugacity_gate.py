@@ -3,7 +3,10 @@ lam <= 0 with one message and computes an int lam as the exact Fraction.
 
 A new public function with a `lam` parameter in one of the modules below
 fails `test_every_fugacity_function_has_a_call` until it gets a call in
-CALLS, which the other tests then run through the gate.
+CALLS, which the other tests then run through the gate. The Fraction
+reference functions in `_oracles` that the differential tests compare the
+integer-column builds against hold the same contract; REFERENCE_CALLS runs
+them under the names of the package functions they replaced.
 """
 
 import inspect
@@ -13,10 +16,12 @@ from pathlib import Path
 
 import pytest
 
+from _oracles import crowding, marginal_from_edge, marginal_from_neighbor, vacancy
+
 from occufrac import bounds, hardcore, matching, polynomials
 from occufrac.errors import DomainError
 from occufrac.graphs import Graph, cycle
-from occufrac.hardcore import NeighborhoodConfig
+from occufrac.hardcore import NeighborhoodConfig, enumerate_configs
 from occufrac.polynomials import kdd_independence_poly
 
 GATE_MESSAGE = "fugacity must be positive"
@@ -24,6 +29,10 @@ MODULES = (polynomials, hardcore, matching, bounds)
 ONE = Fraction(1)
 C6 = cycle(6)
 EDGE = Graph(2, [(0, 1)])
+
+
+def _config():
+    return enumerate_configs(2)[-1]  # the one class on 2 vertices with an edge
 
 
 CALLS = {
@@ -81,6 +90,14 @@ CALLS = {
     "bounds.variance_check": lambda lam: bounds.variance_check(2, lam),
 }
 
+REFERENCE_CALLS = {
+    "NeighborhoodConfig.vacancy": lambda lam: vacancy(_config(), lam),
+    "NeighborhoodConfig.crowding": lambda lam: crowding(_config(), lam, 2),
+    "matching.marginal_from_edge": lambda lam: marginal_from_edge(1, 1, 0, lam, 3),
+    "matching.marginal_from_neighbor": lambda lam: marginal_from_neighbor(1, 1, 0, lam, 3),
+}
+GATED = {**CALLS, **REFERENCE_CALLS}
+
 
 def _takes_lam(fn) -> bool:
     return "lam" in inspect.signature(fn).parameters
@@ -125,17 +142,21 @@ def test_every_fugacity_function_has_a_call():
     assert _fugacity_functions() == set(CALLS)
 
 
-@pytest.mark.parametrize("name", sorted(CALLS))
+def test_reference_functions_left_the_package():
+    assert not set(REFERENCE_CALLS) & _fugacity_functions()
+
+
+@pytest.mark.parametrize("name", sorted(GATED))
 @pytest.mark.parametrize("bad", [0, -1])
 def test_nonpositive_fugacity_is_rejected(name, bad):
     with pytest.raises(DomainError, match=f"^{GATE_MESSAGE}$"):
-        CALLS[name](bad)
+        GATED[name](bad)
 
 
-@pytest.mark.parametrize("name", sorted(CALLS))
+@pytest.mark.parametrize("name", sorted(GATED))
 def test_int_fugacity_is_the_exact_fraction(name):
-    from_int = CALLS[name](1)
+    from_int = GATED[name](1)
     hardcore.build_primal.cache_clear()  # 1 and Fraction(1) share a cache entry
     matching.build_primal.cache_clear()
-    assert from_int == CALLS[name](ONE)
+    assert from_int == GATED[name](ONE)
     assert all(type(x) is Fraction for x in _scalars(from_int))
