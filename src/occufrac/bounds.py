@@ -198,6 +198,8 @@ def mode_probability_bound_check(d: int, n: int, model: str = "hardcore"):
     """For every size 1 <= k <= n/2, pick the equalizing fugacity (for the
     top size, the one equalizing k-1 and k) and check the mode probability
     beats 1/(2 sqrt(n)). Returns the per-k (lam, prob) list."""
+    if d < 1:
+        raise DomainError("need d >= 1")
     if n % (2 * d):
         raise DomainError(f"2d = {2 * d} must divide n = {n}")
     copies = n // (2 * d)
@@ -274,6 +276,8 @@ def given_size_bound(g: Graph) -> GivenSizeVerdict:
     d = regular_degree(g)
     if d is None:
         raise DomainError("graph must be regular")
+    if d < 1:
+        raise DomainError("graph must be d-regular with d >= 1")
     n = g.n
     if n % (2 * d):
         return GivenSizeVerdict(applicable=False, ok=True, d=d)
@@ -293,6 +297,8 @@ def ratio_conjecture_report(corpus, d: int, n: int):
     """Per-size maxima of the successive count ratios over a corpus of
     d-regular n-vertex graphs, reporting whether the K_{d,d} union attains
     each maximum. Purely empirical; never raises on a counterexample."""
+    if d < 1:
+        raise DomainError("need d >= 1")
     if n % (2 * d):
         raise DomainError(f"2d = {2 * d} must divide n = {n}")
     h = kdd_union(d, n)

@@ -182,7 +182,8 @@ def cmd_certify_hardcore(args, start):
 
 
 def cmd_certify_matching(args, start):
-    inputs = {"d": args.d, "grid": args.grid or "default"}
+    key, value = ("grid", args.grid) if args.grid else ("lambda", args.lam)
+    inputs = {"d": args.d, key: value}
     grid = _grid_arg(args.grid) if args.grid else (fugacity(parse_rational(args.lam)),)
     results_by_lam = {}
     verdict = "pass"

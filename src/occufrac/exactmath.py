@@ -9,11 +9,9 @@ evaluation at a Fraction stays exact. No floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .errors import DomainError, FormatError, StructureError
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -58,7 +56,10 @@ class IntPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [int(c) for c in coeffs]
+        cs = list(coeffs)
+        for k, c in enumerate(cs):
+            if type(c) is not int:
+                raise StructureError(f"coefficient {k} is {c!r}, not an int")
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -89,29 +90,29 @@ class IntPolynomial:
         return 0
 
     def __call__(self, x: Fraction) -> Fraction:
-        """The value at an int or Fraction x = p/q: Horner over ints gives
-        sum c[k] p^k q^(n-k) for degree n, divided by q^n once."""
+        """The value at an int or Fraction x = p/q: the integer
+        homogeneous(p, q, n) for degree n, divided by q^n once."""
         if not isinstance(x, (int, Fraction)):
             raise StructureError(f"polynomial argument {x!r} is not an int or a Fraction")
         if not self.coeffs:
             return Fraction(0)
-        p, q = x.numerator, x.denominator
-        acc, scale = self.coeffs[-1], 1
-        for c in reversed(self.coeffs[:-1]):
-            scale *= q
-            acc = acc * p + c * scale
-        return Fraction(acc, scale)
+        n, q = self.degree, x.denominator
+        return Fraction(self.homogeneous(x.numerator, q, n), q**n)
 
     def homogeneous(self, p: int, q: int, n: int) -> int:
         """q^n P(p/q) = sum c[k] p^k q^(n-k) over integers, for n >= degree:
         the numerator of the value at p/q over the denominator q^n, for
-        callers that put several values over one denominator."""
+        callers that put several values over one denominator. Horner's
+        rule from the leading coefficient down."""
         if n < self.degree:
             raise DomainError(f"degree {n} is below the polynomial's degree {self.degree}")
-        acc, scale = 0, q ** (n - self.degree)
-        for c in reversed(self.coeffs):
-            acc = acc * p + c * scale
+        if not self.coeffs:
+            return 0
+        scale = q ** (n - self.degree)
+        acc = self.coeffs[-1] * scale
+        for c in reversed(self.coeffs[:-1]):
             scale *= q
+            acc = acc * p + c * scale
         return acc
 
     def derivative(self) -> "IntPolynomial":
@@ -125,28 +126,12 @@ class IntPolynomial:
         )
 
     def __sub__(self, other):
-        other = _coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial(
-            self.coefficient(k) - other.coefficient(k) for k in range(n)
-        )
-
-    def __neg__(self):
-        return IntPolynomial(-c for c in self.coeffs)
+        return self + _coerce(other) * -1
 
     def __mul__(self, other):
         if isinstance(other, int):
             return IntPolynomial(other * c for c in self.coeffs)
-        other = _coerce(other)
-        if self.is_zero or other.is_zero:
-            return IntPolynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial(out)
+        return IntPolynomial(convolve(self.coeffs, _coerce(other).coeffs))
 
     __rmul__ = __mul__
 
@@ -172,7 +157,7 @@ class IntPolynomial:
         if isinstance(other, IntPolynomial):
             return self.coeffs == other.coeffs
         if isinstance(other, int):
-            return self.coeffs == (IntPolynomial((other,)).coeffs)
+            return self.coeffs == ((other,) if other else ())
         return NotImplemented
 
     def __hash__(self):
@@ -194,6 +179,18 @@ class IntPolynomial:
         return "IntPolynomial(" + " + ".join(terms) + ")"
 
 
+def convolve(a, b) -> tuple:
+    """The coefficients of the product of the polynomials with coefficient
+    sequences a and b (index = degree); () when either is empty."""
+    if not (a and b):
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, e in enumerate(b, i):
+            out[j] += c * e
+    return tuple(out)
+
+
 def _coerce(value) -> IntPolynomial:
     if isinstance(value, IntPolynomial):
         return value
@@ -204,6 +201,4 @@ def _coerce(value) -> IntPolynomial:
 
 def binomial_poly(d: int) -> IntPolynomial:
     """(1 + x)^d."""
-    from math import comb
-
     return IntPolynomial(comb(d, k) for k in range(d + 1))

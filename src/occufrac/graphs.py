@@ -90,25 +90,7 @@ class Graph:
 
     def components(self):
         """Vertex lists of connected components, each sorted, in order of minimum."""
-        seen = 0
-        out = []
-        for start in range(self.n):
-            if seen >> start & 1:
-                continue
-            frontier = 1 << start
-            comp = 0
-            while frontier:
-                comp |= frontier
-                nxt = 0
-                m = frontier
-                while m:
-                    low = m & -m
-                    nxt |= self.adj[low.bit_length() - 1]
-                    m ^= low
-                frontier = nxt & ~comp
-            seen |= comp
-            out.append(mask_vertices(comp))
-        return out
+        return [mask_vertices(c) for c in mask_components(self.adj, (1 << self.n) - 1)]
 
     def disjoint_union(self, other: "Graph") -> "Graph":
         shift = self.n
@@ -135,6 +117,24 @@ def mask_vertices(mask: int):
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def mask_components(adj, mask: int):
+    """Yield the connected components of the vertex bitmask `mask` in the
+    adjacency `adj`, as masks in order of lowest vertex, by a breadth-first
+    search over bitmasks."""
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & mask & ~comp
+            comp |= frontier
+        yield comp
+        mask ^= comp
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The linear program over free-neighborhood distributions for independent
 sets in d-regular graphs, with its hand-built dual certificate, plus the
-simpler triangle-free relaxation over the uncovered-neighbor count.
+exact laws of the free-neighborhood class and of the uncovered-neighbor
+count of a uniform vertex in an actual graph.
 
 The free neighborhood of a vertex v (given an independent set I) is the
 subgraph induced by those neighbors of v with no neighbor in I outside
@@ -23,7 +24,7 @@ from .graphs import (
     mask_vertices,
     regular_degree,
 )
-from .lp import LinearProgram, dual_slacks, make_lp, primal_value, solve
+from .lp import LinearProgram, dual_slacks, primal_value
 from .polynomials import independence_poly, kdd_occupancy, occupancy, state_polynomials
 
 MIN_D, MAX_D = 2, 7
@@ -154,37 +155,18 @@ def dual_certificate(d: int, lam: Fraction) -> CertificateReport:
     )
 
 
-def check_mean_size_dominance(c: Graph, d: int, lam: Fraction):
-    """Mean occupied size conditioned on non-emptiness, compared between the
-    class c and the d-vertex edgeless class:
-
-        lam P'(lam) / (P(lam) - 1)  vs  lam d (1+lam)^(d-1) / ((1+lam)^d - 1)
-
-    Returns (lhs, rhs). The inequality lhs < rhs is strict for every class
-    other than the edgeless one (where both sides coincide); lhs is
-    undefined for the empty graph.
-    """
-    lam = fugacity(lam)
-    if c.n == 0:
-        raise DomainError("conditional mean size is undefined for the empty graph")
-    if c.n > d:
-        raise DomainError("configuration exceeds d vertices")
-    p = independence_poly(c)
-    lhs = lam * p.derivative()(lam) / (p(lam) - 1)
-    rhs = lam * d * (1 + lam) ** (d - 1) / ((1 + lam) ** d - 1)
-    return lhs, rhs
-
-
 def ratio_gap_coefficients(c: Graph, d: int):
     """Integer coefficients s_1..s_2d of the polynomial
-    (x T'(x))(P(x) - 1) - (x P'(x))(T(x) - 1), with T = independence
+    R = (x T'(x))(P(x) - 1) - (x P'(x))(T(x) - 1), with T = independence
     polynomial of the d-vertex edgeless class and P that of c.
 
     Each s_k = sum_{i <= k/2} (k - 2i)(t_{k-i} r_i - t_i r_{k-i}) is
-    non-negative, and for a nonempty c some s_k is positive unless P = T;
-    this is what makes the mean-size dominance strict. (For the empty
-    graph the difference vanishes identically and the dominance question
-    does not arise.) Violations raise CertificateError.
+    non-negative, and for a nonempty c some s_k is positive unless P = T.
+    So R(lam) > 0 at every lam > 0: the strict mean-size dominance
+    lam P'/(P - 1) < lam T'/(T - 1). And x N = (1+x) R for the cleared
+    slack numerator N = d P T - d T - (1+x) P' (T - 1) of c in the dual
+    certificate, so N has non-negative coefficients too. (For the empty
+    graph R vanishes identically.) Violations raise CertificateError.
     """
     from math import comb
 
@@ -208,27 +190,6 @@ def ratio_gap_coefficients(c: Graph, d: int):
     if c.n > 0 and not is_edgeless_poly and not any(s > 0 for s in out):
         raise CertificateError(f"ratio-gap coefficients all vanish for {c!r}")
     return out
-
-
-# ---------------------------------------------------------------------------
-# Triangle-free relaxation: distribution of the uncovered-neighbor count
-
-def triangle_free_lp(d: int, lam: Fraction):
-    """LP over the law of Y in {0..d}: maximize E[Y] subject to
-    E[Y] = d E[(1+lam)^(-Y)]. Returns (program, occupancy_bound) where
-    occupancy_bound = lam/(d(1+lam)) * optimum."""
-    lam = fugacity(lam)
-    if d < 1:
-        raise DomainError("need d >= 1")
-    objective = [Fraction(t) for t in range(d + 1)]
-    ones = [Fraction(1)] * (d + 1)
-    balance = [t - d * Fraction(1, 1) / (1 + lam) ** t for t in range(d + 1)]
-    lp = make_lp(objective, [ones, balance], [Fraction(1), Fraction(0)])
-    sol = solve(lp)
-    if sol.status != "optimal":
-        raise CertificateError(f"triangle-free relaxation not optimal: {sol.status}")
-    bound = lam / (d * (1 + lam)) * sol.value
-    return lp, bound
 
 
 def uncovered_count_distribution(g: Graph, lam: Fraction):

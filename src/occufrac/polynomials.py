@@ -16,8 +16,15 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import CapabilityError, DomainError
-from .exactmath import IntPolynomial, binomial_poly, fugacity
-from .graphs import CANONICAL_LIMIT, Graph, canonical_key, label_key, mask_vertices
+from .exactmath import IntPolynomial, binomial_poly, convolve, fugacity
+from .graphs import (
+    CANONICAL_LIMIT,
+    Graph,
+    canonical_key,
+    label_key,
+    mask_components,
+    mask_vertices,
+)
 
 INDEPENDENCE_BUDGET = 30
 MATCHING_BUDGET = 40
@@ -56,19 +63,7 @@ def independence_poly(g: Graph) -> IntPolynomial:
     (see `_mask_recursion`). The budget applies per component, as in
     matching_poly.
     """
-    comps = g.components()
-    largest = max(map(len, comps), default=0)
-    if largest > INDEPENDENCE_BUDGET:
-        raise CapabilityError(
-            f"independence_poly budget is {INDEPENDENCE_BUDGET} vertices"
-            f" per component, got {largest}"
-        )
-    return _product(
-        _memoized(_IND_MEMO, g.induced(comp), _independence_masks)
-        if len(comp) > 1
-        else IntPolynomial((1, 1))
-        for comp in comps
-    )
+    return _by_components(g, _IND_MEMO, (1, 1), _independence_step, _vertex_budget)
 
 
 def matching_poly(g: Graph) -> IntPolynomial:
@@ -80,33 +75,41 @@ def matching_poly(g: Graph) -> IntPolynomial:
     `_mask_recursion`). The budget applies per component, which is where
     the recursion cost lives.
     """
-    subs = [g.induced(comp) for comp in g.components()]
+    return _by_components(g, _MATCH_MEMO, (1,), _matching_step, _edge_budget)
+
+
+def _vertex_budget(subs) -> None:
+    largest = max((sub.n for sub in subs), default=0)
+    if largest > INDEPENDENCE_BUDGET:
+        raise CapabilityError(
+            f"independence_poly budget is {INDEPENDENCE_BUDGET} vertices"
+            f" per component, got {largest}"
+        )
+
+
+def _edge_budget(subs) -> None:
     for sub in subs:
         if sub.edge_count > MATCHING_BUDGET:
             raise CapabilityError(
                 f"matching_poly budget is {MATCHING_BUDGET} edges per component,"
                 f" got {sub.edge_count}"
             )
-    return _product(
-        _memoized(_MATCH_MEMO, sub, _matching_masks)
-        for sub in subs
-        if sub.n > 1
-    )
 
 
-def _product(polys) -> IntPolynomial:
-    poly = IntPolynomial.one()
-    for factor in polys:
-        poly = poly * factor
-    return poly
+def _by_components(g: Graph, memo: dict, single, step, budget) -> IntPolynomial:
+    """The product of the polynomials of g's components under
+    `_mask_recursion`, after budget(components) has had its say."""
+    subs = [g.induced(comp) for comp in g.components()]
+    budget(subs)
 
+    def compute(sub):
+        return IntPolynomial(_mask_recursion(sub.adj, single, step))
 
-def _independence_masks(g: Graph) -> IntPolynomial:
-    return IntPolynomial(_mask_recursion(g.adj, (1, 1), _independence_step))
-
-
-def _matching_masks(g: Graph) -> IntPolynomial:
-    return IntPolynomial(_mask_recursion(g.adj, (1,), _matching_step))
+    out = (1,)
+    for sub in subs:
+        p = single if sub.n == 1 else _memoized(memo, sub, compute).coeffs
+        out = convolve(out, p)
+    return IntPolynomial(out)
 
 
 # The recursion inside one connected component. Subproblems are vertex
@@ -125,31 +128,14 @@ def _mask_recursion(adj, single, step) -> tuple:
 
     def poly(mask):
         out = None
-        for comp in _mask_components(adj, mask):
+        for comp in mask_components(adj, mask):
             p = memo.get(comp)
             if p is None:
                 p = memo[comp] = step(adj, comp, poly)
-            out = p if out is None else _times(out, p)
+            out = p if out is None else convolve(out, p)
         return (1,) if out is None else out
 
     return poly((1 << len(adj)) - 1)
-
-
-def _mask_components(adj, mask):
-    """The connected components of the vertex mask, as masks, by a
-    breadth-first search over bitmasks from the lowest remaining vertex."""
-    while mask:
-        comp = frontier = mask & -mask
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reach & mask & ~comp
-            comp |= frontier
-        yield comp
-        mask ^= comp
 
 
 def _independence_step(adj, mask, poly):
@@ -178,15 +164,6 @@ def _add_shifted(out: list, p) -> None:
     out += [0] * (len(p) + 1 - len(out))
     for i, c in enumerate(p, 1):
         out[i] += c
-
-
-def _times(a, b):
-    """a * b over coefficient tuples."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        for j, e in enumerate(b, i):
-            out[j] += c * e
-    return tuple(out)
 
 
 def kdd_independence_poly(d: int) -> IntPolynomial:

@@ -217,6 +217,16 @@ def test_mode_probability_bounds():
                 assert len(rows) == n // 2
 
 
+def test_zero_degree_is_outside_the_domain():
+    # 2d must divide n: d = 0 is refused before any division by it
+    with pytest.raises(DomainError, match="^graph must be d-regular with d >= 1$"):
+        given_size_bound(Graph(4))
+    with pytest.raises(DomainError, match="^need d >= 1$"):
+        ratio_conjecture_report([("empty", Graph(8))], 0, 8)
+    with pytest.raises(DomainError, match="^need d >= 1$"):
+        mode_probability_bound_check(0, 8)
+
+
 def test_log_concavity_and_binomial_bases():
     assert log_concavity_check(kdd_independence_poly(2), ONE)
     for d in range(2, 8):

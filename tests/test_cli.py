@@ -60,6 +60,26 @@ def test_certify_matching(capsys):
     assert len(block["slacks"]) == 14
 
 
+def test_certify_matching_echoes_the_fugacity_it_used(capsys):
+    _, report, _ = run_cli(capsys, "certify", "matching", "--d", "2", "--lambda", "7/5")
+    assert report["inputs"] == {"d": 2, "lambda": "7/5"}
+    assert list(report["results"]) == ["7/5"]
+    _, report, _ = run_cli(capsys, "certify", "matching", "--d", "2", "--grid", "1/4,4")
+    assert report["inputs"] == {"d": 2, "grid": "1/4,4"}
+    assert list(report["results"]) == ["1/4", "4"]
+
+
+def test_zero_regular_graph_is_a_usage_error(tmp_path, capsys):
+    corpus = tmp_path / "empty4.g6"
+    corpus.write_text("C?\n")  # 4 vertices, no edges
+    code, report, err = run_cli(capsys, "verify", "given-size", "--corpus", str(corpus))
+    assert (code, report, err) == (2, None, "error: graph must be d-regular with d >= 1\n")
+    code, report, err = run_cli(
+        capsys, "conjectures", "--d", "0", "--n", "8", "--corpus", str(corpus)
+    )
+    assert (code, report, err) == (2, None, "error: need d >= 1\n")
+
+
 def test_certify_matching_beyond_the_benchmark_degrees(capsys):
     code, report, _ = run_cli(capsys, "certify", "matching", "--d", "20", "--lambda", "7/5")
     assert (code, report["verdict"]) == (0, "pass")

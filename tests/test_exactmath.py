@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from occufrac.errors import DomainError, FormatError, StructureError
 from occufrac.exactmath import (
     IntPolynomial,
     binomial_poly,
+    convolve,
     format_rational,
     fugacity,
     parse_rational,
@@ -58,7 +60,7 @@ def test_poly_eval_known_values():
 
 def test_integer_horner_matches_fraction_horner():
     rng = random.Random(2015)
-    polys = [IntPolynomial.zero(), IntPolynomial((0, 0)), IntPolynomial((-3,))]
+    polys = [IntPolynomial.zero(), IntPolynomial((0, 0)), IntPolynomial((-3,)), IntPolynomial((5,))]
     for _ in range(60):
         size = rng.randint(1, 12)
         polys.append(IntPolynomial(rng.randint(-40, 40) for _ in range(size)))
@@ -69,6 +71,8 @@ def test_integer_horner_matches_fraction_horner():
             value = poly(x)
             assert type(value) is Fraction
             assert value == fraction_horner(poly.coeffs, x)
+            terms = (c * Fraction(x) ** k for k, c in enumerate(poly.coeffs))
+            assert value == sum(terms, Fraction(0))
             p, q = Fraction(x).numerator, Fraction(x).denominator
             for n in (max(poly.degree, 0), poly.degree + 3):
                 assert poly.homogeneous(p, q, n) == value * q**n
@@ -76,6 +80,20 @@ def test_integer_horner_matches_fraction_horner():
         IntPolynomial((1, 2))(0.5)
     with pytest.raises(DomainError, match="^degree 1 is below the polynomial's degree 2$"):
         IntPolynomial((1, 2, 3)).homogeneous(1, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "coeffs, bad",
+    [
+        ((1.7, 2.2), "coefficient 0 is 1.7"),
+        ((1, Fraction(3, 2)), "coefficient 1 is Fraction(3, 2)"),
+        (("3",), "coefficient 0 is '3'"),
+        ((2, True), "coefficient 1 is True"),
+    ],
+)
+def test_poly_rejects_non_int_coefficients(coeffs, bad):
+    with pytest.raises(StructureError, match=f"^{re.escape(bad)}, not an int$"):
+        IntPolynomial(coeffs)
 
 
 def test_poly_derivative_known_values():
@@ -91,6 +109,8 @@ def test_poly_mul_known_values():
     assert (p * p).coeffs == (1, 8, 20, 16, 4)
     assert p * IntPolynomial.one() == p
     assert (p * IntPolynomial.zero()).is_zero
+    assert convolve((1, 1), (1, 2, 1)) == (1, 3, 3, 1)
+    assert convolve((), (1, 2)) == convolve((1, 2), ()) == ()
 
 
 def test_poly_normalization_and_equality():

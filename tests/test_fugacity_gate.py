@@ -20,7 +20,7 @@ from _oracles import crowding, marginal_from_edge, marginal_from_neighbor, vacan
 
 from occufrac import bounds, hardcore, matching, polynomials
 from occufrac.errors import DomainError
-from occufrac.graphs import Graph, cycle
+from occufrac.graphs import cycle
 from occufrac.hardcore import NeighborhoodConfig, enumerate_configs
 from occufrac.polynomials import kdd_independence_poly
 
@@ -28,7 +28,6 @@ GATE_MESSAGE = "fugacity must be positive"
 MODULES = (polynomials, hardcore, matching, bounds)
 ONE = Fraction(1)
 C6 = cycle(6)
-EDGE = Graph(2, [(0, 1)])
 
 
 def _config():
@@ -52,10 +51,6 @@ CALLS = {
         2, lam
     ),
     "hardcore.dual_certificate": lambda lam: hardcore.dual_certificate(2, lam),
-    "hardcore.check_mean_size_dominance": lambda lam: hardcore.check_mean_size_dominance(
-        EDGE, 2, lam
-    ),
-    "hardcore.triangle_free_lp": lambda lam: hardcore.triangle_free_lp(2, lam),
     "hardcore.uncovered_count_distribution": lambda lam: hardcore.uncovered_count_distribution(
         C6, lam
     ),

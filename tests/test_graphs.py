@@ -7,6 +7,7 @@ from _oracles import (
     brute_canonical_bits,
     brute_orbits,
     every_mask_classes,
+    random_graph,
     random_regular_graph,
 )
 from occufrac import graphs
@@ -24,6 +25,8 @@ from occufrac.graphs import (
     isomorphism_classes,
     is_vertex_transitive,
     kdd_union,
+    mask_components,
+    mask_vertices,
     parse_edge_list,
     parse_graph6,
     petersen,
@@ -87,6 +90,36 @@ def test_generate_families():
     with pytest.raises(DomainError):
         generate("nonsense", 1)
     assert generate("petersen").n == 10
+
+
+def test_mask_components_partition_a_mask_into_ordered_components():
+    rng = random.Random(29)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(0, 16), rng.choice((0.08, 0.15, 0.3)))
+        mask = rng.getrandbits(g.n)
+        comps = list(mask_components(g.adj, mask))
+        assert sum(comps) == mask  # pairwise disjoint and covering
+        assert all(a & b == 0 for i, a in enumerate(comps) for b in comps[i + 1 :])
+        lows = [c & -c for c in comps]
+        assert lows == sorted(lows)
+        for i, comp in enumerate(comps):
+            # no edge leaves the component inside the mask
+            others = mask & ~comp
+            assert all(g.adj[v] & others == 0 for v in mask_vertices(comp))
+            # and it is connected: a search from its lowest vertex reaches all
+            reached = frontier = lows[i]
+            while frontier:
+                step = 0
+                for v in mask_vertices(frontier):
+                    step |= g.adj[v] & comp
+                frontier = step & ~reached
+                reached |= frontier
+            assert reached == comp
+    assert list(mask_components((), 0)) == []
+    g = Graph(6, [(0, 3), (1, 4), (3, 5)])
+    assert g.components() == [[0, 3, 5], [1, 4], [2]]
+    # without vertex 3, its component falls apart
+    assert list(mask_components(g.adj, 0b110111)) == [0b1, 0b10010, 0b100, 0b100000]
 
 
 def test_kdd_is_cycle4():

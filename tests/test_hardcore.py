@@ -8,7 +8,6 @@ from occufrac.exactmath import IntPolynomial
 from occufrac.graphs import Graph, complete, complete_bipartite, cycle, petersen
 from occufrac.hardcore import (
     build_primal,
-    check_mean_size_dominance,
     dual_certificate,
     edgeless_config_index,
     enumerate_configs,
@@ -17,7 +16,6 @@ from occufrac.hardcore import (
     objective_value,
     ratio_gap_coefficients,
     solver_dual_for_certificate,
-    triangle_free_lp,
     uncovered_count_distribution,
 )
 from occufrac.lp import dual_slacks, make_lp, solve
@@ -83,17 +81,10 @@ def test_integer_fugacity_is_exact():
 
 def test_integer_fugacity_gives_fractions():
     # an int lam must compute exactly, not through int / int floats
-    g = complete(3)
     for lam in (1, 2, 3):
-        exact = Fraction(lam)
-        pairs = [
-            (objective_scale(lam), objective_scale(exact)),
-            (check_mean_size_dominance(g, 3, lam)[1], check_mean_size_dominance(g, 3, exact)[1]),
-            (triangle_free_lp(3, lam)[1], triangle_free_lp(3, exact)[1]),
-        ]
-        for got, want in pairs:
-            assert type(got) is Fraction
-            assert got == want
+        got = objective_scale(lam)
+        assert type(got) is Fraction
+        assert got == objective_scale(Fraction(lam))
 
 
 def test_primal_optimum_closed_form_on_grid():
@@ -148,32 +139,6 @@ def test_dual_certificate_matches_solver_on_grid():
                 assert lp_slack == scale * s
 
 
-def test_mean_size_dominance_known_values():
-    lhs, rhs = check_mean_size_dominance(Graph(2, [(0, 1)]), 2, ONE)
-    assert lhs == 1 and rhs == Fraction(4, 3)
-    lhs, rhs = check_mean_size_dominance(Graph(2), 2, ONE)
-    assert lhs == rhs
-    lhs, rhs = check_mean_size_dominance(complete(3), 3, ONE)
-    assert lhs < rhs
-    with pytest.raises(DomainError):
-        check_mean_size_dominance(Graph(0), 3, ONE)
-
-
-def test_mean_size_dominance_strict_on_grid():
-    for d in (2, 3, 4, 5):
-        configs = enumerate_configs(d)
-        edgeless = edgeless_config_index(d)
-        for lam in GRID:
-            for cfg in configs:
-                if cfg.graph.n == 0:
-                    continue
-                lhs, rhs = check_mean_size_dominance(cfg.graph, d, lam)
-                if cfg.index == edgeless:
-                    assert lhs == rhs
-                else:
-                    assert lhs < rhs
-
-
 def test_ratio_gap_coefficients_known_values():
     assert ratio_gap_coefficients(Graph(2, [(0, 1)]), 2) == [0, 0, 2, 0]
     assert all(s == 0 for s in ratio_gap_coefficients(Graph(3), 3))
@@ -210,13 +175,40 @@ def test_ratio_gap_nonnegative_with_positive_entry():
                 assert any(s > 0 for s in ss)
 
 
-def test_triangle_free_lp_matches_closed_form():
+def test_ratio_gap_polynomial_clears_the_certificate_slack():
+    # x N = (1+x) R, with R the ratio-gap polynomial and N the cleared slack
+    # numerator d P T - d T - (1+x) P' (T - 1) of the class, T = (1+x)^d
+    from occufrac.exactmath import binomial_poly
+
+    x, one = IntPolynomial((0, 1)), IntPolynomial.one()
     for d in (2, 3, 4, 5):
-        for lam in GRID:
-            lp, bound = triangle_free_lp(d, lam)
-            assert bound == kdd_occupancy(d, lam)
-            sol = solve(lp)
-            assert set(sol.support) == {0, d}
+        t_poly = binomial_poly(d)
+        for cfg in enumerate_configs(d):
+            p_poly = cfg.poly
+            numerator = (
+                d * p_poly * t_poly - d * t_poly
+                - (one + x) * p_poly.derivative() * (t_poly - one)
+            )
+            ratio_gap = IntPolynomial([0] + ratio_gap_coefficients(cfg.graph, d))
+            assert x * numerator == (one + x) * ratio_gap
+
+
+def test_mean_size_dominance_strict_on_grid():
+    # lam P'/(P - 1) < lam T'/(T - 1) off the edgeless class, with equality
+    # on it: the sign of R(lam) from ratio_gap_coefficients
+    for d in (2, 3, 4, 5):
+        edgeless = edgeless_config_index(d)
+        t_poly = enumerate_configs(d)[edgeless].poly
+        for cfg in enumerate_configs(d)[1:]:
+            p_poly = cfg.poly
+            ratio_gap = IntPolynomial([0] + ratio_gap_coefficients(cfg.graph, d))
+            for lam in GRID:
+                lhs = lam * p_poly.derivative()(lam) / (p_poly(lam) - 1)
+                rhs = lam * t_poly.derivative()(lam) / (t_poly(lam) - 1)
+                if cfg.index == edgeless:
+                    assert lhs == rhs and ratio_gap.is_zero
+                else:
+                    assert lhs < rhs and ratio_gap(lam) > 0
 
 
 def test_triangle_free_feasibility_of_real_graphs():
@@ -228,8 +220,8 @@ def test_triangle_free_feasibility_of_real_graphs():
         inv = sum((p / (1 + lam) ** t for t, p in enumerate(law)), Fraction(0))
         assert mean == d * inv
         assert lam / (d * (1 + lam)) * mean == occupancy(g, lam)
-        _, bound = triangle_free_lp(d, lam)
-        assert lam / (d * (1 + lam)) * mean <= bound
+        # the relaxation over laws of Y has optimum kdd_occupancy(d, lam)
+        assert lam / (d * (1 + lam)) * mean <= kdd_occupancy(d, lam)
 
 
 def test_uncovered_count_distribution_is_capped():

@@ -276,6 +276,19 @@ def test_independence_budget_applies_per_component():
         independence_poly(cycle(31).disjoint_union(cycle(4)))
 
 
+def test_budget_messages_name_the_right_component():
+    # with two components over budget, independence names the largest and
+    # matching the first in component order (by lowest vertex)
+    with pytest.raises(CapabilityError, match="vertices per component, got 33$"):
+        independence_poly(cycle(31).disjoint_union(cycle(33)))
+    with pytest.raises(CapabilityError, match="vertices per component, got 33$"):
+        independence_poly(cycle(33).disjoint_union(cycle(31)))
+    with pytest.raises(CapabilityError, match="edges per component, got 45$"):
+        matching_poly(complete(10).disjoint_union(complete(11)))  # 45, then 55 edges
+    with pytest.raises(CapabilityError, match="edges per component, got 55$"):
+        matching_poly(complete(11).disjoint_union(complete(10)))
+
+
 def test_size_distribution_known_values():
     dist = size_distribution(kdd_independence_poly(2), Fraction(2))
     assert dist.probabilities == (
