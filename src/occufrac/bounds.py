@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import DomainError
+from .errors import CertificateError, DomainError
 from .exactmath import IntPolynomial, fugacity
 from .graphs import Graph, bipartition, is_vertex_transitive, kdd_union, regular_degree
 from .polynomials import (
@@ -212,14 +212,14 @@ def mode_probability_bound_check(d: int, n: int, model: str = "hardcore"):
     out = []
     for k in range(1, n // 2 + 1):
         if p.coefficient(k + 1) > 0:
-            lam, _ = lampick_lambda(p, k)
+            lam, prob = lampick_lambda(p, k)
         else:
-            # top size: the defining equation has no solution; the adjacent
-            # ratio still makes k a mode by log-concavity
-            lam = Fraction(p.coefficient(k - 1), p.coefficient(k))
-        prob = p.coefficient(k) * lam**k / p(lam)
+            # top size: the defining equation has no solution; the fugacity
+            # equalizing sizes k-1 and k gives both the same probability and
+            # still makes k a mode by log-concavity
+            lam, prob = lampick_lambda(p, k - 1)
         if not mode_probability_exceeds_half_inv_sqrt(prob, n):
-            raise DomainError(f"mode probability bound fails at k={k}")
+            raise CertificateError(f"mode probability bound fails at k={k}", k)
         out.append((k, lam, prob))
     return out
 

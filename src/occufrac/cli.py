@@ -182,24 +182,23 @@ def cmd_certify_hardcore(args, start):
 
 
 def cmd_certify_matching(args, start):
-    key, value = ("grid", args.grid) if args.grid else ("lambda", args.lam)
+    if args.grid and args.lam is not None:
+        raise DomainError("--grid and --lambda are exclusive")
+    lam_text = "1" if args.lam is None else args.lam
+    key, value = ("grid", args.grid) if args.grid else ("lambda", lam_text)
     inputs = {"d": args.d, key: value}
-    grid = _grid_arg(args.grid) if args.grid else (fugacity(parse_rational(args.lam)),)
+    grid = _grid_arg(args.grid) if args.grid else (fugacity(parse_rational(lam_text)),)
     results_by_lam = {}
     verdict = "pass"
     for lam in grid:
         key = format_rational(lam)
         try:
             report = matching.check_dual_constraints(args.d, lam)
-            duals = matching.dual_row_prices(args.d, lam)
-            profile = [
-                _rat(matching.slack_profile(t, duals)) for t in range(args.d)
-            ]
             results_by_lam[key] = {
                 "optimum": _rat(report.optimum),
                 "dual": {k: _rat(v) for k, v in report.dual_values.items()},
                 "slacks": [[cid, _rat(s)] for cid, s in report.slacks],
-                "slack_profile": profile,
+                "slack_profile": [_rat(f) for f in report.profile],
                 "laguerre": matching.laguerre_identity_holds(args.d),
             }
         except CertificateError as exc:
@@ -372,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     ph.set_defaults(fn=cmd_certify_hardcore)
     pm = certify_sub.add_parser("matching")
     pm.add_argument("--d", type=int, required=True)
-    pm.add_argument("--lambda", dest="lam", default="1")
-    pm.add_argument("--grid", help="comma-separated fugacities, e.g. 1/4,1,4")
+    pm.add_argument("--lambda", dest="lam", help="fugacity p/q (default 1)")
+    pm.add_argument("--grid", help="comma-separated fugacities, e.g. 1/4,1,4; excludes --lambda")
     pm.set_defaults(fn=cmd_certify_matching)
 
     p = sub.add_parser("tree", help="bracket the infinite-tree occupancy")

@@ -101,13 +101,15 @@ def build_primal(d: int, lam: Fraction) -> LinearProgram:
 @dataclass(frozen=True)
 class CertificateReport:
     """Self-contained dual-feasibility ledger: dual variable values, the
-    slack of every constraint column, which columns are tight, and the
-    certified optimum."""
+    slack of every constraint column, which columns are tight, the
+    certified optimum and, for the matching certificate, the slack profile
+    it checked."""
 
     dual_values: dict
     slacks: tuple  # (column id, slack) pairs
     tight: tuple  # column ids with slack exactly 0
     optimum: Fraction
+    profile: tuple = ()  # F(0..d-1) of matching.check_slack_profile
 
 
 def solver_dual_for_certificate(d: int, lam: Fraction):

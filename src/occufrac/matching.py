@@ -211,22 +211,60 @@ def slack_profile(t: int, duals: MatchingDuals) -> Fraction:
     )
 
 
-def slack_profile_explicit(t: int, d: int, lam: Fraction) -> Fraction:
+def slack_profile_explicit(t: int, lam: Fraction, kdd) -> Fraction:
     """Closed form: t(d-1)/M_d * sum_{l=t-1}^{d-2} (d-1-t)!/(l+1-t)! *
-    lam^(d-l) * M_l, with M_s the matching polynomial of K_{s,s}."""
+    lam^(d-l) * M_l, with kdd = (M_0(lam), ..., M_d(lam)) the matching
+    polynomials of K_{s,s} evaluated at lam."""
     lam = fugacity(lam)
+    d = len(kdd) - 1
     if t == 0:
         return Fraction(0)
     if not 1 <= t <= d - 1:
         raise DomainError(f"slack profile defined for 0 <= t <= {d - 1}")
     total = Fraction(0)
-    for ell in range(t - 1, d - 1):
-        total += (
-            Fraction(factorial(d - 1 - t), factorial(ell + 1 - t))
-            * lam ** (d - ell)
-            * kdd_matching_poly(ell)(lam)
-        )
-    return t * (d - 1) * total / kdd_matching_poly(d)(lam)
+    for ell in range(t - 1, d - 1):  # ell + 1 - t <= d - 1 - t: the ratio is an int
+        total += factorial(d - 1 - t) // factorial(ell + 1 - t) * lam ** (d - ell) * kdd[ell]
+    return t * (d - 1) * total / kdd[d]
+
+
+def check_slack_profile(d: int, lam: Fraction) -> dict:
+    """Every identity of the slack profile F in one pass, with M_s the
+    matching polynomial of K_{s,s} evaluated once at lam for s = 0..d: F
+    agrees with its closed form, ends at (d-1)^2 lam^2 M_{d-2}/M_d, obeys
+    (d-1-t) F(t+1) = (t+1)[t lam F(t) + (d-1) lam - (d-1) alpha (1+(d+t)lam)]
+    for t = 1..d-2 with alpha the extremal edge occupancy, and increases
+    strictly; and the crude star bound M_t > t lam M_{t-1} holds for
+    t = 1..d. Each failure is a CertificateError naming its t.
+
+    Returns the row prices ("duals"), F(0..d-1) ("profile"), the
+    normalized increments M_d/(d-1) * (F(t+1) - F(t)) / (d-2-t)! for
+    t = 1..d-2 ("increments") and the pairs (M_t, t lam M_{t-1}) ("crude")."""
+    lam = fugacity(lam)
+    duals = dual_row_prices(d, lam)
+    kdd = [kdd_matching_poly(s)(lam) for s in range(d + 1)]
+    profile = [slack_profile(t, duals) for t in range(d)]
+    for t in range(1, d):
+        if profile[t] != slack_profile_explicit(t, lam, kdd):
+            raise CertificateError(f"slack profile forms disagree at t={t}", t)
+    if profile[d - 1] != (d - 1) ** 2 * lam * lam * kdd[d - 2] / kdd[d]:
+        raise CertificateError(f"slack profile end value mismatch at t={d - 1}", d - 1)
+    for t in range(1, d - 1):
+        tail = (d - 1) * lam - (d - 1) * duals.optimum * _star(d + t, lam)
+        if (d - 1 - t) * profile[t + 1] != (t + 1) * (t * lam * profile[t] + tail):
+            raise CertificateError(f"profile recurrence fails at t={t}", t)
+    increments = []
+    for t in range(1, d - 1):
+        inc = profile[t + 1] - profile[t]
+        if inc <= 0:
+            raise CertificateError(f"profile not increasing at t={t}", t)
+        increments.append(kdd[d] / (d - 1) * inc / factorial(d - 2 - t))
+    crude = []
+    for t in range(1, d + 1):
+        pair = (kdd[t], t * lam * kdd[t - 1])
+        if pair[0] <= pair[1]:
+            raise CertificateError(f"crude star bound fails at t={t}", t)
+        crude.append(pair)
+    return {"duals": duals, "profile": profile, "increments": increments, "crude": crude}
 
 
 def reduced_slack(i: int, j: int, k: int, duals: MatchingDuals) -> Fraction:
@@ -247,21 +285,14 @@ def reduced_slack(i: int, j: int, k: int, duals: MatchingDuals) -> Fraction:
 
 
 def check_dual_constraints(d: int, lam: Fraction) -> CertificateReport:
-    """Full dual certificate: verifies the two slack-profile forms agree,
+    """Full dual certificate: verifies the slack profile (check_slack_profile),
     strong duality on build_primal(d, lam), that each column's slack there
     times 2(d-1)(lam + M) is lam times the simplified slack, the telescoping
     identity, zero slack exactly on the diagonal (i, i, 0) triples, and
     strict positivity everywhere else."""
     lam = fugacity(lam)
-    duals = dual_row_prices(d, lam)
-    profile = [slack_profile(t, duals) for t in range(d)]
-    for t in range(1, d):
-        if profile[t] != slack_profile_explicit(t, d, lam):
-            raise CertificateError(f"slack profile forms disagree at t={t}", t)
-    closing = (d - 1) ** 2 * lam * lam * kdd_matching_poly(d - 2)(lam)
-    if profile[d - 1] != closing / kdd_matching_poly(d)(lam):
-        raise CertificateError("slack profile end value mismatch")
-
+    checked = check_slack_profile(d, lam)
+    duals, profile = checked["duals"], checked["profile"]
     priced = dual_slacks(build_primal(d, lam), standard_dual_vector(duals))
     if priced.dual_objective != duals.optimum:
         raise CertificateError(f"strong duality fails: dual objective {priced.dual_objective}")
@@ -305,57 +336,19 @@ def check_dual_constraints(d: int, lam: Fraction) -> CertificateReport:
         slacks=tuple(slacks),
         tight=tuple(tight),
         optimum=duals.optimum,
+        profile=tuple(profile),
     )
 
 
 def check_monotone_profile(d: int, lam: Fraction) -> dict:
     """Strict monotonicity of the slack profile plus the positivity of the
-    normalized increments and the crude star bound M_t > t lam M_{t-1}."""
+    normalized increments and the crude star bound M_t > t lam M_{t-1},
+    as checked by check_slack_profile."""
     lam = fugacity(lam)
     if d < 3:
         raise DomainError("profile monotonicity needs d >= 3")
-    duals = dual_row_prices(d, lam)
-    profile = [slack_profile(t, duals) for t in range(d)]
-    increments = []
-    for t in range(1, d - 1):
-        inc = profile[t + 1] - profile[t]
-        if inc <= 0:
-            raise CertificateError(f"profile not increasing at t={t}")
-        normalized = (
-            kdd_matching_poly(d)(lam)
-            / (d - 1)
-            * inc
-            / factorial(d - 2 - t)
-        )
-        if normalized <= 0:
-            raise CertificateError(f"normalized increment not positive at t={t}")
-        increments.append(normalized)
-    crude = []
-    for t in range(1, d + 1):
-        lhs = kdd_matching_poly(t)(lam)
-        rhs = t * lam * kdd_matching_poly(t - 1)(lam)
-        if lhs <= rhs:
-            raise CertificateError(f"crude star bound fails at t={t}")
-        crude.append((lhs, rhs))
-    return {"profile": profile, "increments": increments, "crude": crude}
-
-
-def check_profile_recurrence(d: int, lam: Fraction) -> bool:
-    """(d-1-t) F(t+1) = (t+1)[t lam F(t) + (d-1) lam - (d-1) alpha (1+(d+t)lam)]
-    for t = 1..d-2, with alpha the extremal edge occupancy."""
-    lam = fugacity(lam)
-    duals = dual_row_prices(d, lam)
-    alpha = duals.optimum
-    for t in range(1, d - 1):
-        lhs = (d - 1 - t) * slack_profile(t + 1, duals)
-        rhs = (t + 1) * (
-            t * lam * slack_profile(t, duals)
-            + (d - 1) * lam
-            - (d - 1) * alpha * _star(d + t, lam)
-        )
-        if lhs != rhs:
-            return False
-    return True
+    checked = check_slack_profile(d, lam)
+    return {key: checked[key] for key in ("profile", "increments", "crude")}
 
 
 def laguerre_identity_residual(d: int) -> IntPolynomial:

@@ -142,19 +142,19 @@ def _c3(failures, details, quick):
 # --- criterion 4 -----------------------------------------------------------
 
 def _c4(failures, details, quick):
+    # check_dual_constraints runs the slack-profile pass itself, so each
+    # (d, lam) gets one pass: with the certificate, or on its own
+    certified = GRID_D if not quick else (2, 3)
     certificates = 0
-    for d in GRID_D if not quick else (2, 3):
-        for lam in _grid(quick):
-            matching.check_dual_constraints(d, lam)  # raises on any violation
-            certificates += 1
     profile_checks = 0
     for d in range(2, 13 if not quick else 7):
         for lam in _grid(quick):
-            duals = matching.dual_row_prices(d, lam)
-            for t in range(1, d):
-                if matching.slack_profile(t, duals) != matching.slack_profile_explicit(t, d, lam):
-                    failures.append(f"profile forms d={d} t={t} lam={format_rational(lam)}")
-                profile_checks += 1
+            if d in certified:
+                matching.check_dual_constraints(d, lam)  # raises on any violation
+                certificates += 1
+            else:
+                matching.check_slack_profile(d, lam)  # raises on any violation
+            profile_checks += d - 1
     details["certificates"] = certificates
     details["profile_comparisons"] = profile_checks
 
@@ -167,23 +167,11 @@ def _c5(failures, details, quick):
         if not matching.laguerre_identity_holds(d):
             failures.append(f"laguerre identity fails at d={d}")
     details["laguerre_range"] = f"2..{top - 1}"
-    from .polynomials import kdd_matching_poly
-
     recurrences = 0
     for d in range(2, 13 if not quick else 7):
         for lam in _grid(quick):
-            duals = matching.dual_row_prices(d, lam)
-            end = matching.slack_profile(d - 1, duals)
-            closed = (
-                (d - 1) ** 2
-                * lam**2
-                * kdd_matching_poly(d - 2)(lam)
-                / kdd_matching_poly(d)(lam)
-            )
-            if end != closed:
-                failures.append(f"end value d={d} lam={format_rational(lam)}")
-            if not matching.check_profile_recurrence(d, lam):
-                failures.append(f"recurrence d={d} lam={format_rational(lam)}")
+            # the end value and the recurrence, among the profile identities
+            matching.check_slack_profile(d, lam)  # raises on any violation
             recurrences += 1
     details["recurrence_checks"] = recurrences
 

@@ -17,7 +17,7 @@ from occufrac.bounds import (
     variance_check,
     verify_lower_bound,
 )
-from occufrac.errors import DomainError
+from occufrac.errors import CertificateError, DomainError
 from occufrac.graphs import (
     Graph,
     complete_bipartite,
@@ -215,6 +215,28 @@ def test_mode_probability_bounds():
             for model in ("hardcore", "matching"):
                 rows = mode_probability_bound_check(d, n, model)
                 assert len(rows) == n // 2
+                # the top size too: prob is Pr[size = k] at lam, by definition
+                base = kdd_independence_poly(d) if model == "hardcore" else kdd_matching_poly(d)
+                poly = base ** (n // (2 * d))
+                for k, lam, prob in rows:
+                    assert prob == poly.coefficient(k) * lam**k / poly(lam)
+
+
+def test_failed_mode_bound_is_a_certificate_error(monkeypatch):
+    import occufrac.bounds as mod
+
+    seen = []
+
+    def refuse(prob, n):
+        seen.append(prob)
+        return False
+
+    monkeypatch.setattr(mod, "mode_probability_exceeds_half_inv_sqrt", refuse)
+    with pytest.raises(CertificateError) as failed:
+        mode_probability_bound_check(3, 6, "hardcore")
+    assert failed.value.args == ("mode probability bound fails at k=1", 1)
+    # the probability checked is the one lampick_lambda returned
+    assert seen == [lampick_lambda(kdd_independence_poly(3), 1)[1]]
 
 
 def test_zero_degree_is_outside_the_domain():

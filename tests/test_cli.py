@@ -69,6 +69,35 @@ def test_certify_matching_echoes_the_fugacity_it_used(capsys):
     assert list(report["results"]) == ["1/4", "4"]
 
 
+def test_certify_matching_grid_excludes_lambda(capsys):
+    # the pair is refused even when --lambda repeats its default
+    for lam in ("2", "1"):
+        code, report, err = run_cli(
+            capsys, "certify", "matching", "--d", "3", "--grid", "1", "--lambda", lam
+        )
+        assert (code, report, err) == (2, None, "error: --grid and --lambda are exclusive\n")
+    _, report, _ = run_cli(capsys, "certify", "matching", "--d", "3")
+    assert report["inputs"] == {"d": 3, "lambda": "1"}
+    assert list(report["results"]) == ["1"]
+
+
+def test_certify_matching_runs_the_row_prices_once_per_fugacity(monkeypatch, capsys):
+    # the profile in the report comes from the pass that certified it
+    import occufrac.matching as mod
+
+    calls = []
+    original = mod.dual_row_prices
+
+    def count(d, lam):
+        calls.append(lam)
+        return original(d, lam)
+
+    monkeypatch.setattr(mod, "dual_row_prices", count)
+    code, report, _ = run_cli(capsys, "certify", "matching", "--d", "5", "--grid", "1/4,1,4")
+    assert (code, list(report["results"])) == (0, ["1/4", "1", "4"])
+    assert calls == [Fraction(1, 4), Fraction(1), Fraction(4)]
+
+
 def test_zero_regular_graph_is_a_usage_error(tmp_path, capsys):
     corpus = tmp_path / "empty4.g6"
     corpus.write_text("C?\n")  # 4 vertices, no edges

@@ -22,7 +22,7 @@ from occufrac import bounds, hardcore, matching, polynomials
 from occufrac.errors import DomainError
 from occufrac.graphs import cycle
 from occufrac.hardcore import NeighborhoodConfig, enumerate_configs
-from occufrac.polynomials import kdd_independence_poly
+from occufrac.polynomials import kdd_independence_poly, kdd_matching_poly
 
 GATE_MESSAGE = "fugacity must be positive"
 MODULES = (polynomials, hardcore, matching, bounds)
@@ -66,10 +66,12 @@ CALLS = {
     ),
     "matching.build_primal": lambda lam: matching.build_primal(3, lam),
     "matching.dual_row_prices": lambda lam: matching.dual_row_prices(3, lam),
-    "matching.slack_profile_explicit": lambda lam: matching.slack_profile_explicit(1, 3, lam),
+    "matching.slack_profile_explicit": lambda lam: matching.slack_profile_explicit(
+        1, lam, [kdd_matching_poly(s)(ONE) for s in range(4)]
+    ),
+    "matching.check_slack_profile": lambda lam: matching.check_slack_profile(3, lam),
     "matching.check_dual_constraints": lambda lam: matching.check_dual_constraints(3, lam),
     "matching.check_monotone_profile": lambda lam: matching.check_monotone_profile(3, lam),
-    "matching.check_profile_recurrence": lambda lam: matching.check_profile_recurrence(3, lam),
     "matching.edge_neighborhood_distribution": lambda lam: (
         matching.edge_neighborhood_distribution(C6, lam)
     ),

@@ -7,10 +7,11 @@ from occufrac.errors import CapabilityError, CertificateError, DomainError
 from occufrac.graphs import complete, complete_bipartite, cycle, prism, regular_degree
 from occufrac.lp import dual_slacks, solve
 from occufrac.matching import (
+    MatchingDuals,
     build_primal,
     check_dual_constraints,
     check_monotone_profile,
-    check_profile_recurrence,
+    check_slack_profile,
     conditional_partition,
     dual_row_prices,
     edge_neighborhood_distribution,
@@ -142,38 +143,39 @@ def test_dual_prices_reject_zero_fugacity():
         dual_row_prices(3, Fraction(0))
 
 
+def _kdd(d, lam):
+    """M_0(lam), ..., M_d(lam) for the matching polynomials M_s of K_{s,s}."""
+    return [kdd_matching_poly(s)(lam) for s in range(d + 1)]
+
+
 def test_slack_profile_two_forms_known_values():
     duals = dual_row_prices(2, ONE)
     assert slack_profile(1, duals) == Fraction(1, 7)
-    assert slack_profile_explicit(1, 2, ONE) == Fraction(1, 7)
+    assert slack_profile_explicit(1, ONE, _kdd(2, ONE)) == Fraction(1, 7)
     duals3 = dual_row_prices(3, ONE)
     assert slack_profile(2, duals3) == Fraction(4, 17)
     assert slack_profile(0, duals3) == 0
 
 
-def test_slack_profile_forms_agree_widely():
+def test_slack_profile_pass_over_the_grid():
+    # the pass raises on any failed identity; each identity is also written
+    # out here against the profile it returns
     for d in range(2, 13):
         for lam in GRID:
-            duals = dual_row_prices(d, lam)
-            for t in range(1, d):
-                assert slack_profile(t, duals) == slack_profile_explicit(t, d, lam)
-
-
-def test_slack_profile_end_value():
-    for d in range(2, 13):
-        for lam in GRID:
-            duals = dual_row_prices(d, lam)
-            closed = (
-                (d - 1) ** 2 * lam**2 * kdd_matching_poly(d - 2)(lam)
-                / kdd_matching_poly(d)(lam)
-            )
-            assert slack_profile(d - 1, duals) == closed
-
-
-def test_profile_recurrence():
-    for d in range(2, 13):
-        for lam in GRID:
-            assert check_profile_recurrence(d, lam)
+            checked = check_slack_profile(d, lam)
+            duals, profile, kdd = checked["duals"], checked["profile"], _kdd(d, lam)
+            assert duals == dual_row_prices(d, lam)
+            assert profile == [slack_profile(t, duals) for t in range(d)]
+            assert profile[1:] == [slack_profile_explicit(t, lam, kdd) for t in range(1, d)]
+            assert profile[d - 1] == (d - 1) ** 2 * lam**2 * kdd[d - 2] / kdd[d]
+            alpha = duals.optimum
+            for t in range(1, d - 1):
+                assert (d - 1 - t) * profile[t + 1] == (t + 1) * (
+                    t * lam * profile[t] + (d - 1) * lam - (d - 1) * alpha * (1 + (d + t) * lam)
+                )
+            assert len(checked["increments"]) == d - 2
+            assert all(b > a for a, b in zip(profile[1:], profile[2:]))
+            assert checked["crude"] == [(kdd[t], t * lam * kdd[t - 1]) for t in range(1, d + 1)]
 
 
 def test_reduced_slack_known_values():
@@ -243,12 +245,111 @@ def test_telescoping_identity():
 
 def test_monotone_profile():
     assert check_monotone_profile(3, ONE)
+    with pytest.raises(DomainError):
+        check_monotone_profile(2, ONE)
     report = check_monotone_profile(10, Fraction(1, 2))
     profile = report["profile"]
     assert all(b > a for a, b in zip(profile[1:], profile[2:]))
     # crude star bound spec example: M_2(1) = 7 > 2 * M_1(1) = 4
     lhs, rhs = check_monotone_profile(3, ONE)["crude"][1]
     assert (lhs, rhs) == (7, 4)
+
+
+def _recurrence_run(d, lam, alpha, first):
+    """F(0..d-1) from F(1) = first by the profile recurrence with alpha."""
+    profile = [Fraction(0), first]
+    for t in range(1, d - 1):
+        tail = (d - 1) * lam - (d - 1) * alpha * (1 + (d + t) * lam)
+        profile.append((t + 1) * (t * lam * profile[t] + tail) / (d - 1 - t))
+    return profile
+
+
+def _duals_with_profile(d, lam, alpha, profile):
+    """Row prices with optimum alpha whose slack profile is `profile`:
+    price_{d-1} = 0 and price_{t-1} = price_t + lam (1 - d alpha) - F(t)/t."""
+    prices = [Fraction(0)] * d
+    for t in range(d - 1, 0, -1):
+        prices[t - 1] = prices[t] + lam * (1 - d * alpha) - profile[t] / t
+    return MatchingDuals(d=d, lam=lam, prices=tuple(prices), optimum=alpha)
+
+
+def _fail_pass(monkeypatch, d, **fakes):
+    """Run check_slack_profile(d, 1) with the named module functions replaced
+    by fakes; the args of the CertificateError it raises."""
+    import occufrac.matching as mod
+
+    for name, fake in fakes.items():
+        monkeypatch.setattr(mod, name, fake)
+    with pytest.raises(CertificateError) as failed:
+        check_slack_profile(d, ONE)
+    return failed.value.args
+
+
+def test_slack_profile_pass_names_a_wrong_closed_form(monkeypatch):
+    def explicit(t, lam, kdd):
+        return slack_profile_explicit(t, lam, kdd) + (t == 2)
+
+    args = _fail_pass(monkeypatch, 4, slack_profile_explicit=explicit)
+    assert args == ("slack profile forms disagree at t=2", 2)
+
+
+def test_slack_profile_pass_names_a_wrong_end_value(monkeypatch):
+    # a profile that obeys the recurrence and increases, from a wrong F(1);
+    # the closed form is made to agree with it, so only the end value fails
+    d = 4
+    true = check_slack_profile(d, ONE)
+    alpha = true["duals"].optimum
+    fake = _recurrence_run(d, ONE, alpha, true["profile"][1] + Fraction(1, 1000))
+    assert all(b > a for a, b in zip(fake[1:], fake[2:]))
+    duals = _duals_with_profile(d, ONE, alpha, fake)
+    args = _fail_pass(
+        monkeypatch,
+        d,
+        dual_row_prices=lambda d, lam: duals,
+        slack_profile_explicit=lambda t, lam, kdd: fake[t],
+    )
+    assert args == ("slack profile end value mismatch at t=3", 3)
+
+
+def test_slack_profile_pass_names_a_broken_recurrence(monkeypatch):
+    # the true profile from prices tilted to a wrong optimum
+    d = 4
+    true = check_slack_profile(d, ONE)
+    duals = _duals_with_profile(d, ONE, true["duals"].optimum + 1, true["profile"])
+    args = _fail_pass(monkeypatch, d, dual_row_prices=lambda d, lam: duals)
+    assert args == ("profile recurrence fails at t=1", 1)
+
+
+def test_slack_profile_pass_names_a_non_increasing_step(monkeypatch):
+    # a larger optimum: the profile with the true end value that obeys the
+    # recurrence with it decreases; the closed form is made to agree
+    d = 4
+    true = check_slack_profile(d, ONE)
+    alpha = true["duals"].optimum + Fraction(1, 10)
+    ends = [_recurrence_run(d, ONE, alpha, x)[d - 1] for x in (0, 1)]
+    first = (true["profile"][d - 1] - ends[0]) / (ends[1] - ends[0])
+    fake = _recurrence_run(d, ONE, alpha, first)
+    assert fake[d - 1] == true["profile"][d - 1]
+    duals = _duals_with_profile(d, ONE, alpha, fake)
+    args = _fail_pass(
+        monkeypatch,
+        d,
+        dual_row_prices=lambda d, lam: duals,
+        slack_profile_explicit=lambda t, lam, kdd: fake[t],
+    )
+    assert args == ("profile not increasing at t=1", 1)
+
+
+def test_slack_profile_pass_names_a_failed_crude_bound(monkeypatch):
+    # only the crude bound reads M_{d-1}; M_d = d lam M_{d-1} breaks it at t = d
+    d = 4
+    top = kdd_matching_poly(d)(ONE)
+
+    def kdd_poly(s):
+        return (lambda lam: top / (d * lam)) if s == d - 1 else kdd_matching_poly(s)
+
+    args = _fail_pass(monkeypatch, d, kdd_matching_poly=kdd_poly)
+    assert args == ("crude star bound fails at t=4", 4)
 
 
 def test_laguerre_identity():
@@ -261,7 +362,7 @@ def test_corrupted_prices_fail_certification(monkeypatch):
     # the simplified diagonal slack vanishes identically, so corruption has
     # to show up in the equality-constraint residuals and in the certificate
     import occufrac.matching as mod
-    from occufrac.matching import MatchingDuals, _diagonal_residual
+    from occufrac.matching import _diagonal_residual
 
     duals = dual_row_prices(3, ONE)
     bad = duals.prices[:1] + (duals.prices[1] + 1,) + duals.prices[2:]
@@ -278,7 +379,7 @@ def test_shifted_prices_fail_only_against_the_program(monkeypatch):
     # leaves the diagonal residuals, the slack profile and every simplified
     # slack unchanged; only the program, which has no row at t = d-1, sees it
     import occufrac.matching as mod
-    from occufrac.matching import MatchingDuals, _diagonal_residual
+    from occufrac.matching import _diagonal_residual
 
     for d in (3, 5):
         duals = dual_row_prices(d, ONE)
