@@ -157,9 +157,7 @@ def test_slack_profile_two_forms_known_values():
     assert slack_profile(0, duals3) == 0
 
 
-def test_slack_profile_pass_over_the_grid():
-    # the pass raises on any failed identity; each identity is also written
-    # out here against the profile it returns
+def test_slack_profile_forms_agree_widely():
     for d in range(2, 13):
         for lam in GRID:
             checked = check_slack_profile(d, lam)
@@ -167,8 +165,24 @@ def test_slack_profile_pass_over_the_grid():
             assert duals == dual_row_prices(d, lam)
             assert profile == [slack_profile(t, duals) for t in range(d)]
             assert profile[1:] == [slack_profile_explicit(t, lam, kdd) for t in range(1, d)]
-            assert profile[d - 1] == (d - 1) ** 2 * lam**2 * kdd[d - 2] / kdd[d]
-            alpha = duals.optimum
+
+
+def test_slack_profile_end_value():
+    for d in range(2, 13):
+        for lam in GRID:
+            kdd = _kdd(d, lam)
+            closed = (d - 1) ** 2 * lam**2 * kdd[d - 2] / kdd[d]
+            assert check_slack_profile(d, lam)["profile"][d - 1] == closed
+
+
+def test_profile_recurrence():
+    # the pass raises on a failed recurrence; it is also written out here
+    # against the profile it returns, with strict increase and the crude bound
+    for d in range(2, 13):
+        for lam in GRID:
+            checked = check_slack_profile(d, lam)
+            profile, kdd = checked["profile"], _kdd(d, lam)
+            alpha = checked["duals"].optimum
             for t in range(1, d - 1):
                 assert (d - 1 - t) * profile[t + 1] == (t + 1) * (
                     t * lam * profile[t] + (d - 1) * lam - (d - 1) * alpha * (1 + (d + t) * lam)
