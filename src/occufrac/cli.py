@@ -1,8 +1,8 @@
-"""Command-line front end. Every subcommand prints a single JSON report to
-stdout (rationals as "p/q" strings, insertion-ordered keys) and reserves
-stderr for diagnostics.
+"""Command-line front end. Every subcommand returns (inputs, results,
+verdict); `main` prints them as a single JSON report to stdout (rationals as
+"p/q" strings, insertion-ordered keys) and reserves stderr for diagnostics.
 
-Exit codes: 0 pass / not-applicable, 1 failed check, 2 usage error,
+Exit codes: 0 pass / not-applicable, 1 fail / inconclusive, 2 usage error,
 3 capability (size limit) error.
 """
 
@@ -23,7 +23,7 @@ from .errors import (
     StructureError,
 )
 from .exactmath import format_rational, fugacity, parse_rational
-from .graphs import Graph, generate, parse_edge_list, parse_graph6
+from .graphs import FAMILIES, Graph, generate, parse_edge_list, parse_graph6, regular_degree
 from .lp import solve
 from .polynomials import (
     edge_occupancy,
@@ -43,8 +43,8 @@ def _rat(value) -> str:
 
 
 def parse_graph_spec(spec: str, fmt: str = "graph6") -> Graph:
-    """kdd:D, hdn:D:N, cycle:N, complete:N, prism:N, hypercube:K, petersen
-    (any family of `graphs.generate`, parameters separated by colons), or
+    """FAMILY:PARAMS for a family of `graphs.FAMILIES`, its integer
+    parameters in the order and number named there (hdn:D:N, petersen), or
     file:PATH (decoded per --format)."""
     kind, _, rest = spec.partition(":")
     if kind == "file":
@@ -85,12 +85,10 @@ def _one_graph6(text: str) -> Graph:
         raise FormatError(f"line {lineno}: {exc}") from None
 
 
-def load_corpus(path: str | None, fmt: str):
+def load_corpus(path: str, fmt: str):
     """A corpus file is one graph per line: graph6 lines, or graph specs
-    (whose `file:` entries hold one graph6 line); without a file the
-    bundled regular corpus is used. Errors name the corpus line."""
-    if path is None:
-        return corpus.regular_corpus(12)
+    (whose `file:` entries hold one graph6 line). Errors name the corpus
+    line."""
     named = []
     for idx, line in enumerate(_read_text(path).splitlines(), start=1):
         s = line.strip()
@@ -104,31 +102,21 @@ def load_corpus(path: str | None, fmt: str):
     return named
 
 
+def _corpus(args, builtin):
+    """The --corpus file, or the bundled corpus `builtin()` without one."""
+    return builtin() if args.corpus is None else load_corpus(args.corpus, args.format)
+
+
 def _grid_arg(text: str | None):
     if not text:
         return corpus.FUGACITY_GRID
     return tuple(fugacity(parse_rational(part)) for part in text.split(","))
 
 
-def _report(command: str, inputs: dict, results: dict, verdict: str, start: float) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "verdict": verdict,
-        "timing_ms": round((time.monotonic() - start) * 1000, 3),
-    }
-
-
-def _emit(report: dict) -> None:
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (inputs, results, verdict)
 
-def cmd_poly(args, start):
+def cmd_poly(args):
     g = parse_graph_spec(args.graph, args.format)
     lam = fugacity(parse_rational(args.lam))
     ip = independence_poly(g)
@@ -139,34 +127,32 @@ def cmd_poly(args, start):
         "occupancy": _rat(occupancy(g, lam)),
         "edge_occupancy": _rat(edge_occupancy(g, lam)) if g.edge_count else None,
     }
-    return _report("poly", {"graph": args.graph, "lambda": args.lam}, results, "pass", start), EXIT_PASS
+    return {"graph": args.graph, "lambda": args.lam}, results, "pass"
 
 
-def cmd_occupancy(args, start):
+def cmd_occupancy(args):
     g = parse_graph_spec(args.graph, args.format)
     lam = fugacity(parse_rational(args.lam))
-    results = {"occupancy": _rat(occupancy(g, lam))}
-    return _report("occupancy", {"graph": args.graph, "lambda": args.lam}, results, "pass", start), EXIT_PASS
+    return {"graph": args.graph, "lambda": args.lam}, {"occupancy": _rat(occupancy(g, lam))}, "pass"
 
 
-def cmd_counts(args, start):
+def cmd_counts(args):
     g = parse_graph_spec(args.graph, args.format)
     independent, matchings_by_size = bounds.counts(g)
     results = {
         "independent_sets": [str(c) for c in independent],
         "matchings": [str(c) for c in matchings_by_size],
     }
-    return _report("counts", {"graph": args.graph}, results, "pass", start), EXIT_PASS
+    return {"graph": args.graph}, results, "pass"
 
 
-def cmd_certify_hardcore(args, start):
+def cmd_certify_hardcore(args):
     lam = fugacity(parse_rational(args.lam))
     inputs = {"d": args.d, "lambda": args.lam}
     try:
         report = hardcore.dual_certificate(args.d, lam)
     except CertificateError as exc:
-        results = {"error": str(exc)}
-        return _report("certify hardcore", inputs, results, "fail", start), EXIT_FAIL
+        return inputs, {"error": str(exc)}, "fail"
     lp_value = solve(hardcore.build_primal(args.d, lam)).value
     results = {
         "optimum": _rat(report.optimum),
@@ -175,13 +161,10 @@ def cmd_certify_hardcore(args, start):
         "tight": list(report.tight),
         "slacks": [[cid, _rat(s)] for cid, s in report.slacks],
     }
-    verdict = "pass" if report.optimum == lp_value else "fail"
-    return _report("certify hardcore", inputs, results, verdict, start), (
-        EXIT_PASS if verdict == "pass" else EXIT_FAIL
-    )
+    return inputs, results, "pass" if report.optimum == lp_value else "fail"
 
 
-def cmd_certify_matching(args, start):
+def cmd_certify_matching(args):
     if args.grid and args.lam is not None:
         raise DomainError("--grid and --lambda are exclusive")
     lam_text = "1" if args.lam is None else args.lam
@@ -204,12 +187,10 @@ def cmd_certify_matching(args, start):
         except CertificateError as exc:
             results_by_lam[key] = {"error": str(exc)}
             verdict = "fail"
-    return _report("certify matching", inputs, results_by_lam, verdict, start), (
-        EXIT_PASS if verdict == "pass" else EXIT_FAIL
-    )
+    return inputs, results_by_lam, verdict
 
 
-def cmd_tree(args, start):
+def cmd_tree(args):
     lam = fugacity(parse_rational(args.lam))
     tol = parse_rational(args.tol)
     bracket = bounds.tree_occupancy(args.d, lam, tol)
@@ -220,16 +201,11 @@ def cmd_tree(args, start):
     }
     if args.d >= 3:
         results["uniqueness_threshold"] = _rat(bounds.uniqueness_threshold(args.d))
-    return _report(
-        "tree", {"d": args.d, "lambda": args.lam, "tol": args.tol}, results, "pass", start
-    ), EXIT_PASS
+    return {"d": args.d, "lambda": args.lam, "tol": args.tol}, results, "pass"
 
 
-def cmd_verify_lower_bound(args, start):
-    if args.corpus is None:
-        named = corpus.transitive_bipartite_corpus()
-    else:
-        named = load_corpus(args.corpus, args.format)
+def cmd_verify_lower_bound(args):
+    named = _corpus(args, corpus.transitive_bipartite_corpus)
     grid = _grid_arg(args.grid)
     rows = []
     verdict = "pass"
@@ -251,18 +227,12 @@ def cmd_verify_lower_bound(args, start):
                 verdict = "fail"
             elif v.status == "inconclusive" and verdict == "pass":
                 verdict = "inconclusive"
-    exit_code = EXIT_PASS if verdict == "pass" else EXIT_FAIL
-    return _report(
-        "verify lower-bound", {"corpus": args.corpus or "builtin", "grid": [format_rational(x) for x in grid]},
-        {"checks": rows}, verdict, start
-    ), exit_code
+    inputs = {"corpus": args.corpus or "builtin", "grid": [format_rational(x) for x in grid]}
+    return inputs, {"checks": rows}, verdict
 
 
-def cmd_verify_given_size(args, start):
-    if args.corpus is None:
-        named = corpus.given_size_corpus()
-    else:
-        named = load_corpus(args.corpus, args.format)
+def cmd_verify_given_size(args):
+    named = _corpus(args, corpus.given_size_corpus)
     rows = []
     verdict = "pass"
     any_applicable = False
@@ -281,28 +251,22 @@ def cmd_verify_given_size(args, start):
             verdict = "fail"
     if verdict == "pass" and not any_applicable:
         verdict = "not-applicable"
-    exit_code = EXIT_PASS if verdict in ("pass", "not-applicable") else EXIT_FAIL
-    return _report(
-        "verify given-size", {"corpus": args.corpus or "builtin"}, {"checks": rows}, verdict, start
-    ), exit_code
+    return {"corpus": args.corpus or "builtin"}, {"checks": rows}, verdict
 
 
-def cmd_conjectures(args, start):
-    named = load_corpus(args.corpus, args.format)
-    if args.corpus is None:
+def cmd_conjectures(args):
+    def bundled():
         # the bundled corpus mixes degrees and sizes; keep the matching slice
-        from .graphs import regular_degree
-
         named = [
             (name, g)
-            for name, g in named
+            for name, g in corpus.regular_corpus(12)
             if regular_degree(g) == args.d and g.n == args.n
         ]
         if not named:
-            raise DomainError(
-                f"no bundled {args.d}-regular graphs on {args.n} vertices"
-            )
-    report = bounds.ratio_conjecture_report(named, args.d, args.n)
+            raise DomainError(f"no bundled {args.d}-regular graphs on {args.n} vertices")
+        return named
+
+    report = bounds.ratio_conjecture_report(_corpus(args, bundled), args.d, args.n)
     results = {}
     for which, rows in report.items():
         results[which] = [
@@ -320,19 +284,13 @@ def cmd_conjectures(args, start):
             for row in rows
         ]
     # empirical evidence only: the verdict never fails on a counterexample
-    return _report(
-        "conjectures", {"corpus": args.corpus or "builtin", "d": args.d, "n": args.n},
-        results, "pass", start
-    ), EXIT_PASS
+    return {"corpus": args.corpus or "builtin", "d": args.d, "n": args.n}, results, "pass"
 
 
-def cmd_selftest(args, start):
+def cmd_selftest(args):
     results = selftest.run_all(quick=args.quick)
-    rows = [r.to_json() for r in results]
-    ok = all(r.passed for r in results)
-    return _report(
-        "selftest", {"quick": args.quick}, {"criteria": rows}, "pass" if ok else "fail", start
-    ), (EXIT_PASS if ok else EXIT_FAIL)
+    verdict = "pass" if all(r.passed for r in results) else "fail"
+    return {"quick": args.quick}, {"criteria": [r.to_json() for r in results]}, verdict
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_graph_arg(p):
-        p.add_argument("--graph", required=True, help="kdd:D | hdn:D:N | cycle:N | complete:N | prism:N | hypercube:K | petersen | file:PATH")
+        specs = [f"{name}:{params}" if params else name for name, (_, params) in FAMILIES.items()]
+        p.add_argument("--graph", required=True, help=" | ".join(specs + ["file:PATH"]))
         p.add_argument("--format", choices=("graph6", "edgelist"), default="graph6")
 
     p = sub.add_parser("poly", help="independence and matching polynomials")
@@ -416,15 +375,25 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     start = time.monotonic()
     try:
-        report, code = args.fn(args, start)
+        inputs, results, verdict = args.fn(args)
     except (DomainError, FormatError, StructureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapabilityError as exc:
         print(f"capability error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
-    _emit(report)
-    return code
+    report = {
+        "command": " ".join(filter(None, (args.command, getattr(args, "which", None)))),
+        "inputs": inputs,
+        "results": results,
+        "verdict": verdict,
+        "timing_ms": round((time.monotonic() - start) * 1000, 3),
+    }
+    json.dump(report, sys.stdout, indent=2)
+    sys.stdout.write("\n")
+    exit_code = {"pass": EXIT_PASS, "not-applicable": EXIT_PASS,
+                 "fail": EXIT_FAIL, "inconclusive": EXIT_FAIL}
+    return exit_code[verdict]
 
 
 if __name__ == "__main__":

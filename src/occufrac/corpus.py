@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from .graphs import (
     Graph,
+    bipartition,
     complete,
     complete_bipartite,
     cycle,
@@ -14,6 +15,7 @@ from .graphs import (
     kdd_union,
     petersen,
     prism,
+    regular_degree,
 )
 
 FUGACITY_GRID = (
@@ -69,13 +71,7 @@ def transitive_bipartite_corpus():
 
 def bipartite_correlation_corpus(max_n: int = 12):
     """Bipartite members of the regular corpus, for the correlation suite."""
-    from .graphs import bipartition
-
-    return [
-        (name, g)
-        for name, g in regular_corpus(max_n)
-        if g.n <= max_n and bipartition(g) is not None
-    ]
+    return [(name, g) for name, g in regular_corpus(max_n) if bipartition(g) is not None]
 
 
 def given_size_corpus():
@@ -103,8 +99,6 @@ def is_kdd_union(g: Graph, d: int) -> bool:
     """Every connected component is a complete bipartite K_{d,d}. For a
     d-regular graph this holds iff each component has 2d vertices and is
     bipartite."""
-    from .graphs import bipartition, regular_degree
-
     if regular_degree(g) != d:
         return False
     for comp in g.components():

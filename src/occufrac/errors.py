@@ -27,5 +27,8 @@ class CertificateError(AssertionError):
     """A certificate check that must hold exactly has failed.
 
     Carries the offending item (configuration, triple, ...) in args so
-    callers can report what broke.
+    callers can report what broke; it reads as its message alone.
     """
+
+    def __str__(self):
+        return str(self.args[0]) if self.args else ""

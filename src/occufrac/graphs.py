@@ -296,22 +296,25 @@ def petersen() -> Graph:
     return Graph(10, outer + spokes + inner)
 
 
-_FAMILIES = {
-    "kdd": (complete_bipartite, 1),
-    "hdn": (kdd_union, 2),
-    "cycle": (cycle, 1),
-    "complete": (complete, 1),
-    "hypercube": (hypercube, 1),
-    "prism": (prism, 1),
-    "petersen": (petersen, 0),
+# each family's builder and its parameter names, colon-separated as in a
+# graph spec such as hdn:D:N
+FAMILIES = {
+    "kdd": (complete_bipartite, "D"),
+    "hdn": (kdd_union, "D:N"),
+    "cycle": (cycle, "N"),
+    "complete": (complete, "N"),
+    "prism": (prism, "N"),
+    "hypercube": (hypercube, "K"),
+    "petersen": (petersen, ""),
 }
 
 
 def generate(family: str, *params: int) -> Graph:
     """Build a named graph family with a fixed deterministic labeling."""
-    if family not in _FAMILIES:
+    if family not in FAMILIES:
         raise DomainError(f"unknown family {family!r}")
-    fn, arity = _FAMILIES[family]
+    fn, names = FAMILIES[family]
+    arity = len(names.split(":")) if names else 0
     if len(params) != arity:
         raise DomainError(f"family {family!r} takes {arity} parameter(s)")
     return fn(*params)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from .errors import CapabilityError, CertificateError, DomainError
 from .exactmath import IntPolynomial, fugacity
@@ -170,8 +171,6 @@ def ratio_gap_coefficients(c: Graph, d: int):
     certificate, so N has non-negative coefficients too. (For the empty
     graph R vanishes identically.) Violations raise CertificateError.
     """
-    from math import comb
-
     if c.n > d:
         raise DomainError("configuration exceeds d vertices")
     r = independence_poly(c)

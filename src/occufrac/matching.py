@@ -146,26 +146,19 @@ class MatchingDuals:
 
 def dual_row_prices(d: int, lam: Fraction) -> MatchingDuals:
     """Solve the diagonal-configuration equality constraints for the row
-    prices: pin price[d-1] = 0, read price[d-2] off the (d-1, d-1, 0)
-    constraint, then recurse downward. Verifies every diagonal constraint
-    afterwards."""
+    prices: pin price[d-1] = 0, then for i = d-1 down to 1 solve the (i, i, 0)
+    constraint for price[i-1], whose coefficient there is i^2 lam. Verifies
+    every diagonal constraint afterwards, the i = 0 one the solve never
+    used included."""
     lam = fugacity(lam)
     if d < 2:
         raise DomainError("need d >= 2")
     alpha = kdd_edge_occupancy(d, lam)
     prices = [Fraction(0)] * d
-    prices[d - 2] = (
-        lam + (d - 1) * lam * lam - alpha * _star(d - 1, lam) * _star(d, lam)
-    ) / ((d - 1) * lam)
-    for i in range(d - 2, 0, -1):
-        # diagonal constraint at i, scaled by (d-1), solved for price[i-1]
-        rest = (
-            alpha * _star(i, lam) * ((d - 1) * _star(i, lam) + i * lam)
-            - i * lam * _star(i, lam)
-            - prices[i] * (d - 1 - i + i * i * lam)
-            + prices[i + 1] * (d - 1 - i)
-        )
-        prices[i - 1] = -rest / (i * i * lam)
+    partial = MatchingDuals(d=d, lam=lam, prices=prices, optimum=alpha)
+    for i in range(d - 1, 0, -1):
+        # price[i-1] is still 0, so the residual is the rest of the constraint
+        prices[i - 1] = -_diagonal_residual(partial, i) / (i * i * lam)
     duals = MatchingDuals(d=d, lam=lam, prices=tuple(prices), optimum=alpha)
     for i in range(d):
         if _diagonal_residual(duals, i) != 0:
@@ -177,13 +170,11 @@ def _diagonal_residual(duals: MatchingDuals, i: int) -> Fraction:
     """(d-1) times the diagonal equality constraint at (i, i, 0); zero when
     the prices are consistent."""
     d, lam = duals.d, duals.lam
-    res = (
-        duals.optimum * _star(i, lam) * ((d - 1) * _star(i, lam) + i * lam)
-        - i * lam * _star(i, lam)
-    )
+    star, ilam = _star(i, lam), i * lam
+    res = star * (duals.optimum * ((d - 1) * star + ilam) - ilam)
     if i >= 1:
-        res += duals.price(i - 1) * i * i * lam
-    res -= duals.price(i) * (d - 1 - i + i * i * lam)
+        res += duals.price(i - 1) * i * ilam
+    res -= duals.price(i) * (d - 1 - i + i * ilam)
     if i + 1 <= d - 1:
         res += duals.price(i + 1) * (d - 1 - i)
     # for i = d-1 the price[d] coefficient (d-1-i) vanishes

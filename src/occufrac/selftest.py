@@ -12,11 +12,13 @@ from fractions import Fraction
 
 from . import bounds, corpus, hardcore, matching
 from .exactmath import format_rational
-from .graphs import bipartition, regular_degree
+from .graphs import bipartition, complete_bipartite, regular_degree
 from .lp import solve
 from .polynomials import (
     edge_occupancy,
     kdd_edge_occupancy,
+    kdd_independence_poly,
+    kdd_matching_poly,
     kdd_occupancy,
     occupancy,
     state_polynomials,
@@ -117,8 +119,6 @@ def _c2(failures, details, quick):
 # --- criterion 3 -----------------------------------------------------------
 
 def _c3(failures, details, quick):
-    from .graphs import complete_bipartite
-
     checks = 0
     for d in GRID_D if not quick else (2, 3):
         kdd = complete_bipartite(d)
@@ -259,8 +259,6 @@ def _c8(failures, details, quick):
 # --- criterion 9 -----------------------------------------------------------
 
 def _c9(failures, details, quick):
-    from .polynomials import kdd_independence_poly, kdd_matching_poly
-
     top_n = 24 if not quick else 12
     mode_checks = 0
     for d in (2, 3):

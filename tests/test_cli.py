@@ -98,6 +98,23 @@ def test_certify_matching_runs_the_row_prices_once_per_fugacity(monkeypatch, cap
     assert calls == [Fraction(1, 4), Fraction(1), Fraction(4)]
 
 
+def test_failed_certificate_reads_as_its_message(monkeypatch, capsys):
+    # a wrong balance price leaves the empty class with a negative slack; the
+    # report carries the error's message, not the tuple of its args
+    import occufrac.hardcore as mod
+
+    original = mod.solver_dual_for_certificate
+
+    def perturbed(d, lam):
+        norm, balance = original(d, lam)
+        return norm, balance - Fraction(1, 100)
+
+    monkeypatch.setattr(mod, "solver_dual_for_certificate", perturbed)
+    code, report, _ = run_cli(capsys, "certify", "hardcore", "--d", "3", "--lambda", "1")
+    assert (code, report["verdict"]) == (1, "fail")
+    assert report["results"] == {"error": "negative dual slack at configuration 0v0e#0"}
+
+
 def test_zero_regular_graph_is_a_usage_error(tmp_path, capsys):
     corpus = tmp_path / "empty4.g6"
     corpus.write_text("C?\n")  # 4 vertices, no edges
@@ -168,6 +185,54 @@ def test_verify_given_size_builtin(capsys):
     code, report, _ = run_cli(capsys, "verify", "given-size")
     assert code == 0
     assert report["verdict"] == "pass"
+
+
+def test_inconclusive_lower_bound_exits_one(monkeypatch, capsys):
+    import dataclasses
+
+    from occufrac import bounds
+
+    original = bounds.verify_lower_bound
+
+    def inconclusive(*args, **kwargs):
+        return dataclasses.replace(original(*args, **kwargs), status="inconclusive")
+
+    monkeypatch.setattr(bounds, "verify_lower_bound", inconclusive)
+    code, report, _ = run_cli(capsys, "verify", "lower-bound", "--grid", "1")
+    assert (code, report["verdict"]) == (1, "inconclusive")
+
+
+def test_given_size_without_an_applicable_graph_exits_zero(tmp_path, capsys):
+    # C5 is 2-regular on 5 vertices, and 2d = 4 does not divide 5
+    path = tmp_path / "corpus.txt"
+    path.write_text("cycle:5\n")
+    code, report, _ = run_cli(
+        capsys, "verify", "given-size", "--corpus", str(path), "--format", "spec"
+    )
+    assert (code, report["verdict"]) == (0, "not-applicable")
+    assert [row["applicable"] for row in report["results"]["checks"]] == [False]
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [
+        (["poly", "--graph", "cycle:6"], "poly"),
+        (["occupancy", "--graph", "kdd:2"], "occupancy"),
+        (["counts", "--graph", "kdd:2"], "counts"),
+        (["certify", "hardcore", "--d", "2", "--lambda", "1"], "certify hardcore"),
+        (["certify", "matching", "--d", "2"], "certify matching"),
+        (["tree", "--d", "2", "--lambda", "1"], "tree"),
+        (["verify", "lower-bound", "--grid", "1"], "verify lower-bound"),
+        (["verify", "given-size"], "verify given-size"),
+        (["conjectures", "--d", "2", "--n", "8"], "conjectures"),
+        (["selftest", "--quick"], "selftest"),
+    ],
+)
+def test_every_subcommand_names_itself(capsys, argv, command):
+    code, report, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert list(report) == ["command", "inputs", "results", "verdict", "timing_ms"]
+    assert report["command"] == command
 
 
 def test_verify_given_size_builtin_loads_no_other_corpus(capsys, monkeypatch):
