@@ -78,24 +78,9 @@ class Graph:
                     adj[i] |= 1 << j
         return Graph._from_adj(adj)
 
-    def relabel(self, perm) -> "Graph":
-        """Image under the permutation v -> perm[v]."""
-        adj = [0] * self.n
-        for v in range(self.n):
-            m = 0
-            for w in self.neighbors(v):
-                m |= 1 << perm[w]
-            adj[perm[v]] = m
-        return Graph._from_adj(adj)
-
     def components(self):
         """Vertex lists of connected components, each sorted, in order of minimum."""
         return [mask_vertices(c) for c in mask_components(self.adj, (1 << self.n) - 1)]
-
-    def disjoint_union(self, other: "Graph") -> "Graph":
-        shift = self.n
-        adj = list(self.adj) + [m << shift for m in other.adj]
-        return Graph._from_adj(adj)
 
     def __eq__(self, other):
         return (

@@ -371,19 +371,30 @@ def edge_neighborhood_distribution(g: Graph, lam: Fraction, limit: int = 20):
     if d is None or d < 2:
         raise DomainError("graph must be d-regular with d >= 2")
     edges = g.edges()
-
     everyone = (1 << g.n) - 1
+    # per edge (u, v): its endpoints, the mask of every other vertex and the
+    # adjacencies of both endpoints
+    per_edge = [(u, v, ~(1 << u | 1 << v), g.adj[u], g.adj[v]) for u, v in edges]
 
     def classify(matching):
+        # a neighboring edge of (u, v) survives iff its far endpoint is
+        # unmatched or matched to u or v. Survival is symmetric in u and v,
+        # so the triple of (v, u) is that of (u, v) with i and j swapped.
         partner = {}
         for u, v in matching:
             partner[u] = 1 << v
             partner[v] = 1 << u
         unmatched = everyone & ~sum(partner.values())
         out = []
-        for u, v in edges:
-            out.append(_edge_triple(g, u, v, partner, unmatched))
-            out.append(_edge_triple(g, v, u, partner, unmatched))
+        for u, v, others, adj_u, adj_v in per_edge:
+            live = (unmatched | partner.get(u, 0) | partner.get(v, 0)) & others
+            at_u = adj_u & live
+            at_v = adj_v & live
+            k = (at_u & at_v).bit_count()
+            i = at_u.bit_count() - k
+            j = at_v.bit_count() - k
+            out.append((i, j, k))
+            out.append((j, i, k))
         return out
 
     total, by_triple = state_polynomials(g, "matching", classify, limit)
@@ -414,15 +425,3 @@ def objective_value(law: dict, d: int, lam: Fraction) -> Fraction:
             raise CertificateError(message, exc.args[1]) from exc
         raise
 
-
-def _edge_triple(g: Graph, left: int, right: int, partner: dict, unmatched: int):
-    """Configuration (i, j, k) of the oriented edge (left, right) under a
-    matching given by `partner` (matched vertex -> bit of its partner) and
-    the bitmask of unmatched vertices: a neighboring edge survives iff its
-    far endpoint is unmatched or matched to an endpoint of the chosen edge."""
-    ends = 1 << left | 1 << right
-    live = (unmatched | partner.get(left, 0) | partner.get(right, 0)) & ~ends
-    at_left = g.adj[left] & live
-    at_right = g.adj[right] & live
-    k = (at_left & at_right).bit_count()
-    return (at_left.bit_count() - k, at_right.bit_count() - k, k)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 from math import comb, factorial
 
 from .errors import CapabilityError, DomainError
@@ -38,6 +39,14 @@ ORACLE_LIMIT = 24
 # safe to share between threads under the GIL.
 _IND_MEMO: dict = {}
 _MATCH_MEMO: dict = {}
+
+# The states that `state_polynomials` enumerated last under each model, as
+# one (graph, states) tuple per model, replaced whole so that a reader never
+# pairs one graph with another's states. An enumeration of more than
+# _STATE_BOUND states is not kept: its first _STATE_BOUND + 1 states are
+# buffered and the rest streamed.
+_STATES: dict = {}
+_STATE_BOUND = 1 << 15
 
 
 def _memoized(memo: dict, g: Graph, compute) -> IntPolynomial:
@@ -78,8 +87,8 @@ def matching_poly(g: Graph) -> IntPolynomial:
     return _by_components(g, _MATCH_MEMO, (1,), _matching_step, _edge_budget)
 
 
-def _vertex_budget(subs) -> None:
-    largest = max((sub.n for sub in subs), default=0)
+def _vertex_budget(adj, comps) -> None:
+    largest = max((comp.bit_count() for comp in comps), default=0)
     if largest > INDEPENDENCE_BUDGET:
         raise CapabilityError(
             f"independence_poly budget is {INDEPENDENCE_BUDGET} vertices"
@@ -87,27 +96,32 @@ def _vertex_budget(subs) -> None:
         )
 
 
-def _edge_budget(subs) -> None:
-    for sub in subs:
-        if sub.edge_count > MATCHING_BUDGET:
+def _edge_budget(adj, comps) -> None:
+    for comp in comps:
+        edges = sum((adj[v] & comp).bit_count() for v in mask_vertices(comp)) // 2
+        if edges > MATCHING_BUDGET:
             raise CapabilityError(
                 f"matching_poly budget is {MATCHING_BUDGET} edges per component,"
-                f" got {sub.edge_count}"
+                f" got {edges}"
             )
 
 
 def _by_components(g: Graph, memo: dict, single, step, budget) -> IntPolynomial:
     """The product of the polynomials of g's components under
-    `_mask_recursion`, after budget(components) has had its say."""
-    subs = [g.induced(comp) for comp in g.components()]
-    budget(subs)
+    `_mask_recursion`, after budget(adj, component masks) has had its say,
+    so an over-budget graph raises before any subgraph is built."""
+    comps = list(mask_components(g.adj, (1 << g.n) - 1))
+    budget(g.adj, comps)
 
     def compute(sub):
         return IntPolynomial(_mask_recursion(sub.adj, single, step))
 
     out = (1,)
-    for sub in subs:
-        p = single if sub.n == 1 else _memoized(memo, sub, compute).coeffs
+    for comp in comps:
+        if comp.bit_count() == 1:
+            p = single
+        else:
+            p = _memoized(memo, g.induced(mask_vertices(comp)), compute).coeffs
         out = convolve(out, p)
     return IntPolynomial(out)
 
@@ -310,22 +324,27 @@ def state_polynomials(g: Graph, model: str, classify, limit: int = ORACLE_LIMIT)
     enumeration, never from the deletion recurrences, so it cross-checks
     them. The default size cap keeps enumeration at desk scale; pass a
     larger `limit` explicitly to override it.
+
+    The states of the last graph enumerated under each model are kept (up
+    to _STATE_BOUND of them), so further questions about an equal graph
+    classify them again without enumerating. The cap is checked first,
+    whatever is kept.
     """
     if model == "hardcore":
         if g.n > limit:
             raise CapabilityError(f"oracle limit is {limit} vertices, got {g.n}")
-        states, size, width = independent_sets(g), int.bit_count, g.n + 1
+        enumerate_states, size, width = independent_sets, int.bit_count, g.n + 1
     elif model == "matching":
         if g.edge_count > limit:
             raise CapabilityError(
                 f"oracle limit is {limit} edges, got {g.edge_count}"
             )
-        states, size, width = matchings(g), len, g.n // 2 + 1
+        enumerate_states, size, width = matchings, len, g.n // 2 + 1
     else:
         raise DomainError(f"unknown model {model!r}")
     total = [0] * width
     counts = defaultdict(lambda: [0] * width)
-    for state in states:
+    for state in _states(g, model, enumerate_states):
         k = size(state)
         total[k] += 1
         for label in classify(state):
@@ -333,6 +352,20 @@ def state_polynomials(g: Graph, model: str, classify, limit: int = ORACLE_LIMIT)
     return IntPolynomial(total), {
         label: IntPolynomial(row) for label, row in counts.items()
     }
+
+
+def _states(g: Graph, model: str, enumerate_states):
+    """The kept states of g under the model, or a fresh enumeration, which
+    is kept when it has at most _STATE_BOUND states."""
+    entry = _STATES.get(model)
+    if entry is not None and entry[0] == g:
+        return entry[1]
+    states = enumerate_states(g)
+    head = tuple(islice(states, _STATE_BOUND + 1))
+    if len(head) > _STATE_BOUND:
+        return chain(head, states)
+    _STATES[model] = (g, head)
+    return head
 
 
 def event_probability_oracle(
@@ -360,6 +393,8 @@ def event_probability_oracle(
 
 
 def clear_memo_tables():
-    """Drop memoized polynomials (mainly for benchmarks and tests)."""
+    """Drop memoized polynomials and kept oracle states (mainly for
+    benchmarks and tests)."""
     _IND_MEMO.clear()
     _MATCH_MEMO.clear()
+    _STATES.clear()

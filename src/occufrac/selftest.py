@@ -300,7 +300,7 @@ def _c10(failures, details, quick):
     graphs = corpus.regular_corpus(12)
     if quick:
         graphs = [(n, g) for n, g in graphs if g.n <= 8]
-    oracle_checks = 0
+    oracle_checks = law_checks = 0
     for name, g in graphs:
         # one enumeration per model. Every occupied vertex, uncovered vertex
         # and matched edge yields its label once, so a label counts the sum
@@ -331,12 +331,11 @@ def _c10(failures, details, quick):
                 failures.append(f"{name} edge oracle lam={format_rational(lam)}")
             oracle_checks += 1
 
-    law_checks = 0
-    for name, g in graphs:
+        # the laws classify the states just enumerated again, from the kept
+        # states of each model. They verify feasibility and the objective
+        # identity internally and raise when either fails.
         d = regular_degree(g)
         lam = Fraction(1)
-        # the distribution functions verify feasibility and the objective
-        # identity internally and raise when either fails
         try:
             probs = hardcore.free_neighborhood_distribution(g, lam)
             if hardcore.objective_value(probs, d, lam) > kdd_occupancy(d, lam):

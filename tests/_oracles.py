@@ -589,6 +589,16 @@ def backtrack_orbit_of_zero(g: Graph):
     ]
 
 
+def relabel(g: Graph, perm) -> Graph:
+    """Image of g under the permutation v -> perm[v]."""
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def disjoint_union(g: Graph, h: Graph) -> Graph:
+    """g beside h, with h's vertices shifted up by g.n."""
+    return Graph(g.n + h.n, g.edges() + [(u + g.n, v + g.n) for u, v in h.edges()])
+
+
 def random_regular_graph(rng, n: int, d: int) -> Graph:
     """A random simple d-regular graph: pair up d copies of each vertex at
     random and start again until no loop or double edge appears."""

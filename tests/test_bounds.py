@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from _oracles import disjoint_union
 from occufrac.bounds import (
     binomial_base_inequalities,
     counts,
@@ -101,7 +102,7 @@ def test_lower_bound_precondition_errors():
         verify_lower_bound(Graph(3, [(0, 1)]), ONE)  # not regular
     with pytest.raises(DomainError):
         verify_lower_bound(petersen(), ONE)  # not bipartite
-    mixed_cycles = cycle(4).disjoint_union(cycle(8))
+    mixed_cycles = disjoint_union(cycle(4), cycle(8))
     with pytest.raises(DomainError):
         verify_lower_bound(mixed_cycles, ONE)  # not vertex-transitive
     # the explicit assertion flag replaces the transitivity computation

@@ -6,12 +6,14 @@ import pytest
 from _oracles import (
     brute_independence_counts,
     brute_matching_counts,
+    disjoint_union,
     graph_deletion_poly,
     random_graph,
     random_regular_graph,
     reference_edge_law,
     reference_free_neighborhood_law,
     reference_uncovered_law,
+    relabel,
 )
 from occufrac import polynomials
 from occufrac.errors import CapabilityError, DomainError
@@ -74,7 +76,7 @@ def test_polys_match_brute_force_enumeration():
 def _relabeled(g, rng):
     perm = list(range(g.n))
     rng.shuffle(perm)
-    return g.relabel(perm)
+    return relabel(g, perm)
 
 
 def test_memoized_polys_match_brute_force_cold_and_warm():
@@ -109,7 +111,7 @@ def test_memoized_polys_match_brute_force_cold_and_warm():
 
 def test_small_components_are_probed_by_label_then_class():
     clear_memo_tables()
-    g = cycle(7).disjoint_union(Graph(1)).disjoint_union(petersen())
+    g = disjoint_union(disjoint_union(cycle(7), Graph(1)), petersen())
     h = _relabeled(g, random.Random(3))
     assert independence_poly(h) == independence_poly(g)
     assert matching_poly(h) == matching_poly(g)
@@ -189,7 +191,7 @@ def test_disjoint_union_multiplicativity():
     for _ in range(10):
         g1 = random_graph(rng, rng.randint(1, 6), 0.5)
         g2 = random_graph(rng, rng.randint(1, 6), 0.5)
-        u = g1.disjoint_union(g2)
+        u = disjoint_union(g1, g2)
         assert independence_poly(u) == independence_poly(g1) * independence_poly(g2)
         assert matching_poly(u) == matching_poly(g1) * matching_poly(g2)
 
@@ -273,20 +275,20 @@ def test_independence_budget_applies_per_component():
     # 32 vertices in four components of 8: within the budget without an override
     assert independence_poly(kdd_union(4, 32)) == kdd_independence_poly(4) ** 4
     with pytest.raises(CapabilityError, match="got 31$"):
-        independence_poly(cycle(31).disjoint_union(cycle(4)))
+        independence_poly(disjoint_union(cycle(31), cycle(4)))
 
 
 def test_budget_messages_name_the_right_component():
     # with two components over budget, independence names the largest and
     # matching the first in component order (by lowest vertex)
     with pytest.raises(CapabilityError, match="vertices per component, got 33$"):
-        independence_poly(cycle(31).disjoint_union(cycle(33)))
+        independence_poly(disjoint_union(cycle(31), cycle(33)))
     with pytest.raises(CapabilityError, match="vertices per component, got 33$"):
-        independence_poly(cycle(33).disjoint_union(cycle(31)))
+        independence_poly(disjoint_union(cycle(33), cycle(31)))
     with pytest.raises(CapabilityError, match="edges per component, got 45$"):
-        matching_poly(complete(10).disjoint_union(complete(11)))  # 45, then 55 edges
+        matching_poly(disjoint_union(complete(10), complete(11)))  # 45, then 55 edges
     with pytest.raises(CapabilityError, match="edges per component, got 55$"):
-        matching_poly(complete(11).disjoint_union(complete(10)))
+        matching_poly(disjoint_union(complete(11), complete(10)))
 
 
 def test_size_distribution_known_values():
@@ -372,15 +374,9 @@ def _has_triangle(g):
     return any(g.adj[u] & g.adj[v] for u, v in g.edges())
 
 
-def test_engine_laws_equal_fraction_references():
-    # random regular graphs, both with and without triangles: the laws
-    # built from integer counts equal the state-by-state Fraction sums
-    from occufrac.hardcore import (
-        free_neighborhood_distribution,
-        uncovered_count_distribution,
-    )
-    from occufrac.matching import edge_neighborhood_distribution
-
+def _law_cases():
+    # seeded random regular graphs, three with and three without triangles,
+    # each with its own fugacity
     rng = random.Random(41)
     drawn = {True: [], False: []}
     while min(len(v) for v in drawn.values()) < 3:
@@ -389,13 +385,35 @@ def test_engine_laws_equal_fraction_references():
         kind = drawn[_has_triangle(g)]
         if len(kind) < 3:
             kind.append(g)
-    for g in drawn[True] + drawn[False]:
-        lam = Fraction(rng.randint(1, 7), rng.randint(1, 7))
-        assert uncovered_count_distribution(g, lam) == reference_uncovered_law(g, lam)
-        assert free_neighborhood_distribution(g, lam) == reference_free_neighborhood_law(
-            g, lam
+    return [
+        (g, Fraction(rng.randint(1, 7), rng.randint(1, 7)))
+        for g in drawn[True] + drawn[False]
+    ]
+
+
+def _laws(g, lam):
+    from occufrac.hardcore import (
+        free_neighborhood_distribution,
+        uncovered_count_distribution,
+    )
+    from occufrac.matching import edge_neighborhood_distribution
+
+    return (
+        uncovered_count_distribution(g, lam),
+        free_neighborhood_distribution(g, lam),
+        edge_neighborhood_distribution(g, lam),
+    )
+
+
+def test_engine_laws_equal_fraction_references():
+    # random regular graphs, both with and without triangles: the laws
+    # built from integer counts equal the state-by-state Fraction sums
+    for g, lam in _law_cases():
+        assert _laws(g, lam) == (
+            reference_uncovered_law(g, lam),
+            reference_free_neighborhood_law(g, lam),
+            reference_edge_law(g, lam),
         )
-        assert edge_neighborhood_distribution(g, lam) == reference_edge_law(g, lam)
 
 
 def test_enumerators_agree_with_polynomials():
@@ -463,3 +481,121 @@ def test_mkdd_derivative_identity():
     # edge-occupancy closed form
     for d in range(1, 8):
         assert kdd_matching_poly(d).derivative() == d * d * kdd_matching_poly(d - 1)
+
+
+# ---------------------------------------------------------------------------
+# Kept oracle states
+
+@pytest.fixture
+def enumerations(monkeypatch):
+    """Count the enumerations that state_polynomials starts, per model."""
+    clear_memo_tables()
+    counts = {"hardcore": 0, "matching": 0}
+
+    def counted(model, enumerate_states):
+        def run(g):
+            counts[model] += 1
+            return enumerate_states(g)
+
+        return run
+
+    monkeypatch.setattr(polynomials, "independent_sets", counted("hardcore", independent_sets))
+    monkeypatch.setattr(polynomials, "matchings", counted("matching", matchings))
+    yield counts
+    clear_memo_tables()
+
+
+def _ask_everything(g, lam):
+    # questions about g under both models, in interleaved order
+    from occufrac.bounds import fkg_check
+
+    edge = g.edges()[0]
+    return [
+        event_probability_oracle(g, "hardcore", lam, lambda s: 0 in s),
+        event_probability_oracle(g, "matching", lam, lambda m: edge in m),
+        fkg_check(g, [0, 1], lam, "occupied"),
+        *_laws(g, lam),
+        fkg_check(g, [0, 1], lam, "uncovered"),
+    ]
+
+
+def test_states_are_enumerated_once_per_graph_and_model(enumerations):
+    # K_{3,3} with vertices 0 and 1 on one side
+    g = Graph(6, [(u, v) for u in (0, 1, 2) for v in (3, 4, 5)])
+    lam = Fraction(3, 2)
+    first = _ask_everything(g, lam)
+    assert enumerations == {"hardcore": 1, "matching": 1}
+    assert _ask_everything(g, lam) == first
+    assert enumerations == {"hardcore": 1, "matching": 1}
+    # an equal graph built anew reuses the kept states
+    assert _ask_everything(Graph(6, g.edges()), lam) == first
+    assert enumerations == {"hardcore": 1, "matching": 1}
+    # a different graph of the same order does not
+    other = Graph(6, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 5), (2, 3)])  # a 6-cycle
+    _ask_everything(other, lam)
+    assert enumerations == {"hardcore": 2, "matching": 2}
+
+
+def test_warm_states_give_the_cold_results(enumerations):
+    for g, lam in _law_cases():
+        clear_memo_tables()
+        cold = _laws(g, lam)
+        assert _laws(g, lam) == cold
+        assert cold == (
+            reference_uncovered_law(g, lam),
+            reference_free_neighborhood_law(g, lam),
+            reference_edge_law(g, lam),
+        )
+    assert enumerations == {"hardcore": 6, "matching": 6}
+
+
+def test_warm_states_still_meet_the_caps():
+    clear_memo_tables()
+    g = cycle(10)
+    state_polynomials(g, "hardcore", lambda s: ())
+    state_polynomials(g, "matching", lambda s: ())
+    assert set(polynomials._STATES) == {"hardcore", "matching"}
+    with pytest.raises(CapabilityError, match="^oracle limit is 9 vertices, got 10$"):
+        event_probability_oracle(g, "hardcore", ONE, lambda s: True, limit=9)
+    with pytest.raises(CapabilityError, match="^oracle limit is 9 edges, got 10$"):
+        event_probability_oracle(g, "matching", ONE, lambda m: True, limit=9)
+
+
+def test_only_enumerations_within_the_bound_are_kept(enumerations):
+    assert polynomials._STATE_BOUND == 2**15
+    kept = Graph(15)  # edgeless: exactly 2^15 independent sets
+    total, _ = state_polynomials(kept, "hardcore", lambda s: ())
+    assert total == IntPolynomial((1, 1)) ** 15
+    assert polynomials._STATES["hardcore"][0] is kept
+    big = Graph(16)  # 2^16 sets: counted as ever, and not kept
+    for _ in range(2):
+        total, by_size = state_polynomials(big, "hardcore", lambda s: [s.bit_count()])
+        assert total == IntPolynomial((1, 1)) ** 16
+        assert by_size[16] == IntPolynomial((0,) * 16 + (1,))
+    assert polynomials._STATES["hardcore"][0] is kept
+    assert enumerations["hardcore"] == 3
+
+
+def test_clear_memo_tables_drops_kept_states():
+    state_polynomials(cycle(6), "hardcore", lambda s: ())
+    state_polynomials(cycle(6), "matching", lambda s: ())
+    assert polynomials._STATES
+    clear_memo_tables()
+    assert polynomials._STATES == {}
+
+
+def test_budgets_are_checked_before_any_subgraph_is_built(monkeypatch):
+    def refuse(self, vertices):
+        raise AssertionError("Graph.induced called before the budget check")
+
+    monkeypatch.setattr(Graph, "induced", refuse)
+    with pytest.raises(
+        CapabilityError,
+        match="^independence_poly budget is 30 vertices per component, got 32$",
+    ):
+        independence_poly(hypercube(5))
+    with pytest.raises(
+        CapabilityError,
+        match="^matching_poly budget is 40 edges per component, got 45$",
+    ):
+        matching_poly(disjoint_union(complete(10), complete(11)))
