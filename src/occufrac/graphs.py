@@ -316,6 +316,13 @@ def generate(family: str, *params: int) -> Graph:
 # Leaves with equal certificates give automorphisms, which prune siblings in
 # one orbit and abandon subtrees mapped onto explored ones. Only cell
 # positions and neighbor counts steer the search, never vertex labels.
+# Class enumeration records each representative's key, so canonical_key of a
+# representative is one lookup of the labeled graph, not a second search.
+
+# each class representative, as a labeled graph (Graph equality and hash) ->
+# its canonical key: at most the 1253 classes on 0..CLASS_LIMIT vertices
+_REPRESENTATIVE_KEYS: dict = {}
+
 
 def _refine(adj, cells, splitters):
     """Refine ordered cells until each vertex of a cell has the same number
@@ -426,12 +433,15 @@ def _canonical_form(g: Graph):
 def canonical_key(g: Graph) -> bytes:
     """Isomorphism-invariant key: equal keys iff isomorphic (n <= CANONICAL_LIMIT).
     A vertex count byte, then the canonical upper triangle column by column,
-    so the edgeless graph has the smallest key on its vertex count."""
+    so the edgeless graph has the smallest key on its vertex count.
+    The key of a class representative of isomorphism_classes, as a labeled
+    graph, is read from the class table; any other graph is canonicalized."""
     if g.n > CANONICAL_LIMIT:
         raise CapabilityError(
             f"canonical_key supports at most {CANONICAL_LIMIT} vertices, got {g.n}"
         )
-    return _canonical_form(g)[0]
+    key = _REPRESENTATIVE_KEYS.get(g)
+    return key if key is not None else _canonical_form(g)[0]
 
 
 def label_key(g: Graph) -> bytes:
@@ -544,10 +554,12 @@ def _classes_and_automorphisms(n: int):
     isomorphism_classes(n) and, aligned with them, the automorphism
     generators of each representative from the canonical form that found
     it, so growing the next level canonicalizes no representative twice.
+    Each representative's key is also recorded for canonical_key.
     Classes on CLASS_LIMIT vertices are never grown and keep none: at 7
     vertices their generators would hold about 0.4 MB."""
     if n == 0:
         key, _, automorphisms = _canonical_form(Graph(0))
+        _REPRESENTATIVE_KEYS[Graph(0)] = key
         return ((key, Graph(0)),), (automorphisms,)
     keep_generators = n < CLASS_LIMIT
     found = {}
@@ -566,6 +578,8 @@ def _classes_and_automorphisms(n: int):
             key, _, generators = _canonical_form(h)
             found.setdefault(key, (h, generators if keep_generators else ()))
     ordered = sorted(found.items())
+    for key, (h, _) in ordered:
+        _REPRESENTATIVE_KEYS[h] = key
     return (
         tuple((key, h) for key, (h, _) in ordered),
         tuple(generators for _, (_, generators) in ordered),

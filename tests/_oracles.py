@@ -7,6 +7,8 @@ tableau simplex with Bland's rule that the revised solver replaced, dual
 slacks priced entry by entry in Fractions, the Graph-object deletion
 recurrences that the vertex-mask recursion replaced, and the Fraction-entry
 builds of the two certify programs that the integer-column builds replaced.
+Canonical keys come from the labelling search `_canonical_form` itself,
+never from the class table that `canonical_key` reads for representatives.
 """
 
 from fractions import Fraction
@@ -17,7 +19,7 @@ from occufrac.exactmath import IntPolynomial, fugacity
 from occufrac.graphs import (
     CANONICAL_LIMIT,
     Graph,
-    canonical_key,
+    _canonical_form,
     label_key,
     mask_vertices,
     regular_degree,
@@ -85,7 +87,7 @@ def graph_deletion_poly(g: Graph, model: str) -> IntPolynomial:
     def memoized(g, step):
         lkey = b"l" + label_key(g)
         if lkey not in memo:
-            ckey = b"c" + canonical_key(g) if g.n <= CANONICAL_LIMIT else lkey
+            ckey = b"c" + _canonical_form(g)[0] if g.n <= CANONICAL_LIMIT else lkey
             if ckey not in memo:
                 memo[ckey] = step(g)
             memo[lkey] = memo[ckey]
@@ -488,7 +490,7 @@ def reference_free_neighborhood_law(g: Graph, lam: Fraction):
         total += w
         iset = frozenset(mask_vertices(mask))
         for v in range(g.n):
-            weights[by_key[canonical_key(_free_neighborhood(g, v, iset))]] += w
+            weights[by_key[_canonical_form(_free_neighborhood(g, v, iset))[0]]] += w
     return [w / (total * g.n) for w in weights]
 
 
@@ -524,13 +526,13 @@ def every_mask_classes(n: int):
     by key: each (n-1)-vertex representative extended by every neighborhood
     mask of a new vertex, deduplicated by canonical key."""
     if n == 0:
-        return ((canonical_key(Graph(0)), Graph(0)),)
+        return ((_canonical_form(Graph(0))[0], Graph(0)),)
     seen = {}
     for _, g in every_mask_classes(n - 1):
         for mask in range(1 << (n - 1)):
             edges = g.edges() + [(w, n - 1) for w in mask_vertices(mask)]
             h = Graph(n, edges)
-            seen.setdefault(canonical_key(h), h)
+            seen.setdefault(_canonical_form(h)[0], h)
     return tuple(sorted(seen.items()))
 
 

@@ -1,4 +1,6 @@
 import random
+import sys
+from collections import Counter
 
 import pytest
 
@@ -12,7 +14,7 @@ from _oracles import (
     random_regular_graph,
     relabel,
 )
-from occufrac import graphs
+from occufrac import graphs, polynomials
 from occufrac.errors import CapabilityError, DomainError, FormatError
 from occufrac.graphs import (
     Graph,
@@ -36,6 +38,8 @@ from occufrac.graphs import (
     regular_degree,
     to_graph6,
 )
+from occufrac.hardcore import enumerate_configs
+from occufrac.polynomials import clear_memo_tables
 
 
 def test_parse_graph6_known_values():
@@ -45,14 +49,21 @@ def test_parse_graph6_known_values():
     assert g.n == 4 and g.edge_count == 6
 
 
-@pytest.mark.parametrize(
-    "bad",
-    ["", "~??", "A", "A_X", chr(30) + "_"],
-)
+GRAPH6_ERRORS = {
+    "": "empty graph6 string at byte offset 0",
+    "~??": "long-format graph6 (n >= 63) not supported, header byte offset 0",
+    "A": "graph6 body for n=2 needs 1 bytes, got 0 (byte offset 1)",
+    "A_X": "graph6 body for n=2 needs 1 bytes, got 2 (byte offset 2)",
+    # str.strip() drops chr(30), so "_" is read as the header of n = 32
+    chr(30) + "_": "graph6 body for n=32 needs 83 bytes, got 0 (byte offset 1)",
+}
+
+
+@pytest.mark.parametrize("bad", list(GRAPH6_ERRORS))
 def test_parse_graph6_errors_name_offset(bad):
     with pytest.raises(FormatError) as err:
         parse_graph6(bad)
-    assert "offset" in str(err.value) or "byte" in str(err.value)
+    assert str(err.value) == GRAPH6_ERRORS[bad]
 
 
 def test_graph6_roundtrip_corpus():
@@ -153,7 +164,14 @@ def test_canonical_key_relabel_invariance():
             assert canonical_key(relabel(g, perm)) == base
 
 
-def test_canonical_key_capability_limit():
+class _RefusingTable(dict):
+    def get(self, key, default=None):
+        raise AssertionError("class table read above the cap")
+
+
+def test_canonical_key_capability_limit(monkeypatch):
+    # the cap is checked before the class table is read
+    monkeypatch.setattr(graphs, "_REPRESENTATIVE_KEYS", _RefusingTable())
     with pytest.raises(
         CapabilityError, match="^canonical_key supports at most 10 vertices, got 11$"
     ):
@@ -219,7 +237,64 @@ def test_isomorphism_classes_match_every_mask_growth(n):
     classes = isomorphism_classes(n)
     assert [key for key, _ in classes] == [key for key, _ in every_mask_classes(n)]
     for key, rep in classes:
-        assert rep.n == n and canonical_key(rep) == key
+        assert rep.n == n and _canonical_form(rep)[0] == key
+
+
+def _moved(rep, rng):
+    """rep relabelled by a seeded non-identity permutation that is not an
+    automorphism, where one exists: the edgeless and complete graphs have
+    none, and n <= 1 has no non-identity permutation at all."""
+    n = rep.n
+    if n < 2:
+        return rep
+    symmetric = rep.edge_count in (0, n * (n - 1) // 2)
+    while True:
+        perm = rng.sample(range(n), n)
+        h = relabel(rep, perm)
+        if h != rep or (symmetric and perm != list(range(n))):
+            return h
+
+
+def test_relabelled_representatives_miss_the_class_table():
+    # a representative reads its key from the class table; a relabelled one
+    # is not in it, so canonical_key runs the search and must agree
+    rng = random.Random(17)
+    misses = 0
+    for n in range(8):
+        for key, rep in isomorphism_classes(n):
+            assert canonical_key(rep) == key
+            h = _moved(rep, rng)
+            misses += h not in graphs._REPRESENTATIVE_KEYS
+            assert canonical_key(h) == key == _canonical_form(h)[0]
+    # all 1253 classes but n <= 1 and the edgeless and complete graphs
+    assert misses == 1253 - 2 - 2 * 6
+
+
+def test_cold_configs_key_representatives_from_the_class_table(monkeypatch):
+    # the 995 memo probes of connected representatives read the table, so
+    # every canonical form of a cold enumerate_configs(2..7) is class growth
+    callers = Counter()
+    probes = []
+    original_form = graphs._canonical_form
+    original_key = polynomials.canonical_key
+
+    def counted_form(g):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return original_form(g)
+
+    def counted_key(g):
+        probes.append(g.n)
+        return original_key(g)
+
+    monkeypatch.setattr(graphs, "_canonical_form", counted_form)
+    monkeypatch.setattr(polynomials, "canonical_key", counted_key)
+    clear_memo_tables()
+    graphs._classes_and_automorphisms.cache_clear()
+    enumerate_configs.cache_clear()
+    for d in range(2, 8):
+        enumerate_configs(d)
+    assert callers == {"_classes_and_automorphisms": 1641}
+    assert len(probes) == 995
 
 
 def test_cold_class_enumeration_canonicalizes_few_extensions(monkeypatch):
