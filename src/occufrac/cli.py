@@ -23,7 +23,15 @@ from .errors import (
     StructureError,
 )
 from .exactmath import format_rational, fugacity, parse_rational
-from .graphs import FAMILIES, Graph, generate, parse_edge_list, parse_graph6, regular_degree
+from .graphs import (
+    ASCII_WHITESPACE,
+    FAMILIES,
+    Graph,
+    parse_edge_list,
+    parse_graph6,
+    parse_spec,
+    regular_degree,
+)
 from .lp import solve
 from .polynomials import (
     edge_occupancy,
@@ -38,23 +46,21 @@ EXIT_USAGE = 2
 EXIT_CAPABILITY = 3
 
 
-def _rat(value) -> str:
-    return format_rational(Fraction(value))
+def _encode_rational(value) -> str:
+    """json.dump's hook for what JSON cannot hold: a Fraction as "p/q"."""
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def parse_graph_spec(spec: str, fmt: str = "graph6") -> Graph:
-    """FAMILY:PARAMS for a family of `graphs.FAMILIES`, its integer
-    parameters in the order and number named there (hdn:D:N, petersen), or
-    file:PATH (decoded per --format)."""
+    """A named graph of `graphs.parse_spec` (FAMILY:PARAMS, such as hdn:2:8
+    or petersen), or file:PATH (decoded per --format)."""
     kind, _, rest = spec.partition(":")
     if kind == "file":
         text = _read_text(rest)
         return _one_graph6(text) if fmt == "graph6" else parse_edge_list(text)
-    try:
-        params = [int(p) for p in rest.split(":")] if rest else []
-    except ValueError as exc:
-        raise DomainError(f"bad graph spec {spec!r}: {exc}") from None
-    return generate(kind, *params)
+    return parse_spec(spec)[1]
 
 
 def _read_text(path: str) -> str:
@@ -70,8 +76,8 @@ def _read_text(path: str) -> str:
 
 def _one_graph6(text: str) -> Graph:
     """The graph of a file holding exactly one graph6 line; blank lines are
-    ignored."""
-    lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    ignored, and only a newline ends a line."""
+    lines = [(i, ln) for i, ln in enumerate(text.split("\n"), 1) if ln.strip(ASCII_WHITESPACE)]
     if not lines:
         raise FormatError("line 1: expected one graph6 line, the file has none")
     if len(lines) > 1:
@@ -88,14 +94,14 @@ def _one_graph6(text: str) -> Graph:
 def load_corpus(path: str, fmt: str):
     """A corpus file is one graph per line: graph6 lines, or graph specs
     (whose `file:` entries hold one graph6 line). Errors name the corpus
-    line."""
+    line, where only a newline ends a line."""
     named = []
-    for idx, line in enumerate(_read_text(path).splitlines(), start=1):
-        s = line.strip()
+    for idx, line in enumerate(_read_text(path).split("\n"), start=1):
+        s = line.strip(ASCII_WHITESPACE)
         if not s or s.startswith("#"):
             continue
         try:
-            g = parse_graph6(s) if fmt == "graph6" else parse_graph_spec(s)
+            g = parse_graph6(line) if fmt == "graph6" else parse_graph_spec(s)
         except (DomainError, FormatError, OSError) as exc:
             raise type(exc)(f"line {idx}: {exc}") from None
         named.append((f"line{idx}", g))
@@ -124,8 +130,8 @@ def cmd_poly(args):
     results = {
         "independence": [str(c) for c in ip.coeffs],
         "matching": [str(c) for c in mp.coeffs],
-        "occupancy": _rat(occupancy(g, lam)),
-        "edge_occupancy": _rat(edge_occupancy(g, lam)) if g.edge_count else None,
+        "occupancy": occupancy(g, lam),
+        "edge_occupancy": edge_occupancy(g, lam) if g.edge_count else None,
     }
     return {"graph": args.graph, "lambda": args.lam}, results, "pass"
 
@@ -133,7 +139,7 @@ def cmd_poly(args):
 def cmd_occupancy(args):
     g = parse_graph_spec(args.graph, args.format)
     lam = fugacity(parse_rational(args.lam))
-    return {"graph": args.graph, "lambda": args.lam}, {"occupancy": _rat(occupancy(g, lam))}, "pass"
+    return {"graph": args.graph, "lambda": args.lam}, {"occupancy": occupancy(g, lam)}, "pass"
 
 
 def cmd_counts(args):
@@ -155,11 +161,11 @@ def cmd_certify_hardcore(args):
         return inputs, {"error": str(exc)}, "fail"
     lp_value = solve(hardcore.build_primal(args.d, lam)).value
     results = {
-        "optimum": _rat(report.optimum),
-        "lp_optimum": _rat(lp_value),
-        "dual": {k: _rat(v) for k, v in report.dual_values.items()},
-        "tight": list(report.tight),
-        "slacks": [[cid, _rat(s)] for cid, s in report.slacks],
+        "optimum": report.optimum,
+        "lp_optimum": lp_value,
+        "dual": report.dual_values,
+        "tight": report.tight,
+        "slacks": report.slacks,
     }
     return inputs, results, "pass" if report.optimum == lp_value else "fail"
 
@@ -178,10 +184,10 @@ def cmd_certify_matching(args):
         try:
             report = matching.check_dual_constraints(args.d, lam)
             results_by_lam[key] = {
-                "optimum": _rat(report.optimum),
-                "dual": {k: _rat(v) for k, v in report.dual_values.items()},
-                "slacks": [[cid, _rat(s)] for cid, s in report.slacks],
-                "slack_profile": [_rat(f) for f in report.profile],
+                "optimum": report.optimum,
+                "dual": report.dual_values,
+                "slacks": report.slacks,
+                "slack_profile": report.profile,
                 "laguerre": matching.laguerre_identity_holds(args.d),
             }
         except CertificateError as exc:
@@ -195,12 +201,12 @@ def cmd_tree(args):
     tol = parse_rational(args.tol)
     bracket = bounds.tree_occupancy(args.d, lam, tol)
     results = {
-        "alpha_low": _rat(bracket.alpha_low),
-        "alpha_high": _rat(bracket.alpha_high),
-        "width": _rat(bracket.width),
+        "alpha_low": bracket.alpha_low,
+        "alpha_high": bracket.alpha_high,
+        "width": bracket.width,
     }
     if args.d >= 3:
-        results["uniqueness_threshold"] = _rat(bounds.uniqueness_threshold(args.d))
+        results["uniqueness_threshold"] = bounds.uniqueness_threshold(args.d)
     return {"d": args.d, "lambda": args.lam, "tol": args.tol}, results, "pass"
 
 
@@ -217,17 +223,17 @@ def cmd_verify_lower_bound(args):
             rows.append(
                 {
                     "graph": name,
-                    "lambda": format_rational(lam),
+                    "lambda": lam,
                     "status": v.status,
-                    "occupancy": _rat(v.alpha),
-                    "tree_high": _rat(v.bracket.alpha_high),
+                    "occupancy": v.alpha,
+                    "tree_high": v.bracket.alpha_high,
                 }
             )
             if v.status == "fail":
                 verdict = "fail"
             elif v.status == "inconclusive" and verdict == "pass":
                 verdict = "inconclusive"
-    inputs = {"corpus": args.corpus or "builtin", "grid": [format_rational(x) for x in grid]}
+    inputs = {"corpus": args.corpus or "builtin", "grid": grid}
     return inputs, {"checks": rows}, verdict
 
 
@@ -272,13 +278,9 @@ def cmd_conjectures(args):
         results[which] = [
             {
                 "k": row["k"],
-                "max_ratio": _rat(row["max"]),
+                "max_ratio": row["max"],
                 "achievers": row["achievers"],
-                "extremal_candidate": (
-                    _rat(row["extremal_candidate"])
-                    if row["extremal_candidate"] is not None
-                    else None
-                ),
+                "extremal_candidate": row["extremal_candidate"],
                 "candidate_attains_max": row["candidate_attains_max"],
             }
             for row in rows
@@ -304,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_graph_arg(p):
-        specs = [f"{name}:{params}" if params else name for name, (_, params) in FAMILIES.items()]
+        specs = [f"{name}:{params}" if params else name for name, (_, params, _) in FAMILIES.items()]
         p.add_argument("--graph", required=True, help=" | ".join(specs + ["file:PATH"]))
         p.add_argument("--format", choices=("graph6", "edgelist"), default="graph6")
 
@@ -389,7 +391,7 @@ def main(argv=None) -> int:
         "verdict": verdict,
         "timing_ms": round((time.monotonic() - start) * 1000, 3),
     }
-    json.dump(report, sys.stdout, indent=2)
+    json.dump(report, sys.stdout, indent=2, default=_encode_rational)
     sys.stdout.write("\n")
     exit_code = {"pass": EXIT_PASS, "not-applicable": EXIT_PASS,
                  "fail": EXIT_FAIL, "inconclusive": EXIT_FAIL}

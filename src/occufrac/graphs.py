@@ -12,6 +12,9 @@ from functools import lru_cache
 
 from .errors import CapabilityError, DomainError, FormatError
 
+# what the graph6 parser and the CLI's line readers strip around a line;
+# str.strip() with no argument also strips chr(30), chr(133) and chr(160)
+ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
 CANONICAL_LIMIT = 10
 TRANSITIVITY_LIMIT = 16
 CLASS_LIMIT = 7
@@ -126,17 +129,19 @@ def mask_components(adj, mask: int):
 # Parsers
 
 def parse_graph6(text: str) -> Graph:
-    """Decode a short-format graph6 string (n < 63)."""
-    s = text.strip()
+    """Decode a short-format graph6 string (n < 63) between ASCII
+    whitespace; error offsets count from the start of `text`."""
+    s = text.strip(ASCII_WHITESPACE)
     if not s:
         raise FormatError("empty graph6 string at byte offset 0")
+    at = len(text) - len(text.lstrip(ASCII_WHITESPACE))
     header = ord(s[0])
     if header == 126:
         raise FormatError(
-            "long-format graph6 (n >= 63) not supported, header byte offset 0"
+            f"long-format graph6 (n >= 63) not supported, header byte offset {at}"
         )
     if not 63 <= header <= 125:
-        raise FormatError(f"bad graph6 header byte {header} at byte offset 0")
+        raise FormatError(f"bad graph6 header byte {header} at byte offset {at}")
     n = header - 63
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
@@ -144,16 +149,16 @@ def parse_graph6(text: str) -> Graph:
     if len(data) != nbytes:
         raise FormatError(
             f"graph6 body for n={n} needs {nbytes} bytes, got {len(data)}"
-            f" (byte offset {1 + min(len(data), nbytes)})"
+            f" (byte offset {at + 1 + min(len(data), nbytes)})"
         )
     bits = []
     for i, ch in enumerate(data):
         b = ord(ch) - 63
         if not 0 <= b < 64:
-            raise FormatError(f"bad graph6 data byte at byte offset {1 + i}")
+            raise FormatError(f"bad graph6 data byte at byte offset {at + 1 + i}")
         bits.extend((b >> shift) & 1 for shift in range(5, -1, -1))
     if any(bits[nbits:]):
-        raise FormatError(f"nonzero padding bits at byte offset {len(s) - 1}")
+        raise FormatError(f"nonzero padding bits at byte offset {at + len(s) - 1}")
     edges = []
     idx = 0
     for v in range(1, n):
@@ -281,16 +286,16 @@ def petersen() -> Graph:
     return Graph(10, outer + spokes + inner)
 
 
-# each family's builder and its parameter names, colon-separated as in a
-# graph spec such as hdn:D:N
+# each family's builder, its parameter names (colon-separated as in a graph
+# spec such as hdn:D:N) and its short name, formatted with the parameters
 FAMILIES = {
-    "kdd": (complete_bipartite, "D"),
-    "hdn": (kdd_union, "D:N"),
-    "cycle": (cycle, "N"),
-    "complete": (complete, "N"),
-    "prism": (prism, "N"),
-    "hypercube": (hypercube, "K"),
-    "petersen": (petersen, ""),
+    "kdd": (complete_bipartite, "D", "K{0}{0}"),
+    "hdn": (kdd_union, "D:N", "H{0}_{1}"),
+    "cycle": (cycle, "N", "C{0}"),
+    "complete": (complete, "N", "K{0}"),
+    "prism": (prism, "N", "prism{0}"),
+    "hypercube": (hypercube, "K", "Q{0}"),
+    "petersen": (petersen, "", "petersen"),
 }
 
 
@@ -298,11 +303,24 @@ def generate(family: str, *params: int) -> Graph:
     """Build a named graph family with a fixed deterministic labeling."""
     if family not in FAMILIES:
         raise DomainError(f"unknown family {family!r}")
-    fn, names = FAMILIES[family]
+    fn, names, _ = FAMILIES[family]
     arity = len(names.split(":")) if names else 0
     if len(params) != arity:
         raise DomainError(f"family {family!r} takes {arity} parameter(s)")
     return fn(*params)
+
+
+def parse_spec(spec: str):
+    """(short name, graph) of a spec FAMILY:P1:P2 naming a family of
+    FAMILIES and its integer parameters in the order and number named there
+    (hdn:2:8 is H2_8, petersen takes none)."""
+    family, _, rest = spec.partition(":")
+    try:
+        params = [int(p) for p in rest.split(":")] if rest else []
+    except ValueError as exc:
+        raise DomainError(f"bad graph spec {spec!r}: {exc}") from None
+    g = generate(family, *params)
+    return FAMILIES[family][2].format(*params), g
 
 
 # ---------------------------------------------------------------------------

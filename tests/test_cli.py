@@ -269,6 +269,48 @@ def test_graph_specs_name_generate_families(capsys, spec, independent):
     assert sum(int(c) for c in report["results"]["independent_sets"]) == independent
 
 
+@pytest.mark.parametrize(
+    "spec, code, err",
+    [
+        ("petersen:", 0, ""),
+        ("cycle:", 2, "error: family 'cycle' takes 1 parameter(s)\n"),
+        ("cycle:x", 2,
+         "error: bad graph spec 'cycle:x': invalid literal for int() with base 10: 'x'\n"),
+        ("hdn:2", 2, "error: family 'hdn' takes 2 parameter(s)\n"),
+        ("nonsense:3", 2, "error: unknown family 'nonsense'\n"),
+        ("Cycle:5", 2, "error: unknown family 'Cycle'\n"),
+        (":5", 2, "error: unknown family ''\n"),
+        ("kdd:0", 2, "error: complete_bipartite needs d >= 1\n"),
+        ("cycle:3:4", 2, "error: family 'cycle' takes 1 parameter(s)\n"),
+        ("cycle:-3", 2, "error: cycle needs n >= 3\n"),
+    ],
+)
+def test_graph_spec_errors_are_pinned(capsys, spec, code, err):
+    assert run_cli(capsys, "counts", "--graph", spec)[::2] == (code, err)
+
+
+def test_counts_help_lists_every_family(capsys):
+    from occufrac.graphs import FAMILIES
+
+    assert main(["counts", "--help"]) == 0
+    words = capsys.readouterr().out.split()
+    for family, (_, params, _) in FAMILIES.items():
+        assert (f"{family}:{params}" if params else family) in words
+
+
+def test_readme_graph_specs_parse():
+    from pathlib import Path
+
+    from occufrac.graphs import parse_spec
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    specs = re.findall(r"--graph (\S+)", section)
+    assert specs
+    for spec in specs:
+        parse_spec(spec)
+
+
 def test_counts_and_file_input(tmp_path, capsys):
     path = tmp_path / "graph.el"
     path.write_text("3\n0 1\n1 2\n")
@@ -309,6 +351,22 @@ def test_graph6_corpus_errors_name_the_corpus_line(tmp_path, capsys):
         load_corpus(str(path), "graph6")
     code, report, err = run_cli(capsys, "verify", "given-size", "--corpus", str(path))
     assert (code, report, err) == (2, None, f"error: {message}\n")
+
+
+def test_graph6_corpus_lines_end_at_newline_only(tmp_path):
+    from occufrac.cli import load_corpus
+    from occufrac.errors import FormatError
+
+    path = tmp_path / "corpus.g6"
+    # chr(133) and chr(12) would end a line for str.splitlines()
+    path.write_text("C~\n\x85A_\x0cBAD!\n  A_X\n")
+    message = "line 2: bad graph6 header byte 133 at byte offset 0"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        load_corpus(str(path), "graph6")
+    path.write_text("C~\n\n  A_X\n")
+    message = "line 3: graph6 body for n=2 needs 1 bytes, got 2 (byte offset 4)"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        load_corpus(str(path), "graph6")
 
 
 def test_spec_corpus_errors_name_the_corpus_line(tmp_path, capsys):
@@ -410,7 +468,9 @@ def test_graph6_file_holds_exactly_one_graph(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "text, where",
-    [("", "line 1"), ("  \n", "line 1"), ("C~\nA_\n", "line 2"), ("\nA_X\n", "line 2.*offset")],
+    [("", "line 1"), ("  \n", "line 1"), ("C~\nA_\n", "line 2"), ("\nA_X\n", "line 2.*offset"),
+     # lines end at "\n" only: chr(28) is inside line 1, not a line break
+     ("C~\x1cA_\n", r"^line 1: graph6 body for n=4 needs 1 bytes, got 4 \(byte offset 2\)$")],
 )
 def test_graph6_file_errors_are_format_errors_naming_the_line(tmp_path, text, where):
     from occufrac.cli import parse_graph_spec

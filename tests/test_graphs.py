@@ -54,8 +54,11 @@ GRAPH6_ERRORS = {
     "~??": "long-format graph6 (n >= 63) not supported, header byte offset 0",
     "A": "graph6 body for n=2 needs 1 bytes, got 0 (byte offset 1)",
     "A_X": "graph6 body for n=2 needs 1 bytes, got 2 (byte offset 2)",
-    # str.strip() drops chr(30), so "_" is read as the header of n = 32
-    chr(30) + "_": "graph6 body for n=32 needs 83 bytes, got 0 (byte offset 1)",
+    # only ASCII whitespace is stripped: chr(30) is a header byte, not space
+    chr(30) + "_": "bad graph6 header byte 30 at byte offset 0",
+    chr(160) + "A_": "bad graph6 header byte 160 at byte offset 0",
+    # offsets count from the start of the caller's string
+    "  A_X": "graph6 body for n=2 needs 1 bytes, got 2 (byte offset 4)",
 }
 
 
@@ -64,6 +67,10 @@ def test_parse_graph6_errors_name_offset(bad):
     with pytest.raises(FormatError) as err:
         parse_graph6(bad)
     assert str(err.value) == GRAPH6_ERRORS[bad]
+
+
+def test_parse_graph6_strips_ascii_whitespace():
+    assert parse_graph6("  A_") == parse_graph6("\tA_\r\n") == Graph(2, [(0, 1)])
 
 
 def test_graph6_roundtrip_corpus():
