@@ -189,20 +189,21 @@ def to_graph6(g: Graph) -> str:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse "n" on the first line then one "u v" edge per line."""
-    lines = [ln for ln in text.splitlines()]
-    if not lines or not lines[0].strip():
+    """Parse "n" on the first line then one "u v" edge per line. Lines end
+    at "\n" only and lose surrounding ASCII whitespace, so line N of a
+    message is line N of the file."""
+    lines = [ln.strip(ASCII_WHITESPACE) for ln in text.split("\n")]
+    if not lines[0]:
         raise FormatError("line 1: expected vertex count")
     try:
-        n = int(lines[0].strip())
+        n = int(lines[0])
     except ValueError:
-        raise FormatError(f"line 1: bad vertex count {lines[0].strip()!r}") from None
+        raise FormatError(f"line 1: bad vertex count {lines[0]!r}") from None
     if n < 0:
         raise FormatError("line 1: vertex count must be non-negative")
     seen = set()
     edges = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        s = ln.strip()
+    for lineno, s in enumerate(lines[1:], start=2):
         if not s:
             continue
         parts = s.split()
@@ -315,10 +316,17 @@ def parse_spec(spec: str):
     FAMILIES and its integer parameters in the order and number named there
     (hdn:2:8 is H2_8, petersen takes none)."""
     family, _, rest = spec.partition(":")
-    try:
-        params = [int(p) for p in rest.split(":")] if rest else []
-    except ValueError as exc:
-        raise DomainError(f"bad graph spec {spec!r}: {exc}") from None
+    texts = rest.split(":") if rest else []
+    for text in texts:
+        # ASCII digits after an optional minus sign, which keeps negative
+        # values for their builder's message: int() alone would also take
+        # spaces, "+", "_" and the digits of other scripts
+        digits = text[1:] if text.startswith("-") else text
+        if not (digits.isascii() and digits.isdigit()):
+            raise DomainError(
+                f"bad graph spec {spec!r}: invalid literal for int() with base 10: {text!r}"
+            )
+    params = [int(text) for text in texts]
     g = generate(family, *params)
     return FAMILIES[family][2].format(*params), g
 

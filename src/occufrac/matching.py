@@ -11,6 +11,7 @@ meets only d-1 other edges).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -372,34 +373,42 @@ def edge_neighborhood_distribution(g: Graph, lam: Fraction, limit: int = 20):
         raise DomainError("graph must be d-regular with d >= 2")
     edges = g.edges()
     everyone = (1 << g.n) - 1
-    # per edge (u, v): its endpoints, the mask of every other vertex and the
-    # adjacencies of both endpoints
-    per_edge = [(u, v, ~(1 << u | 1 << v), g.adj[u], g.adj[v]) for u, v in edges]
+    # per edge (u, v): the neighbors of u only, of v only and of both, with
+    # u and v themselves left out
+    per_edge = [
+        (u, v, g.adj[u] & ~g.adj[v] & ~(1 << v), g.adj[v] & ~g.adj[u] & ~(1 << u),
+         g.adj[u] & g.adj[v])
+        for u, v in edges
+    ]
 
     def classify(matching):
         # a neighboring edge of (u, v) survives iff its far endpoint is
-        # unmatched or matched to u or v. Survival is symmetric in u and v,
-        # so the triple of (v, u) is that of (u, v) with i and j swapped.
+        # unmatched or matched to u or v. One triple per edge (u, v): that
+        # of the orientation (v, u) is its mirror, added after counting.
         partner = {}
         for u, v in matching:
             partner[u] = 1 << v
             partner[v] = 1 << u
         unmatched = everyone & ~sum(partner.values())
         out = []
-        for u, v, others, adj_u, adj_v in per_edge:
-            live = (unmatched | partner.get(u, 0) | partner.get(v, 0)) & others
-            at_u = adj_u & live
-            at_v = adj_v & live
-            k = (at_u & at_v).bit_count()
-            i = at_u.bit_count() - k
-            j = at_v.bit_count() - k
-            out.append((i, j, k))
-            out.append((j, i, k))
+        for u, v, only_u, only_v, both in per_edge:
+            live = unmatched | partner.get(u, 0) | partner.get(v, 0)
+            out.append(
+                ((live & only_u).bit_count(), (live & only_v).bit_count(),
+                 (live & both).bit_count())
+            )
         return out
 
     total, by_triple = state_polynomials(g, "matching", classify, limit)
-    denom = total(lam) * len(edges) * 2
-    law = {t: w(lam) / denom for t, w in sorted(by_triple.items())}
+    # weights as integers over the common denominator q^n at lam = p/q
+    p, q, n = lam.numerator, lam.denominator, total.degree
+    oriented = defaultdict(int)
+    for (i, j, k), w in by_triple.items():
+        weight = w.homogeneous(p, q, n)
+        oriented[i, j, k] += weight
+        oriented[j, i, k] += weight
+    denom = total.homogeneous(p, q, n) * len(edges) * 2
+    law = {t: Fraction(weight, denom) for t, weight in sorted(oriented.items())}
     if objective_value(law, d, lam) != edge_occupancy(g, lam):
         raise CertificateError("edge-neighborhood law misses the edge occupancy")
     return law

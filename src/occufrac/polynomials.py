@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, compress, islice, tee
 from math import comb, factorial
 
 from .errors import CapabilityError, DomainError
@@ -40,11 +40,14 @@ ORACLE_LIMIT = 24
 _IND_MEMO: dict = {}
 _MATCH_MEMO: dict = {}
 
-# The states that `state_polynomials` enumerated last under each model, as
-# one (graph, states) tuple per model, replaced whole so that a reader never
-# pairs one graph with another's states. An enumeration of more than
-# _STATE_BOUND states is not kept: its first _STATE_BOUND + 1 states are
-# buffered and the rest streamed.
+# The states that `state_polynomials` and `event_probability_oracle` last
+# enumerated under each model, as one _StateTable per model: the graph, its
+# states, each state's size and the size polynomial, all made at enumeration,
+# and for the hard-core model the frozenset views that predicates receive,
+# made on the first event-oracle call. A table is replaced whole, so a reader
+# never pairs one graph with another's states, and its views go with it. An
+# enumeration of more than _STATE_BOUND states is not kept: its first
+# _STATE_BOUND + 1 states are buffered and the rest streamed.
 _STATES: dict = {}
 _STATE_BOUND = 1 << 15
 
@@ -326,10 +329,69 @@ def state_polynomials(g: Graph, model: str, classify, limit: int = ORACLE_LIMIT)
     larger `limit` explicitly to override it.
 
     The states of the last graph enumerated under each model are kept (up
-    to _STATE_BOUND of them), so further questions about an equal graph
-    classify them again without enumerating. The cap is checked first,
-    whatever is kept.
+    to _STATE_BOUND of them) with their sizes and total, so further
+    questions about an equal graph classify them again without enumerating
+    or measuring. The cap is checked first, whatever is kept.
     """
+    source = _state_source(g, model, limit)
+    states, sizes = source.columns()
+    counts = defaultdict(lambda: [0] * source.width)
+    for state, k in zip(states, sizes):
+        for label in classify(state):
+            counts[label][k] += 1
+    return source.total, {label: IntPolynomial(row) for label, row in counts.items()}
+
+
+class _StateTable:
+    """Every state of one graph under one model, kept: `sizes[i]` is the
+    size of `states[i]` and `total` counts the states by size. The views
+    that a model's predicates receive are made on the first request."""
+
+    __slots__ = ("graph", "states", "sizes", "total", "width", "_views")
+
+    def __init__(self, graph: Graph, states: tuple, size, width: int):
+        self.graph, self.states, self.width = graph, states, width
+        self.sizes = bytes(map(size, states))
+        self.total = IntPolynomial(self.sizes.count(k) for k in range(width))
+        self._views = None
+
+    def columns(self, view=None):
+        """(states, sizes), or (views, sizes) with the views view(state)."""
+        if view is None:
+            return self.states, self.sizes
+        if self._views is None:
+            self._views = tuple(map(view, self.states))
+        return self._views, self.sizes
+
+
+class _StateStream:
+    """The states of an enumeration too large to keep, walked once with each
+    size measured on the way; `total` is complete once the walk is."""
+
+    def __init__(self, states, size, width: int):
+        self._states, self._size, self.width = states, size, width
+        self._counts = [0] * width
+
+    def columns(self, view=None):
+        states, measured = tee(self._states)
+        return (states if view is None else map(view, states)), self._sizes(measured)
+
+    def _sizes(self, states):
+        counts, size = self._counts, self._size
+        for state in states:
+            k = size(state)
+            counts[k] += 1
+            yield k
+
+    @property
+    def total(self) -> IntPolynomial:
+        return IntPolynomial(self._counts)
+
+
+def _state_source(g: Graph, model: str, limit: int):
+    """The kept table of g under the model; else a fresh enumeration, kept
+    as the model's table when it has at most _STATE_BOUND states and
+    streamed otherwise. The cap is checked first, whatever is kept."""
     if model == "hardcore":
         if g.n > limit:
             raise CapabilityError(f"oracle limit is {limit} vertices, got {g.n}")
@@ -342,30 +404,19 @@ def state_polynomials(g: Graph, model: str, classify, limit: int = ORACLE_LIMIT)
         enumerate_states, size, width = matchings, len, g.n // 2 + 1
     else:
         raise DomainError(f"unknown model {model!r}")
-    total = [0] * width
-    counts = defaultdict(lambda: [0] * width)
-    for state in _states(g, model, enumerate_states):
-        k = size(state)
-        total[k] += 1
-        for label in classify(state):
-            counts[label][k] += 1
-    return IntPolynomial(total), {
-        label: IntPolynomial(row) for label, row in counts.items()
-    }
-
-
-def _states(g: Graph, model: str, enumerate_states):
-    """The kept states of g under the model, or a fresh enumeration, which
-    is kept when it has at most _STATE_BOUND states."""
-    entry = _STATES.get(model)
-    if entry is not None and entry[0] == g:
-        return entry[1]
+    table = _STATES.get(model)
+    if table is not None and table.graph == g:
+        return table
     states = enumerate_states(g)
     head = tuple(islice(states, _STATE_BOUND + 1))
     if len(head) > _STATE_BOUND:
-        return chain(head, states)
-    _STATES[model] = (g, head)
-    return head
+        return _StateStream(chain(head, states), size, width)
+    table = _STATES[model] = _StateTable(g, head, size, width)
+    return table
+
+
+def _vertex_set(mask: int) -> frozenset:
+    return frozenset(mask_vertices(mask))
 
 
 def event_probability_oracle(
@@ -379,21 +430,21 @@ def event_probability_oracle(
     model, by full enumeration (see `state_polynomials`).
 
     `predicate` receives a frozenset of vertices (hardcore) or of (u, v)
-    edges (matching).
+    edges (matching). One pass counts the states it accepts by size; with
+    the graph's states kept, the hard-core frozensets are made on the
+    first call and reused, so the predicate is the only work per state.
     """
     lam = fugacity(lam)
-
-    def classify(state):
-        if model == "hardcore":
-            state = frozenset(mask_vertices(state))
-        return (True,) if predicate(state) else ()
-
-    total, hits = state_polynomials(g, model, classify, limit)
-    return hits.get(True, IntPolynomial.zero())(lam) / total(lam)
+    source = _state_source(g, model, limit)
+    views, sizes = source.columns(_vertex_set if model == "hardcore" else None)
+    hits = [0] * source.width
+    for k in compress(sizes, map(predicate, views)):
+        hits[k] += 1
+    return IntPolynomial(hits)(lam) / source.total(lam)
 
 
 def clear_memo_tables():
-    """Drop memoized polynomials and kept oracle states (mainly for
+    """Drop memoized polynomials and kept oracle state tables (mainly for
     benchmarks and tests)."""
     _IND_MEMO.clear()
     _MATCH_MEMO.clear()

@@ -283,6 +283,14 @@ def test_graph_specs_name_generate_families(capsys, spec, independent):
         ("kdd:0", 2, "error: complete_bipartite needs d >= 1\n"),
         ("cycle:3:4", 2, "error: family 'cycle' takes 1 parameter(s)\n"),
         ("cycle:-3", 2, "error: cycle needs n >= 3\n"),
+        # parameters are ASCII digits after an optional minus sign
+        ("cycle: +5", 2,
+         "error: bad graph spec 'cycle: +5': invalid literal for int() with base 10: ' +5'\n"),
+        ("cycle:1_0", 2,
+         "error: bad graph spec 'cycle:1_0': invalid literal for int() with base 10: '1_0'\n"),
+        ("cycle:\u0661\u0660", 2,
+         "error: bad graph spec 'cycle:\u0661\u0660': invalid literal for int() with base 10:"
+         " '\u0661\u0660'\n"),
     ],
 )
 def test_graph_spec_errors_are_pinned(capsys, spec, code, err):

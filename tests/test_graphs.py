@@ -97,6 +97,16 @@ def test_parse_edge_list():
         parse_edge_list("2\n0 5")
 
 
+def test_edge_list_lines_end_at_newline_only():
+    # line N of a message is line N of the file: NEL and form feed do not
+    # end a line, and ASCII whitespace around a line (a CR included) goes
+    assert parse_edge_list("3\r\n0 1\r\n\x0c\n1 2\t\r\n") == Graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(FormatError, match=r"^line 2: expected 'u v', got '0 1\\x851 1'$"):
+        parse_edge_list("3\n0 1\x851 1")
+    with pytest.raises(FormatError, match=r"^line 2: expected 'u v', got '0 1\\x0c1 2'$"):
+        parse_edge_list("3\n0 1\x0c1 2")
+
+
 def test_generate_families():
     assert generate("kdd", 2) == complete_bipartite(2)
     g = generate("hdn", 2, 8)

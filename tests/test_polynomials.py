@@ -566,14 +566,80 @@ def test_only_enumerations_within_the_bound_are_kept(enumerations):
     kept = Graph(15)  # edgeless: exactly 2^15 independent sets
     total, _ = state_polynomials(kept, "hardcore", lambda s: ())
     assert total == IntPolynomial((1, 1)) ** 15
-    assert polynomials._STATES["hardcore"][0] is kept
+    assert polynomials._STATES["hardcore"].graph is kept
     big = Graph(16)  # 2^16 sets: counted as ever, and not kept
     for _ in range(2):
         total, by_size = state_polynomials(big, "hardcore", lambda s: [s.bit_count()])
         assert total == IntPolynomial((1, 1)) ** 16
         assert by_size[16] == IntPolynomial((0,) * 16 + (1,))
-    assert polynomials._STATES["hardcore"][0] is kept
+    assert polynomials._STATES["hardcore"].graph is kept
     assert enumerations["hardcore"] == 3
+
+
+def test_kept_tables_hold_each_state_size_and_the_size_polynomial():
+    from occufrac.corpus import regular_corpus
+
+    for _, g in regular_corpus(12):
+        if g.edge_count > 24:
+            continue
+        clear_memo_tables()
+        state_polynomials(g, "hardcore", lambda s: ())
+        state_polynomials(g, "matching", lambda m: ())
+        ind, match = polynomials._STATES["hardcore"], polynomials._STATES["matching"]
+        assert ind.graph == g and match.graph == g
+        assert ind.total == independence_poly(g)
+        assert match.total == matching_poly(g)
+        assert list(ind.sizes) == [int.bit_count(s) for s in ind.states]
+        assert list(match.sizes) == [len(m) for m in match.states]
+    clear_memo_tables()
+
+
+def _brute_probability(g, model, lam, predicate):
+    # a Fraction sum over the states of a fresh enumeration, one by one
+    if model == "hardcore":
+        states = (frozenset(mask_vertices(mask)) for mask in independent_sets(g))
+    else:
+        states = matchings(g)
+    hit = total = Fraction(0)
+    for state in states:
+        weight = lam ** len(state)
+        total += weight
+        if predicate(state):
+            hit += weight
+    return hit / total
+
+
+def test_warm_event_oracle_equals_cold_and_brute_force(enumerations):
+    k33 = Graph(6, [(u, v) for u in (0, 1, 2) for v in (3, 4, 5)])
+    for g, lam in _law_cases() + [(k33, Fraction(3, 2))]:
+        questions = [("hardcore", lambda s, v=v: v in s) for v in range(g.n)]
+        questions += [("matching", lambda m, e=e: e in m) for e in g.edges()]
+        cold = []
+        for model, predicate in questions:
+            clear_memo_tables()
+            cold.append(event_probability_oracle(g, model, lam, predicate))
+        clear_memo_tables()
+        state_polynomials(g, "hardcore", lambda s: ())
+        state_polynomials(g, "matching", lambda m: ())
+        before = dict(enumerations)
+        warm = [event_probability_oracle(g, model, lam, p) for model, p in questions]
+        assert enumerations == before  # every warm answer read the kept tables
+        assert warm == cold
+        assert cold == [_brute_probability(g, model, lam, p) for model, p in questions]
+
+
+def test_event_oracle_streams_enumerations_over_the_bound(enumerations):
+    lam = Fraction(2, 3)
+    occupied = lam / (1 + lam)  # of a vertex without neighbors, or of an isolated edge
+    big = Graph(16)  # edgeless: 2^16 independent sets
+    loose = Graph(32, [(2 * i, 2 * i + 1) for i in range(16)])  # 2^16 matchings
+    for calls in (1, 2):
+        assert event_probability_oracle(big, "hardcore", lam, lambda s: 0 in s) == occupied
+        assert event_probability_oracle(loose, "matching", lam, lambda m: (0, 1) in m) == occupied
+        assert polynomials._STATES == {}
+        assert enumerations == {"hardcore": calls, "matching": calls}
+    everything = event_probability_oracle(big, "hardcore", lam, lambda s: len(s) == 16)
+    assert everything == occupied**16
 
 
 def test_clear_memo_tables_drops_kept_states():
