@@ -22,9 +22,8 @@ from .errors import (
     FormatError,
     StructureError,
 )
-from .exactmath import format_rational, fugacity, parse_rational
+from .exactmath import ASCII_WHITESPACE, format_rational, fugacity, parse_int, parse_rational
 from .graphs import (
-    ASCII_WHITESPACE,
     FAMILIES,
     Graph,
     parse_edge_list,
@@ -297,6 +296,15 @@ def cmd_selftest(args):
 
 # ---------------------------------------------------------------------------
 
+def _int_option(text: str) -> int:
+    """parse_int for argparse, whose usage error names the type as it did
+    for type=int."""
+    try:
+        return parse_int(text)
+    except FormatError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="occufrac",
@@ -327,17 +335,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="dual certificates")
     certify_sub = p.add_subparsers(dest="which", required=True)
     ph = certify_sub.add_parser("hardcore")
-    ph.add_argument("--d", type=int, required=True)
+    ph.add_argument("--d", type=_int_option, required=True)
     ph.add_argument("--lambda", dest="lam", required=True)
     ph.set_defaults(fn=cmd_certify_hardcore)
     pm = certify_sub.add_parser("matching")
-    pm.add_argument("--d", type=int, required=True)
+    pm.add_argument("--d", type=_int_option, required=True)
     pm.add_argument("--lambda", dest="lam", help="fugacity p/q (default 1)")
     pm.add_argument("--grid", help="comma-separated fugacities, e.g. 1/4,1,4; excludes --lambda")
     pm.set_defaults(fn=cmd_certify_matching)
 
     p = sub.add_parser("tree", help="bracket the infinite-tree occupancy")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_int_option, required=True)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--tol", default="1/1000000000")
     p.set_defaults(fn=cmd_tree)
@@ -358,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conjectures", help="empirical successive-ratio report")
     p.add_argument("--corpus")
     p.add_argument("--format", choices=("graph6", "spec"), default="graph6")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--d", type=_int_option, required=True)
+    p.add_argument("--n", type=_int_option, required=True)
     p.set_defaults(fn=cmd_conjectures)
 
     p = sub.add_parser("selftest", help="run the acceptance suite")

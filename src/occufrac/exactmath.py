@@ -13,17 +13,34 @@ from math import comb
 
 from .errors import DomainError, FormatError, StructureError
 
+# what the text parsers strip around a line or a token; str.strip() with no
+# argument also strips chr(28)..chr(31), chr(133) and chr(160)
+ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
+
+
+def parse_int(text: str) -> int:
+    """The integer written as ASCII digits after an optional minus sign,
+    the one integer rule of every text input. int() alone would also take
+    surrounding whitespace, "+", "_" and the digits of other scripts; the
+    minus sign stays so that callers can report a negative value in their
+    own words. A FormatError names the text as int() does."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise FormatError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into a Fraction. Decimal notation is rejected."""
-    s = text.strip()
+    """Parse "p/q" or "p", each side read by parse_int, into a Fraction;
+    ASCII whitespace around it is ignored. Decimal notation is rejected."""
+    s = text.strip(ASCII_WHITESPACE)
     if "." in s or "e" in s.lower():
         raise FormatError(f"rational must be an integer or p/q, got {text!r}")
     try:
         if "/" in s:
             num, den = s.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(s))
+            return Fraction(parse_int(num), parse_int(den))
+        return Fraction(parse_int(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad rational {text!r}: {exc}") from None
 

@@ -8,13 +8,12 @@ mutating-style operations return new instances.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 
 from .errors import CapabilityError, DomainError, FormatError
+from .exactmath import ASCII_WHITESPACE, parse_int
 
-# what the graph6 parser and the CLI's line readers strip around a line;
-# str.strip() with no argument also strips chr(30), chr(133) and chr(160)
-ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
 CANONICAL_LIMIT = 10
 TRANSITIVITY_LIMIT = 16
 CLASS_LIMIT = 7
@@ -189,15 +188,16 @@ def to_graph6(g: Graph) -> str:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse "n" on the first line then one "u v" edge per line. Lines end
-    at "\n" only and lose surrounding ASCII whitespace, so line N of a
-    message is line N of the file."""
+    """Parse "n" on the first line then one "u v" edge per line, each
+    number read by parse_int. Lines end at "\n" only and lose surrounding
+    ASCII whitespace, so line N of a message is line N of the file, and
+    only ASCII whitespace separates u from v."""
     lines = [ln.strip(ASCII_WHITESPACE) for ln in text.split("\n")]
     if not lines[0]:
         raise FormatError("line 1: expected vertex count")
     try:
-        n = int(lines[0])
-    except ValueError:
+        n = parse_int(lines[0])
+    except FormatError:
         raise FormatError(f"line 1: bad vertex count {lines[0]!r}") from None
     if n < 0:
         raise FormatError("line 1: vertex count must be non-negative")
@@ -206,12 +206,12 @@ def parse_edge_list(text: str) -> Graph:
     for lineno, s in enumerate(lines[1:], start=2):
         if not s:
             continue
-        parts = s.split()
+        parts = re.split(f"[{ASCII_WHITESPACE}]+", s)
         if len(parts) != 2:
             raise FormatError(f"line {lineno}: expected 'u v', got {s!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
+            u, v = parse_int(parts[0]), parse_int(parts[1])
+        except FormatError:
             raise FormatError(f"line {lineno}: non-integer vertex in {s!r}") from None
         if u == v:
             raise FormatError(f"line {lineno}: self-loop at vertex {u}")
@@ -316,17 +316,10 @@ def parse_spec(spec: str):
     FAMILIES and its integer parameters in the order and number named there
     (hdn:2:8 is H2_8, petersen takes none)."""
     family, _, rest = spec.partition(":")
-    texts = rest.split(":") if rest else []
-    for text in texts:
-        # ASCII digits after an optional minus sign, which keeps negative
-        # values for their builder's message: int() alone would also take
-        # spaces, "+", "_" and the digits of other scripts
-        digits = text[1:] if text.startswith("-") else text
-        if not (digits.isascii() and digits.isdigit()):
-            raise DomainError(
-                f"bad graph spec {spec!r}: invalid literal for int() with base 10: {text!r}"
-            )
-    params = [int(text) for text in texts]
+    try:
+        params = [parse_int(text) for text in rest.split(":")] if rest else []
+    except FormatError as exc:
+        raise DomainError(f"bad graph spec {spec!r}: {exc}") from None
     g = generate(family, *params)
     return FAMILIES[family][2].format(*params), g
 

@@ -9,16 +9,19 @@ Fractions. `LinearProgram.from_columns` takes columns over any positive
 scale, which is how the certify programs are built, and `make_lp` takes int
 or Fraction entries and converts each column through the lcm of its
 denominators. The Fraction views `objective` and `rows` are derived on
-first use; the solver and the certificate checks read the columns.
+first use, for callers and test references; the solver and the certificate
+checks read the columns.
 
-Two-phase revised simplex. It keeps the basis inverse B^-1 (rows x rows)
-and the basic values x_B as Fractions, and prices with y = c_B B^-1 written
-as Y / D over integers: the reduced cost r_j = c_j - y . A_j is
-(e_j D - Y . a_j) / (D q_j), so one integer numerator per column decides
-its sign and, by cross-multiplication, its rank. It enters the column with
-the largest reduced cost (Dantzig); the pivot after a degenerate one uses
-Bland's smallest-index rule instead, so every solve terminates. The dual is
-y itself. Every reported optimum, basis and dual vector is exact and
+Two-phase revised simplex over integers only. With Q = diag(q_b), the
+basis is B = B~ Q^-1 for the integer columns a_b of B~ (artificial column r
+is sign_r e_r with q = 1). The solver keeps an integer matrix N and
+den = |det B~| > 0 with B~^-1 = N / den, and the integers v = N beta, where
+b = beta / Q_b over the lcm Q_b of the rhs denominators. The q_b cancel in
+the prices y = c_B B^-1 = Y / den, Y = sum e_b N_b, so the reduced costs
+are compared as integers. Pivots are fraction-free (Bareiss 1968,
+"Sylvester's identity and multistep integer-preserving Gaussian
+elimination"), so every division in them is exact; Fractions appear only
+in the result. Every reported optimum, basis and dual vector is exact and
 checked before it is returned; the programs solved here have at most a
 dozen rows.
 """
@@ -142,37 +145,31 @@ class DualSlackReport:
     dual_objective: Fraction
 
 
-def _pivot(inverse, values, basis, row, col, alpha):
-    """Bring column col into the basis at row, where alpha = B^-1 A_col:
-    the same row operations update B^-1 and x_B."""
-    inv = 1 / alpha[row]
-    prow = [a * inv for a in inverse[row]]
-    inverse[row] = prow
-    values[row] *= inv
-    for r, factor in enumerate(alpha):
-        if r == row or factor == 0:
-            continue
-        inverse[r] = [a - factor * p for a, p in zip(inverse[r], prow)]
-        values[r] -= factor * values[row]
+def _pivot(rows, values, basis, den, row, col, column) -> int:
+    """Bring column col into the basis at row, where column = N a_col, and
+    return the new den |column[row]|. Each other row r of N and v becomes
+    (column[row] row_r - column[r] row_row) / den, an exact division; the
+    pivot row stays. A negative column[row], which only a drive-out pivot
+    meets, negates every row, so den stays |det B~|."""
+    sign = -1 if column[row] < 0 else 1
+    piv, prow, pval = sign * column[row], rows[row], values[row]
+    for r, f in enumerate(column):
+        if r != row:
+            f *= sign
+            rows[r] = [(piv * x - f * p) // den for x, p in zip(rows[r], prow)]
+            values[r] = (piv * values[r] - f * pval) // den
+    if sign < 0:
+        rows[row] = [-p for p in prow]
+        values[row] = -pval
     basis[row] = col
+    return piv
 
 
-def _dot(u, col) -> Fraction:
-    return sum((a * x for a, x in zip(u, col) if x != 0), ZERO)
-
-
-def _prices(inverse, basis, cost):
-    """y = c_B B^-1, one price per row of the original program."""
-    return [
-        sum((cost[b] * u for b, u in zip(basis, inv_col) if cost[b] != 0), ZERO)
-        for inv_col in zip(*inverse)
-    ]
-
-
-def _column(inverse, column):
-    """B^-1 A_j for an integer column (q_j, e_j, a_j), A_j = a_j / q_j."""
-    q, _, a = column
-    return [_dot(inv_row, a) / q for inv_row in inverse]
+def _prices(rows, basis, cost):
+    """Y = sum_t cost[b_t] N_t, so that y = c_B B^-1 = Y / den: the q_b of
+    B = B~ Q^-1 cancel against c_b = e_b / q_b."""
+    weights = [cost[b] for b in basis]
+    return [sum(map(mul, weights, col)) for col in zip(*rows)]
 
 
 def _over_one_denominator(y):
@@ -182,22 +179,22 @@ def _over_one_denominator(y):
     return [p.numerator * (den // p.denominator) for p in y], den
 
 
-def _run_simplex(columns, cost, inverse, values, basis):
-    """Maximize cost . x from a feasible basis, keeping B^-1 (inverse) and
-    x_B (values) current. `columns` are the integer columns (q_j, e_j, a_j)
-    with e_j / q_j = cost[j]; `cost` also prices the artificial columns that
-    may be basic. Enters the column with the largest reduced cost
-    r_j = (e_j D - Y . a_j) / (D q_j), where y = c_B B^-1 = Y / D (Dantzig),
-    except right after a degenerate pivot, where it enters the smallest
-    improving index (Bland): a cycle consists of degenerate pivots only, so
-    every pivot in it would follow Bland's rule, which cannot cycle. D and
-    q_j are positive, so r_j > 0 iff its numerator is, and r_j > r_k iff
-    num_j q_k > num_k q_j. The leaving row is the smallest ratio, ties to
-    the smallest basic index. Returns True when optimal, False when
-    unbounded."""
+def _run_simplex(columns, cost, rows, values, basis, den):
+    """Maximize from a feasible basis, keeping N (rows), v (values) and den
+    current. `columns` are the integer columns (q_j, e_j, a_j) that may
+    enter; cost[b] is e_b for every column that may be basic. Enters the
+    column with the largest reduced cost r_j = (e_j den - Y . a_j) /
+    (den q_j) (Dantzig), except right after a degenerate pivot, where it
+    enters the smallest improving index (Bland): a cycle consists of
+    degenerate pivots only, so every pivot in it would follow Bland's rule,
+    which cannot cycle. den and q_j are positive, so r_j > 0 iff its
+    numerator is, and r_j > r_k iff num_j q_k > num_k q_j. With n = N a_j,
+    the ratio of row r is q_j v_r / (Q_b n_r), so the leaving row has
+    n_r > 0 and the smallest v_r / n_r, ties to the smallest basic index.
+    Returns den when optimal, None when unbounded."""
     bland = False
     while True:
-        ys, den = _over_one_denominator(_prices(inverse, basis, cost))
+        ys = _prices(rows, basis, cost)
         if bland:
             improving = (j for j, (_, e, a) in enumerate(columns) if e * den > sum(map(mul, ys, a)))
             entering = next(improving, -1)
@@ -208,25 +205,20 @@ def _run_simplex(columns, cost, inverse, values, basis):
                 if num > 0 and num * best_q > best_num * q:
                     entering, best_num, best_q = j, num, q
         if entering == -1:
-            return True
-        alpha = _column(inverse, columns[entering])
-        leaving = -1
-        best_ratio = None
-        for r, a in enumerate(alpha):
-            if a <= 0:
+            return den
+        a = columns[entering][2]
+        column = [sum(map(mul, row, a)) for row in rows]
+        leaving, best_v, best_n = -1, 0, 1
+        for r, n_r in enumerate(column):
+            if n_r <= 0:
                 continue
-            ratio = values[r] / a
-            if (
-                best_ratio is None
-                or ratio < best_ratio
-                or (ratio == best_ratio and basis[r] < basis[leaving])
-            ):
-                best_ratio = ratio
-                leaving = r
+            lhs, rhs = values[r] * best_n, best_v * n_r
+            if leaving == -1 or lhs < rhs or (lhs == rhs and basis[r] < basis[leaving]):
+                leaving, best_v, best_n = r, values[r], n_r
         if leaving == -1:
-            return False
-        bland = best_ratio == 0
-        _pivot(inverse, values, basis, leaving, entering, alpha)
+            return None
+        bland = best_v == 0
+        den = _pivot(rows, values, basis, den, leaving, entering, column)
 
 
 def solve(lp: LinearProgram) -> LPSolution:
@@ -235,47 +227,52 @@ def solve(lp: LinearProgram) -> LPSolution:
     cost <= 0.
 
     Artificial column r is sign_r e_r, with sign_r = -1 on a row whose rhs
-    is negative, so the starting basis inverse is diag(sign) and B^-1 stays
-    the inverse of a basis of the program as given: the dual is y = c_B B^-1
-    itself, with no sign to undo."""
+    is negative, so N starts as diag(sign) over den 1 and B~ is a basis of
+    the program as given: the dual is Y / den, with no sign to undo."""
     m, n = lp.nrows, lp.ncols
     columns = lp.integer_columns
+    scale = lcm(*(b.denominator for b in lp.rhs))  # Q_b, with b = beta / Q_b
 
     # phase 1: artificial basis, minimize the artificials' sum; an original
     # column costs nothing, so its cost numerator is 0
     sign = [-1 if b < 0 else 1 for b in lp.rhs]
-    inverse = [[Fraction(sign[r]) if c == r else ZERO for c in range(m)] for r in range(m)]
-    values = [sign[r] * b for r, b in enumerate(lp.rhs)]
+    rows = [[sign[r] if c == r else 0 for c in range(m)] for r in range(m)]
+    values = [abs(b.numerator) * (scale // b.denominator) for b in lp.rhs]
     basis = [n + r for r in range(m)]
     phase_one = [(q, 0, a) for q, _, a in columns]
-    _run_simplex(phase_one, [ZERO] * n + [Fraction(-1)] * m, inverse, values, basis)
+    den = _run_simplex(phase_one, [0] * n + [-1] * m, rows, values, basis, 1)
     if any(v != 0 for b, v in zip(basis, values) if b >= n):
         return LPSolution(status="infeasible")
 
     # drive zero-level artificials out of the basis; rows with no original
-    # pivot entry are redundant and get dropped
+    # pivot entry are redundant and get dropped. Their artificials, kept,
+    # would keep N_r a_j = 0, so the other rows' divisions stay exact
     for r in range(m - 1, -1, -1):
         if basis[r] < n:
             continue
-        col = next((j for j, (_, _, a) in enumerate(columns) if _dot(inverse[r], a) != 0), None)
+        col = next((j for j, (_, _, a) in enumerate(columns) if sum(map(mul, rows[r], a))), None)
         if col is None:
-            del inverse[r], values[r], basis[r]
+            del rows[r], values[r], basis[r]
         else:
-            _pivot(inverse, values, basis, r, col, _column(inverse, columns[col]))
+            a = columns[col][2]
+            den = _pivot(rows, values, basis, den, r, col, [sum(map(mul, row, a)) for row in rows])
 
     # phase 2 over the original columns, from the feasible basis
-    if not _run_simplex(columns, lp.objective, inverse, values, basis):
+    cost = [e for _, e, _ in columns]
+    den = _run_simplex(columns, cost, rows, values, basis, den)
+    if den is None:
         return LPSolution(status="unbounded")
 
+    # x_b = q_b v_b / (den Q_b), so c . x = sum e_b v_b / (den Q_b)
     primal = [ZERO] * n
     for b, v in zip(basis, values):
-        primal[b] = v
+        primal[b] = Fraction(columns[b][0] * v, den * scale)
     solution = LPSolution(
         status="optimal",
-        value=sum((lp.objective[b] * v for b, v in zip(basis, values)), ZERO),
+        value=Fraction(sum(cost[b] * v for b, v in zip(basis, values)), den * scale),
         primal=tuple(primal),
         basis=tuple(basis),
-        dual=tuple(_prices(inverse, basis, lp.objective)) if basis else (ZERO,) * m,
+        dual=tuple(Fraction(y, den) for y in _prices(rows, basis, cost)) if basis else (ZERO,) * m,
     )
     _check_optimal(lp, solution)
     return solution

@@ -148,6 +148,31 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["nonsense"]) == 2
 
 
+@pytest.mark.parametrize("value", ["\u0663", "+3", "0_3", " 3", "x"])
+@pytest.mark.parametrize(
+    "argv",
+    [("certify", "hardcore", "--lambda", "1", "--d"),
+     ("certify", "matching", "--d"),
+     ("tree", "--lambda", "1", "--d"),
+     ("conjectures", "--d", "2", "--n")],
+)
+def test_integer_options_take_ascii_digits_only(capsys, argv, value):
+    code, report, err = run_cli(capsys, *argv, value)
+    assert (code, report) == (2, None)
+    assert f"argument {argv[-1]}: invalid int value: {value!r}\n" in err
+
+
+@pytest.mark.parametrize(
+    "lam, part",
+    [("1_0", "1_0"), ("+1", "+1"), ("\u0661/\u0662", "\u0661"), ("\xa01/2", "\xa01")],
+)
+def test_fugacities_take_ascii_integers_only(capsys, lam, part):
+    code, report, err = run_cli(capsys, "occupancy", "--graph", "kdd:2", "--lambda", lam)
+    assert (code, report) == (2, None)
+    message = f"bad rational {lam!r}: invalid literal for int() with base 10: {part!r}"
+    assert err == f"error: {message}\n"
+
+
 def test_capability_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "poly", "--graph", "cycle:40")
     assert code == 3

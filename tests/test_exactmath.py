@@ -12,6 +12,7 @@ from occufrac.exactmath import (
     convolve,
     format_rational,
     fugacity,
+    parse_int,
     parse_rational,
 )
 
@@ -37,6 +38,31 @@ def test_fugacity_is_a_positive_fraction():
 def test_parse_rejects_non_rationals(bad):
     with pytest.raises(FormatError):
         parse_rational(bad)
+
+
+@pytest.mark.parametrize(
+    "bad, part",
+    # int() takes "_", "+", other scripts' digits and Unicode whitespace
+    [("1_0", "1_0"), ("+1", "+1"), ("\u0661/\u0662", "\u0661"),
+     ("\xa01/2\xa0", "\xa01"), ("3 / 4", "3 "), ("1/+2", "+2")],
+)
+def test_parse_rational_reads_ascii_integers_only(bad, part):
+    message = f"bad rational {bad!r}: invalid literal for int() with base 10: {part!r}"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        parse_rational(bad)
+
+
+def test_parse_rational_strips_ascii_whitespace():
+    assert parse_rational(" \t3/4\r\n") == Fraction(3, 4)
+    assert parse_rational("1/-2") == Fraction(-1, 2)
+
+
+def test_parse_int_takes_ascii_digits_after_an_optional_minus():
+    assert [parse_int(t) for t in ("0", "17", "-3", "007")] == [0, 17, -3, 7]
+    for bad in ("", "-", "+3", "1_0", " 3", "3 ", "\u0663", "--3", "3-", "0x3", "\xb2"):
+        message = f"invalid literal for int() with base 10: {bad!r}"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            parse_int(bad)
 
 
 def test_rational_canonical_arithmetic():

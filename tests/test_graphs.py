@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from collections import Counter
 
@@ -105,6 +106,24 @@ def test_edge_list_lines_end_at_newline_only():
         parse_edge_list("3\n0 1\x851 1")
     with pytest.raises(FormatError, match=r"^line 2: expected 'u v', got '0 1\\x0c1 2'$"):
         parse_edge_list("3\n0 1\x0c1 2")
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    # numbers are ASCII digits after an optional "-", and only ASCII
+    # whitespace separates a line's two vertices; the last line is the bad one
+    [(("3", "+0 \u0661"), "line 2: non-integer vertex in {!r}"),
+     (("3", "0 \u0661"), "line 2: non-integer vertex in {!r}"),
+     (("3", "0 1_0"), "line 2: non-integer vertex in {!r}"),
+     (("+3",), "line 1: bad vertex count {!r}"),
+     (("1_0",), "line 1: bad vertex count {!r}"),
+     (("\u0663",), "line 1: bad vertex count {!r}"),
+     (("3", "0\u20031"), "line 2: expected 'u v', got {!r}"),
+     (("3", "0\xa01"), "line 2: expected 'u v', got {!r}")],
+)
+def test_edge_list_numbers_are_ascii_integers(lines, message):
+    with pytest.raises(FormatError, match=f"^{re.escape(message.format(lines[-1]))}$"):
+        parse_edge_list("\n".join(lines))
 
 
 def test_generate_families():

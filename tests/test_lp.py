@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 import pytest
 
@@ -221,9 +222,9 @@ def test_duals_with_redundant_and_negated_rows():
 
 
 def test_degenerate_fallback_stops_dantzig_cycling(monkeypatch):
-    # from the slack basis {4, 5, 6} of Beale's example, largest-reduced-cost
-    # pricing alone cycles; the Bland pivot after each degenerate one must
-    # reach the optimum in a few pivots
+    # from the integer slack basis {4, 5, 6} of Beale's example,
+    # largest-reduced-cost pricing alone cycles; the Bland pivot after each
+    # degenerate one must reach the optimum in a few pivots
     objective = (Fraction(3, 4), Fraction(-150), Fraction(1, 50), Fraction(-6), ZERO, ZERO, ZERO)
     rows = (
         (Fraction(1, 4), Fraction(-60), Fraction(-1, 25), Fraction(9), ONE, ZERO, ZERO),
@@ -234,20 +235,24 @@ def test_degenerate_fallback_stops_dantzig_cycling(monkeypatch):
     pivot = lp_module._pivot
 
     def counted(*args):
-        pivots.append(args[4])
+        pivots.append(args[5])
         if len(pivots) > 50:
             raise AssertionError(f"still pivoting after 50 pivots: {pivots[:12]}")
-        pivot(*args)
+        return pivot(*args)
 
     monkeypatch.setattr(lp_module, "_pivot", counted)
     program = make_lp(objective, rows, (ZERO, ZERO, ONE))
-    inverse = [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]
-    values = [ZERO, ZERO, ONE]
+    columns = program.integer_columns
+    # the slacks are unit columns over q = 1 and b is integer (Q_b = 1):
+    # N = I over den 1, v = b, x_b = q_b v_b / den
+    identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    values = [0, 0, 1]
     basis = [4, 5, 6]
-    assert lp_module._run_simplex(program.integer_columns, objective, inverse, values, basis)
+    den = lp_module._run_simplex(columns, [e for _, e, _ in columns], identity, values, basis, 1)
+    assert den is not None
     x = [ZERO] * 7
     for b, v in zip(basis, values):
-        x[b] = v
+        x[b] = Fraction(columns[b][0] * v, den)
     assert primal_value(program, x) == Fraction(1, 20)
 
 
@@ -429,6 +434,45 @@ def test_rational_lps_match_tableau_reference():
     assert scaled >= 250 and rowless >= 20 and zero_columns >= 60
 
 
+def test_fraction_free_invariant_holds_after_every_pivot(monkeypatch):
+    # after each pivot N a~_b = den e_t at every basic position t, where an
+    # artificial a~ is sign_r e_r, and v = N beta: a floored, inexact
+    # division breaks one of them, on infeasible and unbounded programs too,
+    # which the optimality check never sees
+    pivot = lp_module._pivot
+    seen = {"negative pivot": 0, "pivot after a dropped row": 0, "negative rhs": 0}
+
+    def checked(rows, values, basis, den, row, col, column):
+        seen["negative pivot"] += column[row] < 0
+        seen["pivot after a dropped row"] += len(rows) < program.nrows
+        den = pivot(rows, values, basis, den, row, col, column)
+        assert den > 0
+        n, m = program.ncols, program.nrows
+        for t, b in enumerate(basis):
+            if b < n:
+                a = program.integer_columns[b][2]
+            else:
+                a = [0] * m
+                a[b - n] = -1 if program.rhs[b - n] < 0 else 1
+            unit = [den * (s == t) for s in range(len(rows))]
+            assert [sum(map(mul, row, a)) for row in rows] == unit
+        scale = lcm(*(b.denominator for b in program.rhs))
+        beta = [b.numerator * (scale // b.denominator) for b in program.rhs]
+        assert values == [sum(map(mul, row, beta)) for row in rows]
+        return den
+
+    monkeypatch.setattr(lp_module, "_pivot", checked)
+    rng = random.Random(1968)
+    kinds = ("feasible", "degenerate", "free-rhs", "contradiction", "unbounded")
+    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    for i in range(300):
+        program = _differential_lp(rng, kinds[i % len(kinds)]) if i % 2 else _rational_lp(rng)
+        statuses[solve(program).status] += 1
+        seen["negative rhs"] += any(b < 0 for b in program.rhs)
+    assert min(statuses.values()) >= 30, statuses
+    assert min(seen.values()) >= 20, seen
+
+
 def test_dual_slacks_match_fraction_reference():
     rng = random.Random(77)
     for _ in range(100):
@@ -463,8 +507,8 @@ def test_certify_pivot_counts_are_pinned(monkeypatch, module, d, pivots):
     pivot = lp_module._pivot
 
     def count(*args):
-        counted.append(args[4])
-        pivot(*args)
+        counted.append(args[5])
+        return pivot(*args)
 
     monkeypatch.setattr(lp_module, "_pivot", count)
     sol = solve(module.build_primal(d, Fraction(7, 5)))
