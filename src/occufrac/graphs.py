@@ -575,7 +575,12 @@ def _classes_and_automorphisms(n: int):
     it, so growing the next level canonicalizes no representative twice.
     Each representative's key is also recorded for canonical_key.
     Classes on CLASS_LIMIT vertices are never grown and keep none: at 7
-    vertices their generators would hold about 0.4 MB."""
+    vertices their generators would hold about 0.4 MB.
+
+    Parent invariant: a representative h on n >= 1 vertices is the first
+    extension found of its class, a representative g on n-1 vertices plus
+    vertex n-1, so h minus vertex n-1 is g as a labeled graph
+    (hardcore.enumerate_configs grows class polynomials on it)."""
     if n == 0:
         key, _, automorphisms = _canonical_form(Graph(0))
         _REPRESENTATIVE_KEYS[Graph(0)] = key

@@ -26,7 +26,15 @@ from .graphs import (
     regular_degree,
 )
 from .lp import LinearProgram, dual_slacks, primal_value
-from .polynomials import independence_poly, kdd_occupancy, occupancy, state_polynomials
+from .polynomials import (
+    _add_shifted,
+    _independence_step,
+    _mask_recursion,
+    independence_poly,
+    kdd_occupancy,
+    occupancy,
+    state_polynomials,
+)
 
 MIN_D, MAX_D = 2, 7
 FREE_LAW_LIMIT = 14
@@ -50,17 +58,34 @@ class NeighborhoodConfig:
 def enumerate_configs(d: int):
     """All isomorphism classes on 0..d vertices, ordered by vertex count then
     canonical key. Column order of the primal program; the empty class
-    comes first, at index 0."""
+    comes first, at index 0.
+
+    The classes below d vertices are those of enumerate_configs(d - 1).
+    Each class's independence polynomial is grown from the class its
+    representative was grown from (see graphs._classes_and_automorphisms),
+    through that parent's memoized mask recursion, which is dropped on
+    return."""
     if d < MIN_D:
         raise DomainError(f"need d >= {MIN_D}")
     if d > MAX_D:
         raise CapabilityError(f"configuration enumeration supports {MIN_D} <= d <= {MAX_D}")
-    configs = []
-    for n in range(d + 1):
-        for key, g in isomorphism_classes(n):
-            configs.append(
-                NeighborhoodConfig(len(configs), g, key, independence_poly(g))
-            )
+    configs = list(enumerate_configs(d - 1)) if d > MIN_D else []
+    for n in range(d if configs else 0, d + 1):
+        top = (1 << n) >> 1  # the bit of vertex n-1
+        parents = {}  # adjacency of each class on n-1 vertices -> P, mask recursion
+        for cfg in configs:
+            if cfg.graph.n == n - 1:
+                adj = cfg.graph.adj
+                parents[adj] = cfg.poly.coeffs, _mask_recursion(adj, (1, 1), _independence_step)
+        for key, h in isomorphism_classes(n):
+            coeffs = [1]
+            if n:
+                # h minus vertex n-1 is a representative g, and
+                # P(h) = P(g) + x P(g - S) with S the neighborhood of n-1
+                coeffs, poly = parents[tuple(a & ~top for a in h.adj[:-1])]
+                coeffs = list(coeffs)
+                _add_shifted(coeffs, poly(top - 1 & ~h.adj[-1]))
+            configs.append(NeighborhoodConfig(len(configs), h, key, IntPolynomial(coeffs)))
     return tuple(configs)
 
 

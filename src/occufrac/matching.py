@@ -21,7 +21,7 @@ from .errors import CertificateError, DomainError
 from .exactmath import IntPolynomial, fugacity
 from .graphs import Graph, regular_degree
 from .hardcore import CertificateReport
-from .lp import LinearProgram, dual_slacks, primal_value
+from .lp import LinearProgram, _over_one_denominator, dual_slacks, primal_value
 from .polynomials import (
     edge_occupancy,
     kdd_edge_occupancy,
@@ -259,12 +259,20 @@ def check_slack_profile(d: int, lam: Fraction) -> dict:
     return {"duals": duals, "profile": profile, "increments": increments, "crude": crude}
 
 
-def reduced_slack(i: int, j: int, k: int, duals: MatchingDuals) -> Fraction:
-    """Simplified dual slack L(i,j,k): zero exactly on the diagonal triples
-    (i, i, 0) and strictly positive elsewhere."""
-    d, lam = duals.d, duals.lam
-    _check_triple(i, j, k, d)
-    val = lam * ((i - j) ** 2 + 2 * k) * (1 - d * duals.optimum)
+def _scaled_duals(duals: MatchingDuals, profile=()):
+    """(D, A, P, F): D > 0 the least common denominator of
+    lam (1 - d optimum), the prices and the profile values, and as integers
+    A = lam (1 - d optimum) D, the prices times D and the profile times D."""
+    d = duals.d
+    drift = duals.lam * (1 - d * duals.optimum)
+    scaled, den = _over_one_denominator([drift, *duals.prices, *profile])
+    return den, scaled[0], scaled[1 : d + 1], scaled[d + 1 :]
+
+
+def _slack_numerator(i: int, j: int, k: int, drift: int, prices) -> int:
+    """L(i,j,k) times D, from drift = lam (1 - d optimum) D and the prices
+    times D (see _scaled_duals)."""
+    val = drift * ((i - j) ** 2 + 2 * k)
     for a, b in ((i, j), (j, i)):
         for idx, coeff in (
             (a + k - 2, (a + k - 1) * k),
@@ -272,54 +280,66 @@ def reduced_slack(i: int, j: int, k: int, duals: MatchingDuals) -> Fraction:
             (a + k, (a + k) * (a + k - b)),
         ):
             if coeff:
-                val += duals.price(idx) * coeff
+                val += prices[idx] * coeff
     return val
+
+
+def reduced_slack(i: int, j: int, k: int, duals: MatchingDuals) -> Fraction:
+    """Simplified dual slack L(i,j,k): zero exactly on the diagonal triples
+    (i, i, 0) and strictly positive elsewhere."""
+    _check_triple(i, j, k, duals.d)
+    den, drift, prices, _ = _scaled_duals(duals)
+    return Fraction(_slack_numerator(i, j, k, drift, prices), den)
 
 
 def check_dual_constraints(d: int, lam: Fraction) -> CertificateReport:
     """Full dual certificate: verifies the slack profile (check_slack_profile),
     strong duality on build_primal(d, lam), that each column's slack there
-    times 2(d-1)(lam + M) is lam times the simplified slack, the telescoping
-    identity, zero slack exactly on the diagonal (i, i, 0) triples, and
-    strict positivity everywhere else."""
+    times 2(d-1)(lam + M) is lam times the simplified slack, zero slack
+    exactly on the diagonal (i, i, 0) triples, strict positivity everywhere
+    else, the telescoping identity and the profile difference form. The
+    simplified slacks and the profile are compared as integer numerators
+    over one denominator D."""
     lam = fugacity(lam)
     checked = check_slack_profile(d, lam)
     duals, profile = checked["duals"], checked["profile"]
     priced = dual_slacks(build_primal(d, lam), standard_dual_vector(duals))
     if priced.dual_objective != duals.optimum:
         raise CertificateError(f"strong duality fails: dual objective {priced.dual_objective}")
+    den, drift, prices, f = _scaled_duals(duals, profile)
+    p, q = lam.numerator, lam.denominator
+    pq = p * q
     slacks = []
     tight = []
     values = {}
     for (i, j, k), raw in zip(enumerate_triples(d), priced.slacks):
-        val = reduced_slack(i, j, k, duals)
-        values[(i, j, k)] = val
-        if 2 * (d - 1) * conditional_partition(i, j, k, lam) * raw != lam * val:
+        val = values[i, j, k] = _slack_numerator(i, j, k, drift, prices)
+        # 2(d-1)(lam + M) raw = lam L, times q^2 D
+        scale = 2 * (d - 1) * (pq + local_matching_poly(i, j, k).homogeneous(p, q, 2))
+        if scale * raw.numerator * den != pq * val * raw.denominator:
             raise CertificateError(
                 f"raw and simplified slacks inconsistent at ({i},{j},{k})"
             )
         label = f"({i},{j},{k})"
-        slacks.append((label, val))
+        slack = Fraction(val, den)
+        slacks.append((label, slack))
         if i == j and k == 0:
             if val != 0:
-                raise CertificateError(f"diagonal triple {label} has slack {val}")
+                raise CertificateError(f"diagonal triple {label} has slack {slack}")
             tight.append(label)
         elif val <= 0:
-            raise CertificateError(f"non-diagonal triple {label} has slack {val}")
+            raise CertificateError(f"non-diagonal triple {label} has slack {slack}")
     for i, j, k in enumerate_triples(d):
         if i >= 1 and j >= 1:
-            step = (
-                values[(i - 1, j - 1, k + 1)]
-                - values[(i, j, k)]
-                - (profile[i + k] - profile[i + k - 1])
-                - (profile[j + k] - profile[j + k - 1])
-            )
-            if step != 0:
+            step = f[i + k] - f[i + k - 1] + f[j + k] - f[j + k - 1]
+            if values[i - 1, j - 1, k + 1] - values[i, j, k] != step:
                 raise CertificateError(
                     f"telescoping identity fails at ({i},{j},{k})"
                 )
-        if k == 0 and values[(i, j, k)] != (j - i) * (profile[j] - profile[i]):
-            raise CertificateError(f"profile difference form fails at ({i},{j},0)")
+    for i in range(d):
+        for j in range(d):
+            if values[i, j, 0] != (j - i) * (f[j] - f[i]):
+                raise CertificateError(f"profile difference form fails at ({i},{j},0)")
     dual_values = {"optimum": duals.optimum}
     for t in range(d - 1):
         dual_values[f"price_{t}"] = duals.price(t)

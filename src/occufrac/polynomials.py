@@ -117,7 +117,7 @@ def _by_components(g: Graph, memo: dict, single, step, budget) -> IntPolynomial:
     budget(g.adj, comps)
 
     def compute(sub):
-        return IntPolynomial(_mask_recursion(sub.adj, single, step))
+        return IntPolynomial(_mask_recursion(sub.adj, single, step)((1 << sub.n) - 1))
 
     out = (1,)
     for comp in comps:
@@ -135,12 +135,12 @@ def _by_components(g: Graph, memo: dict, single, step, budget) -> IntPolynomial:
 # which stay free of trailing zeros because every coefficient up to the
 # degree counts at least one set or matching.
 
-def _mask_recursion(adj, single, step) -> tuple:
-    """The polynomial of the whole (connected) adjacency `adj`, where
-    step(adj, mask, poly) gives the polynomial of a connected mask of two or
-    more vertices from poly(mask') of smaller masks, and `single` is that of
-    one vertex. Masks split into components first; each component mask is
-    memoized for this call only."""
+def _mask_recursion(adj, single, step):
+    """The memoized poly(mask): the polynomial of any vertex mask of the
+    adjacency `adj`, where step(adj, mask, poly) gives the polynomial of a
+    connected mask of two or more vertices from poly(mask') of smaller
+    masks, and `single` is that of one vertex. Masks split into components
+    first; each component mask is memoized for the closure's lifetime."""
     memo = {1 << v: single for v in range(len(adj))}
 
     def poly(mask):
@@ -152,7 +152,7 @@ def _mask_recursion(adj, single, step) -> tuple:
             out = p if out is None else convolve(out, p)
         return (1,) if out is None else out
 
-    return poly((1 << len(adj)) - 1)
+    return poly
 
 
 def _independence_step(adj, mask, poly):

@@ -307,8 +307,8 @@ def test_relabelled_representatives_miss_the_class_table():
 
 
 def test_cold_configs_key_representatives_from_the_class_table(monkeypatch):
-    # the 995 memo probes of connected representatives read the table, so
-    # every canonical form of a cold enumerate_configs(2..7) is class growth
+    # every canonical form of a cold enumerate_configs(2..7) is class growth,
+    # and class polynomials grow from their parents without a memo probe
     callers = Counter()
     probes = []
     original_form = graphs._canonical_form
@@ -330,7 +330,15 @@ def test_cold_configs_key_representatives_from_the_class_table(monkeypatch):
     for d in range(2, 8):
         enumerate_configs(d)
     assert callers == {"_classes_and_automorphisms": 1641}
-    assert len(probes) == 995
+    assert probes == []
+
+
+def test_representative_minus_its_last_vertex_is_a_representative():
+    # the parent invariant that hardcore.enumerate_configs grows on
+    for n in range(1, 8):
+        parents = {g for _, g in isomorphism_classes(n - 1)}
+        for _, h in isomorphism_classes(n):
+            assert h.induced(range(n - 1)) in parents
 
 
 def test_cold_class_enumeration_canonicalizes_few_extensions(monkeypatch):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from _oracles import crowding, vacancy
+from occufrac import hardcore
 from occufrac.errors import CapabilityError, CertificateError, DomainError
 from occufrac.exactmath import IntPolynomial
 from occufrac.graphs import Graph, complete, complete_bipartite, cycle, petersen
@@ -19,7 +20,7 @@ from occufrac.hardcore import (
     uncovered_count_distribution,
 )
 from occufrac.lp import dual_slacks, make_lp, solve
-from occufrac.polynomials import kdd_occupancy, occupancy
+from occufrac.polynomials import independence_poly, kdd_occupancy, occupancy
 
 ONE = Fraction(1)
 GRID = (Fraction(1, 4), Fraction(1, 2), ONE, Fraction(2), Fraction(4))
@@ -33,6 +34,33 @@ def test_enumerate_configs_counts():
         enumerate_configs(8)
     with pytest.raises(DomainError, match="^need d >= 2$"):
         enumerate_configs(1)
+
+
+def _grown_polys_match_reference():
+    enumerate_configs.cache_clear()
+    try:
+        configs = enumerate_configs(7)
+        assert len(configs) == 1253
+        return all(cfg.poly == independence_poly(cfg.graph) for cfg in configs)
+    finally:
+        enumerate_configs.cache_clear()
+
+
+def test_grown_class_polynomials_match_the_recursion():
+    assert _grown_polys_match_reference()
+
+
+def test_growing_with_the_neighborhood_mask_fails(monkeypatch):
+    # mutation: read P(g[S]) from the parent's memo in place of P(g - S)
+    original = hardcore._mask_recursion
+
+    def wrong_mask(adj, single, step):
+        poly = original(adj, single, step)
+        full = (1 << len(adj)) - 1
+        return lambda mask: poly(full & ~mask)
+
+    monkeypatch.setattr(hardcore, "_mask_recursion", wrong_mask)
+    assert not _grown_polys_match_reference()
 
 
 def test_config_order_and_special_entries():

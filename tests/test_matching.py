@@ -419,6 +419,34 @@ def test_wrong_mass_price_fails_strong_duality(monkeypatch):
         check_dual_constraints(3, ONE)
 
 
+def test_integer_certificate_slacks_equal_reduced_slacks():
+    for d in range(2, 13):
+        for lam in (Fraction(1, 4), ONE, Fraction(7, 5), Fraction(4)):
+            duals = dual_row_prices(d, lam)
+            want = tuple(
+                ("({},{},{})".format(*triple), reduced_slack(*triple, duals))
+                for triple in enumerate_triples(d)
+            )
+            assert check_dual_constraints(d, lam).slacks == want
+
+
+def test_shifted_profile_value_fails_telescoping(monkeypatch):
+    import occufrac.matching as mod
+
+    original = mod.check_slack_profile
+
+    def shifted(d, lam):
+        checked = dict(original(d, lam))
+        profile = list(checked["profile"])
+        profile[2] += Fraction(1, 3)
+        checked["profile"] = profile
+        return checked
+
+    monkeypatch.setattr(mod, "check_slack_profile", shifted)
+    with pytest.raises(CertificateError, match="^telescoping identity fails"):
+        check_dual_constraints(4, ONE)
+
+
 def test_edge_neighborhood_distribution_known_values():
     law = edge_neighborhood_distribution(complete_bipartite(2), ONE)
     assert law == {(0, 0, 0): Fraction(2, 7), (1, 1, 0): Fraction(5, 7)}
