@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import CertificateError, DomainError
+from .errors import CapabilityError, CertificateError, DomainError
 from .exactmath import IntPolynomial, fugacity
 from .graphs import Graph, bipartition, is_vertex_transitive, kdd_union, regular_degree
 from .polynomials import (
@@ -23,7 +23,10 @@ from .polynomials import (
 )
 
 DEFAULT_TOLERANCE = Fraction(1, 10**9)
-MAX_TIGHTENINGS = 12
+# caps of the tree bisection: an accepted (d, tolerance) finishes well inside
+# 10 s, and its report stays within the interpreter's integer digit limit
+TREE_MAX_D = 1000
+TREE_TOLERANCE_DIGITS = 100  # the tolerance must be at least 1/10^this
 
 
 @dataclass(frozen=True)
@@ -35,7 +38,6 @@ class TreeOccupancy:
     lam: Fraction
     alpha_low: Fraction
     alpha_high: Fraction
-    tolerance: Fraction
 
     @property
     def width(self) -> Fraction:
@@ -44,7 +46,8 @@ class TreeOccupancy:
 
 def _tree_gap(alpha: Fraction, d: int, lam: Fraction) -> Fraction:
     """alpha/(lam(1-alpha)) - ((1-2 alpha)/(1-alpha))^d; strictly increasing
-    on (0, 1/2), so it brackets a unique root."""
+    on (0, 1/2) and zero at the tree occupancy, so its sign at alpha says on
+    which side of the tree occupancy alpha lies."""
     return alpha / (lam * (1 - alpha)) - ((1 - 2 * alpha) / (1 - alpha)) ** d
 
 
@@ -56,6 +59,12 @@ def tree_occupancy(d: int, lam: Fraction, tolerance: Fraction = DEFAULT_TOLERANC
         raise DomainError("need d >= 2")
     if tolerance <= 0:
         raise DomainError("tolerance must be positive")
+    if d > TREE_MAX_D:
+        raise CapabilityError(f"tree bisection supports d <= {TREE_MAX_D}")
+    if tolerance * 10**TREE_TOLERANCE_DIGITS < 1:
+        raise CapabilityError(
+            f"tree bisection supports tolerance >= 1/10^{TREE_TOLERANCE_DIGITS}"
+        )
     lo, hi = Fraction(0), Fraction(1, 2)
     while hi - lo > tolerance or lo == 0:
         mid = (lo + hi) / 2
@@ -69,7 +78,7 @@ def tree_occupancy(d: int, lam: Fraction, tolerance: Fraction = DEFAULT_TOLERANC
             quarter = min(tolerance / 4, (hi - lo) / 4, mid / 2)
             lo, hi = mid - quarter, mid + quarter
             break
-    return TreeOccupancy(d=d, lam=lam, alpha_low=lo, alpha_high=hi, tolerance=tolerance)
+    return TreeOccupancy(d=d, lam=lam, alpha_low=lo, alpha_high=hi)
 
 
 def uniqueness_threshold(d: int) -> Fraction:
@@ -81,19 +90,19 @@ def uniqueness_threshold(d: int) -> Fraction:
 
 @dataclass(frozen=True)
 class LowerBoundVerdict:
-    status: str  # "pass" | "fail" | "inconclusive"
+    status: str  # "pass" | "fail"
     alpha: Fraction
-    bracket: TreeOccupancy
+    gap: Fraction  # _tree_gap at alpha: positive exactly on "pass"
 
 
 def verify_lower_bound(
     g: Graph,
     lam: Fraction,
-    tolerance: Fraction = DEFAULT_TOLERANCE,
     assume_vertex_transitive: bool = False,
 ) -> LowerBoundVerdict:
-    """Check occupancy(g) > tree occupancy: exact value against a rational
-    bracket, tightening the bracket 16x whenever the value falls inside it."""
+    """Check occupancy(g) > tree occupancy exactly: g is regular and
+    bipartite, so its occupancy lies in (0, 1/2), where _tree_gap increases
+    strictly through its one root, the tree occupancy."""
     lam = fugacity(lam)
     d = regular_degree(g)
     if d is None:
@@ -102,16 +111,11 @@ def verify_lower_bound(
         raise DomainError("graph must be bipartite")
     if not assume_vertex_transitive and not is_vertex_transitive(g):
         raise DomainError("graph must be vertex-transitive")
+    if d < 2:
+        raise DomainError("need d >= 2")
     alpha = occupancy(g, lam)
-    tol = tolerance
-    for _ in range(MAX_TIGHTENINGS):
-        bracket = tree_occupancy(d, lam, tol)
-        if alpha > bracket.alpha_high:
-            return LowerBoundVerdict("pass", alpha, bracket)
-        if alpha < bracket.alpha_low:
-            return LowerBoundVerdict("fail", alpha, bracket)
-        tol /= 16
-    return LowerBoundVerdict("inconclusive", alpha, bracket)
+    gap = _tree_gap(alpha, d, lam)
+    return LowerBoundVerdict("pass" if gap > 0 else "fail", alpha, gap)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 verdict); `main` prints them as a single JSON report to stdout (rationals as
 "p/q" strings, insertion-ordered keys) and reserves stderr for diagnostics.
 
-Exit codes: 0 pass / not-applicable, 1 fail / inconclusive, 2 usage error,
-3 capability (size limit) error.
+Exit codes: 0 pass / not-applicable, 1 fail, 2 usage error, 3 capability
+(size limit) error, a report too long to print included.
 """
 
 from __future__ import annotations
@@ -225,13 +225,11 @@ def cmd_verify_lower_bound(args):
                     "lambda": lam,
                     "status": v.status,
                     "occupancy": v.alpha,
-                    "tree_high": v.bracket.alpha_high,
+                    "tree_gap": v.gap,
                 }
             )
             if v.status == "fail":
                 verdict = "fail"
-            elif v.status == "inconclusive" and verdict == "pass":
-                verdict = "inconclusive"
     inputs = {"corpus": args.corpus or "builtin", "grid": grid}
     return inputs, {"checks": rows}, verdict
 
@@ -399,10 +397,15 @@ def main(argv=None) -> int:
         "verdict": verdict,
         "timing_ms": round((time.monotonic() - start) * 1000, 3),
     }
-    json.dump(report, sys.stdout, indent=2, default=_encode_rational)
-    sys.stdout.write("\n")
-    exit_code = {"pass": EXIT_PASS, "not-applicable": EXIT_PASS,
-                 "fail": EXIT_FAIL, "inconclusive": EXIT_FAIL}
+    try:
+        text = json.dumps(report, indent=2, default=_encode_rational)
+    except ValueError as exc:
+        # an integer beyond the interpreter's digit limit for str(); the
+        # whole report is encoded first, so nothing partial reaches stdout
+        print(f"capability error: report too long to print: {exc}", file=sys.stderr)
+        return EXIT_CAPABILITY
+    sys.stdout.write(text + "\n")
+    exit_code = {"pass": EXIT_PASS, "not-applicable": EXIT_PASS, "fail": EXIT_FAIL}
     return exit_code[verdict]
 
 

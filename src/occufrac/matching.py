@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .errors import CertificateError, DomainError
+from .errors import CapabilityError, CertificateError, DomainError
 from .exactmath import IntPolynomial, fugacity
 from .graphs import Graph, regular_degree
 from .hardcore import CertificateReport
@@ -28,6 +28,10 @@ from .polynomials import (
     kdd_matching_poly,
     state_polynomials,
 )
+
+# the program has d(d+1)(2d+1)/6 columns, 9455 at d = 30; the cap keeps a
+# certificate over a few fugacities well inside 10 s
+MAX_D = 30
 
 
 def enumerate_triples(d: int):
@@ -301,6 +305,8 @@ def check_dual_constraints(d: int, lam: Fraction) -> CertificateReport:
     simplified slacks and the profile are compared as integer numerators
     over one denominator D."""
     lam = fugacity(lam)
+    if d > MAX_D:
+        raise CapabilityError(f"matching certificate supports d <= {MAX_D}")
     checked = check_slack_profile(d, lam)
     duals, profile = checked["duals"], checked["profile"]
     priced = dual_slacks(build_primal(d, lam), standard_dual_vector(duals))

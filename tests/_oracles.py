@@ -5,8 +5,9 @@ polynomials come from raw subset enumeration, LP optima from basis
 enumeration, conditional marginals from direct matching enumeration, the dense
 tableau simplex with Bland's rule that the revised solver replaced, dual
 slacks priced entry by entry in Fractions, the Graph-object deletion
-recurrences that the vertex-mask recursion replaced, and the Fraction-entry
-builds of the two certify programs that the integer-column builds replaced.
+recurrences that the vertex-mask recursion replaced, the Fraction-entry
+builds of the two certify programs that the integer-column builds replaced,
+and the tree lower-bound verdict by bisection that the exact sign replaced.
 Canonical keys come from the labelling search `_canonical_form` itself,
 never from the class table that `canonical_key` reads for representatives.
 """
@@ -15,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
+from occufrac.bounds import DEFAULT_TOLERANCE, tree_occupancy
 from occufrac.exactmath import IntPolynomial, fugacity
 from occufrac.graphs import (
     CANONICAL_LIMIT,
@@ -27,7 +29,7 @@ from occufrac.graphs import (
 from occufrac.hardcore import enumerate_configs, objective_scale
 from occufrac.lp import LPSolution
 from occufrac.matching import conditional_partition, enumerate_triples, local_edge_occupancy
-from occufrac.polynomials import independent_sets, matchings
+from occufrac.polynomials import independent_sets, matchings, occupancy
 
 
 def brute_independence_counts(g: Graph):
@@ -599,6 +601,23 @@ def relabel(g: Graph, perm) -> Graph:
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """g beside h, with h's vertices shifted up by g.n."""
     return Graph(g.n + h.n, g.edges() + [(u + g.n, v + g.n) for u, v in h.edges()])
+
+
+def bisection_lower_bound_status(g: Graph, lam: Fraction) -> str:
+    """The tree lower-bound verdict by bisection: the occupancy of the
+    d-regular g against tree_occupancy's bracket, tightened 16x up to 12
+    times while the occupancy lies inside it, and "inconclusive" after."""
+    d = regular_degree(g)
+    alpha = occupancy(g, lam)
+    tolerance = DEFAULT_TOLERANCE
+    for _ in range(12):
+        bracket = tree_occupancy(d, lam, tolerance)
+        if alpha > bracket.alpha_high:
+            return "pass"
+        if alpha < bracket.alpha_low:
+            return "fail"
+        tolerance /= 16
+    return "inconclusive"
 
 
 def random_regular_graph(rng, n: int, d: int) -> Graph:

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from _oracles import disjoint_union
+import occufrac.bounds as bounds_module
+from _oracles import bisection_lower_bound_status, disjoint_union
 from occufrac.bounds import (
     binomial_base_inequalities,
     counts,
@@ -18,13 +20,15 @@ from occufrac.bounds import (
     variance_check,
     verify_lower_bound,
 )
-from occufrac.errors import CertificateError, DomainError
+from occufrac.corpus import FUGACITY_GRID, transitive_bipartite_corpus
+from occufrac.errors import CapabilityError, CertificateError, DomainError
 from occufrac.graphs import (
     Graph,
     complete_bipartite,
     cycle,
     hypercube,
     kdd_union,
+    parse_spec,
     petersen,
     prism,
 )
@@ -89,12 +93,43 @@ def test_lower_bound_known_values():
     assert verify_lower_bound(hypercube(3), ONE).status == "pass"
 
 
-def test_lower_bound_tightening_kicks_in():
+def test_lower_bound_decided_inside_the_default_bracket():
     # C12 at lam=1/4 sits ~6e-10 above the tree value, inside the default
-    # 1e-9 bracket, so the automatic 16x tightening must resolve it
-    verdict = verify_lower_bound(cycle(12), Fraction(1, 4))
+    # 1e-9 bracket; the sign of the gap decides it with no bracket at all
+    lam = Fraction(1, 4)
+    verdict = verify_lower_bound(cycle(12), lam)
+    bracket = tree_occupancy(2, lam)
+    assert bracket.alpha_low < verdict.alpha < bracket.alpha_high
     assert verdict.status == "pass"
-    assert verdict.bracket.tolerance < Fraction(1, 10**9)
+    assert verdict.gap > 0
+
+
+def test_sign_verdict_matches_the_bisection_reference():
+    rng = random.Random(22)
+    graphs = transitive_bipartite_corpus()
+    for name, g in graphs:
+        for lam in FUGACITY_GRID:
+            assert verify_lower_bound(g, lam).status == bisection_lower_bound_status(g, lam), (
+                name, lam)
+    for _ in range(20):
+        name, g = rng.choice(graphs)
+        lam = Fraction(rng.randint(1, 60), rng.randint(1, 60))
+        assert verify_lower_bound(g, lam).status == bisection_lower_bound_status(g, lam), (
+            name, lam)
+
+
+def test_lower_bound_fails_at_the_tree_occupancy(monkeypatch):
+    # at d=2, lam=3/4 the tree occupancy is exactly 1/4: an occupancy equal
+    # to it is not above it
+    monkeypatch.setattr(bounds_module, "occupancy", lambda g, lam: Fraction(1, 4))
+    verdict = verify_lower_bound(cycle(6), Fraction(3, 4))
+    assert (verdict.status, verdict.alpha, verdict.gap) == ("fail", Fraction(1, 4), 0)
+
+
+def test_lower_bound_needs_degree_two():
+    for g in (parse_spec("kdd:1")[1], Graph(2)):
+        with pytest.raises(DomainError, match="^need d >= 2$"):
+            verify_lower_bound(g, ONE)
 
 
 def test_lower_bound_precondition_errors():
@@ -321,3 +356,22 @@ def test_tree_occupancy_exact_rational_root():
     assert _tree_gap(Fraction(1, 4), 2, Fraction(3, 4)) == 0
     assert _tree_gap(bracket.alpha_low, 2, Fraction(3, 4)) < 0
     assert _tree_gap(bracket.alpha_high, 2, Fraction(3, 4)) > 0
+
+
+def test_tree_caps_are_checked_before_any_bisection(monkeypatch):
+    def fail(*args):
+        raise AssertionError("bisected")
+
+    monkeypatch.setattr(bounds_module, "_tree_gap", fail)
+    with pytest.raises(CapabilityError, match=r"^tree bisection supports d <= 1000$"):
+        tree_occupancy(1001, ONE)
+    with pytest.raises(CapabilityError, match=r"^tree bisection supports tolerance >= 1/10\^100$"):
+        tree_occupancy(3, ONE, Fraction(1, 10**100 + 1))
+    # a usage error comes before a cap
+    with pytest.raises(DomainError, match="^tolerance must be positive$"):
+        tree_occupancy(1001, ONE, Fraction(0))
+
+
+def test_tree_caps_admit_their_bounds():
+    assert tree_occupancy(1000, ONE).width <= Fraction(1, 10**9)
+    assert tree_occupancy(3, ONE, Fraction(1, 10**100)).width <= Fraction(1, 10**100)

@@ -212,19 +212,52 @@ def test_verify_given_size_builtin(capsys):
     assert report["verdict"] == "pass"
 
 
-def test_inconclusive_lower_bound_exits_one(monkeypatch, capsys):
-    import dataclasses
+def test_lower_bound_checks_are_pass_or_fail(capsys):
+    # every check over the builtin corpus and grid is decided by the sign of
+    # its exact tree gap
+    code, report, _ = run_cli(capsys, "verify", "lower-bound")
+    assert (code, report["verdict"]) == (0, "pass")
+    rows = report["results"]["checks"]
+    assert len(rows) == 55
+    for row in rows:
+        assert list(row) == ["graph", "lambda", "status", "occupancy", "tree_gap"]
+        assert row["status"] == ("pass" if Fraction(row["tree_gap"]) > 0 else "fail")
 
-    from occufrac import bounds
 
-    original = bounds.verify_lower_bound
+def test_a_report_too_long_to_print_is_a_capability_error(monkeypatch, capsys):
+    import sys
 
-    def inconclusive(*args, **kwargs):
-        return dataclasses.replace(original(*args, **kwargs), status="inconclusive")
+    from occufrac import cli
 
-    monkeypatch.setattr(bounds, "verify_lower_bound", inconclusive)
-    code, report, _ = run_cli(capsys, "verify", "lower-bound", "--grid", "1")
-    assert (code, report["verdict"]) == (1, "inconclusive")
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter prints integers of any length")
+    monkeypatch.setattr(
+        cli, "cmd_occupancy", lambda args: ({}, {"occupancy": Fraction(10**5000)}, "pass")
+    )
+    code = main(["occupancy", "--graph", "kdd:3"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err.startswith("capability error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, work, message",
+    [(["tree", "--d", "1001", "--lambda", "1"], ("bounds", "_tree_gap"),
+      "tree bisection supports d <= 1000"),
+     (["tree", "--d", "3", "--lambda", "1", "--tol", "1/1" + "0" * 100 + "1"],
+      ("bounds", "_tree_gap"), "tree bisection supports tolerance >= 1/10^100"),
+     (["certify", "matching", "--d", "31"], ("matching", "check_slack_profile"),
+      "matching certificate supports d <= 30")],
+)
+def test_numeric_caps_exit_three_before_any_work(monkeypatch, capsys, argv, work, message):
+    import importlib
+
+    def fail(*args):
+        raise AssertionError("the capped work ran")
+
+    monkeypatch.setattr(importlib.import_module(f"occufrac.{work[0]}"), work[1], fail)
+    code, report, err = run_cli(capsys, *argv)
+    assert (code, report, err) == (3, None, f"capability error: {message}\n")
 
 
 def test_given_size_without_an_applicable_graph_exits_zero(tmp_path, capsys):

@@ -519,6 +519,23 @@ def test_dual_certificates_beyond_acceptance_grid():
             assert report.optimum == kdd_edge_occupancy(d, lam)
 
 
+def test_certificate_degree_cap_comes_before_any_work(monkeypatch):
+    import occufrac.matching as mod
+
+    class Worked(Exception):
+        pass
+
+    def work(*args):
+        raise Worked
+
+    monkeypatch.setattr(mod, "check_slack_profile", work)
+    monkeypatch.setattr(mod, "build_primal", work)
+    with pytest.raises(CapabilityError, match="^matching certificate supports d <= 30$"):
+        check_dual_constraints(31, ONE)
+    with pytest.raises(Worked):
+        check_dual_constraints(30, ONE)
+
+
 def test_edge_neighborhood_law_of_union_matches_single_block():
     # a disjoint union of extremal blocks induces the extremal law itself
     from occufrac.graphs import kdd_union
