@@ -44,6 +44,11 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAPABILITY = 3
 
+# a fugacity option's numerator and denominator, in lowest terms, must be below
+# 10^this, so an accepted fugacity finishes well inside 10 s at every degree
+# cap (certify matching at d = 30 is the slowest)
+FUGACITY_DIGITS = 50
+
 
 def _encode_rational(value) -> str:
     """json.dump's hook for what JSON cannot hold: a Fraction as "p/q"."""
@@ -112,10 +117,21 @@ def _corpus(args, builtin):
     return builtin() if args.corpus is None else load_corpus(args.corpus, args.format)
 
 
+def _fugacity_arg(text: str) -> Fraction:
+    """The fugacity written in a --lambda or --grid option, refused before
+    any work when it is longer than FUGACITY_DIGITS allows."""
+    lam = fugacity(parse_rational(text))
+    if max(lam.numerator, lam.denominator) >= 10**FUGACITY_DIGITS:
+        raise CapabilityError(
+            f"fugacity supports numerator and denominator < 10^{FUGACITY_DIGITS}"
+        )
+    return lam
+
+
 def _grid_arg(text: str | None):
     if not text:
         return corpus.FUGACITY_GRID
-    return tuple(fugacity(parse_rational(part)) for part in text.split(","))
+    return tuple(_fugacity_arg(part) for part in text.split(","))
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +139,7 @@ def _grid_arg(text: str | None):
 
 def cmd_poly(args):
     g = parse_graph_spec(args.graph, args.format)
-    lam = fugacity(parse_rational(args.lam))
+    lam = _fugacity_arg(args.lam)
     ip = independence_poly(g)
     mp = matching_poly(g)
     results = {
@@ -137,7 +153,7 @@ def cmd_poly(args):
 
 def cmd_occupancy(args):
     g = parse_graph_spec(args.graph, args.format)
-    lam = fugacity(parse_rational(args.lam))
+    lam = _fugacity_arg(args.lam)
     return {"graph": args.graph, "lambda": args.lam}, {"occupancy": occupancy(g, lam)}, "pass"
 
 
@@ -152,7 +168,7 @@ def cmd_counts(args):
 
 
 def cmd_certify_hardcore(args):
-    lam = fugacity(parse_rational(args.lam))
+    lam = _fugacity_arg(args.lam)
     inputs = {"d": args.d, "lambda": args.lam}
     try:
         report = hardcore.dual_certificate(args.d, lam)
@@ -175,7 +191,7 @@ def cmd_certify_matching(args):
     lam_text = "1" if args.lam is None else args.lam
     key, value = ("grid", args.grid) if args.grid else ("lambda", lam_text)
     inputs = {"d": args.d, key: value}
-    grid = _grid_arg(args.grid) if args.grid else (fugacity(parse_rational(lam_text)),)
+    grid = _grid_arg(args.grid) if args.grid else (_fugacity_arg(lam_text),)
     results_by_lam = {}
     verdict = "pass"
     for lam in grid:
@@ -196,7 +212,7 @@ def cmd_certify_matching(args):
 
 
 def cmd_tree(args):
-    lam = fugacity(parse_rational(args.lam))
+    lam = _fugacity_arg(args.lam)
     tol = parse_rational(args.tol)
     bracket = bounds.tree_occupancy(args.d, lam, tol)
     results = {
@@ -345,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tree", help="bracket the infinite-tree occupancy")
     p.add_argument("--d", type=_int_option, required=True)
     p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--tol", default="1/1000000000")
+    p.add_argument("--tol", default=format_rational(bounds.DEFAULT_TOLERANCE))
     p.set_defaults(fn=cmd_tree)
 
     p = sub.add_parser("verify", help="corpus verification")

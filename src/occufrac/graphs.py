@@ -335,12 +335,6 @@ def parse_spec(spec: str):
 # Leaves with equal certificates give automorphisms, which prune siblings in
 # one orbit and abandon subtrees mapped onto explored ones. Only cell
 # positions and neighbor counts steer the search, never vertex labels.
-# Class enumeration records each representative's key, so canonical_key of a
-# representative is one lookup of the labeled graph, not a second search.
-
-# each class representative, as a labeled graph (Graph equality and hash) ->
-# its canonical key: at most the 1253 classes on 0..CLASS_LIMIT vertices
-_REPRESENTATIVE_KEYS: dict = {}
 
 
 def _refine(adj, cells, splitters):
@@ -453,14 +447,13 @@ def canonical_key(g: Graph) -> bytes:
     """Isomorphism-invariant key: equal keys iff isomorphic (n <= CANONICAL_LIMIT).
     A vertex count byte, then the canonical upper triangle column by column,
     so the edgeless graph has the smallest key on its vertex count.
-    The key of a class representative of isomorphism_classes, as a labeled
-    graph, is read from the class table; any other graph is canonicalized."""
+    A pure function of g that searches on every call: class growth hands
+    its representatives' keys and parent records to its callers instead."""
     if g.n > CANONICAL_LIMIT:
         raise CapabilityError(
             f"canonical_key supports at most {CANONICAL_LIMIT} vertices, got {g.n}"
         )
-    key = _REPRESENTATIVE_KEYS.get(g)
-    return key if key is not None else _canonical_form(g)[0]
+    return _canonical_form(g)[0]
 
 
 def label_key(g: Graph) -> bytes:
@@ -569,25 +562,22 @@ def isomorphism_classes(n: int):
 
 @lru_cache(maxsize=None)
 def _classes_and_automorphisms(n: int):
-    """(classes, generators): the (canonical key, representative) pairs of
-    isomorphism_classes(n) and, aligned with them, the automorphism
+    """(classes, generators, parents): the (canonical key, representative)
+    pairs of isomorphism_classes(n) and, aligned with them, the automorphism
     generators of each representative from the canonical form that found
-    it, so growing the next level canonicalizes no representative twice.
-    Each representative's key is also recorded for canonical_key.
+    it, so growing the next level canonicalizes no representative twice,
+    and the parent record (i, S) of each class: its representative is
+    representative i on n-1 vertices plus vertex n-1 with neighborhood
+    mask S (the record is None at n = 0).
     Classes on CLASS_LIMIT vertices are never grown and keep none: at 7
-    vertices their generators would hold about 0.4 MB.
-
-    Parent invariant: a representative h on n >= 1 vertices is the first
-    extension found of its class, a representative g on n-1 vertices plus
-    vertex n-1, so h minus vertex n-1 is g as a labeled graph
-    (hardcore.enumerate_configs grows class polynomials on it)."""
+    vertices their generators would hold about 0.4 MB."""
     if n == 0:
         key, _, automorphisms = _canonical_form(Graph(0))
-        _REPRESENTATIVE_KEYS[Graph(0)] = key
-        return ((key, Graph(0)),), (automorphisms,)
+        return ((key, Graph(0)),), (automorphisms,), (None,)
     keep_generators = n < CLASS_LIMIT
-    found = {}
-    for (_, g), automorphisms in zip(*_classes_and_automorphisms(n - 1)):
+    found = {}  # canonical key -> (key, representative), generators, parent
+    below = _classes_and_automorphisms(n - 1)
+    for i, ((_, g), automorphisms) in enumerate(zip(*below[:2])):
         degrees = [m.bit_count() for m in g.adj]
 
         def least_degree(mask):
@@ -600,11 +590,7 @@ def _classes_and_automorphisms(n: int):
                 adj[w] |= 1 << (n - 1)
             h = Graph._from_adj(adj)
             key, _, generators = _canonical_form(h)
-            found.setdefault(key, (h, generators if keep_generators else ()))
-    ordered = sorted(found.items())
-    for key, (h, _) in ordered:
-        _REPRESENTATIVE_KEYS[h] = key
-    return (
-        tuple((key, h) for key, (h, _) in ordered),
-        tuple(generators for _, (_, generators) in ordered),
-    )
+            found.setdefault(
+                key, ((key, h), generators if keep_generators else (), (i, mask))
+            )
+    return tuple(zip(*(found[key] for key in sorted(found))))

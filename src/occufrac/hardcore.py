@@ -20,8 +20,8 @@ from .errors import CapabilityError, CertificateError, DomainError
 from .exactmath import IntPolynomial, fugacity
 from .graphs import (
     Graph,
+    _classes_and_automorphisms,
     canonical_key,
-    isomorphism_classes,
     mask_vertices,
     regular_degree,
 )
@@ -61,30 +61,26 @@ def enumerate_configs(d: int):
     comes first, at index 0.
 
     The classes below d vertices are those of enumerate_configs(d - 1).
-    Each class's independence polynomial is grown from the class its
-    representative was grown from (see graphs._classes_and_automorphisms),
-    through that parent's memoized mask recursion, which is dropped on
-    return."""
+    Each class's independence polynomial is grown from its parent record
+    (i, S) of graphs._classes_and_automorphisms: the representative is
+    class i on one vertex fewer plus a vertex with neighborhood S, so
+    P = P(class i) + x P(class i - S), read from class i's memoized mask
+    recursion, which is dropped on return."""
     if d < MIN_D:
         raise DomainError(f"need d >= {MIN_D}")
     if d > MAX_D:
         raise CapabilityError(f"configuration enumeration supports {MIN_D} <= d <= {MAX_D}")
     configs = list(enumerate_configs(d - 1)) if d > MIN_D else []
     for n in range(d if configs else 0, d + 1):
-        top = (1 << n) >> 1  # the bit of vertex n-1
-        parents = {}  # adjacency of each class on n-1 vertices -> P, mask recursion
-        for cfg in configs:
-            if cfg.graph.n == n - 1:
-                adj = cfg.graph.adj
-                parents[adj] = cfg.poly.coeffs, _mask_recursion(adj, (1, 1), _independence_step)
-        for key, h in isomorphism_classes(n):
+        below = [cfg for cfg in configs if cfg.graph.n == n - 1]
+        recursions = [_mask_recursion(cfg.graph.adj, (1, 1), _independence_step) for cfg in below]
+        classes, _, parents = _classes_and_automorphisms(n)
+        for (key, h), parent in zip(classes, parents):
             coeffs = [1]
-            if n:
-                # h minus vertex n-1 is a representative g, and
-                # P(h) = P(g) + x P(g - S) with S the neighborhood of n-1
-                coeffs, poly = parents[tuple(a & ~top for a in h.adj[:-1])]
-                coeffs = list(coeffs)
-                _add_shifted(coeffs, poly(top - 1 & ~h.adj[-1]))
+            if parent is not None:
+                i, mask = parent
+                coeffs = list(below[i].poly.coeffs)
+                _add_shifted(coeffs, recursions[i]((1 << n - 1) - 1 & ~mask))
             configs.append(NeighborhoodConfig(len(configs), h, key, IntPolynomial(coeffs)))
     return tuple(configs)
 
@@ -267,10 +263,13 @@ def free_neighborhood_distribution(g: Graph, lam: Fraction):
 
     total, by_mask = state_polynomials(g, "hardcore", classify, FREE_LAW_LIMIT)
     configs = enumerate_configs(d)
+    by_graph = {cfg.graph: cfg.index for cfg in configs}
     by_key = {cfg.key: cfg.index for cfg in configs}
     weights = [IntPolynomial.zero()] * len(configs)
     for mask, poly in by_mask.items():
-        idx = by_key[canonical_key(g.induced(mask_vertices(mask)))]
+        # a class representative, as a labeled graph, needs no canonical form
+        h = g.induced(mask_vertices(mask))
+        idx = by_graph[h] if h in by_graph else by_key[canonical_key(h)]
         weights[idx] = weights[idx] + poly
     z = total(lam) * g.n
     probs = [w(lam) / z for w in weights]

@@ -8,8 +8,7 @@ slacks priced entry by entry in Fractions, the Graph-object deletion
 recurrences that the vertex-mask recursion replaced, the Fraction-entry
 builds of the two certify programs that the integer-column builds replaced,
 and the tree lower-bound verdict by bisection that the exact sign replaced.
-Canonical keys come from the labelling search `_canonical_form` itself,
-never from the class table that `canonical_key` reads for representatives.
+Canonical keys come from the labelling search `_canonical_form` itself.
 """
 
 from fractions import Fraction

@@ -199,6 +199,12 @@ def test_tree_command(capsys):
     assert report["results"]["uniqueness_threshold"] == "4"
 
 
+def test_tree_default_tolerance(capsys):
+    code, report, _ = run_cli(capsys, "tree", "--d", "3", "--lambda", "1")
+    assert (code, report["inputs"]["tol"]) == (0, "1/1000000000")
+    assert Fraction(report["results"]["width"]) <= Fraction(1, 10**9)
+
+
 def test_verify_lower_bound_builtin(capsys):
     code, report, _ = run_cli(capsys, "verify", "lower-bound", "--grid", "1")
     assert code == 0
@@ -258,6 +264,46 @@ def test_numeric_caps_exit_three_before_any_work(monkeypatch, capsys, argv, work
     monkeypatch.setattr(importlib.import_module(f"occufrac.{work[0]}"), work[1], fail)
     code, report, err = run_cli(capsys, *argv)
     assert (code, report, err) == (3, None, f"capability error: {message}\n")
+
+
+_LONG = str(10**50)  # 51 digits, one past the fugacity cap
+
+
+@pytest.mark.parametrize(
+    "argv, work",
+    [(["poly", "--graph", "cycle:6", "--lambda", _LONG], ("cli", "independence_poly")),
+     (["occupancy", "--graph", "kdd:2", "--lambda", "1/" + _LONG], ("cli", "occupancy")),
+     (["certify", "hardcore", "--d", "2", "--lambda", _LONG + "/3"],
+      ("hardcore", "dual_certificate")),
+     (["certify", "matching", "--d", "30", "--lambda", "1/" + _LONG],
+      ("matching", "check_dual_constraints")),
+     (["certify", "matching", "--d", "2", "--grid", "1,4/" + _LONG + "1"],
+      ("matching", "check_dual_constraints")),
+     (["tree", "--d", "1000", "--lambda", "1/" + _LONG, "--tol", "1/1" + "0" * 100],
+      ("bounds", "tree_occupancy")),
+     (["verify", "lower-bound", "--grid", _LONG], ("bounds", "verify_lower_bound"))],
+)
+def test_long_fugacities_exit_three_before_any_work(monkeypatch, capsys, argv, work):
+    import importlib
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the capped work ran")
+
+    monkeypatch.setattr(importlib.import_module(f"occufrac.{work[0]}"), work[1], fail)
+    code, report, err = run_cli(capsys, *argv)
+    message = "fugacity supports numerator and denominator < 10^50"
+    assert (code, report, err) == (3, None, f"capability error: {message}\n")
+
+
+def test_fugacity_cap_admits_fifty_digits_in_lowest_terms(capsys):
+    nines = "9" * 50
+    for lam in (nines, f"1/{nines}", f"{nines}/{'9' * 49}8", f"{_LONG}/{_LONG}"):
+        code, report, _ = run_cli(capsys, "occupancy", "--graph", "kdd:2", "--lambda", lam)
+        assert (code, report["inputs"]["lambda"]) == (0, lam)
+    # the tolerance keeps its own, longer cap
+    tol = "1/1" + "0" * 100
+    code, report, _ = run_cli(capsys, "tree", "--d", "3", "--lambda", "1", "--tol", tol)
+    assert code == 0
 
 
 def test_given_size_without_an_applicable_graph_exits_zero(tmp_path, capsys):

@@ -200,14 +200,12 @@ def test_canonical_key_relabel_invariance():
             assert canonical_key(relabel(g, perm)) == base
 
 
-class _RefusingTable(dict):
-    def get(self, key, default=None):
-        raise AssertionError("class table read above the cap")
-
-
 def test_canonical_key_capability_limit(monkeypatch):
-    # the cap is checked before the class table is read
-    monkeypatch.setattr(graphs, "_REPRESENTATIVE_KEYS", _RefusingTable())
+    # the cap is checked before any search
+    def refusing_form(g):
+        raise AssertionError("canonical form searched above the cap")
+
+    monkeypatch.setattr(graphs, "_canonical_form", refusing_form)
     with pytest.raises(
         CapabilityError, match="^canonical_key supports at most 10 vertices, got 11$"
     ):
@@ -291,22 +289,17 @@ def _moved(rep, rng):
             return h
 
 
-def test_relabelled_representatives_miss_the_class_table():
-    # a representative reads its key from the class table; a relabelled one
-    # is not in it, so canonical_key runs the search and must agree
+def test_relabelled_representatives_key_to_their_class():
+    # a representative and a relabelled copy of it have the class's key
     rng = random.Random(17)
-    misses = 0
     for n in range(8):
         for key, rep in isomorphism_classes(n):
             assert canonical_key(rep) == key
             h = _moved(rep, rng)
-            misses += h not in graphs._REPRESENTATIVE_KEYS
             assert canonical_key(h) == key == _canonical_form(h)[0]
-    # all 1253 classes but n <= 1 and the edgeless and complete graphs
-    assert misses == 1253 - 2 - 2 * 6
 
 
-def test_cold_configs_key_representatives_from_the_class_table(monkeypatch):
+def test_cold_configs_canonicalize_only_in_class_growth(monkeypatch):
     # every canonical form of a cold enumerate_configs(2..7) is class growth,
     # and class polynomials grow from their parents without a memo probe
     callers = Counter()
@@ -333,12 +326,17 @@ def test_cold_configs_key_representatives_from_the_class_table(monkeypatch):
     assert probes == []
 
 
-def test_representative_minus_its_last_vertex_is_a_representative():
-    # the parent invariant that hardcore.enumerate_configs grows on
+def test_each_class_is_its_parent_plus_one_vertex():
+    # the parent records that hardcore.enumerate_configs grows on
+    assert graphs._classes_and_automorphisms(0)[2] == (None,)
     for n in range(1, 8):
-        parents = {g for _, g in isomorphism_classes(n - 1)}
-        for _, h in isomorphism_classes(n):
-            assert h.induced(range(n - 1)) in parents
+        below = isomorphism_classes(n - 1)
+        classes, _, parents = graphs._classes_and_automorphisms(n)
+        assert len(parents) == len(classes)
+        for (_, h), (i, mask) in zip(classes, parents):
+            g = below[i][1]
+            edges = g.edges() + [(w, n - 1) for w in mask_vertices(mask)]
+            assert h == Graph(n, edges)
 
 
 def test_cold_class_enumeration_canonicalizes_few_extensions(monkeypatch):

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import crowding, vacancy
-from occufrac import hardcore
+from _oracles import crowding, reference_free_neighborhood_law, vacancy
+from occufrac import graphs, hardcore
 from occufrac.errors import CapabilityError, CertificateError, DomainError
 from occufrac.exactmath import IntPolynomial
 from occufrac.graphs import Graph, complete, complete_bipartite, cycle, petersen
@@ -289,6 +289,25 @@ def test_free_neighborhood_distribution_feasible_on_corpus():
                 assert value == bound
             else:
                 assert value < bound
+
+
+@pytest.mark.parametrize("g", [complete_bipartite(3), cycle(8)], ids=["K33", "C8"])
+def test_representative_free_neighborhoods_need_no_canonical_form(monkeypatch, g):
+    # every free neighborhood of these graphs is edgeless, a class
+    # representative as a labeled graph, so its class is found by lookup
+    lam = Fraction(7, 5)
+    expected = reference_free_neighborhood_law(g, lam)
+    occupancy(g, lam)  # the occupancy check's polynomial, memoized beforehand
+    calls = []
+    original = graphs._canonical_form
+
+    def counted(h):
+        calls.append(h)
+        return original(h)
+
+    monkeypatch.setattr(graphs, "_canonical_form", counted)
+    assert free_neighborhood_distribution(g, lam) == expected
+    assert calls == []
 
 
 def test_free_neighborhood_capability_limits():
