@@ -49,6 +49,14 @@ EXIT_CAPABILITY = 3
 # cap (certify matching at d = 30 is the slowest)
 FUGACITY_DIGITS = 50
 
+# a --grid holds at most GRID_ENTRIES fugacities with at most GRID_DIGITS
+# digits in all, each fugacity counting the digits of the larger of its
+# numerator and denominator in lowest terms. The slowest accepted grid, one
+# 50-digit fugacity and four short ones, takes 5.4 to 6.8 s in certify
+# matching at d = 30 (two 50-digit fugacities took 8.6 to 10.0 s)
+GRID_ENTRIES = 5
+GRID_DIGITS = 60
+
 
 def _encode_rational(value) -> str:
     """json.dump's hook for what JSON cannot hold: a Fraction as "p/q"."""
@@ -129,9 +137,22 @@ def _fugacity_arg(text: str) -> Fraction:
 
 
 def _grid_arg(text: str | None):
+    """The fugacities of a --grid option (the bundled grid without one),
+    refused before any work when GRID_ENTRIES or GRID_DIGITS is passed."""
     if not text:
         return corpus.FUGACITY_GRID
-    return tuple(_fugacity_arg(part) for part in text.split(","))
+    parts = text.split(",")
+    if len(parts) > GRID_ENTRIES:
+        raise CapabilityError(
+            f"--grid supports at most {GRID_ENTRIES} fugacities, got {len(parts)}"
+        )
+    grid = tuple(_fugacity_arg(part) for part in parts)
+    digits = sum(len(str(max(lam.numerator, lam.denominator))) for lam in grid)
+    if digits > GRID_DIGITS:
+        raise CapabilityError(
+            f"--grid supports at most {GRID_DIGITS} fugacity digits in all, got {digits}"
+        )
+    return grid
 
 
 # ---------------------------------------------------------------------------

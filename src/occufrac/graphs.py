@@ -348,58 +348,76 @@ def _refine(adj, cells, splitters):
         if len(cells) == len(adj):
             break
         out = []
-        for cell in cells:
-            groups = {}
-            m = cell if cell & (cell - 1) else 0
-            while m:
-                low = m & -m
-                c = (adj[low.bit_length() - 1] & w).bit_count()
-                groups[c] = groups.get(c, 0) | low
-                m ^= low
-            if len(groups) > 1:
-                parts = [groups[c] for c in sorted(groups)]
-                big = max(parts, key=int.bit_count)
-                queue += [p for p in parts if p != big]
-                out += parts
-            else:
-                out.append(cell)
+        if w & (w - 1):
+            for cell in cells:
+                groups = {}
+                m = cell if cell & (cell - 1) else 0
+                while m:
+                    low = m & -m
+                    c = (adj[low.bit_length() - 1] & w).bit_count()
+                    groups[c] = groups.get(c, 0) | low
+                    m ^= low
+                if len(groups) > 1:
+                    parts = [groups[c] for c in sorted(groups)]
+                    big = max(parts, key=int.bit_count)
+                    queue += [p for p in parts if p != big]
+                    out += parts
+                else:
+                    out.append(cell)
+        else:
+            # a singleton splitter {u}, the common case: the counts are 0
+            # and 1, so a cell splits into the rest and `cell & adj[u]`
+            row = adj[w.bit_length() - 1]
+            for cell in cells:
+                high = cell & row
+                if high and high != cell:
+                    low = cell ^ high
+                    out += (low, high)
+                    queue.append(high if low.bit_count() >= high.bit_count() else low)
+                else:
+                    out.append(cell)
         cells = out
     return cells
 
 
-def _certificate(adj, order) -> int:
-    """Upper-triangle bits of the graph relabeled by `order`, column by
-    column, as one integer (the first bit is the most significant)."""
-    cert = 0
-    for j in range(1, len(order)):
-        row = adj[order[j]]
-        for i in range(j):
-            cert = cert << 1 | (row >> order[i] & 1)
-    return cert
-
-
-def _orbit_reps(n: int, automorphisms):
-    """Smallest vertex of each vertex's orbit under the generated group."""
-    rep = list(range(n))
-    changed = True
-    while changed:
-        changed = False
-        for perm in automorphisms:
-            for v, w in enumerate(perm):
-                if rep[v] != rep[w]:
-                    rep[v] = rep[w] = min(rep[v], rep[w])
-                    changed = True
+def _join_orbits(rep, automorphisms):
+    """Union-find over vertices: merge each vertex with its images under
+    `automorphisms`. Every vertex points to a vertex no larger, so a root is
+    the smallest vertex of its orbit, and one pass in increasing order
+    leaves each vertex pointing at its root."""
+    for perm in automorphisms:
+        for v, w in enumerate(perm):
+            while rep[v] != v:
+                v = rep[v]
+            while rep[w] != w:
+                w = rep[w]
+            if v < w:
+                rep[w] = v
+            elif w < v:
+                rep[v] = w
+    for v, parent in enumerate(rep):
+        rep[v] = rep[parent]
     return rep
+
+
+@lru_cache(maxsize=None)
+def _triangle(n: int):
+    """The (i, j) pairs i < j < n column by column: the order in which a
+    leaf's certificate takes the upper-triangle bits of the graph relabeled
+    by the leaf's order, the first bit the most significant."""
+    return tuple((i, j) for j in range(1, n) for i in range(j))
 
 
 def _canonical_form(g: Graph):
     """(canonical key, smallest vertex of each vertex's automorphism orbit,
     automorphisms as image lists that generate a group with those orbits)."""
     n, adj = g.n, g.adj
-    cells = [
-        sum(1 << v for v in range(n) if adj[v].bit_count() == d)
-        for d in sorted({m.bit_count() for m in adj})
-    ]
+    by_degree = {}
+    for v, m in enumerate(adj):
+        d = m.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    cells = [by_degree[d] for d in sorted(by_degree)]
+    pairs = _triangle(n)
     automorphisms = []
     leaves = []  # the first and the best leaf: (certificate, ordering, path)
 
@@ -407,10 +425,16 @@ def _canonical_form(g: Graph):
         # returns the depth at which to resume; len(path) carries on
         if len(cells) == n:
             order = [c.bit_length() - 1 for c in cells]
-            cert = _certificate(adj, order)
+            rows = [adj[v] for v in order]
+            cert = 0
+            for i, j in pairs:
+                cert = cert << 1 | rows[j] >> order[i] & 1
             for ref_cert, ref_order, ref_path in leaves:
                 if cert == ref_cert:
-                    automorphisms.append([b for _, b in sorted(zip(ref_order, order))])
+                    perm = [0] * n
+                    for a, b in zip(ref_order, order):
+                        perm[a] = b
+                    automorphisms.append(perm)
                     # abandon the child of the deepest node shared with ref
                     return next(k for k, (a, b) in enumerate(zip(path, ref_path)) if a != b)
             if not leaves:
@@ -418,18 +442,22 @@ def _canonical_form(g: Graph):
             elif cert < leaves[1][0]:
                 leaves[1] = (cert, order, path)
             return len(path)
-        t = next(i for i, c in enumerate(cells) if c & (c - 1))
-        tried, known = [], 0
-        for v in mask_vertices(cells[t]):
-            if tried and known < len(automorphisms):
-                # orbits under the automorphisms found so far that fix the path
+        for t, cell in enumerate(cells):
+            if cell & (cell - 1):
+                break
+        # orbits under the automorphisms found so far that fix the path: they
+        # map the cell onto itself, and its vertices go in increasing order,
+        # so the smallest of each orbit has been tried by the time any other
+        # comes up, and a vertex is tried iff it is the smallest of its orbit
+        rep, known = list(range(n)), 0
+        for k, v in enumerate(mask_vertices(cell)):
+            if k and known < len(automorphisms):
+                fixing = [p for p in automorphisms[known:] if all(p[u] == u for u in path)]
                 known = len(automorphisms)
-                fixing = [p for p in automorphisms if all(p[u] == u for u in path)]
-                rep = _orbit_reps(n, fixing)
-            if known and rep[v] in {rep[u] for u in tried}:
+                _join_orbits(rep, fixing)
+            if rep[v] != v:
                 continue
-            tried.append(v)
-            child = cells[:t] + [1 << v, cells[t] ^ 1 << v] + cells[t + 1 :]
+            child = cells[:t] + [1 << v, cell ^ 1 << v] + cells[t + 1 :]
             resume = visit(_refine(adj, child, [1 << v]), path + [v])
             if resume < len(path):
                 return resume
@@ -440,7 +468,7 @@ def _canonical_form(g: Graph):
     nbits = n * (n - 1) // 2
     pad = -nbits % 8
     key = bytes([n]) + (leaves[1][0] << pad).to_bytes((nbits + pad) // 8, "big")
-    return key, _orbit_reps(n, automorphisms), automorphisms
+    return key, _join_orbits(list(range(n)), automorphisms), automorphisms
 
 
 def canonical_key(g: Graph) -> bytes:
@@ -507,10 +535,23 @@ def is_vertex_transitive(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # Isomorphism classes on a fixed number of vertices
 
-def _mask_orbit_reps(n: int, automorphisms, keep):
+def _least_degree_masks(adj):
+    """(need, bar), indexed by the size k of a neighborhood mask for a new
+    vertex: need[k] holds the vertices of degree < k and bar[k] those of
+    degree < k-1. The new vertex has minimum degree in the extended graph
+    iff its mask holds every vertex of need[k] and none of bar[k]: a vertex
+    outside the mask keeps its degree, one inside gains 1."""
+    need = [0] * (len(adj) + 1)
+    for w, m in enumerate(adj):
+        for k in range(m.bit_count() + 1, len(need)):
+            need[k] |= 1 << w
+    return need, [0] + need[:-1]
+
+
+def _mask_orbit_reps(n: int, automorphisms, need, bar):
     """Smallest mask of each orbit of the group generated by `automorphisms`
-    on vertex masks of 0..n-1, over the masks that `keep` accepts; `keep`
-    must be constant on orbits."""
+    on vertex masks of 0..n-1, over the masks m that hold need[|m|] and
+    avoid bar[|m|]; those sets must be unions of orbits."""
     images = []
     for perm in automorphisms:
         image = [0] * (1 << n)
@@ -521,7 +562,10 @@ def _mask_orbit_reps(n: int, automorphisms, keep):
     seen = bytearray(1 << n)
     reps = []
     for mask in range(1 << n):
-        if seen[mask] or not keep(mask):
+        if seen[mask]:
+            continue
+        k = mask.bit_count()
+        if mask & need[k] != need[k] or mask & bar[k]:
             continue
         reps.append(mask)
         seen[mask] = 1
@@ -578,13 +622,8 @@ def _classes_and_automorphisms(n: int):
     found = {}  # canonical key -> (key, representative), generators, parent
     below = _classes_and_automorphisms(n - 1)
     for i, ((_, g), automorphisms) in enumerate(zip(*below[:2])):
-        degrees = [m.bit_count() for m in g.adj]
-
-        def least_degree(mask):
-            k = mask.bit_count()
-            return all(k <= deg + (mask >> w & 1) for w, deg in enumerate(degrees))
-
-        for mask in _mask_orbit_reps(n - 1, automorphisms, least_degree):
+        need, bar = _least_degree_masks(g.adj)
+        for mask in _mask_orbit_reps(n - 1, automorphisms, need, bar):
             adj = list(g.adj) + [mask]
             for w in mask_vertices(mask):
                 adj[w] |= 1 << (n - 1)

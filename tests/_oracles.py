@@ -7,8 +7,11 @@ tableau simplex with Bland's rule that the revised solver replaced, dual
 slacks priced entry by entry in Fractions, the Graph-object deletion
 recurrences that the vertex-mask recursion replaced, the Fraction-entry
 builds of the two certify programs that the integer-column builds replaced,
-and the tree lower-bound verdict by bisection that the exact sign replaced.
-Canonical keys come from the labelling search `_canonical_form` itself.
+the tree lower-bound verdict by bisection that the exact sign replaced, and
+the canonical search with count-dict refinement and fixed-point orbits that
+the mask-split refinement and union-find orbits replaced
+(`reference_canonical_form`). Other canonical keys come from the labelling
+search `_canonical_form` itself.
 """
 
 from fractions import Fraction
@@ -535,6 +538,112 @@ def every_mask_classes(n: int):
             h = Graph(n, edges)
             seen.setdefault(_canonical_form(h)[0], h)
     return tuple(sorted(seen.items()))
+
+
+def _reference_refine(adj, cells, splitters):
+    """Refine ordered cells until each vertex of a cell has the same number
+    of neighbors in every cell; a split cell's fragments keep its place,
+    ordered by that number. `splitters` are the cells not yet known to give
+    uniform counts; one left out must follow from the others by subtraction,
+    as the largest fragment of a split cell does."""
+    queue = list(splitters)
+    for w in queue:
+        if len(cells) == len(adj):
+            break
+        out = []
+        for cell in cells:
+            groups = {}
+            m = cell if cell & (cell - 1) else 0
+            while m:
+                low = m & -m
+                c = (adj[low.bit_length() - 1] & w).bit_count()
+                groups[c] = groups.get(c, 0) | low
+                m ^= low
+            if len(groups) > 1:
+                parts = [groups[c] for c in sorted(groups)]
+                big = max(parts, key=int.bit_count)
+                queue += [p for p in parts if p != big]
+                out += parts
+            else:
+                out.append(cell)
+        cells = out
+    return cells
+
+
+def _reference_certificate(adj, order) -> int:
+    """Upper-triangle bits of the graph relabeled by `order`, column by
+    column, as one integer (the first bit is the most significant)."""
+    cert = 0
+    for j in range(1, len(order)):
+        row = adj[order[j]]
+        for i in range(j):
+            cert = cert << 1 | (row >> order[i] & 1)
+    return cert
+
+
+def _reference_orbit_reps(n: int, automorphisms):
+    """Smallest vertex of each vertex's orbit under the generated group."""
+    rep = list(range(n))
+    changed = True
+    while changed:
+        changed = False
+        for perm in automorphisms:
+            for v, w in enumerate(perm):
+                if rep[v] != rep[w]:
+                    rep[v] = rep[w] = min(rep[v], rep[w])
+                    changed = True
+    return rep
+
+
+def reference_canonical_form(g: Graph):
+    """(canonical key, smallest vertex of each vertex's automorphism orbit,
+    automorphisms as image lists that generate a group with those orbits)."""
+    n, adj = g.n, g.adj
+    cells = [
+        sum(1 << v for v in range(n) if adj[v].bit_count() == d)
+        for d in sorted({m.bit_count() for m in adj})
+    ]
+    automorphisms = []
+    leaves = []  # the first and the best leaf: (certificate, ordering, path)
+
+    def visit(cells, path):
+        # returns the depth at which to resume; len(path) carries on
+        if len(cells) == n:
+            order = [c.bit_length() - 1 for c in cells]
+            cert = _reference_certificate(adj, order)
+            for ref_cert, ref_order, ref_path in leaves:
+                if cert == ref_cert:
+                    automorphisms.append([b for _, b in sorted(zip(ref_order, order))])
+                    # abandon the child of the deepest node shared with ref
+                    return next(k for k, (a, b) in enumerate(zip(path, ref_path)) if a != b)
+            if not leaves:
+                leaves[:] = [(cert, order, path)] * 2
+            elif cert < leaves[1][0]:
+                leaves[1] = (cert, order, path)
+            return len(path)
+        t = next(i for i, c in enumerate(cells) if c & (c - 1))
+        tried, known = [], 0
+        for v in mask_vertices(cells[t]):
+            if tried and known < len(automorphisms):
+                # orbits under the automorphisms found so far that fix the path
+                known = len(automorphisms)
+                fixing = [p for p in automorphisms if all(p[u] == u for u in path)]
+                rep = _reference_orbit_reps(n, fixing)
+            if known and rep[v] in {rep[u] for u in tried}:
+                continue
+            tried.append(v)
+            child = cells[:t] + [1 << v, cells[t] ^ 1 << v] + cells[t + 1 :]
+            resume = visit(_reference_refine(adj, child, [1 << v]), path + [v])
+            if resume < len(path):
+                return resume
+        return len(path)
+
+    big = max(cells, key=int.bit_count, default=0)
+    visit(_reference_refine(adj, cells, [c for c in cells if c != big]), [])
+    nbits = n * (n - 1) // 2
+    pad = -nbits % 8
+    key = bytes([n]) + (leaves[1][0] << pad).to_bytes((nbits + pad) // 8, "big")
+    return key, _reference_orbit_reps(n, automorphisms), automorphisms
 
 
 def brute_orbits(g: Graph):

@@ -253,7 +253,14 @@ def test_a_report_too_long_to_print_is_a_capability_error(monkeypatch, capsys):
      (["tree", "--d", "3", "--lambda", "1", "--tol", "1/1" + "0" * 100 + "1"],
       ("bounds", "_tree_gap"), "tree bisection supports tolerance >= 1/10^100"),
      (["certify", "matching", "--d", "31"], ("matching", "check_slack_profile"),
-      "matching certificate supports d <= 30")],
+      "matching certificate supports d <= 30"),
+     (["certify", "matching", "--d", "30", "--grid", "1/4,1/2,1,2,4,8"],
+      ("matching", "check_dual_constraints"), "--grid supports at most 5 fugacities, got 6"),
+     (["certify", "matching", "--d", "30", "--grid", "9" * 50 + ",1/" + "9" * 10 + "8,3"],
+      ("matching", "check_dual_constraints"),
+      "--grid supports at most 60 fugacity digits in all, got 62"),
+     (["verify", "lower-bound", "--grid", "1,2,3,4,5,6,7"], ("bounds", "verify_lower_bound"),
+      "--grid supports at most 5 fugacities, got 7")],
 )
 def test_numeric_caps_exit_three_before_any_work(monkeypatch, capsys, argv, work, message):
     import importlib
@@ -304,6 +311,14 @@ def test_fugacity_cap_admits_fifty_digits_in_lowest_terms(capsys):
     tol = "1/1" + "0" * 100
     code, report, _ = run_cli(capsys, "tree", "--d", "3", "--lambda", "1", "--tol", tol)
     assert code == 0
+
+
+def test_grid_cap_admits_five_fugacities_of_sixty_digits(capsys):
+    # digits are those of the larger of numerator and denominator in lowest
+    # terms: 2/4 counts one digit, 10/3 two
+    for grid in ("1/4,1/2,1,2,4", "9" * 50 + ",1/" + "9" * 7 + ",2/4,10/3"):
+        code, report, _ = run_cli(capsys, "certify", "matching", "--d", "2", "--grid", grid)
+        assert (code, report["inputs"]["grid"]) == (0, grid)
 
 
 def test_given_size_without_an_applicable_graph_exits_zero(tmp_path, capsys):

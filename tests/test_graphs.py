@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 import sys
@@ -13,6 +14,7 @@ from _oracles import (
     every_mask_classes,
     random_graph,
     random_regular_graph,
+    reference_canonical_form,
     relabel,
 )
 from occufrac import graphs, polynomials
@@ -34,6 +36,7 @@ from occufrac.graphs import (
     mask_vertices,
     parse_edge_list,
     parse_graph6,
+    parse_spec,
     petersen,
     prism,
     regular_degree,
@@ -355,6 +358,68 @@ def test_cold_class_enumeration_canonicalizes_few_extensions(monkeypatch):
     assert len(isomorphism_classes(7)) == 1044
     assert len(calls) < 2500
     assert len(calls) == 1641
+
+
+def _growth_graphs(monkeypatch):
+    """Every graph that a cold class growth on 0..7 vertices canonicalizes,
+    in the order it does so."""
+    seen = []
+    original = graphs._canonical_form
+
+    def recorded(g):
+        seen.append(g)
+        return original(g)
+
+    monkeypatch.setattr(graphs, "_canonical_form", recorded)
+    graphs._classes_and_automorphisms.cache_clear()
+    graphs._classes_and_automorphisms(7)
+    monkeypatch.setattr(graphs, "_canonical_form", original)
+    return seen
+
+
+def test_canonical_form_matches_the_reference_search(monkeypatch):
+    # the mask-split refinement and union-find orbits walk the same search
+    # tree: the same key, orbit representatives and generators, in order
+    rng = random.Random(24)
+    cases = _growth_graphs(monkeypatch)
+    assert len(cases) == 1641
+    for _ in range(4000):
+        n = rng.randint(0, 16)
+        cases.append(random_graph(rng, n, rng.random()))
+    specs = ("petersen", "hypercube:4", "prism:8", "kdd:8", "cycle:16", "complete:9", "hdn:3:12")
+    cases += [parse_spec(spec)[1] for spec in specs]
+    for g in cases:
+        assert _canonical_form(g) == reference_canonical_form(g), g
+
+
+def test_class_growth_output_is_pinned():
+    # every key, representative, generator list and parent record of class
+    # growth on 0..7 vertices, in order, as one digest
+    digest = hashlib.sha256()
+    for n in range(8):
+        classes, generators, parents = graphs._classes_and_automorphisms(n)
+        for (key, rep), perms, parent in zip(classes, generators, parents):
+            record = (n, key.hex(), rep.edges(), [list(p) for p in perms], parent)
+            digest.update(repr(record).encode())
+    assert digest.hexdigest() == (
+        "62871b932d51c98197dabcf8460b4fd85c92f27255d334db83fcc11d189d03cc"
+    )
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_least_degree_masks_accept_the_least_degree_masks(n):
+    # masks that give the new vertex minimum degree in the extended graph,
+    # tested vertex by vertex, against the two masks per mask size; with no
+    # automorphisms every accepted mask is its own orbit
+    for _, g in isomorphism_classes(n):
+        degrees = [g.degree(w) for w in range(n)]
+
+        def least_degree(mask):
+            k = mask.bit_count()
+            return all(k <= deg + (mask >> w & 1) for w, deg in enumerate(degrees))
+
+        accepted = [mask for mask in range(1 << n) if least_degree(mask)]
+        assert graphs._mask_orbit_reps(n, [], *graphs._least_degree_masks(g.adj)) == accepted
 
 
 def _labelled_graphs(n):
