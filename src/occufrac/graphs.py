@@ -9,9 +9,10 @@ mutating-style operations return new instances.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from functools import lru_cache
 
-from .errors import CapabilityError, DomainError, FormatError
+from .errors import CapabilityError, CertificateError, DomainError, FormatError
 from .exactmath import ASCII_WHITESPACE, parse_int
 
 CANONICAL_LIMIT = 10
@@ -484,6 +485,30 @@ def canonical_key(g: Graph) -> bytes:
     return _canonical_form(g)[0]
 
 
+def automorphism_orbits(g: Graph):
+    """(vertex orbits, edge orbits) of the automorphism group of g, each a
+    list of (representative, orbit size) pairs in increasing order of
+    representative: the smallest vertex of each vertex orbit, and the
+    smallest edge (u, v), u < v, in the order of g.edges() of each edge
+    orbit. One canonical search gives the generators; each is checked to
+    be a permutation mapping adj onto adj, else CertificateError, and the
+    edge orbits join each edge with its images under them."""
+    _, vertex_reps, automorphisms = _canonical_form(g)
+    edges = g.edges()
+    index = {e: i for i, e in enumerate(edges)}
+    edge_perms = []
+    for perm in automorphisms:
+        if sorted(perm) != list(range(g.n)) or any(
+            sum(1 << perm[w] for w in mask_vertices(row)) != g.adj[perm[v]]
+            for v, row in enumerate(g.adj)
+        ):
+            raise CertificateError(f"generator {perm} is not an automorphism", perm)
+        edge_perms.append([index[min(perm[u], perm[v]), max(perm[u], perm[v])] for u, v in edges])
+    edge_reps = _join_orbits(list(range(len(edges))), edge_perms)
+    edge_orbits = sorted(Counter(edge_reps).items())
+    return sorted(Counter(vertex_reps).items()), [(edges[i], size) for i, size in edge_orbits]
+
+
 def label_key(g: Graph) -> bytes:
     """Labeling-dependent key: equal keys iff equal labeled graphs."""
     width = (g.n + 7) // 8 or 1
@@ -551,14 +576,8 @@ def _least_degree_masks(adj):
 def _mask_orbit_reps(n: int, automorphisms, need, bar):
     """Smallest mask of each orbit of the group generated by `automorphisms`
     on vertex masks of 0..n-1, over the masks m that hold need[|m|] and
-    avoid bar[|m|]; those sets must be unions of orbits."""
-    images = []
-    for perm in automorphisms:
-        image = [0] * (1 << n)
-        for mask in range(1, 1 << n):
-            low = mask & -mask
-            image[mask] = image[mask ^ low] | 1 << perm[low.bit_length() - 1]
-        images.append(image)
+    avoid bar[|m|]; those sets must be unions of orbits. Images are taken
+    only of accepted masks, as their orbits are walked."""
     seen = bytearray(1 << n)
     reps = []
     for mask in range(1 << n):
@@ -571,11 +590,14 @@ def _mask_orbit_reps(n: int, automorphisms, need, bar):
         seen[mask] = 1
         stack = [mask]
         while stack:
-            m = stack.pop()
-            for image in images:
-                if not seen[image[m]]:
-                    seen[image[m]] = 1
-                    stack.append(image[m])
+            vs = mask_vertices(stack.pop())
+            for perm in automorphisms:
+                image = 0
+                for w in vs:
+                    image |= 1 << perm[w]
+                if not seen[image]:
+                    seen[image] = 1
+                    stack.append(image)
     return reps
 
 

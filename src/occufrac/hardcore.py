@@ -21,6 +21,7 @@ from .exactmath import IntPolynomial, fugacity
 from .graphs import (
     Graph,
     _classes_and_automorphisms,
+    automorphism_orbits,
     canonical_key,
     mask_vertices,
     regular_degree,
@@ -30,6 +31,7 @@ from .polynomials import (
     _add_shifted,
     _independence_step,
     _mask_recursion,
+    _state_model,
     independence_poly,
     kdd_occupancy,
     occupancy,
@@ -240,37 +242,47 @@ def free_neighborhood_distribution(g: Graph, lam: Fraction):
     """Exact law of the free-neighborhood class of a uniform vertex under
     the hard-core model, as a vector aligned with enumerate_configs(d).
 
+    An automorphism carries each independent set to one of the same size
+    and the free neighborhood of v to that of its image, so every vertex
+    of one orbit has the same law: one vertex per automorphism orbit is
+    classified, weighted by the orbit size (graphs.automorphism_orbits).
+
     Verifies on the way out that the vector is a feasible point of
     build_primal(d, lam) (a distribution satisfying the balance constraint)
     whose objective is the true occupancy of g. With the balance holding,
     that objective is lam/(1+lam) E[vacancy] = lam/(1+lam) E[crowding].
-    Enumeration is capped at FREE_LAW_LIMIT vertices.
+    Enumeration is capped at FREE_LAW_LIMIT vertices, checked before the
+    orbits are searched.
     """
     lam = fugacity(lam)
     d = regular_degree(g)
     if d is None:
         raise DomainError("graph must be regular")
-    neighbors = [[(1 << w, g.adj[w]) for w in g.neighbors(v)] for v in range(g.n)]
+    _state_model(g, "hardcore", FREE_LAW_LIMIT)
+    orbits, _ = automorphism_orbits(g)
+    reps = [(v, g.adj[v], [(1 << w, g.adj[w]) for w in g.neighbors(v)]) for v, _ in orbits]
 
     def classify(mask):
         # w in N(v) is free when no vertex of the set outside N(v) is
-        # adjacent to it; an occupied v blocks all of N(v)
+        # adjacent to it; an occupied v blocks all of N(v). Labelled by
+        # (representative, free-neighborhood mask).
         out = []
-        for v, around in enumerate(neighbors):
-            outside = mask & ~g.adj[v]
-            out.append(sum(bit for bit, adj_w in around if not adj_w & outside))
+        for v, adj_v, around in reps:
+            outside = mask & ~adj_v
+            out.append((v, sum(bit for bit, adj_w in around if not adj_w & outside)))
         return out
 
-    total, by_mask = state_polynomials(g, "hardcore", classify, FREE_LAW_LIMIT)
+    total, by_label = state_polynomials(g, "hardcore", classify, FREE_LAW_LIMIT)
     configs = enumerate_configs(d)
     by_graph = {cfg.graph: cfg.index for cfg in configs}
     by_key = {cfg.key: cfg.index for cfg in configs}
+    size = dict(orbits)
     weights = [IntPolynomial.zero()] * len(configs)
-    for mask, poly in by_mask.items():
+    for (v, mask), poly in by_label.items():
         # a class representative, as a labeled graph, needs no canonical form
         h = g.induced(mask_vertices(mask))
         idx = by_graph[h] if h in by_graph else by_key[canonical_key(h)]
-        weights[idx] = weights[idx] + poly
+        weights[idx] = weights[idx] + size[v] * poly
     z = total(lam) * g.n
     probs = [w(lam) / z for w in weights]
     if objective_value(probs, d, lam) != occupancy(g, lam):

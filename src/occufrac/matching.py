@@ -19,10 +19,11 @@ from math import factorial
 
 from .errors import CapabilityError, CertificateError, DomainError
 from .exactmath import IntPolynomial, fugacity
-from .graphs import Graph, regular_degree
+from .graphs import Graph, automorphism_orbits, regular_degree
 from .hardcore import CertificateReport
 from .lp import LinearProgram, _over_one_denominator, dual_slacks, primal_value
 from .polynomials import (
+    _state_model,
     edge_occupancy,
     kdd_edge_occupancy,
     kdd_matching_poly,
@@ -390,50 +391,57 @@ def edge_neighborhood_distribution(g: Graph, lam: Fraction, limit: int = 20):
     """Exact law of the (i, j, k) configuration of a uniform oriented edge
     under the monomer-dimer model, as a dict keyed by triple.
 
+    An automorphism carries each matching to one of the same size and the
+    triple of an edge to that of its image, so every edge of one orbit has
+    the same law: one edge per automorphism orbit is classified, weighted
+    by the orbit size (graphs.automorphism_orbits), and each triple of
+    (u, v) also counts as its mirror, the triple of (v, u).
+
     Verifies that the law is a feasible point of build_primal(d, lam) and
-    that its objective reproduces the edge occupancy of g.
+    that its objective reproduces the edge occupancy of g. The edge cap
+    `limit` is checked before the orbits are searched.
     """
     lam = fugacity(lam)
     d = regular_degree(g)
     if d is None or d < 2:
         raise DomainError("graph must be d-regular with d >= 2")
-    edges = g.edges()
+    _state_model(g, "matching", limit)
+    _, orbits = automorphism_orbits(g)
     everyone = (1 << g.n) - 1
-    # per edge (u, v): the neighbors of u only, of v only and of both, with
-    # u and v themselves left out
+    # per orbit representative (u, v): its orbit size, the neighbors of u
+    # only, of v only and of both, with u and v themselves left out
     per_edge = [
-        (u, v, g.adj[u] & ~g.adj[v] & ~(1 << v), g.adj[v] & ~g.adj[u] & ~(1 << u),
+        (size, u, v, g.adj[u] & ~g.adj[v] & ~(1 << v), g.adj[v] & ~g.adj[u] & ~(1 << u),
          g.adj[u] & g.adj[v])
-        for u, v in edges
+        for (u, v), size in orbits
     ]
 
     def classify(matching):
         # a neighboring edge of (u, v) survives iff its far endpoint is
-        # unmatched or matched to u or v. One triple per edge (u, v): that
-        # of the orientation (v, u) is its mirror, added after counting.
+        # unmatched or matched to u or v. Labelled by (orbit size, triple).
         partner = {}
         for u, v in matching:
             partner[u] = 1 << v
             partner[v] = 1 << u
         unmatched = everyone & ~sum(partner.values())
         out = []
-        for u, v, only_u, only_v, both in per_edge:
+        for size, u, v, only_u, only_v, both in per_edge:
             live = unmatched | partner.get(u, 0) | partner.get(v, 0)
             out.append(
-                ((live & only_u).bit_count(), (live & only_v).bit_count(),
+                (size, (live & only_u).bit_count(), (live & only_v).bit_count(),
                  (live & both).bit_count())
             )
         return out
 
-    total, by_triple = state_polynomials(g, "matching", classify, limit)
+    total, by_label = state_polynomials(g, "matching", classify, limit)
     # weights as integers over the common denominator q^n at lam = p/q
     p, q, n = lam.numerator, lam.denominator, total.degree
     oriented = defaultdict(int)
-    for (i, j, k), w in by_triple.items():
-        weight = w.homogeneous(p, q, n)
+    for (size, i, j, k), w in by_label.items():
+        weight = size * w.homogeneous(p, q, n)
         oriented[i, j, k] += weight
         oriented[j, i, k] += weight
-    denom = total.homogeneous(p, q, n) * len(edges) * 2
+    denom = total.homogeneous(p, q, n) * g.edge_count * 2
     law = {t: Fraction(weight, denom) for t, weight in sorted(oriented.items())}
     if objective_value(law, d, lam) != edge_occupancy(g, lam):
         raise CertificateError("edge-neighborhood law misses the edge occupancy")

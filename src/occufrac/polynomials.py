@@ -388,22 +388,28 @@ class _StateStream:
         return IntPolynomial(self._counts)
 
 
-def _state_source(g: Graph, model: str, limit: int):
-    """The kept table of g under the model; else a fresh enumeration, kept
-    as the model's table when it has at most _STATE_BOUND states and
-    streamed otherwise. The cap is checked first, whatever is kept."""
+def _state_model(g: Graph, model: str, limit: int):
+    """(enumerate_states, size, width) of the model on g, once g is within
+    the cap: `limit` vertices (hardcore) or edges (matching), else
+    CapabilityError. Callers that work on g before enumerating check here."""
     if model == "hardcore":
         if g.n > limit:
             raise CapabilityError(f"oracle limit is {limit} vertices, got {g.n}")
-        enumerate_states, size, width = independent_sets, int.bit_count, g.n + 1
-    elif model == "matching":
+        return independent_sets, int.bit_count, g.n + 1
+    if model == "matching":
         if g.edge_count > limit:
             raise CapabilityError(
                 f"oracle limit is {limit} edges, got {g.edge_count}"
             )
-        enumerate_states, size, width = matchings, len, g.n // 2 + 1
-    else:
-        raise DomainError(f"unknown model {model!r}")
+        return matchings, len, g.n // 2 + 1
+    raise DomainError(f"unknown model {model!r}")
+
+
+def _state_source(g: Graph, model: str, limit: int):
+    """The kept table of g under the model; else a fresh enumeration, kept
+    as the model's table when it has at most _STATE_BOUND states and
+    streamed otherwise. The cap is checked first, whatever is kept."""
+    enumerate_states, size, width = _state_model(g, model, limit)
     table = _STATES.get(model)
     if table is not None and table.graph == g:
         return table

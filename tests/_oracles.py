@@ -10,8 +10,10 @@ builds of the two certify programs that the integer-column builds replaced,
 the tree lower-bound verdict by bisection that the exact sign replaced, and
 the canonical search with count-dict refinement and fixed-point orbits that
 the mask-split refinement and union-find orbits replaced
-(`reference_canonical_form`). Other canonical keys come from the labelling
-search `_canonical_form` itself.
+(`reference_canonical_form`), and vertex and edge orbits from every
+automorphism found by testing each degree-preserving bijection
+(`brute_orbits`, `brute_edge_orbits`). Other canonical keys come from the
+labelling search `_canonical_form` itself.
 """
 
 from fractions import Fraction
@@ -646,24 +648,42 @@ def reference_canonical_form(g: Graph):
     return key, _reference_orbit_reps(n, automorphisms), automorphisms
 
 
-def brute_orbits(g: Graph):
-    """Smallest vertex of each vertex's automorphism orbit, by testing every
+def _brute_automorphisms(g: Graph):
+    """Every automorphism of g as an image list, found by testing every
     bijection that maps each degree class onto itself."""
     classes = {}
     for v in range(g.n):
         classes.setdefault(g.degree(v), []).append(v)
     blocks = list(classes.values())
     edges = g.edges()
-    rep = list(range(g.n))
     for images in product(*(permutations(b) for b in blocks)):
         perm = [0] * g.n
         for block, image in zip(blocks, images):
             for v, w in zip(block, image):
                 perm[v] = w
         if all(g.has_edge(perm[u], perm[v]) for u, v in edges):
-            for v in range(g.n):
-                rep[perm[v]] = min(rep[perm[v]], v)
+            yield perm
+
+
+def brute_orbits(g: Graph):
+    """Smallest vertex of each vertex's automorphism orbit."""
+    rep = list(range(g.n))
+    for perm in _brute_automorphisms(g):
+        for v in range(g.n):
+            rep[perm[v]] = min(rep[perm[v]], v)
     return rep
+
+
+def brute_edge_orbits(g: Graph):
+    """Smallest edge (u, v), u < v, of each edge's automorphism orbit, for
+    the edges in the order of g.edges()."""
+    edges = g.edges()
+    rep = {e: e for e in edges}
+    for perm in _brute_automorphisms(g):
+        for u, v in edges:
+            image = (min(perm[u], perm[v]), max(perm[u], perm[v]))
+            rep[image] = min(rep[image], (u, v))
+    return [rep[e] for e in edges]
 
 
 def _extend_automorphism(g: Graph, perm: list, used: int, v: int) -> bool:

@@ -9,6 +9,7 @@ import pytest
 from _oracles import (
     backtrack_orbit_of_zero,
     brute_canonical_bits,
+    brute_edge_orbits,
     brute_orbits,
     disjoint_union,
     every_mask_classes,
@@ -18,10 +19,11 @@ from _oracles import (
     relabel,
 )
 from occufrac import graphs, polynomials
-from occufrac.errors import CapabilityError, DomainError, FormatError
+from occufrac.errors import CapabilityError, CertificateError, DomainError, FormatError
 from occufrac.graphs import (
     Graph,
     _canonical_form,
+    automorphism_orbits,
     bipartition,
     canonical_key,
     complete,
@@ -488,6 +490,52 @@ def test_orbits_match_brute_force(n):
     for _, g in isomorphism_classes(n):
         h = _shuffled(g, rng)
         assert _canonical_form(h)[1] == brute_orbits(h)
+
+
+def _counted(reps):
+    return sorted(Counter(reps).items())
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_automorphism_orbits_match_brute_force(n):
+    rng = random.Random(n)
+    for _, g in isomorphism_classes(n):
+        h = _shuffled(g, rng)
+        assert automorphism_orbits(h) == (
+            _counted(brute_orbits(h)),
+            _counted(brute_edge_orbits(h)),
+        ), h
+
+
+def test_automorphism_orbits_of_named_graphs():
+    # K_{3,3} beside Q3: two vertex orbits and two edge orbits; a path: the
+    # middle edge is its own orbit
+    assert automorphism_orbits(disjoint_union(complete_bipartite(3), hypercube(3))) == (
+        [(0, 6), (6, 8)],
+        [((0, 3), 9), ((6, 7), 12)],
+    )
+    assert automorphism_orbits(Graph(4, [(0, 1), (1, 2), (2, 3)])) == (
+        [(0, 2), (1, 2)],
+        [((0, 1), 2), ((1, 2), 1)],
+    )
+    assert automorphism_orbits(Graph(0)) == ([], [])
+
+
+@pytest.mark.parametrize(
+    "bad", [[1, 0, 2, 3, 4, 5], [0, 0, 2, 3, 4, 5]], ids=["non-automorphism", "non-bijection"]
+)
+def test_automorphism_orbits_reject_a_bad_generator(monkeypatch, bad):
+    # swapping 0 and 1 of the 6-cycle is no automorphism; a map that sends
+    # two vertices to one is no permutation
+    original = graphs._canonical_form
+
+    def corrupted(g):
+        key, reps, automorphisms = original(g)
+        return key, reps, automorphisms + [bad]
+
+    monkeypatch.setattr(graphs, "_canonical_form", corrupted)
+    with pytest.raises(CertificateError, match="is not an automorphism"):
+        automorphism_orbits(cycle(6))
 
 
 @pytest.mark.parametrize("n", range(8))
