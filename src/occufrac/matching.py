@@ -289,14 +289,6 @@ def _slack_numerator(i: int, j: int, k: int, drift: int, prices) -> int:
     return val
 
 
-def reduced_slack(i: int, j: int, k: int, duals: MatchingDuals) -> Fraction:
-    """Simplified dual slack L(i,j,k): zero exactly on the diagonal triples
-    (i, i, 0) and strictly positive elsewhere."""
-    _check_triple(i, j, k, duals.d)
-    den, drift, prices, _ = _scaled_duals(duals)
-    return Fraction(_slack_numerator(i, j, k, drift, prices), den)
-
-
 def check_dual_constraints(d: int, lam: Fraction) -> CertificateReport:
     """Full dual certificate: verifies the slack profile (check_slack_profile),
     strong duality on build_primal(d, lam), that each column's slack there

@@ -33,8 +33,10 @@ ORACLE_LIMIT = 24
 
 # Memo tables keyed by the connected components of the graphs passed in:
 # b"l" + label_key for the labeled component and, up to CANONICAL_LIMIT
-# vertices, b"c" + canonical_key for its isomorphism class. The recursion
-# inside a component memoizes its vertex masks in a table of its own.
+# vertices, b"c" + canonical_key for its isomorphism class, both of the
+# component as given. The recursion inside a component runs on a
+# breadth-first relabeling of it and memoizes its vertex masks in a table
+# of its own.
 # Inserts are idempotent (same key, same polynomial), so plain dicts are
 # safe to share between threads under the GIL.
 _IND_MEMO: dict = {}
@@ -71,9 +73,9 @@ def independence_poly(g: Graph) -> IntPolynomial:
     """Independence polynomial: coefficient of x^k counts independent k-sets.
 
     Deletion recurrence P(S) = P(S - v) + x * P(S - N[v]) over vertex
-    masks S of each connected component, with v the lowest vertex of S
-    (see `_mask_recursion`). The budget applies per component, as in
-    matching_poly.
+    masks S of each connected component relabeled in breadth-first order,
+    with v the lowest vertex of S in that order (see `_mask_recursion`).
+    The budget applies per component, as in matching_poly.
     """
     return _by_components(g, _IND_MEMO, (1, 1), _independence_step, _vertex_budget)
 
@@ -82,10 +84,11 @@ def matching_poly(g: Graph) -> IntPolynomial:
     """Matching generating polynomial: coefficient of x^k counts k-matchings.
 
     Vertex recurrence M(S) = M(S - v) + x * sum_{u in N(v) & S} M(S - u - v)
-    over vertex masks S of each connected component, with v the lowest
-    vertex of S (Godsil, "Algebraic Combinatorics", 1993, ch. 1; see
-    `_mask_recursion`). The budget applies per component, which is where
-    the recursion cost lives.
+    over vertex masks S of each connected component relabeled in
+    breadth-first order, with v the lowest vertex of S in that order
+    (Godsil, "Algebraic Combinatorics", 1993, ch. 1; see `_mask_recursion`).
+    The budget applies per component, which is where the recursion cost
+    lives.
     """
     return _by_components(g, _MATCH_MEMO, (1,), _matching_step, _edge_budget)
 
@@ -117,7 +120,9 @@ def _by_components(g: Graph, memo: dict, single, step, budget) -> IntPolynomial:
     budget(g.adj, comps)
 
     def compute(sub):
-        return IntPolynomial(_mask_recursion(sub.adj, single, step)((1 << sub.n) - 1))
+        full = (1 << sub.n) - 1
+        adj = sub.induced(_bfs_order(sub.adj, full)).adj
+        return IntPolynomial(_mask_recursion(adj, single, step)(full))
 
     out = (1,)
     for comp in comps:
@@ -129,28 +134,50 @@ def _by_components(g: Graph, memo: dict, single, step, budget) -> IntPolynomial:
     return IntPolynomial(out)
 
 
-# The recursion inside one connected component. Subproblems are vertex
-# masks of the component's adjacency: induced subgraphs, so a mask is an
-# exact key and no Graph is built. Polynomials are coefficient tuples,
-# which stay free of trailing zeros because every coefficient up to the
-# degree counts at least one set or matching.
+# The recursion inside one connected component. Each top-level component
+# is relabeled once, in breadth-first order, so the lowest vertex of a mask
+# sits next to the part already removed and the masks it reaches stay few,
+# whatever the input's labels. Subproblems are vertex masks of that
+# relabeled adjacency: induced subgraphs, so a mask is an exact key and no
+# Graph is built. Polynomials are coefficient tuples, which stay free of
+# trailing zeros because every coefficient up to the degree counts at least
+# one set or matching.
+
+def _bfs_order(adj, comp):
+    """The vertices of the connected mask `comp`, breadth-first from its
+    lowest vertex, each vertex's new neighbours in increasing order."""
+    seen = comp & -comp
+    order = [seen.bit_length() - 1]
+    for v in order:
+        new = adj[v] & comp & ~seen
+        seen |= new
+        order += mask_vertices(new)
+    return order
+
 
 def _mask_recursion(adj, single, step):
     """The memoized poly(mask): the polynomial of any vertex mask of the
     adjacency `adj`, where step(adj, mask, poly) gives the polynomial of a
     connected mask of two or more vertices from poly(mask') of smaller
-    masks, and `single` is that of one vertex. Masks split into components
-    first; each component mask is memoized for the closure's lifetime."""
+    masks, and `single` is that of one vertex. `adj` is used as labelled:
+    `_by_components` passes a breadth-first relabeling, while
+    `hardcore.enumerate_configs` asks for masks in a class
+    representative's own labels. A mask is looked up whole first; on a
+    miss it splits into components, each memoized, and the product is
+    memoized under the mask. The memo lives as long as the closure."""
     memo = {1 << v: single for v in range(len(adj))}
+    memo[0] = (1,)
 
     def poly(mask):
-        out = None
-        for comp in mask_components(adj, mask):
-            p = memo.get(comp)
-            if p is None:
-                p = memo[comp] = step(adj, comp, poly)
-            out = p if out is None else convolve(out, p)
-        return (1,) if out is None else out
+        out = memo.get(mask)
+        if out is None:
+            for comp in mask_components(adj, mask):
+                p = memo.get(comp)
+                if p is None:
+                    p = memo[comp] = step(adj, comp, poly)
+                out = p if out is None else convolve(out, p)
+            memo[mask] = out
+        return out
 
     return poly
 

@@ -32,7 +32,15 @@ from occufrac.graphs import (
 )
 from occufrac.hardcore import enumerate_configs, objective_scale
 from occufrac.lp import LPSolution
-from occufrac.matching import conditional_partition, enumerate_triples, local_edge_occupancy
+from occufrac.matching import (
+    MatchingDuals,
+    _check_triple,
+    _scaled_duals,
+    _slack_numerator,
+    conditional_partition,
+    enumerate_triples,
+    local_edge_occupancy,
+)
 from occufrac.polynomials import independent_sets, matchings, occupancy
 
 
@@ -395,6 +403,15 @@ def fraction_matching_primal(d: int, lam: Fraction):
             row.append(Fraction(1, 2) * (gf_ij[t] + gf_ji[t] - ge_ij[t] - ge_ji[t]))
         rows.append(row)
     return objective, rows, [Fraction(1)] + [Fraction(0)] * (d - 1)
+
+
+def reduced_slack(i: int, j: int, k: int, duals: MatchingDuals) -> Fraction:
+    """Simplified dual slack L(i,j,k) as a Fraction: the package's integer
+    numerator over its one denominator. Zero exactly on the diagonal
+    triples (i, i, 0) and strictly positive elsewhere."""
+    _check_triple(i, j, k, duals.d)
+    den, drift, prices, _ = _scaled_duals(duals)
+    return Fraction(_slack_numerator(i, j, k, drift, prices), den)
 
 
 def empirical_edge_marginals(g: Graph, lam: Fraction):

@@ -2,7 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import empirical_edge_marginals, marginal_from_edge, marginal_from_neighbor
+from _oracles import (
+    empirical_edge_marginals,
+    marginal_from_edge,
+    marginal_from_neighbor,
+    reduced_slack,
+)
 from occufrac.errors import CapabilityError, CertificateError, DomainError
 from occufrac.graphs import complete, complete_bipartite, cycle, prism, regular_degree
 from occufrac.lp import dual_slacks, solve
@@ -21,7 +26,6 @@ from occufrac.matching import (
     local_edge_occupancy,
     local_matching_poly,
     objective_value,
-    reduced_slack,
     slack_profile,
     slack_profile_explicit,
     standard_dual_vector,

@@ -1,4 +1,6 @@
+import inspect
 import random
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -154,27 +156,107 @@ def test_mask_recursion_matches_graph_deletion_reference():
             assert poly(h) == want
 
 
-def test_cold_matching_recursion_takes_few_steps(monkeypatch):
-    # one step per connected vertex mask of two or more vertices; with the
-    # maximum-degree vertex of the mask as pivot these take 2818 and 1842
+def _cold_steps(model, g):
+    """How many masks a cold call of the model's polynomial on g steps on,
+    each mask once."""
+    poly, name = {
+        "hardcore": (independence_poly, "_independence_step"),
+        "matching": (matching_poly, "_matching_step"),
+    }[model]
     steps = []
-    original = polynomials._matching_step
+    original = getattr(polynomials, name)
 
     def counted(adj, mask, poly):
         steps.append(mask)
         return original(adj, mask, poly)
 
-    monkeypatch.setattr(polynomials, "_matching_step", counted)
-    for g, bound, exact in (
-        (prism(12), 700, 594),
-        (random_regular_graph(random.Random(0), 24, 3), 800, 586),
-    ):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polynomials, name, counted)
         clear_memo_tables()
-        steps.clear()
-        matching_poly(g)
-        assert len(steps) == len(set(steps))
-        assert len(steps) < bound
-        assert len(steps) == exact
+        poly(g)
+    assert len(steps) == len(set(steps))
+    return len(steps)
+
+
+def test_cold_matching_recursion_takes_few_steps():
+    # one step per connected vertex mask of two or more vertices of the
+    # component in breadth-first order; in the input's own labels these
+    # took 594 and 586 matching steps, and 289 and 197 independence steps
+    for g, matching_steps, independence_steps in (
+        (prism(12), 149, 82),
+        (random_regular_graph(random.Random(0), 24, 3), 440, 144),
+    ):
+        assert _cold_steps("matching", g) == matching_steps
+        assert _cold_steps("hardcore", g) == independence_steps
+
+
+def test_cold_recursion_steps_hardly_depend_on_labels():
+    # in the input's own labels, shuffled prism(12) took 222 to 683 matching
+    # steps and Q4 540 to 694; the independence counts never spread as far
+    rng = random.Random(11)
+    for g, matching_bound, independence_bound in (
+        (prism(12), 160, 90),
+        (hypercube(4), 300, 80),
+    ):
+        for h in [g] + [_relabeled(g, rng) for _ in range(4)]:
+            assert _cold_steps("matching", h) <= matching_bound
+            assert _cold_steps("hardcore", h) <= independence_bound
+
+
+def test_bfs_order_is_breadth_first_from_the_lowest_vertex():
+    rng = random.Random(13)
+    for g in [prism(5), hypercube(3), petersen()] + [
+        _relabeled(random_regular_graph(rng, 12, 3), rng) for _ in range(4)
+    ]:
+        order = polynomials._bfs_order(g.adj, (1 << g.n) - 1)
+        assert sorted(order) == list(range(g.n)) and order[0] == 0
+        depth, level, k = {}, {0}, 0
+        while level:
+            depth.update(dict.fromkeys(level, k))
+            level = {w for v in level for w in g.neighbors(v) if w not in depth}
+            k += 1
+        assert [depth[v] for v in order] == sorted(depth.values())
+        # within one depth, vertices come in order of their earliest
+        # neighbour one level up, then by label
+        first_parent = {
+            v: min(order.index(w) for w in g.neighbors(v) if depth[w] == depth[v] - 1)
+            for v in order[1:]
+        }
+        assert order[1:] == sorted(order[1:], key=lambda v: (first_parent[v], v))
+
+
+def test_fast_path_mutants_differ_from_graph_deletion(monkeypatch):
+    cubic = random_regular_graph(random.Random(19), 14, 3)
+    cases = [
+        (matching_poly, prism(6), graph_deletion_poly(prism(6), "matching")),
+        (independence_poly, cubic, graph_deletion_poly(cubic, "hardcore")),
+    ]
+    for poly, g, want in cases:
+        clear_memo_tables()
+        assert poly(g) == want
+
+    original = polynomials._bfs_order
+
+    def repeat_first(adj, comp):
+        # the first vertex twice, the last one dropped
+        order = original(adj, comp)
+        return order[:-1] + order[:1]
+
+    # `_mask_recursion` as written, but storing each whole mask's product
+    # under the mask less its lowest vertex
+    source = textwrap.dedent(inspect.getsource(polynomials._mask_recursion))
+    assert source.count("memo[mask] = out") == 1
+    namespace = dict(vars(polynomials))
+    exec(source.replace("memo[mask] = out", "memo[mask ^ (mask & -mask)] = out"), namespace)
+
+    wrong_key = namespace["_mask_recursion"]
+    for name, mutant in (("_bfs_order", repeat_first), ("_mask_recursion", wrong_key)):
+        with monkeypatch.context() as patch:
+            patch.setattr(polynomials, name, mutant)
+            for poly, g, want in cases:
+                clear_memo_tables()
+                assert poly(g) != want
+    clear_memo_tables()
 
 
 def test_clear_memo_tables_empties_every_table():
