@@ -67,18 +67,23 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(self.degree(v) for v in range(self.n)) // 2
+        return sum(map(int.bit_count, self.adj)) // 2
 
     def induced(self, vertices) -> "Graph":
         """Subgraph induced by `vertices`, relabeled 0..k-1 in the given order."""
         vs = list(vertices)
         index = {v: i for i, v in enumerate(vs)}
-        adj = [0] * len(vs)
-        for i, v in enumerate(vs):
-            for w in self.neighbors(v):
-                j = index.get(w)
-                if j is not None:
-                    adj[i] |= 1 << j
+        kept = 0
+        for v in index:
+            kept |= 1 << v
+        adj = []
+        for v in vs:
+            row, m = 0, self.adj[v] & kept
+            while m:
+                low = m & -m
+                row |= 1 << index[low.bit_length() - 1]
+                m ^= low
+            adj.append(row)
         return Graph._from_adj(adj)
 
     def components(self):
@@ -107,20 +112,30 @@ def mask_vertices(mask: int):
     return out
 
 
+def mask_component(adj, mask: int, touch: int) -> int:
+    """The component of the vertex bitmask `mask` in the adjacency `adj`
+    that holds the lowest vertex of `touch`, a set that meets every
+    component of mask: a breadth-first search over bitmasks from that
+    vertex, which returns mask as soon as it has reached all of touch."""
+    seen = frontier = touch & -touch
+    while touch & ~seen:
+        if not frontier:
+            return seen
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & mask & ~seen
+        seen |= frontier
+    return mask
+
+
 def mask_components(adj, mask: int):
     """Yield the connected components of the vertex bitmask `mask` in the
-    adjacency `adj`, as masks in order of lowest vertex, by a breadth-first
-    search over bitmasks."""
+    adjacency `adj`, as masks in order of lowest vertex."""
     while mask:
-        comp = frontier = mask & -mask
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reach & mask & ~comp
-            comp |= frontier
+        comp = mask_component(adj, mask, mask)
         yield comp
         mask ^= comp
 

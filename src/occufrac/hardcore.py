@@ -28,9 +28,10 @@ from .graphs import (
 )
 from .lp import LinearProgram, dual_slacks, primal_value
 from .polynomials import (
-    _add_shifted,
     _independence_step,
     _mask_recursion,
+    _pack,
+    _unpack,
     _state_model,
     independence_poly,
     kdd_occupancy,
@@ -76,13 +77,16 @@ def enumerate_configs(d: int):
     for n in range(d if configs else 0, d + 1):
         below = [cfg for cfg in configs if cfg.graph.n == n - 1]
         recursions = [_mask_recursion(cfg.graph.adj, (1, 1), _independence_step) for cfg in below]
+        # a recursion on n - 1 vertices packs its polynomials in fields of
+        # n bits, wide enough for the counts of the classes on n vertices
+        packed = [_pack(cfg.poly.coeffs, n) for cfg in below]
         classes, _, parents = _classes_and_automorphisms(n)
         for (key, h), parent in zip(classes, parents):
-            coeffs = [1]
+            coeffs = (1,)
             if parent is not None:
                 i, mask = parent
-                coeffs = list(below[i].poly.coeffs)
-                _add_shifted(coeffs, recursions[i]((1 << n - 1) - 1 & ~mask))
+                grown = packed[i] + (recursions[i]((1 << n - 1) - 1 & ~mask) << n)
+                coeffs = _unpack(grown, n)
             configs.append(NeighborhoodConfig(len(configs), h, key, IntPolynomial(coeffs)))
     return tuple(configs)
 

@@ -191,8 +191,13 @@ def _run_simplex(columns, cost, rows, values, basis, den):
     numerator is, and r_j > r_k iff num_j q_k > num_k q_j. With n = N a_j,
     the ratio of row r is q_j v_r / (Q_b n_r), so the leaving row has
     n_r > 0 and the smallest v_r / n_r, ties to the smallest basic index.
-    Returns den when optimal, None when unbounded."""
-    bland = False
+    Returns den when optimal, None when unbounded.
+
+    Only a run of degenerate pivots can come back to a basis, so the bases
+    met in the current run are kept, dropped after a pivot that moves, and
+    a repeat raises AssertionError naming the basis: a solver defect fails
+    instead of looping."""
+    bland, seen = False, set()
     while True:
         ys = _prices(rows, basis, cost)
         if bland:
@@ -218,6 +223,13 @@ def _run_simplex(columns, cost, rows, values, basis, den):
         if leaving == -1:
             return None
         bland = best_v == 0
+        if best_v:
+            seen.clear()
+        else:
+            key = frozenset(basis)
+            if key in seen:
+                raise AssertionError(f"simplex came back to basis {sorted(key)} in a degenerate run")
+            seen.add(key)
         den = _pivot(rows, values, basis, den, leaving, entering, column)
 
 

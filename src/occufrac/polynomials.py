@@ -17,12 +17,13 @@ from itertools import chain, compress, islice, tee
 from math import comb, factorial
 
 from .errors import CapabilityError, DomainError
-from .exactmath import IntPolynomial, binomial_poly, convolve, fugacity
+from .exactmath import IntPolynomial, binomial_poly, fugacity
 from .graphs import (
     CANONICAL_LIMIT,
     Graph,
     canonical_key,
     label_key,
+    mask_component,
     mask_components,
     mask_vertices,
 )
@@ -115,23 +116,28 @@ def _edge_budget(adj, comps) -> None:
 def _by_components(g: Graph, memo: dict, single, step, budget) -> IntPolynomial:
     """The product of the polynomials of g's components under
     `_mask_recursion`, after budget(adj, component masks) has had its say,
-    so an over-budget graph raises before any subgraph is built."""
-    comps = list(mask_components(g.adj, (1 << g.n) - 1))
+    so an over-budget graph raises before any subgraph is built. A
+    connected g is its own component and is not induced again."""
+    full = (1 << g.n) - 1
+    comps = list(mask_components(g.adj, full))
     budget(g.adj, comps)
 
     def compute(sub):
-        full = (1 << sub.n) - 1
-        adj = sub.induced(_bfs_order(sub.adj, full)).adj
-        return IntPolynomial(_mask_recursion(adj, single, step)(full))
+        top = (1 << sub.n) - 1
+        adj = sub.induced(_bfs_order(sub.adj, top)).adj
+        poly = _mask_recursion(adj, single, step)
+        packed = poly(top)
+        poly.memo.clear()
+        return IntPolynomial(_unpack(packed, _field_width(adj, single)))
 
-    out = (1,)
+    one, out = IntPolynomial(single), IntPolynomial.one()
     for comp in comps:
         if comp.bit_count() == 1:
-            p = single
+            p = one
         else:
-            p = _memoized(memo, g.induced(mask_vertices(comp)), compute).coeffs
-        out = convolve(out, p)
-    return IntPolynomial(out)
+            p = _memoized(memo, g if comp == full else g.induced(mask_vertices(comp)), compute)
+        out = out * p
+    return out
 
 
 # The recursion inside one connected component. Each top-level component
@@ -139,9 +145,10 @@ def _by_components(g: Graph, memo: dict, single, step, budget) -> IntPolynomial:
 # sits next to the part already removed and the masks it reaches stay few,
 # whatever the input's labels. Subproblems are vertex masks of that
 # relabeled adjacency: induced subgraphs, so a mask is an exact key and no
-# Graph is built. Polynomials are coefficient tuples, which stay free of
-# trailing zeros because every coefficient up to the degree counts at least
-# one set or matching.
+# Graph is built. A polynomial is one int (Kronecker substitution):
+# coefficient k sits in bits [kW, (k+1)W) for the field width W of
+# `_field_width`, wide enough that no field ever carries into the next, so
+# x * P is P << W and the product of two polynomials is one int product.
 
 def _bfs_order(adj, comp):
     """The vertices of the connected mask `comp`, breadth-first from its
@@ -155,59 +162,104 @@ def _bfs_order(adj, comp):
     return order
 
 
-def _mask_recursion(adj, single, step):
-    """The memoized poly(mask): the polynomial of any vertex mask of the
-    adjacency `adj`, where step(adj, mask, poly) gives the polynomial of a
-    connected mask of two or more vertices from poly(mask') of smaller
-    masks, and `single` is that of one vertex. `adj` is used as labelled:
-    `_by_components` passes a breadth-first relabeling, while
-    `hardcore.enumerate_configs` asks for masks in a class
-    representative's own labels. A mask is looked up whole first; on a
-    miss it splits into components, each memoized, and the product is
-    memoized under the mask. The memo lives as long as the closure."""
-    memo = {1 << v: single for v in range(len(adj))}
-    memo[0] = (1,)
+def _field_width(adj, single) -> int:
+    """Bits per packed coefficient of the polynomials of `adj`'s masks. A
+    model whose one-vertex polynomial `single` has an x term counts vertex
+    sets (hard-core), and fewer than 2^n of them have any one size; else it
+    counts edge sets (matchings), fewer than 2^m of any one size."""
+    if len(single) > 1:
+        return len(adj) + 1
+    return sum(map(int.bit_count, adj)) // 2 + 1
 
-    def poly(mask):
+
+def _pack(coeffs, width: int) -> int:
+    """The polynomial with coefficient tuple `coeffs` in fields of `width` bits."""
+    return sum(c << k * width for k, c in enumerate(coeffs))
+
+
+def _unpack(packed: int, width: int) -> tuple:
+    """The coefficients, lowest first, of a polynomial packed in fields of
+    `width` bits; () for 0."""
+    field = (1 << width) - 1
+    out = []
+    while packed:
+        out.append(packed & field)
+        packed >>= width
+    return tuple(out)
+
+
+def _mask_recursion(adj, single, step):
+    """The memoized poly(mask, touch=0): the polynomial of any vertex mask
+    of the adjacency `adj`, packed in fields of `_field_width(adj, single)`
+    bits, where `single` is the coefficient tuple of one vertex and
+    step(adj, mask, poly) gives (A, B), packed, with P = A + x B for a
+    connected mask of two or more vertices, from poly of smaller masks.
+    `adj` is used as labelled: `_by_components` passes a breadth-first
+    relabeling, while `hardcore.enumerate_configs` asks for masks in a
+    class representative's own labels.
+
+    `touch` is a set of the mask's vertices that meets each of its
+    components; the whole mask when not given, any one vertex for a mask
+    known to be connected. A step cuts a set X from a connected mask S and
+    passes N(X) & (S - X) on, which meets every component of S - X. A mask
+    is looked up whole first. On a miss, `graphs.mask_component` searches
+    from one vertex of touch: a mask in which it reaches all of touch is
+    connected and stepped; otherwise the component found and the rest of
+    the mask are looked up apart and multiplied. Either way the result is
+    memoized under the mask. The memo is `poly.memo`; poly refers to
+    itself, so a caller done with it clears the memo rather than leave it
+    to the cycle collector."""
+    width = _field_width(adj, single)
+    unit = _pack(single, width)
+    memo = {1 << v: unit for v in range(len(adj))}
+    memo[0] = 1
+
+    def poly(mask, touch=0):
         out = memo.get(mask)
         if out is None:
-            for comp in mask_components(adj, mask):
-                p = memo.get(comp)
-                if p is None:
-                    p = memo[comp] = step(adj, comp, poly)
-                out = p if out is None else convolve(out, p)
+            touch = touch or mask
+            comp = mask_component(adj, mask, touch)
+            if comp == mask:
+                low, high = step(adj, mask, poly)
+                out = low + (high << width)
+            else:
+                out = poly(comp, comp & -comp) * poly(mask ^ comp, touch & ~comp)
             memo[mask] = out
         return out
 
+    poly.memo = memo
     return poly
 
 
 def _independence_step(adj, mask, poly):
-    # P(S) = P(S - v) + x P(S - N[v]) at the lowest vertex v of S
+    # P(S) = P(S - v) + x P(S - N[v]) at the lowest vertex v of S, each cut
+    # mask passed on with its vertices next to what was cut
     low = mask & -mask
-    out = list(poly(mask ^ low))
-    _add_shifted(out, poly(mask & ~adj[low.bit_length() - 1] & ~low))
-    return tuple(out)
+    rest = mask ^ low
+    near = adj[low.bit_length() - 1] & rest
+    far = rest & ~near
+    touch, nbrs = 0, near
+    while nbrs:
+        u = nbrs & -nbrs
+        touch |= adj[u.bit_length() - 1]
+        nbrs ^= u
+    return poly(rest, near), poly(far, touch & far)
 
 
 def _matching_step(adj, mask, poly):
-    # M(S) = M(S - v) + x sum_{u in N(v) & S} M(S - u - v), v lowest in S
+    # M(S) = M(S - v) + x sum_{u in N(v) & S} M(S - u - v), v lowest in S,
+    # each cut mask passed on with its vertices next to what was cut
     low = mask & -mask
     rest = mask ^ low
-    out = list(poly(rest))
-    nbrs = adj[low.bit_length() - 1] & rest
+    near = adj[low.bit_length() - 1] & rest
+    without_v = poly(rest, near)
+    high, nbrs = 0, near
     while nbrs:
         u = nbrs & -nbrs
-        _add_shifted(out, poly(rest ^ u))
+        cut = rest ^ u
+        high += poly(cut, (near | adj[u.bit_length() - 1]) & cut)
         nbrs ^= u
-    return tuple(out)
-
-
-def _add_shifted(out: list, p) -> None:
-    """out += x * p, in place on a coefficient list."""
-    out += [0] * (len(p) + 1 - len(out))
-    for i, c in enumerate(p, 1):
-        out[i] += c
+    return without_v, high
 
 
 def kdd_independence_poly(d: int) -> IntPolynomial:

@@ -10,10 +10,12 @@ builds of the two certify programs that the integer-column builds replaced,
 the tree lower-bound verdict by bisection that the exact sign replaced, and
 the canonical search with count-dict refinement and fixed-point orbits that
 the mask-split refinement and union-find orbits replaced
-(`reference_canonical_form`), and vertex and edge orbits from every
+(`reference_canonical_form`), vertex and edge orbits from every
 automorphism found by testing each degree-preserving bijection
-(`brute_orbits`, `brute_edge_orbits`). Other canonical keys come from the
-labelling search `_canonical_form` itself.
+(`brute_orbits`, `brute_edge_orbits`), and edge counts and induced
+subgraphs read from the `neighbors` generator, which the adjacency-mask
+versions replaced (`generator_edge_count`, `generator_induced`). Other
+canonical keys come from the labelling search `_canonical_form` itself.
 """
 
 from fractions import Fraction
@@ -736,6 +738,27 @@ def backtrack_orbit_of_zero(g: Graph):
         if g.degree(target) == g.degree(0)
         and _extend_automorphism(g, [target], 1 << target, 1)
     ]
+
+
+def generator_edge_count(g: Graph) -> int:
+    """Edge count as the sum of degrees from the `neighbors` generator,
+    halved. Reference for Graph.edge_count, which counts adjacency bits."""
+    return sum(1 for v in range(g.n) for _ in g.neighbors(v)) // 2
+
+
+def generator_induced(g: Graph, vertices) -> Graph:
+    """Subgraph induced by `vertices`, relabeled in the given order, by
+    testing every neighbour from the `neighbors` generator. Reference for
+    Graph.induced, which masks each row by the kept vertices first."""
+    vs = list(vertices)
+    index = {v: i for i, v in enumerate(vs)}
+    adj = [0] * len(vs)
+    for i, v in enumerate(vs):
+        for w in g.neighbors(v):
+            j = index.get(w)
+            if j is not None:
+                adj[i] |= 1 << j
+    return Graph._from_adj(adj)
 
 
 def relabel(g: Graph, perm) -> Graph:

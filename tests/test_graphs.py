@@ -13,6 +13,8 @@ from _oracles import (
     brute_orbits,
     disjoint_union,
     every_mask_classes,
+    generator_edge_count,
+    generator_induced,
     random_graph,
     random_regular_graph,
     reference_canonical_form,
@@ -34,6 +36,7 @@ from occufrac.graphs import (
     isomorphism_classes,
     is_vertex_transitive,
     kdd_union,
+    mask_component,
     mask_components,
     mask_vertices,
     parse_edge_list,
@@ -174,6 +177,42 @@ def test_mask_components_partition_a_mask_into_ordered_components():
     assert g.components() == [[0, 3, 5], [1, 4], [2]]
     # without vertex 3, its component falls apart
     assert list(mask_components(g.adj, 0b110111)) == [0b1, 0b10010, 0b100, 0b100000]
+
+
+def test_edge_count_and_induced_match_the_generator_references():
+    # induced on random vertex lists: subsets in shuffled order, a whole
+    # permutation, and the empty list
+    rng = random.Random(31)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(0, 16), rng.choice((0.1, 0.3, 0.6)))
+        assert g.edge_count == generator_edge_count(g) == len(g.edges())
+        for vertices in (
+            rng.sample(range(g.n), rng.randint(0, g.n)),
+            rng.sample(range(g.n), g.n),
+            [],
+        ):
+            assert g.induced(vertices) == generator_induced(g, vertices)
+            assert g.induced(iter(vertices)) == generator_induced(g, vertices)
+
+
+def test_mask_component_stops_once_it_reaches_the_touch_set():
+    g = Graph(7, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6)])  # a path of 4 beside one of 3
+    full = (1 << 7) - 1
+    assert mask_component(g.adj, full, 0b1) == full  # one vertex: nothing to search
+    assert mask_component(g.adj, 0b1111, 0b1001) == 0b1111  # 0 reaches 3
+    assert mask_component(g.adj, full, 0b10001) == 0b1111  # 0 cannot reach 4
+    assert mask_component(g.adj, full & ~0b100, 0b1001) == 0b11  # nor 3 without 2
+
+    read = []
+
+    class Recorded(tuple):
+        def __getitem__(self, v):
+            read.append(v)
+            return tuple.__getitem__(self, v)
+
+    path = Recorded(Graph(10, [(v, v + 1) for v in range(9)]).adj)
+    assert mask_component(path, (1 << 10) - 1, 0b110) == (1 << 10) - 1
+    assert read == [1]  # vertex 1's neighbours include 2: no second level
 
 
 def test_kdd_is_cycle4():

@@ -1,4 +1,6 @@
+import inspect
 import random
+import textwrap
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -221,16 +223,20 @@ def test_duals_with_redundant_and_negated_rows():
     assert dropped >= 20 and negated >= 20
 
 
+# Beale's example: from the integer slack basis {4, 5, 6},
+# largest-reduced-cost pricing alone cycles
+BEALE_OBJECTIVE = (Fraction(3, 4), Fraction(-150), Fraction(1, 50), Fraction(-6), ZERO, ZERO, ZERO)
+BEALE_ROWS = (
+    (Fraction(1, 4), Fraction(-60), Fraction(-1, 25), Fraction(9), ONE, ZERO, ZERO),
+    (Fraction(1, 2), Fraction(-90), Fraction(-1, 50), Fraction(3), ZERO, ONE, ZERO),
+    (ZERO, ZERO, ONE, ZERO, ZERO, ZERO, ONE),
+)
+
+
 def test_degenerate_fallback_stops_dantzig_cycling(monkeypatch):
-    # from the integer slack basis {4, 5, 6} of Beale's example,
-    # largest-reduced-cost pricing alone cycles; the Bland pivot after each
-    # degenerate one must reach the optimum in a few pivots
-    objective = (Fraction(3, 4), Fraction(-150), Fraction(1, 50), Fraction(-6), ZERO, ZERO, ZERO)
-    rows = (
-        (Fraction(1, 4), Fraction(-60), Fraction(-1, 25), Fraction(9), ONE, ZERO, ZERO),
-        (Fraction(1, 2), Fraction(-90), Fraction(-1, 50), Fraction(3), ZERO, ONE, ZERO),
-        (ZERO, ZERO, ONE, ZERO, ZERO, ZERO, ONE),
-    )
+    # the Bland pivot after each degenerate one must reach the optimum of
+    # Beale's example in a few pivots
+    objective, rows = BEALE_OBJECTIVE, BEALE_ROWS
     pivots = []
     pivot = lp_module._pivot
 
@@ -254,6 +260,26 @@ def test_degenerate_fallback_stops_dantzig_cycling(monkeypatch):
     for b, v in zip(basis, values):
         x[b] = Fraction(columns[b][0] * v, den)
     assert primal_value(program, x) == Fraction(1, 20)
+
+
+def test_repeated_basis_raises_when_dantzig_cycles():
+    # `_run_simplex` as written, but never taking the Bland step: on Beale's
+    # example it cycles through degenerate pivots, and the guard must stop
+    # it at the first basis it meets twice
+    source = textwrap.dedent(inspect.getsource(lp_module._run_simplex))
+    assert source.count("bland = best_v == 0") == 1
+    namespace = dict(vars(lp_module))
+    exec(source.replace("bland = best_v == 0", "bland = False"), namespace)
+    dantzig_only = namespace["_run_simplex"]
+
+    columns = make_lp(BEALE_OBJECTIVE, BEALE_ROWS, (ZERO, ZERO, ONE)).integer_columns
+    cost = [e for _, e, _ in columns]
+    identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    with pytest.raises(AssertionError, match=r"came back to basis \[\d+, \d+, \d+\]"):
+        dantzig_only(columns, cost, identity, [0, 0, 1], [4, 5, 6], 1)
+    # the solver as written reaches the optimum from the same start
+    identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert lp_module._run_simplex(columns, cost, identity, [0, 0, 1], [4, 5, 6], 1) is not None
 
 
 def _differential_lp(rng, kind):

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import random
 import textwrap
@@ -18,6 +19,7 @@ from _oracles import (
     relabel,
 )
 from occufrac import polynomials
+from occufrac.corpus import given_size_corpus, regular_corpus, transitive_bipartite_corpus
 from occufrac.errors import CapabilityError, DomainError
 from occufrac.exactmath import IntPolynomial
 from occufrac.graphs import (
@@ -33,6 +35,7 @@ from occufrac.graphs import (
     prism,
 )
 from occufrac.polynomials import (
+    MATCHING_BUDGET,
     clear_memo_tables,
     edge_occupancy,
     event_probability_oracle,
@@ -156,6 +159,36 @@ def test_mask_recursion_matches_graph_deletion_reference():
             assert poly(h) == want
 
 
+def _connected_regular(rng, n, d):
+    while True:
+        g = random_regular_graph(rng, n, d)
+        if len(g.components()) == 1:
+            return g
+
+
+def test_polynomial_output_is_pinned():
+    # both polynomials of the bundled corpora, prism(12), Q4 and random
+    # components at the budgets (30 vertices; 39 and 40 edges), each as
+    # given and under three shuffled labellings, in order, as one digest;
+    # the 30-vertex components are over the matching budget
+    rng = random.Random(41)
+    corpora = (regular_corpus(), transitive_bipartite_corpus(), given_size_corpus())
+    graphs = [g for corpus in corpora for _, g in corpus] + [prism(12), hypercube(4)]
+    graphs += [
+        _connected_regular(rng, n, d) for n, d in ((30, 3), (30, 4), (26, 3), (20, 4), (16, 5))
+    ]
+    digest = hashlib.sha256()
+    for g in graphs:
+        for h in [g] + [relabel(g, rng.sample(range(g.n), g.n)) for _ in range(3)]:
+            matching = matching_poly(h).coeffs if h.edge_count <= MATCHING_BUDGET else None
+            record = (h.n, h.edges(), independence_poly(h).coeffs, matching)
+            digest.update(repr(record).encode())
+    assert len(graphs) == 59
+    assert digest.hexdigest() == (
+        "46ff464c4651ef048092882dfccfe686e326d094e14ba41aa65c04295569e529"
+    )
+
+
 def _cold_steps(model, g):
     """How many masks a cold call of the model's polynomial on g steps on,
     each mask once."""
@@ -257,6 +290,35 @@ def test_fast_path_mutants_differ_from_graph_deletion(monkeypatch):
                 clear_memo_tables()
                 assert poly(g) != want
     clear_memo_tables()
+
+
+def test_too_narrow_packed_fields_differ_from_graph_deletion(monkeypatch):
+    # fields one bit narrower than the largest coefficient needs: the
+    # packed ints still hold P(2^W), but its base-2^W digits are no longer
+    # the coefficients
+    cubic = random_regular_graph(random.Random(19), 14, 3)
+    for poly, g, model in ((matching_poly, prism(6), "matching"), (independence_poly, cubic, "hardcore")):
+        want = graph_deletion_poly(g, model)
+        narrow = max(want.coeffs).bit_length() - 1
+        assert narrow < polynomials._field_width(g.adj, (1, 1) if model == "hardcore" else (1,))
+        with monkeypatch.context() as patch:
+            patch.setattr(polynomials, "_field_width", lambda adj, single: narrow)
+            clear_memo_tables()
+            assert poly(g) != want
+        clear_memo_tables()
+        assert poly(g) == want
+
+
+def test_disconnected_cut_masks_are_split():
+    # ternary trees, each vertex i > 0 a child of (i - 1) // 3: splitting
+    # every disconnected mask takes 14 matching steps on 41 vertices and 10
+    # independence steps on 30; a recursion that stepped every mask,
+    # connected or not, took 969,926 matching steps on 41 vertices
+    def ternary(n):
+        return Graph(n, [((i - 1) // 3, i) for i in range(1, n)])
+
+    assert _cold_steps("matching", ternary(41)) <= 20
+    assert _cold_steps("hardcore", ternary(30)) <= 15
 
 
 def test_clear_memo_tables_empties_every_table():
