@@ -68,7 +68,7 @@ def enumerate_configs(d: int):
     (i, S) of graphs._classes_and_automorphisms: the representative is
     class i on one vertex fewer plus a vertex with neighborhood S, so
     P = P(class i) + x P(class i - S), read from class i's memoized mask
-    recursion, which is dropped on return."""
+    recursion, whose memo is cleared once the level is grown."""
     if d < MIN_D:
         raise DomainError(f"need d >= {MIN_D}")
     if d > MAX_D:
@@ -88,6 +88,8 @@ def enumerate_configs(d: int):
                 grown = packed[i] + (recursions[i]((1 << n - 1) - 1 & ~mask) << n)
                 coeffs = _unpack(grown, n)
             configs.append(NeighborhoodConfig(len(configs), h, key, IntPolynomial(coeffs)))
+        for recursion in recursions:  # each refers to itself: free it now
+            recursion.memo.clear()
     return tuple(configs)
 
 
@@ -119,10 +121,17 @@ def build_primal(d: int, lam: Fraction) -> LinearProgram:
     s.t. sum p_C = 1 and sum p_C (vacancy - crowding) = 0, p >= 0, with
     scale = objective_scale(lam). The vacancy 1/P(lam) of class C is the
     probability that all its vertices are unoccupied, and its crowding
-    (1+lam) P'(lam) / (d P(lam)) the scaled mean occupied-neighbor count."""
+    (1+lam) P'(lam) / (d P(lam)) the scaled mean occupied-neighbor count.
+    A column depends only on P, so each distinct P is evaluated once."""
     lam = fugacity(lam)  # 1 and Fraction(1) share a cache entry: build exactly
     p, q = lam.numerator, lam.denominator
-    columns = [_column(cfg.poly, d, p, q) for cfg in enumerate_configs(d)]
+    made = {}
+    columns = []
+    for cfg in enumerate_configs(d):
+        column = made.get(cfg.poly.coeffs)
+        if column is None:
+            column = made[cfg.poly.coeffs] = _column(cfg.poly, d, p, q)
+        columns.append(column)
     return LinearProgram.from_columns(columns, [Fraction(1), Fraction(0)])
 
 
@@ -158,20 +167,30 @@ def dual_certificate(d: int, lam: Fraction) -> CertificateReport:
     elsewhere; the dual objective is the occupancy fraction of K_{d,d}."""
     lam = fugacity(lam)
     dual = solver_dual_for_certificate(d, lam)
-    report = dual_slacks(build_primal(d, lam), dual)
+    program = build_primal(d, lam)
+    report = dual_slacks(program, dual)
     configs = enumerate_configs(d)
     scale = objective_scale(lam)
-    slacks = [s / scale for s in report.slacks]
+    slacks, negative = [None] * len(configs), []
+    for group in program.column_groups:  # equal columns share one slack
+        slack = report.slacks[group[0]] / scale
+        for j in group:
+            slacks[j] = slack
+        if slack < 0:
+            negative.append(group[0])
     expected_tight = (0, edgeless_config_index(d))
-    for cfg, slack in zip(configs, slacks):
+    # the first failing class in column order is the one reported
+    failing = negative + [j for j in expected_tight if slacks[j] > 0]
+    if failing:
+        cfg = configs[min(failing)]
+        slack = slacks[cfg.index]
         if slack < 0:
             raise CertificateError(
                 f"negative dual slack at configuration {cfg.label}", cfg, slack
             )
-        if slack > 0 and cfg.index in expected_tight:
-            raise CertificateError(
-                f"expected tight configuration {cfg.label} has slack {slack}", cfg
-            )
+        raise CertificateError(
+            f"expected tight configuration {cfg.label} has slack {slack}", cfg
+        )
     unexpected = [configs[j].label for j in report.tight if j not in expected_tight]
     if unexpected:
         raise CertificateError(f"unexpected tight configurations {unexpected}")

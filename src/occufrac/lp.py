@@ -12,6 +12,12 @@ denominators. The Fraction views `objective` and `rows` are derived on
 first use, for callers and test references; the solver and the certificate
 checks read the columns.
 
+Equal integer columns are grouped once per program (`column_groups`, keyed
+by the int tuples) and every per-column step prices each group once: the
+simplex prices only a group's first column, which is the one that enters
+on any tie, so pivots, bases and duals are those of pricing every column,
+and `dual_slacks` makes one Fraction per group.
+
 Two-phase revised simplex over integers only. With Q = diag(q_b), the
 basis is B = B~ Q^-1 for the integer columns a_b of B~ (artificial column r
 is sign_r e_r with q = 1). The solver keeps an integer matrix N and
@@ -59,10 +65,14 @@ class LinearProgram:
     def from_columns(cls, columns, rhs) -> LinearProgram:
         """The program whose column j is c_j = e_j / q_j, A_j = a_j / q_j for
         integers (q_j, e_j, a_j) with q_j > 0: each is divided by its gcd."""
-        reduced = []
+        reduced, seen = [], {}
         for q, e, a in columns:
-            g = gcd(q, e, *a) or 1  # an all-zero column is rejected below
-            reduced.append((q // g, e // g, tuple(x // g for x in a)))
+            key = (q, e, tuple(a))
+            column = seen.get(key)
+            if column is None:
+                g = gcd(q, e, *a) or 1  # an all-zero column is rejected below
+                column = seen[key] = (q // g, e // g, tuple(x // g for x in a))
+            reduced.append(column)
         return cls(tuple(reduced), _fractions(rhs))
 
     @property
@@ -72,6 +82,15 @@ class LinearProgram:
     @property
     def nrows(self) -> int:
         return len(self.rhs)
+
+    @cached_property
+    def column_groups(self) -> tuple:
+        """The indices of each distinct integer column, one increasing tuple
+        per group, the groups in order of their first index."""
+        groups = {}
+        for j, (q, e, a) in enumerate(self.integer_columns):
+            groups.setdefault((q, e, tuple(a)), []).append(j)
+        return tuple(map(tuple, groups.values()))
 
     @cached_property
     def objective(self) -> tuple:
@@ -179,10 +198,14 @@ def _over_one_denominator(y):
     return [p.numerator * (den // p.denominator) for p in y], den
 
 
-def _run_simplex(columns, cost, rows, values, basis, den):
+def _run_simplex(columns, cost, rows, values, basis, den, priced=None):
     """Maximize from a feasible basis, keeping N (rows), v (values) and den
-    current. `columns` are the integer columns (q_j, e_j, a_j) that may
-    enter; cost[b] is e_b for every column that may be basic. Enters the
+    current. `columns` are the integer columns (q_j, e_j, a_j); the indices
+    `priced` (all of them by default) are the ones that may enter, and
+    cost[b] is e_b for every column that may be basic. A column equal to an
+    earlier one can be left out of `priced`: its reduced cost is the
+    earlier one's, and both rules below break ties to the smaller index, so
+    it would never enter. Enters the
     column with the largest reduced cost r_j = (e_j den - Y . a_j) /
     (den q_j) (Dantzig), except right after a degenerate pivot, where it
     enters the smallest improving index (Bland): a cycle consists of
@@ -197,15 +220,16 @@ def _run_simplex(columns, cost, rows, values, basis, den):
     met in the current run are kept, dropped after a pivot that moves, and
     a repeat raises AssertionError naming the basis: a solver defect fails
     instead of looping."""
+    candidates = list(enumerate(columns)) if priced is None else [(j, columns[j]) for j in priced]
     bland, seen = False, set()
     while True:
         ys = _prices(rows, basis, cost)
         if bland:
-            improving = (j for j, (_, e, a) in enumerate(columns) if e * den > sum(map(mul, ys, a)))
+            improving = (j for j, (_, e, a) in candidates if e * den > sum(map(mul, ys, a)))
             entering = next(improving, -1)
         else:
             entering, best_num, best_q = -1, 0, 1
-            for j, (q, e, a) in enumerate(columns):
+            for j, (q, e, a) in candidates:
                 num = e * den - sum(map(mul, ys, a))
                 if num > 0 and num * best_q > best_num * q:
                     entering, best_num, best_q = j, num, q
@@ -243,6 +267,7 @@ def solve(lp: LinearProgram) -> LPSolution:
     the program as given: the dual is Y / den, with no sign to undo."""
     m, n = lp.nrows, lp.ncols
     columns = lp.integer_columns
+    firsts = [group[0] for group in lp.column_groups]  # the columns priced
     scale = lcm(*(b.denominator for b in lp.rhs))  # Q_b, with b = beta / Q_b
 
     # phase 1: artificial basis, minimize the artificials' sum; an original
@@ -252,17 +277,18 @@ def solve(lp: LinearProgram) -> LPSolution:
     values = [abs(b.numerator) * (scale // b.denominator) for b in lp.rhs]
     basis = [n + r for r in range(m)]
     phase_one = [(q, 0, a) for q, _, a in columns]
-    den = _run_simplex(phase_one, [0] * n + [-1] * m, rows, values, basis, 1)
+    den = _run_simplex(phase_one, [0] * n + [-1] * m, rows, values, basis, 1, firsts)
     if any(v != 0 for b, v in zip(basis, values) if b >= n):
         return LPSolution(status="infeasible")
 
     # drive zero-level artificials out of the basis; rows with no original
     # pivot entry are redundant and get dropped. Their artificials, kept,
-    # would keep N_r a_j = 0, so the other rows' divisions stay exact
+    # would keep N_r a_j = 0, so the other rows' divisions stay exact. The
+    # first nonzero column is the first of its group
     for r in range(m - 1, -1, -1):
         if basis[r] < n:
             continue
-        col = next((j for j, (_, _, a) in enumerate(columns) if sum(map(mul, rows[r], a))), None)
+        col = next((j for j in firsts if sum(map(mul, rows[r], columns[j][2]))), None)
         if col is None:
             del rows[r], values[r], basis[r]
         else:
@@ -271,7 +297,7 @@ def solve(lp: LinearProgram) -> LPSolution:
 
     # phase 2 over the original columns, from the feasible basis
     cost = [e for _, e, _ in columns]
-    den = _run_simplex(columns, cost, rows, values, basis, den)
+    den = _run_simplex(columns, cost, rows, values, basis, den, firsts)
     if den is None:
         return LPSolution(status="unbounded")
 
@@ -327,7 +353,7 @@ def dual_slacks(lp: LinearProgram, dual) -> DualSlackReport:
     """Slack (dual^T A - c)_j per column; feasible iff all slacks >= 0.
     The dual entries must be ints or Fractions; with dual = Y / D over one
     denominator, slack j is (Y . a_j - e_j D) / (D q_j) on the integer
-    columns."""
+    columns, made once per group of equal columns (`column_groups`)."""
     if len(dual) != lp.nrows:
         raise StructureError(
             f"dual has {len(dual)} entries for {lp.nrows} rows"
@@ -336,13 +362,21 @@ def dual_slacks(lp: LinearProgram, dual) -> DualSlackReport:
         if not isinstance(y, (int, Fraction)):
             raise StructureError(f"dual entry {r} is {y!r}, not an int or a Fraction")
     ys, den = _over_one_denominator(dual)
-    slacks = tuple(
-        Fraction(sum(map(mul, ys, a)) - e * den, den * q) for q, e, a in lp.integer_columns
-    )
+    columns = lp.integer_columns
+    slacks, feasible, tight = [ZERO] * lp.ncols, True, []
+    for group in lp.column_groups:  # equal columns share one slack
+        q, e, a = columns[group[0]]
+        num = sum(map(mul, ys, a)) - e * den
+        slack = Fraction(num, den * q)
+        for j in group:
+            slacks[j] = slack
+        feasible = feasible and num >= 0
+        if num == 0:
+            tight += group
     dual_obj = sum((y * b for y, b in zip(dual, lp.rhs)), ZERO)
     return DualSlackReport(
-        slacks=slacks,
-        feasible=all(s >= 0 for s in slacks),
-        tight=tuple(j for j, s in enumerate(slacks) if s == 0),
+        slacks=tuple(slacks),
+        feasible=feasible,
+        tight=tuple(sorted(tight)),
         dual_objective=dual_obj,
     )

@@ -119,18 +119,21 @@ def build_primal(d: int, lam: Fraction) -> LinearProgram:
     with numerators evaluated as forms of degree 2 at lam = p/q: lam M' in
     the objective, the denominator itself in the mass row, and in marginal
     row t the gap of (i, j, k) plus the gap of its (j, i, k) twin, which
-    has the same M."""
+    has the same M: twins have equal columns, built once."""
     lam = fugacity(lam)  # 1 and Fraction(1) share a cache entry: build exactly
     p, q = lam.numerator, lam.denominator
-    triples = enumerate_triples(d)
-    gaps = {triple: _marginal_gap(*triple, d, p, q) for triple in triples}
-    columns = []
-    for i, j, k in triples:
+    columns = {}
+    for i, j, k in enumerate_triples(d):
+        if j < i:  # the twin (j, i, k) came first and has the same column
+            columns[i, j, k] = columns[j, i, k]
+            continue
         m = local_matching_poly(i, j, k)
         den = 2 * (d - 1) * (p * q + m.homogeneous(p, q, 2))
-        marginal = [x + y for x, y in zip(gaps[(i, j, k)], gaps[(j, i, k)])]
-        columns.append((den, p * m.derivative().homogeneous(p, q, 1), [den] + marginal))
-    return LinearProgram.from_columns(columns, [Fraction(1)] + [Fraction(0)] * (d - 1))
+        gap = _marginal_gap(i, j, k, d, p, q)
+        twin = gap if i == j else _marginal_gap(j, i, k, d, p, q)
+        marginal = [x + y for x, y in zip(gap, twin)]
+        columns[i, j, k] = (den, p * m.derivative().homogeneous(p, q, 1), [den] + marginal)
+    return LinearProgram.from_columns(columns.values(), [Fraction(1)] + [Fraction(0)] * (d - 1))
 
 
 # ---------------------------------------------------------------------------

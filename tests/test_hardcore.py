@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -57,7 +58,12 @@ def test_growing_with_the_neighborhood_mask_fails(monkeypatch):
     def wrong_mask(adj, single, step):
         poly = original(adj, single, step)
         full = (1 << len(adj)) - 1
-        return lambda mask: poly(full & ~mask)
+
+        def wrong(mask):
+            return poly(full & ~mask)
+
+        wrong.memo = poly.memo
+        return wrong
 
     monkeypatch.setattr(hardcore, "_mask_recursion", wrong_mask)
     assert not _grown_polys_match_reference()
@@ -424,3 +430,30 @@ def test_unexpected_tight_column_is_reported(monkeypatch):
     label = enumerate_configs(d)[j].label
     with pytest.raises(CertificateError, match=rf"unexpected tight configurations \['{label}'\]"):
         dual_certificate(d, ONE)
+
+
+def test_equal_columns_fail_at_their_first_class(monkeypatch):
+    # one slack is checked per group of equal columns: a group pushed
+    # negative names its first class, and a group made tight names every
+    # class, as a check of each column does
+    import occufrac.hardcore as mod
+
+    d = 5
+    program = build_primal(d, ONE)
+    slacks = dual_slacks(program, solver_dual_for_certificate(d, ONE)).slacks
+    group = max(program.column_groups, key=len)
+    labels = [enumerate_configs(d)[j].label for j in group]
+    assert len(group) > 1 and slacks[group[0]] > 0
+    cases = (
+        (1, f"negative dual slack at configuration {labels[0]}"),
+        (0, f"unexpected tight configurations {labels}"),
+    )
+    for lift, message in cases:
+        objective = list(program.objective)
+        for j in group:
+            objective[j] += slacks[j] + lift
+        changed = make_lp(objective, program.rows, program.rhs)
+        assert group in changed.column_groups
+        monkeypatch.setattr(mod, "build_primal", lambda d, lam, changed=changed: changed)
+        with pytest.raises(CertificateError, match=f"^{re.escape(message)}$"):
+            dual_certificate(d, ONE)

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import random
 import textwrap
@@ -412,6 +413,23 @@ def test_certify_never_builds_the_fraction_rows(lam):
         assert "rows" not in vars(program)
 
 
+# the SHA-256 of repr((integer columns, solution, certificate)) for the
+# certify programs below, in this order, pinned from a solver and
+# certificates that priced every column on its own
+CERTIFY_PIN = "fd64c54b9a0162fa21f53c4d1810a8cc2f28a56f2ed69608ba66eb8d37c19252"
+
+
+def test_certify_programs_solutions_and_certificates_are_pinned():
+    digest = hashlib.sha256()
+    for lam in (ONE, Fraction(7, 5), Fraction(5, 9), Fraction(3), Fraction(1, 7)):
+        cases = [(hardcore, hardcore.dual_certificate, d) for d in range(2, 8)]
+        cases += [(matching, matching.check_dual_constraints, d) for d in range(2, 10)]
+        for module, certify, d in cases:
+            program = module.build_primal(d, lam)
+            digest.update(repr((program.integer_columns, solve(program), certify(d, lam))).encode())
+    assert digest.hexdigest() == CERTIFY_PIN
+
+
 def _rational_lp(rng):
     """A random LP over p/q entries with q in 1..6 and p in -6..6: some
     entries zero, sometimes a whole zero column, sometimes no rows; the rhs
@@ -540,3 +558,71 @@ def test_certify_pivot_counts_are_pinned(monkeypatch, module, d, pivots):
     sol = solve(module.build_primal(d, Fraction(7, 5)))
     assert sol.status == "optimal"
     assert len(counted) == pivots
+
+
+def _lp_with_equal_columns(rng):
+    """A `_rational_lp` with one to six of its columns copied in at random
+    places, each over k = 1..4 times the column's scale, so equal to it
+    once reduced; about a third of the copies have e_j shifted, so they
+    equal it in phase 1 only."""
+    program = _rational_lp(rng)
+    columns = list(program.integer_columns)
+    for _ in range(rng.randint(1, 6)):
+        q, e, a = rng.choice(columns)
+        if rng.random() < 0.3:
+            e += rng.choice((-2, -1, 1, 2))
+        k = rng.randint(1, 4)
+        columns.insert(rng.randint(0, len(columns)), (k * q, k * e, tuple(k * x for x in a)))
+    return LinearProgram.from_columns(columns, program.rhs)
+
+
+def test_equal_columns_are_priced_once(monkeypatch):
+    # each group of equal columns is priced once: statuses and values agree
+    # with the tableau reference, slacks with the Fraction reference, no
+    # pivot brings in a column equal to an earlier one, and every solution
+    # and slack report is the one of pricing each column on its own
+    entered = []
+    pivot = lp_module._pivot
+
+    def spy(*args):
+        entered.append(args[5])
+        return pivot(*args)
+
+    monkeypatch.setattr(lp_module, "_pivot", spy)
+    rng = random.Random(2024)
+    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    grouped = basic_groups = shifted = 0
+    results = []
+    for _ in range(300):
+        program = _lp_with_equal_columns(rng)
+        columns, groups = program.integer_columns, program.column_groups
+        assert sorted(j for group in groups for j in group) == list(range(program.ncols))
+        assert all(columns[j] == columns[group[0]] for group in groups for j in group)
+        assert len(groups) == len(set(columns))
+        entered.clear()
+        sol, ref = solve(program), tableau_solve(program)
+        assert (sol.status, sol.value) == (ref.status, ref.value)
+        assert all(columns[j] not in columns[:j] for j in entered)
+        statuses[sol.status] += 1
+        if sol.status == "optimal":
+            dual = sol.dual
+            basic_groups += any(len(group) > 1 and group[0] in sol.basis for group in groups)
+        else:
+            dual = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(program.nrows)]
+        report = dual_slacks(program, dual)
+        assert report.slacks == fraction_dual_slacks(program, dual)
+        assert report.tight == tuple(j for j, s in enumerate(report.slacks) if s == 0)
+        assert report.feasible == all(s >= 0 for s in report.slacks)
+        results.append((program, sol, dual, report))
+        grouped += len(groups) < program.ncols
+        shifted += len({(q, a) for q, _, a in columns}) < len(groups)
+    assert min(statuses.values()) >= 30, statuses
+    assert grouped >= 250 and basic_groups >= 30 and shifted >= 60
+
+    def singletons(program):
+        return tuple((j,) for j in range(program.ncols))
+
+    monkeypatch.setattr(LinearProgram, "column_groups", property(singletons))
+    for program, sol, dual, report in results:
+        assert solve(program) == sol
+        assert dual_slacks(program, dual) == report
