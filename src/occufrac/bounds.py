@@ -5,21 +5,24 @@ probabilities, and the empirical ratio conjecture report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import comb, factorial
+from operator import and_
+from typing import NamedTuple
 
 from .errors import CapabilityError, CertificateError, DomainError
 from .exactmath import IntPolynomial, fugacity
 from .graphs import Graph, bipartition, is_vertex_transitive, kdd_union, regular_degree
 from .polynomials import (
+    _union,
+    column_polynomials,
     independence_poly,
     kdd_independence_poly,
     kdd_matching_poly,
     matching_poly,
     occupancy,
     size_distribution,
-    state_polynomials,
 )
 
 DEFAULT_TOLERANCE = Fraction(1, 10**9)
@@ -29,8 +32,7 @@ TREE_MAX_D = 1000
 TREE_TOLERANCE_DIGITS = 100  # the tolerance must be at least 1/10^this
 
 
-@dataclass(frozen=True)
-class TreeOccupancy:
+class TreeOccupancy(NamedTuple):
     """Rational bracket around the occupancy fraction of the translation
     invariant hard-core measure on the infinite d-regular tree."""
 
@@ -88,8 +90,7 @@ def uniqueness_threshold(d: int) -> Fraction:
     return Fraction((d - 1) ** (d - 1), (d - 2) ** d)
 
 
-@dataclass(frozen=True)
-class LowerBoundVerdict:
+class LowerBoundVerdict(NamedTuple):
     status: str  # "pass" | "fail"
     alpha: Fraction
     gap: Fraction  # _tree_gap at alpha: positive exactly on "pass"
@@ -121,8 +122,7 @@ def verify_lower_bound(
 # ---------------------------------------------------------------------------
 # Same-side correlation (FKG-style) checks
 
-@dataclass(frozen=True)
-class CorrelationVerdict:
+class CorrelationVerdict(NamedTuple):
     joint: Fraction
     product: Fraction
     strict_expected: bool
@@ -145,20 +145,19 @@ def fkg_check(g: Graph, vertices, lam: Fraction, mode: str = "occupied") -> Corr
     if not (set(vs) <= set(sides[0]) or set(vs) <= set(sides[1])):
         raise DomainError("vertices must lie on one side of the bipartition")
 
-    # one pass labels each single event by its vertex and the joint event
-    # by "joint"
+    # each single event is labelled by its vertex and the joint event by
+    # "joint"; v is uncovered when no neighbor of v is occupied
     targets = set(vs)
 
-    def holds(mask, v):
+    def split(occupied, everyone):
         if mode == "occupied":
-            return mask >> v & 1
-        return not g.adj[v] & mask
+            events = {v: occupied[v] for v in targets}
+        else:
+            events = {v: everyone & ~_union(occupied, g.adj[v]) for v in targets}
+        yield from events.items()
+        yield "joint", reduce(and_, events.values(), everyone)
 
-    def classify(mask):
-        hits = [v for v in targets if holds(mask, v)]
-        return hits + ["joint"] if len(hits) == len(targets) else hits
-
-    total, by_event = state_polynomials(g, "hardcore", classify)
+    total, by_event = column_polynomials(g, "hardcore", split)
     z = total(lam)
     zero = IntPolynomial.zero()
     joint = by_event.get("joint", zero)(lam) / z
@@ -265,8 +264,7 @@ def variance_check(d: int, lam: Fraction):
     }
 
 
-@dataclass(frozen=True)
-class GivenSizeVerdict:
+class GivenSizeVerdict(NamedTuple):
     applicable: bool
     ok: bool
     d: int | None = None

@@ -11,10 +11,10 @@ d vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 from .errors import CapabilityError, CertificateError, DomainError
 from .exactmath import IntPolynomial, fugacity
@@ -31,30 +31,28 @@ from .polynomials import (
     _independence_step,
     _mask_recursion,
     _pack,
-    _unpack,
+    _split_states,
     _state_model,
+    _union,
+    _unpack,
+    column_polynomials,
     independence_poly,
     kdd_occupancy,
     occupancy,
-    state_polynomials,
 )
 
 MIN_D, MAX_D = 2, 7
 FREE_LAW_LIMIT = 14
 
 
-@dataclass(frozen=True)
-class NeighborhoodConfig:
+class NeighborhoodConfig(NamedTuple):
     """One isomorphism class of possible free neighborhoods."""
 
     index: int
     graph: Graph
     key: bytes
     poly: IntPolynomial  # independence polynomial of the class
-
-    @property
-    def label(self) -> str:
-        return f"{self.graph.n}v{self.graph.edge_count}e#{self.index}"
+    label: str  # "<n>v<m>e#<index>", the name reports give the class
 
 
 @lru_cache(maxsize=None)
@@ -87,7 +85,9 @@ def enumerate_configs(d: int):
                 i, mask = parent
                 grown = packed[i] + (recursions[i]((1 << n - 1) - 1 & ~mask) << n)
                 coeffs = _unpack(grown, n)
-            configs.append(NeighborhoodConfig(len(configs), h, key, IntPolynomial(coeffs)))
+            index = len(configs)
+            label = f"{n}v{h.edge_count}e#{index}"
+            configs.append(NeighborhoodConfig(index, h, key, IntPolynomial(coeffs), label))
         for recursion in recursions:  # each refers to itself: free it now
             recursion.memo.clear()
     return tuple(configs)
@@ -135,8 +135,7 @@ def build_primal(d: int, lam: Fraction) -> LinearProgram:
     return LinearProgram.from_columns(columns, [Fraction(1), Fraction(0)])
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(NamedTuple):
     """Self-contained dual-feasibility ledger: dual variable values, the
     slack of every constraint column, which columns are tight, the
     certified optimum and, for the matching certificate, the slack profile
@@ -241,18 +240,22 @@ def ratio_gap_coefficients(c: Graph, d: int):
 
 def uncovered_count_distribution(g: Graph, lam: Fraction):
     """Exact law of the number of uncovered neighbors of a uniform vertex,
-    by enumeration capped at ORACLE_LIMIT vertices."""
+    by enumeration capped at ORACLE_LIMIT vertices, counted from the
+    bit-sliced state columns (polynomials.column_polynomials)."""
     lam = fugacity(lam)
     d = regular_degree(g)
     if d is None:
         raise DomainError("graph must be regular")
-    vertices = range(g.n)
 
-    def classify(mask):
-        uncovered = sum(1 << u for u in vertices if not g.adj[u] & mask)
-        return [(g.adj[v] & uncovered).bit_count() for v in vertices]
+    def split(occupied, everyone):
+        # w is uncovered when no neighbor of w is occupied; the states of
+        # each vertex are labelled by how many of its neighbors are
+        uncovered = [everyone & ~_union(occupied, row) for row in g.adj]
+        for row in g.adj:
+            counted = [(1, uncovered[w]) for w in mask_vertices(row)]
+            yield from _split_states(everyone, counted).items()
 
-    total, by_count = state_polynomials(g, "hardcore", classify)
+    total, by_count = column_polynomials(g, "hardcore", split)
     z = total(lam) * g.n
     zero = IntPolynomial.zero()
     return [by_count.get(t, zero)(lam) / z for t in range(d + 1)]
@@ -267,8 +270,10 @@ def free_neighborhood_distribution(g: Graph, lam: Fraction):
 
     An automorphism carries each independent set to one of the same size
     and the free neighborhood of v to that of its image, so every vertex
-    of one orbit has the same law: one vertex per automorphism orbit is
-    classified, weighted by the orbit size (graphs.automorphism_orbits).
+    of one orbit has the same law: the states are split, from their
+    bit-sliced columns, by the free neighborhood of one vertex per
+    automorphism orbit, weighted by the orbit size
+    (graphs.automorphism_orbits).
 
     Verifies on the way out that the vector is a feasible point of
     build_primal(d, lam) (a distribution satisfying the balance constraint)
@@ -283,19 +288,19 @@ def free_neighborhood_distribution(g: Graph, lam: Fraction):
         raise DomainError("graph must be regular")
     _state_model(g, "hardcore", FREE_LAW_LIMIT)
     orbits, _ = automorphism_orbits(g)
-    reps = [(v, g.adj[v], [(1 << w, g.adj[w]) for w in g.neighbors(v)]) for v, _ in orbits]
+    # w in N(v) is free when no vertex of the set outside N(v) is adjacent
+    # to it; an occupied v blocks all of N(v). Per representative v, each
+    # neighbor w as a bit with the vertices that block it
+    reps = [(v, [(1 << w, g.adj[w] & ~g.adj[v]) for w in g.neighbors(v)]) for v, _ in orbits]
 
-    def classify(mask):
-        # w in N(v) is free when no vertex of the set outside N(v) is
-        # adjacent to it; an occupied v blocks all of N(v). Labelled by
-        # (representative, free-neighborhood mask).
-        out = []
-        for v, adj_v, around in reps:
-            outside = mask & ~adj_v
-            out.append((v, sum(bit for bit, adj_w in around if not adj_w & outside)))
-        return out
+    def split(occupied, everyone):
+        # labelled by (representative, free-neighborhood mask)
+        for v, around in reps:
+            free = [(bit, everyone & ~_union(occupied, blockers)) for bit, blockers in around]
+            for mask, part in _split_states(everyone, free).items():
+                yield (v, mask), part
 
-    total, by_label = state_polynomials(g, "hardcore", classify, FREE_LAW_LIMIT)
+    total, by_label = column_polynomials(g, "hardcore", split, FREE_LAW_LIMIT)
     configs = enumerate_configs(d)
     by_graph = {cfg.graph: cfg.index for cfg in configs}
     by_key = {cfg.key: cfg.index for cfg in configs}

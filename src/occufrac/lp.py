@@ -34,32 +34,49 @@ dozen rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
+from typing import NamedTuple
 
 from .errors import CertificateError, StructureError
 
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
 class LinearProgram:
     """max c . x, A x = b, x >= 0 as integer columns and a Fraction rhs;
-    build one with `from_columns` or `make_lp`."""
+    build one with `from_columns` or `make_lp`. Immutable; equal programs
+    have equal columns and rhs."""
 
-    integer_columns: tuple  # (q_j, e_j, a_j) per column, in lowest terms
-    rhs: tuple
-
-    def __post_init__(self):
-        _check_exact(self.rhs, "rhs row {}")
-        for j, (q, e, a) in enumerate(self.integer_columns):
+    def __init__(self, integer_columns: tuple, rhs: tuple):
+        # integer_columns: (q_j, e_j, a_j) per column, in lowest terms
+        object.__setattr__(self, "integer_columns", integer_columns)
+        object.__setattr__(self, "rhs", rhs)
+        _check_exact(rhs, "rhs row {}")
+        for j, (q, e, a) in enumerate(integer_columns):
             if len(a) != self.nrows:
                 raise StructureError(f"column {j} has {len(a)} entries, need {self.nrows}")
             if not all(type(x) is int for x in (q, e, *a)) or q <= 0:
                 raise StructureError(f"column {j} is not (q, e, a) over ints with q > 0")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LinearProgram is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("LinearProgram is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.integer_columns, self.rhs) == (other.integer_columns, other.rhs)
+
+    def __hash__(self):
+        return hash((self.integer_columns, self.rhs))
+
+    def __repr__(self):
+        return f"LinearProgram(integer_columns={self.integer_columns!r}, rhs={self.rhs!r})"
 
     @classmethod
     def from_columns(cls, columns, rhs) -> LinearProgram:
@@ -138,8 +155,7 @@ def make_lp(objective, rows, rhs) -> LinearProgram:
     return LinearProgram(tuple(columns), _fractions(rhs))
 
 
-@dataclass(frozen=True)
-class LPSolution:
+class LPSolution(NamedTuple):
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: Fraction | None = None
     primal: tuple | None = None
@@ -154,8 +170,7 @@ class LPSolution:
         return tuple(j for j, x in enumerate(self.primal) if x != 0)
 
 
-@dataclass(frozen=True)
-class DualSlackReport:
+class DualSlackReport(NamedTuple):
     """Per-column slacks (dual^T A - c)_j of a candidate dual vector."""
 
     slacks: tuple

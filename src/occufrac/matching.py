@@ -12,22 +12,24 @@ meets only d-1 other edges).
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
 from .errors import CapabilityError, CertificateError, DomainError
 from .exactmath import IntPolynomial, fugacity
-from .graphs import Graph, automorphism_orbits, regular_degree
+from .graphs import Graph, automorphism_orbits, mask_vertices, regular_degree
 from .hardcore import CertificateReport
 from .lp import LinearProgram, _over_one_denominator, dual_slacks, primal_value
 from .polynomials import (
+    _split_states,
     _state_model,
+    _union,
+    column_polynomials,
     edge_occupancy,
     kdd_edge_occupancy,
     kdd_matching_poly,
-    state_polynomials,
 )
 
 # the program has d(d+1)(2d+1)/6 columns, 9455 at d = 30; the cap keeps a
@@ -139,8 +141,7 @@ def build_primal(d: int, lam: Fraction) -> LinearProgram:
 # ---------------------------------------------------------------------------
 # Dual variables
 
-@dataclass(frozen=True)
-class MatchingDuals:
+class MatchingDuals(NamedTuple):
     """Row prices for the marginal constraints (index t = 0..d-1, the last
     pinned to 0) plus the certified optimum."""
 
@@ -314,23 +315,32 @@ def check_dual_constraints(d: int, lam: Fraction) -> CertificateReport:
     slacks = []
     tight = []
     values = {}
+    checked = {}  # (raw slack, L D, L) of each triple checked
     for (i, j, k), raw in zip(enumerate_triples(d), priced.slacks):
-        val = values[i, j, k] = _slack_numerator(i, j, k, drift, prices)
-        # 2(d-1)(lam + M) raw = lam L, times q^2 D
-        scale = 2 * (d - 1) * (pq + local_matching_poly(i, j, k).homogeneous(p, q, 2))
-        if scale * raw.numerator * den != pq * val * raw.denominator:
-            raise CertificateError(
-                f"raw and simplified slacks inconsistent at ({i},{j},{k})"
-            )
         label = f"({i},{j},{k})"
-        slack = Fraction(val, den)
+        twin = checked.get((j, i, k))
+        if twin is not None and twin[0] == raw:
+            # M and L are symmetric in i and j, so a twin (j, i, k) with the
+            # same raw slack passed every check below with these values
+            _, val, slack = twin
+        else:
+            val = _slack_numerator(i, j, k, drift, prices)
+            # 2(d-1)(lam + M) raw = lam L, times q^2 D
+            scale = 2 * (d - 1) * (pq + local_matching_poly(i, j, k).homogeneous(p, q, 2))
+            if scale * raw.numerator * den != pq * val * raw.denominator:
+                raise CertificateError(
+                    f"raw and simplified slacks inconsistent at ({i},{j},{k})"
+                )
+            slack = Fraction(val, den)
+            if i == j and k == 0:
+                if val != 0:
+                    raise CertificateError(f"diagonal triple {label} has slack {slack}")
+                tight.append(label)
+            elif val <= 0:
+                raise CertificateError(f"non-diagonal triple {label} has slack {slack}")
+            checked[i, j, k] = raw, val, slack
+        values[i, j, k] = val
         slacks.append((label, slack))
-        if i == j and k == 0:
-            if val != 0:
-                raise CertificateError(f"diagonal triple {label} has slack {slack}")
-            tight.append(label)
-        elif val <= 0:
-            raise CertificateError(f"non-diagonal triple {label} has slack {slack}")
     for i, j, k in enumerate_triples(d):
         if i >= 1 and j >= 1:
             step = f[i + k] - f[i + k - 1] + f[j + k] - f[j + k - 1]
@@ -388,9 +398,10 @@ def edge_neighborhood_distribution(g: Graph, lam: Fraction, limit: int = 20):
 
     An automorphism carries each matching to one of the same size and the
     triple of an edge to that of its image, so every edge of one orbit has
-    the same law: one edge per automorphism orbit is classified, weighted
-    by the orbit size (graphs.automorphism_orbits), and each triple of
-    (u, v) also counts as its mirror, the triple of (v, u).
+    the same law: the matchings are split, from their bit-sliced columns,
+    by the triple of one edge per automorphism orbit, weighted by the orbit
+    size (graphs.automorphism_orbits), and each triple of (u, v) also
+    counts as its mirror, the triple of (v, u).
 
     Verifies that the law is a feasible point of build_primal(d, lam) and
     that its objective reproduces the edge occupancy of g. The edge cap
@@ -402,33 +413,34 @@ def edge_neighborhood_distribution(g: Graph, lam: Fraction, limit: int = 20):
         raise DomainError("graph must be d-regular with d >= 2")
     _state_model(g, "matching", limit)
     _, orbits = automorphism_orbits(g)
-    everyone = (1 << g.n) - 1
-    # per orbit representative (u, v): its orbit size, the neighbors of u
-    # only, of v only and of both, with u and v themselves left out
-    per_edge = [
-        (size, u, v, g.adj[u] & ~g.adj[v] & ~(1 << v), g.adj[v] & ~g.adj[u] & ~(1 << u),
-         g.adj[u] & g.adj[v])
-        for (u, v), size in orbits
-    ]
+    edges = g.edges()
+    at = [0] * g.n  # the edges at each vertex, as a mask over edges
+    for i, (u, v) in enumerate(edges):
+        at[u] |= 1 << i
+        at[v] |= 1 << i
+    # per orbit representative (u, v): its orbit size and each neighbor w
+    # of u or v other than u and v, weighted 1, d or d^2 as it neighbors u
+    # only, v only or both, so that a sum of weights reads i + j d + k d^2,
+    # with the edges that join w to u or v
+    per_edge = []
+    for (u, v), size in orbits:
+        around = []
+        for w in mask_vertices((g.adj[u] | g.adj[v]) & ~(1 << u | 1 << v)):
+            near_u, near_v = g.adj[u] >> w & 1, g.adj[v] >> w & 1
+            weight = d * d if near_u and near_v else 1 if near_u else d
+            around.append((weight, w, at[w] & (at[u] | at[v])))
+        per_edge.append((size, around))
 
-    def classify(matching):
-        # a neighboring edge of (u, v) survives iff its far endpoint is
-        # unmatched or matched to u or v. Labelled by (orbit size, triple).
-        partner = {}
-        for u, v in matching:
-            partner[u] = 1 << v
-            partner[v] = 1 << u
-        unmatched = everyone & ~sum(partner.values())
-        out = []
-        for size, u, v, only_u, only_v, both in per_edge:
-            live = unmatched | partner.get(u, 0) | partner.get(v, 0)
-            out.append(
-                (size, (live & only_u).bit_count(), (live & only_v).bit_count(),
-                 (live & both).bit_count())
-            )
-        return out
+    def split(present, everyone):
+        # a neighboring edge (x, w) of (u, v) survives iff w is unmatched or
+        # matched to u or v. Labelled by (orbit size, i, j, k).
+        unmatched = [everyone & ~_union(present, mask) for mask in at]
+        for size, around in per_edge:
+            live = [(weight, unmatched[w] | _union(present, joins)) for weight, w, joins in around]
+            for key, part in _split_states(everyone, live).items():
+                yield (size, key % d, key // d % d, key // (d * d)), part
 
-    total, by_label = state_polynomials(g, "matching", classify, limit)
+    total, by_label = column_polynomials(g, "matching", split, limit)
     # weights as integers over the common denominator q^n at lam = p/q
     p, q, n = lam.numerator, lam.denominator, total.degree
     oriented = defaultdict(int)

@@ -11,14 +11,16 @@ version.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, islice, tee
+from functools import partial, reduce
+from itertools import chain, compress, islice, repeat
 from math import comb, factorial
+from operator import or_
 
 from .errors import CapabilityError, DomainError
 from .exactmath import IntPolynomial, binomial_poly, fugacity
 from .graphs import (
+    _ORBITS,
     CANONICAL_LIMIT,
     Graph,
     canonical_key,
@@ -43,14 +45,14 @@ ORACLE_LIMIT = 24
 _IND_MEMO: dict = {}
 _MATCH_MEMO: dict = {}
 
-# The states that `state_polynomials` and `event_probability_oracle` last
-# enumerated under each model, as one _StateTable per model: the graph, its
-# states, each state's size and the size polynomial, all made at enumeration,
-# and for the hard-core model the frozenset views that predicates receive,
-# made on the first event-oracle call. A table is replaced whole, so a reader
-# never pairs one graph with another's states, and its views go with it. An
-# enumeration of more than _STATE_BOUND states is not kept: its first
-# _STATE_BOUND + 1 states are buffered and the rest streamed.
+# The states that the oracles last enumerated under each model, as one
+# _StateTable per model: the graph, its states, each state's size and the
+# size polynomial, all made at enumeration; the frozenset views that
+# hard-core predicates receive and the bit-sliced columns of the laws are
+# made on first request. A table is replaced whole, so a reader never pairs
+# one graph with another's states, and its views and columns go with it. An
+# enumeration of more than _STATE_BOUND states is not kept: it is walked in
+# tables of at most _STATE_BOUND states.
 _STATES: dict = {}
 _STATE_BOUND = 1 << 15
 
@@ -315,16 +317,33 @@ def kdd_edge_occupancy(d: int, lam: Fraction) -> Fraction:
 # ---------------------------------------------------------------------------
 # Size distributions
 
-@dataclass(frozen=True)
 class SizeDistribution:
     """Probabilities of each size k under weights c_k * lam^k / Z."""
 
-    probabilities: tuple
-    fugacity: Fraction
+    __slots__ = ("probabilities", "fugacity")
 
-    def __post_init__(self):
-        if sum(self.probabilities, Fraction(0)) != 1:
+    def __init__(self, probabilities: tuple, fugacity: Fraction):
+        if sum(probabilities, Fraction(0)) != 1:
             raise DomainError("size distribution must sum to 1")
+        object.__setattr__(self, "probabilities", probabilities)
+        object.__setattr__(self, "fugacity", fugacity)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SizeDistribution is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("SizeDistribution is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.probabilities, self.fugacity) == (other.probabilities, other.fugacity)
+
+    def __hash__(self):
+        return hash((self.probabilities, self.fugacity))
+
+    def __repr__(self):
+        return f"SizeDistribution(probabilities={self.probabilities!r}, fugacity={self.fugacity!r})"
 
     def __getitem__(self, k: int) -> Fraction:
         if 0 <= k < len(self.probabilities):
@@ -407,97 +426,172 @@ def state_polynomials(g: Graph, model: str, classify, limit: int = ORACLE_LIMIT)
     them. The default size cap keeps enumeration at desk scale; pass a
     larger `limit` explicitly to override it.
 
-    The states of the last graph enumerated under each model are kept (up
-    to _STATE_BOUND of them) with their sizes and total, so further
-    questions about an equal graph classify them again without enumerating
-    or measuring. The cap is checked first, whatever is kept.
+    The states of the last graph enumerated under each model are kept (see
+    `_state_tables`), so further questions about an equal graph classify
+    them again without enumerating or measuring. The cap is checked first,
+    whatever is kept. `column_polynomials` counts from bit-sliced columns
+    instead, with no call per state.
     """
-    source = _state_source(g, model, limit)
-    states, sizes = source.columns()
-    counts = defaultdict(lambda: [0] * source.width)
-    for state, k in zip(states, sizes):
-        for label in classify(state):
-            counts[label][k] += 1
-    return source.total, {label: IntPolynomial(row) for label, row in counts.items()}
+    width, tables = _state_tables(g, model, limit)
+    counts, total = defaultdict(lambda: [0] * width), IntPolynomial.zero()
+    for table in tables:
+        for state, k in zip(table.states, table.sizes):
+            for label in classify(state):
+                counts[label][k] += 1
+        total = total + table.total
+    return total, {label: IntPolynomial(row) for label, row in counts.items()}
+
+
+def column_polynomials(g: Graph, model: str, split, limit: int = ORACLE_LIMIT):
+    """`state_polynomials` from bit-sliced columns, with no call per state.
+
+    A set of states is an int whose bit i selects state i. split(items,
+    everyone) receives items[b], the set of the states that hold vertex b
+    (hardcore) or edge b of g.edges() (matching), and everyone, the set of
+    all states; it yields (label, states) pairs, and each pair counts the
+    states it selects once under the label. An enumeration of more than
+    _STATE_BOUND states goes through the same code in chunks (see
+    `_state_tables`), split once per chunk. Returns (total, {label:
+    IntPolynomial}) as state_polynomials does, with the same cap.
+    """
+    width, tables = _state_tables(g, model, limit)
+    counts, total = defaultdict(lambda: [0] * width), IntPolynomial.zero()
+    for table in tables:
+        items, by_size = table.columns()
+        for label, part in split(items, (1 << len(table.states)) - 1):
+            if part:
+                row = counts[label]
+                for k, sized in enumerate(by_size):
+                    row[k] += (part & sized).bit_count()
+        total = total + table.total
+    return total, {label: IntPolynomial(row) for label, row in counts.items()}
+
+
+def _split_states(states: int, columns) -> dict:
+    """{key: part}: the set `states` split by the (weight, column) pairs of
+    `columns`, each state under the sum of the weights of the columns that
+    hold it. States with equal sums share one part, and no part is empty:
+    distinct bits as weights key a part by its whole pattern, unit weights
+    by a count."""
+    parts = {0: states}
+    for weight, column in columns:
+        grown = {}
+        for key, part in parts.items():
+            inside = part & column
+            if inside:
+                grown[key + weight] = grown.get(key + weight, 0) | inside
+            if part ^ inside:
+                grown[key] = grown.get(key, 0) | part ^ inside
+        parts = grown
+    return parts
+
+
+def _union(items, mask: int) -> int:
+    """The set of the states that hold any vertex or edge of `mask`."""
+    return reduce(or_, map(items.__getitem__, mask_vertices(mask)), 0)
+
+
+# Row t maps a byte to b"1" when its bit t is set and to b"0" otherwise.
+_BIT_ROWS = tuple((b"0" * (1 << t) + b"1" * (1 << t)) * (128 >> t) for t in range(8))
+
+
+def _bit_column(column: bytes, row: bytes) -> int:
+    """The int whose bit i is row[column[i]], for a 256-byte row of b"0"s
+    and b"1"s: the translated bytes, last first, read in binary."""
+    return int(column.translate(row)[::-1], 2)
 
 
 class _StateTable:
-    """Every state of one graph under one model, kept: `sizes[i]` is the
-    size of `states[i]` and `total` counts the states by size. The views
-    that a model's predicates receive are made on the first request."""
+    """States of one graph under one model: all of them when kept, else one
+    chunk of an enumeration. `sizes[i]` is the size of `states[i]` and
+    `total` counts the states by size. The views that a model's predicates
+    receive and the bit-sliced columns are made on the first request."""
 
-    __slots__ = ("graph", "states", "sizes", "total", "width", "_views")
+    __slots__ = ("graph", "states", "sizes", "total", "_items", "_views", "_columns")
 
-    def __init__(self, graph: Graph, states: tuple, size, width: int):
-        self.graph, self.states, self.width = graph, states, width
+    def __init__(self, graph: Graph, states: tuple, spec):
+        _, size, width, self._items = spec
+        self.graph, self.states = graph, states
         self.sizes = bytes(map(size, states))
         self.total = IntPolynomial(self.sizes.count(k) for k in range(width))
-        self._views = None
+        self._views = self._columns = None
 
-    def columns(self, view=None):
-        """(states, sizes), or (views, sizes) with the views view(state)."""
-        if view is None:
-            return self.states, self.sizes
+    def views(self, view):
+        """view(state) for every state."""
         if self._views is None:
             self._views = tuple(map(view, self.states))
-        return self._views, self.sizes
+        return self._views
+
+    def columns(self):
+        """(items, by_size): items[b] is the int whose bit i says whether
+        state i holds vertex or edge b, by_size[k] the int of the states of
+        size k. C-level passes make them: the states are packed as masks
+        into bytes, and each column is one stride of bytes translated to
+        binary digits."""
+        if self._columns is None:
+            masks, count = self._items(self.graph, self.states)
+            step = (count + 7) // 8 or 1
+            packed = b"".join(map(int.to_bytes, masks, repeat(step), repeat("little")))
+            items = [_bit_column(packed[b >> 3 :: step], _BIT_ROWS[b & 7]) for b in range(count)]
+            by_size = [
+                _bit_column(self.sizes, b"0" * k + b"1" + b"0" * (255 - k))
+                for k in range(len(self.total.coeffs))
+            ]
+            self._columns = items, by_size
+        return self._columns
 
 
-class _StateStream:
-    """The states of an enumeration too large to keep, walked once with each
-    size measured on the way; `total` is complete once the walk is."""
+def _vertex_items(g: Graph, states):
+    """The independent sets as vertex masks, and the vertex count."""
+    return states, g.n
 
-    def __init__(self, states, size, width: int):
-        self._states, self._size, self.width = states, size, width
-        self._counts = [0] * width
 
-    def columns(self, view=None):
-        states, measured = tee(self._states)
-        return (states if view is None else map(view, states)), self._sizes(measured)
-
-    def _sizes(self, states):
-        counts, size = self._counts, self._size
-        for state in states:
-            k = size(state)
-            counts[k] += 1
-            yield k
-
-    @property
-    def total(self) -> IntPolynomial:
-        return IntPolynomial(self._counts)
+def _edge_items(g: Graph, states):
+    """The matchings as masks over the edges of g.edges(), and the edge count."""
+    edges = g.edges()
+    bit = {e: 1 << i for i, e in enumerate(edges)}
+    return map(sum, map(partial(map, bit.__getitem__), states)), len(edges)
 
 
 def _state_model(g: Graph, model: str, limit: int):
-    """(enumerate_states, size, width) of the model on g, once g is within
-    the cap: `limit` vertices (hardcore) or edges (matching), else
+    """(enumerate_states, size, width, items) of the model on g, once g is
+    within the cap: `limit` vertices (hardcore) or edges (matching), else
     CapabilityError. Callers that work on g before enumerating check here."""
     if model == "hardcore":
         if g.n > limit:
             raise CapabilityError(f"oracle limit is {limit} vertices, got {g.n}")
-        return independent_sets, int.bit_count, g.n + 1
+        return independent_sets, int.bit_count, g.n + 1, _vertex_items
     if model == "matching":
         if g.edge_count > limit:
             raise CapabilityError(
                 f"oracle limit is {limit} edges, got {g.edge_count}"
             )
-        return matchings, len, g.n // 2 + 1
+        return matchings, len, g.n // 2 + 1, _edge_items
     raise DomainError(f"unknown model {model!r}")
 
 
-def _state_source(g: Graph, model: str, limit: int):
-    """The kept table of g under the model; else a fresh enumeration, kept
-    as the model's table when it has at most _STATE_BOUND states and
-    streamed otherwise. The cap is checked first, whatever is kept."""
-    enumerate_states, size, width = _state_model(g, model, limit)
+def _state_tables(g: Graph, model: str, limit: int):
+    """(width, tables), `width` the number of possible sizes: the kept table
+    of g under the model; else a fresh enumeration, kept as the model's
+    table when it has at most _STATE_BOUND states and otherwise walked once
+    in tables of at most _STATE_BOUND states, none kept. The cap is checked
+    first, whatever is kept."""
+    spec = enumerate_states, _, width, _ = _state_model(g, model, limit)
     table = _STATES.get(model)
-    if table is not None and table.graph == g:
-        return table
-    states = enumerate_states(g)
-    head = tuple(islice(states, _STATE_BOUND + 1))
-    if len(head) > _STATE_BOUND:
-        return _StateStream(chain(head, states), size, width)
-    table = _STATES[model] = _StateTable(g, head, size, width)
-    return table
+    if table is None or table.graph != g:
+        states = enumerate_states(g)
+        head = tuple(islice(states, _STATE_BOUND + 1))
+        if len(head) > _STATE_BOUND:
+            return width, _chunks(g, chain(head, states), spec)
+        table = _STATES[model] = _StateTable(g, head, spec)
+    return width, (table,)
+
+
+def _chunks(g: Graph, states, spec):
+    chunk = tuple(islice(states, _STATE_BOUND))
+    while chunk:
+        yield _StateTable(g, chunk, spec)
+        chunk = tuple(islice(states, _STATE_BOUND))
 
 
 def _vertex_set(mask: int) -> frozenset:
@@ -520,17 +614,20 @@ def event_probability_oracle(
     first call and reused, so the predicate is the only work per state.
     """
     lam = fugacity(lam)
-    source = _state_source(g, model, limit)
-    views, sizes = source.columns(_vertex_set if model == "hardcore" else None)
-    hits = [0] * source.width
-    for k in compress(sizes, map(predicate, views)):
-        hits[k] += 1
-    return IntPolynomial(hits)(lam) / source.total(lam)
+    width, tables = _state_tables(g, model, limit)
+    hits, total = [0] * width, IntPolynomial.zero()
+    for table in tables:
+        views = table.views(_vertex_set) if model == "hardcore" else table.states
+        for k in compress(table.sizes, map(predicate, views)):
+            hits[k] += 1
+        total = total + table.total
+    return IntPolynomial(hits)(lam) / total(lam)
 
 
 def clear_memo_tables():
-    """Drop memoized polynomials and kept oracle state tables (mainly for
-    benchmarks and tests)."""
+    """Drop memoized polynomials, kept oracle state tables and the kept
+    automorphism orbits (mainly for benchmarks and tests)."""
     _IND_MEMO.clear()
     _MATCH_MEMO.clear()
     _STATES.clear()
+    _ORBITS.clear()

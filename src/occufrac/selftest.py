@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import bounds, corpus, hardcore, matching
@@ -27,15 +26,38 @@ from .polynomials import (
 GRID_D = (2, 3, 4, 5)
 
 
-@dataclass
 class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    seconds: float
-    budget: float | None = None
-    failures: list = field(default_factory=list)
-    details: dict = field(default_factory=dict)
+    """The outcome of one criterion: mutable, since `_run` fails a result
+    that ran past its budget; equal when every field is, and unhashable."""
+
+    __slots__ = ("number", "name", "passed", "seconds", "budget", "failures", "details")
+
+    def __init__(
+        self,
+        number: int,
+        name: str,
+        passed: bool,
+        seconds: float,
+        budget: float | None = None,
+        failures: list | None = None,
+        details: dict | None = None,
+    ):
+        self.number, self.name, self.passed, self.seconds = number, name, passed, seconds
+        self.budget = budget
+        self.failures = [] if failures is None else failures
+        self.details = {} if details is None else details
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"CriterionResult({fields})"
 
     @property
     def within_budget(self) -> bool:
@@ -331,7 +353,7 @@ def _c10(failures, details, quick):
                 failures.append(f"{name} edge oracle lam={format_rational(lam)}")
             oracle_checks += 1
 
-        # the laws classify the states just enumerated again, from the kept
+        # the laws count the states just enumerated again, from the kept
         # states of each model. They verify feasibility and the objective
         # identity internally and raise when either fails.
         d = regular_degree(g)

@@ -14,8 +14,11 @@ the mask-split refinement and union-find orbits replaced
 automorphism found by testing each degree-preserving bijection
 (`brute_orbits`, `brute_edge_orbits`), and edge counts and induced
 subgraphs read from the `neighbors` generator, which the adjacency-mask
-versions replaced (`generator_edge_count`, `generator_induced`). Other
-canonical keys come from the labelling search `_canonical_form` itself.
+versions replaced (`generator_edge_count`, `generator_induced`), and the
+correlation check's events classified state by state through
+`state_polynomials`, which the bit-sliced columns replaced
+(`classified_correlation`). Other canonical keys come from the labelling
+search `_canonical_form` itself.
 """
 
 from fractions import Fraction
@@ -43,7 +46,7 @@ from occufrac.matching import (
     enumerate_triples,
     local_edge_occupancy,
 )
-from occufrac.polynomials import independent_sets, matchings, occupancy
+from occufrac.polynomials import independent_sets, matchings, occupancy, state_polynomials
 
 
 def brute_independence_counts(g: Graph):
@@ -492,6 +495,26 @@ def reference_uncovered_law(g: Graph, lam: Fraction):
             uncovered = sum(1 for u in g.neighbors(v) if not (g.adj[u] & mask))
             weights[uncovered] += w
     return [w / (total * g.n) for w in weights]
+
+
+def classified_correlation(g: Graph, vertices, lam: Fraction, mode: str):
+    """(joint, product) of bounds.fkg_check, with each state labelled by the
+    vertices whose event holds in it, and by "joint" when all of them do."""
+    targets = set(vertices)
+
+    def holds(mask, v):
+        return mask >> v & 1 if mode == "occupied" else not g.adj[v] & mask
+
+    def classify(mask):
+        hits = [v for v in targets if holds(mask, v)]
+        return hits + ["joint"] if len(hits) == len(targets) else hits
+
+    total, by_event = state_polynomials(g, "hardcore", classify)
+    z, zero = total(lam), IntPolynomial.zero()
+    product = Fraction(1)
+    for v in vertices:
+        product *= by_event.get(v, zero)(lam) / z
+    return by_event.get("joint", zero)(lam) / z, product
 
 
 def _free_neighborhood(g: Graph, v: int, iset: frozenset) -> Graph:

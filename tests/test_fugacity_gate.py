@@ -119,10 +119,11 @@ def _fugacity_functions():
 
 def _scalars(result):
     """The numbers in a result: itself, or the entries of a flat sequence
-    or dict; booleans are flags, not numbers."""
+    or dict; booleans are flags, not numbers, and a record (a named tuple)
+    is one result, not a sequence."""
     if isinstance(result, dict):
         items = list(result.values())
-    elif isinstance(result, (list, tuple)):
+    elif isinstance(result, (list, tuple)) and not hasattr(result, "_fields"):
         items = list(result)
     else:
         items = [result]

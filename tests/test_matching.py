@@ -414,6 +414,27 @@ def test_shifted_prices_fail_only_against_the_program(monkeypatch):
             check_dual_constraints(d, ONE)
 
 
+def test_a_twin_with_its_own_raw_slack_is_checked_on_its_own(monkeypatch):
+    # (2, 1, 0) reuses the checks of its twin (1, 2, 0) only when their raw
+    # slacks agree; with its raw slack moved alone, it is the triple named
+    import occufrac.matching as mod
+
+    original = mod.dual_slacks
+    moved = enumerate_triples(3).index((2, 1, 0))
+
+    def dual_slacks(program, dual):
+        report = original(program, dual)
+        slacks = list(report.slacks)
+        slacks[moved] += 1
+        return report._replace(slacks=tuple(slacks))
+
+    monkeypatch.setattr(mod, "dual_slacks", dual_slacks)
+    with pytest.raises(
+        CertificateError, match=r"^raw and simplified slacks inconsistent at \(2,1,0\)$"
+    ):
+        check_dual_constraints(3, ONE)
+
+
 def test_wrong_mass_price_fails_strong_duality(monkeypatch):
     import occufrac.matching as mod
 

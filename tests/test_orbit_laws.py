@@ -20,6 +20,7 @@ from occufrac.errors import CapabilityError, CertificateError
 from occufrac.graphs import automorphism_orbits, complete_bipartite, cycle, hypercube
 from occufrac.hardcore import FREE_LAW_LIMIT, free_neighborhood_distribution
 from occufrac.matching import edge_neighborhood_distribution
+from occufrac.polynomials import clear_memo_tables
 
 LAM = Fraction(7, 5)
 EDGE_LIMIT = 25  # the reference edge law stays within a second up to here
@@ -106,6 +107,7 @@ def test_non_automorphism_generator_raises(monkeypatch, law):
         key, reps, automorphisms = original(g)
         return key, reps, automorphisms + [[1, 0, 2, 3, 4, 5]]
 
+    clear_memo_tables()  # the orbits of a graph searched before are kept
     monkeypatch.setattr(graphs, "_canonical_form", corrupted)
     with pytest.raises(CertificateError, match="is not an automorphism"):
         law(cycle(6), LAM)
@@ -115,6 +117,7 @@ def test_caps_raise_before_any_canonical_search(monkeypatch):
     def refusing(g):
         raise AssertionError("canonical search before the cap")
 
+    clear_memo_tables()  # the orbits of a graph searched before are kept
     monkeypatch.setattr(graphs, "_canonical_form", refusing)
     with pytest.raises(CapabilityError, match="^oracle limit is 14 vertices, got 16$"):
         free_neighborhood_distribution(cycle(16), LAM)
