@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from functools import partial, reduce
+from functools import reduce
 from itertools import chain, compress, islice, repeat
 from math import comb, factorial
 from operator import or_
@@ -46,13 +46,11 @@ _IND_MEMO: dict = {}
 _MATCH_MEMO: dict = {}
 
 # The states that the oracles last enumerated under each model, as one
-# _StateTable per model: the graph, its states, each state's size and the
-# size polynomial, all made at enumeration; the frozenset views that
-# hard-core predicates receive and the bit-sliced columns of the laws are
-# made on first request. A table is replaced whole, so a reader never pairs
-# one graph with another's states, and its views and columns go with it. An
-# enumeration of more than _STATE_BOUND states is not kept: it is walked in
-# tables of at most _STATE_BOUND states.
+# _StateTable per model: the graph, its states with their masks and sizes
+# as the walk gave them, and what is made from them on first request. A
+# table is replaced whole, so a reader never pairs one graph with another's
+# states. An enumeration of more than _STATE_BOUND states is not kept: it is
+# walked in tables of at most _STATE_BOUND states.
 _STATES: dict = {}
 _STATE_BOUND = 1 << 15
 
@@ -397,27 +395,57 @@ def independent_sets(g: Graph):
 
 
 def matchings(g: Graph):
-    """Yield every matching as a frozenset of (u, v) edges with u < v."""
-    edge_list = g.edges()
+    """Yield every matching as a frozenset of (u, v) edges with u < v, once
+    each, in the order of `_matching_walk`."""
+    for states, _ in _matching_walk(g, _STATE_BOUND):
+        yield from states
 
-    def extend(chosen, used_mask, start):
-        for idx in range(start, len(edge_list)):
-            u, v = edge_list[idx]
-            if used_mask >> u & 1 or used_mask >> v & 1:
-                continue
-            new = chosen + [(u, v)]
-            yield frozenset(new)
-            yield from extend(new, used_mask | 1 << u | 1 << v, idx + 1)
 
-    yield frozenset()
-    yield from extend([], 0, 0)
+def _matching_walk(g: Graph, bound: int):
+    """The matchings of g as (states, masks) chunks of at most `bound`:
+    states[i] is a frozenset of edges and masks[i] the same matching over
+    g.edges(), bit i for edge i. A depth-first walk on an explicit stack
+    records each matching it pops, then pushes its extensions by one later
+    edge disjoint from it, last first: a matching comes before its
+    extensions, and these come in the order of the edge added."""
+    edges = g.edges()
+    ends = [1 << u | 1 << v for u, v in edges]
+    # each edge as a frozenset, its bit, and the edges disjoint from it
+    extend = [
+        (frozenset((e,)), 1 << i, sum(1 << j for j, other in enumerate(ends) if not end & other))
+        for i, (e, end) in enumerate(zip(edges, ends))
+    ]
+    states, masks = [], []
+    stack = [(frozenset(), 0, (1 << len(edges)) - 1)]
+    while stack:
+        state, mask, free = stack.pop()
+        states.append(state)
+        masks.append(mask)
+        if len(states) == bound:
+            yield tuple(states), tuple(masks)
+            states, masks = [], []
+        rest = free
+        while rest:
+            edge, bit, disjoint = extend[rest.bit_length() - 1]
+            rest ^= bit
+            stack.append((state | edge, mask | bit, (free ^ rest) & disjoint))
+    if states:
+        yield tuple(states), tuple(masks)
+
+
+def _independent_walk(g: Graph, bound: int):
+    """`independent_sets` in (states, masks) chunks of at most `bound`."""
+    states = independent_sets(g)
+    while chunk := tuple(islice(states, bound)):
+        yield chunk, chunk
 
 
 def state_polynomials(g: Graph, model: str, classify, limit: int = ORACLE_LIMIT):
     """Enumerate every state of the model on g once and count states by size.
 
     A state is an independent set as a vertex bitmask (hardcore) or a
-    matching as a frozenset of (u, v) edges (matching). `classify(state)`
+    matching as a frozenset of (u, v) edges (matching), as the model's walk
+    gives it together with its mask (see `_state_model`). `classify(state)`
     yields labels; each yield counts the state once under that label.
     Returns (total, {label: IntPolynomial}), where coefficient k counts the
     states (with multiplicity) of size k, so a probability at fugacity lam
@@ -426,11 +454,11 @@ def state_polynomials(g: Graph, model: str, classify, limit: int = ORACLE_LIMIT)
     them. The default size cap keeps enumeration at desk scale; pass a
     larger `limit` explicitly to override it.
 
-    The states of the last graph enumerated under each model are kept (see
-    `_state_tables`), so further questions about an equal graph classify
-    them again without enumerating or measuring. The cap is checked first,
-    whatever is kept. `column_polynomials` counts from bit-sliced columns
-    instead, with no call per state.
+    The states of the last graph enumerated under each model are kept with
+    their masks and sizes (see `_state_tables`), so further questions about
+    an equal graph classify them again without a walk. The cap is checked
+    first, whatever is kept. `column_polynomials` counts from bit-sliced
+    columns of the masks instead, with no call per state.
     """
     width, tables = _state_tables(g, model, limit)
     counts, total = defaultdict(lambda: [0] * width), IntPolynomial.zero()
@@ -503,35 +531,34 @@ def _bit_column(column: bytes, row: bytes) -> int:
 
 class _StateTable:
     """States of one graph under one model: all of them when kept, else one
-    chunk of an enumeration. `sizes[i]` is the size of `states[i]` and
-    `total` counts the states by size. The views that a model's predicates
-    receive and the bit-sliced columns are made on the first request."""
+    chunk of an enumeration. `masks[i]` is the walk's mask of `states[i]`
+    over the vertices or the edges of g.edges(), `sizes[i]` its bit count,
+    and `total` counts the states by size. The hard-core vertex sets and the
+    bit-sliced columns are made on the first request."""
 
-    __slots__ = ("graph", "states", "sizes", "total", "_items", "_views", "_columns")
+    __slots__ = ("graph", "states", "masks", "sizes", "total", "_count", "_vertex_sets", "_columns")
 
-    def __init__(self, graph: Graph, states: tuple, spec):
-        _, size, width, self._items = spec
-        self.graph, self.states = graph, states
-        self.sizes = bytes(map(size, states))
+    def __init__(self, graph: Graph, states: tuple, masks: tuple, count: int, width: int):
+        self.graph, self.states, self.masks, self._count = graph, states, masks, count
+        self.sizes = bytes(map(int.bit_count, masks))
         self.total = IntPolynomial(self.sizes.count(k) for k in range(width))
-        self._views = self._columns = None
+        self._vertex_sets = self._columns = None
 
-    def views(self, view):
-        """view(state) for every state."""
-        if self._views is None:
-            self._views = tuple(map(view, self.states))
-        return self._views
+    def vertex_sets(self):
+        """Each mask as a frozenset of vertices, as hard-core predicates take it."""
+        if self._vertex_sets is None:
+            self._vertex_sets = tuple(map(frozenset, map(mask_vertices, self.masks)))
+        return self._vertex_sets
 
     def columns(self):
         """(items, by_size): items[b] is the int whose bit i says whether
         state i holds vertex or edge b, by_size[k] the int of the states of
-        size k. C-level passes make them: the states are packed as masks
-        into bytes, and each column is one stride of bytes translated to
-        binary digits."""
+        size k. C-level passes make them: the masks are packed into bytes,
+        and each column is one stride of bytes translated to binary digits."""
         if self._columns is None:
-            masks, count = self._items(self.graph, self.states)
+            count = self._count
             step = (count + 7) // 8 or 1
-            packed = b"".join(map(int.to_bytes, masks, repeat(step), repeat("little")))
+            packed = b"".join(map(int.to_bytes, self.masks, repeat(step), repeat("little")))
             items = [_bit_column(packed[b >> 3 :: step], _BIT_ROWS[b & 7]) for b in range(count)]
             by_size = [
                 _bit_column(self.sizes, b"0" * k + b"1" + b"0" * (255 - k))
@@ -541,83 +568,56 @@ class _StateTable:
         return self._columns
 
 
-def _vertex_items(g: Graph, states):
-    """The independent sets as vertex masks, and the vertex count."""
-    return states, g.n
-
-
-def _edge_items(g: Graph, states):
-    """The matchings as masks over the edges of g.edges(), and the edge count."""
-    edges = g.edges()
-    bit = {e: 1 << i for i, e in enumerate(edges)}
-    return map(sum, map(partial(map, bit.__getitem__), states)), len(edges)
-
-
 def _state_model(g: Graph, model: str, limit: int):
-    """(enumerate_states, size, width, items) of the model on g, once g is
-    within the cap: `limit` vertices (hardcore) or edges (matching), else
-    CapabilityError. Callers that work on g before enumerating check here."""
+    """(walk, count, width) of the model on g once g is within the cap of
+    `limit` vertices (hardcore) or edges (matching), else CapabilityError:
+    walk(g, bound) gives (states, masks) chunks, each mask over `count`
+    vertices or edges, and a state has one of `width` sizes. Callers that
+    work on g before enumerating check here."""
     if model == "hardcore":
         if g.n > limit:
             raise CapabilityError(f"oracle limit is {limit} vertices, got {g.n}")
-        return independent_sets, int.bit_count, g.n + 1, _vertex_items
+        return _independent_walk, g.n, g.n + 1
     if model == "matching":
         if g.edge_count > limit:
-            raise CapabilityError(
-                f"oracle limit is {limit} edges, got {g.edge_count}"
-            )
-        return matchings, len, g.n // 2 + 1, _edge_items
+            raise CapabilityError(f"oracle limit is {limit} edges, got {g.edge_count}")
+        return _matching_walk, g.edge_count, g.n // 2 + 1
     raise DomainError(f"unknown model {model!r}")
 
 
 def _state_tables(g: Graph, model: str, limit: int):
-    """(width, tables), `width` the number of possible sizes: the kept table
-    of g under the model; else a fresh enumeration, kept as the model's
-    table when it has at most _STATE_BOUND states and otherwise walked once
-    in tables of at most _STATE_BOUND states, none kept. The cap is checked
-    first, whatever is kept."""
-    spec = enumerate_states, _, width, _ = _state_model(g, model, limit)
+    """(width, tables), `width` the number of possible sizes: g's kept table
+    under the model; else a fresh walk, kept when it gives at most
+    _STATE_BOUND states and otherwise streamed once in tables of at most
+    _STATE_BOUND states, none kept. The cap is checked first, whatever is kept."""
+    walk, count, width = _state_model(g, model, limit)
     table = _STATES.get(model)
     if table is None or table.graph != g:
-        states = enumerate_states(g)
-        head = tuple(islice(states, _STATE_BOUND + 1))
-        if len(head) > _STATE_BOUND:
-            return width, _chunks(g, chain(head, states), spec)
-        table = _STATES[model] = _StateTable(g, head, spec)
+        chunks = walk(g, _STATE_BOUND)
+        head = tuple(islice(chunks, 2))
+        if len(head) > 1:
+            return width, (_StateTable(g, *c, count, width) for c in chain(head, chunks))
+        table = _STATES[model] = _StateTable(g, *head[0], count, width)
     return width, (table,)
 
 
-def _chunks(g: Graph, states, spec):
-    chunk = tuple(islice(states, _STATE_BOUND))
-    while chunk:
-        yield _StateTable(g, chunk, spec)
-        chunk = tuple(islice(states, _STATE_BOUND))
-
-
-def _vertex_set(mask: int) -> frozenset:
-    return frozenset(mask_vertices(mask))
-
-
 def event_probability_oracle(
-    g: Graph,
-    model: str,
-    lam: Fraction,
-    predicate,
-    limit: int = ORACLE_LIMIT,
+    g: Graph, model: str, lam: Fraction, predicate, limit: int = ORACLE_LIMIT
 ) -> Fraction:
     """Exact probability of an event under the hard-core or monomer-dimer
     model, by full enumeration (see `state_polynomials`).
 
     `predicate` receives a frozenset of vertices (hardcore) or of (u, v)
-    edges (matching). One pass counts the states it accepts by size; with
-    the graph's states kept, the hard-core frozensets are made on the
-    first call and reused, so the predicate is the only work per state.
+    edges (matching). One pass counts the states it accepts by size. The
+    matching walk gives each frozenset with its mask; the hard-core
+    frozensets are made from the masks on the first call and kept with the
+    table, so the predicate is the only work per state.
     """
     lam = fugacity(lam)
     width, tables = _state_tables(g, model, limit)
     hits, total = [0] * width, IntPolynomial.zero()
     for table in tables:
-        views = table.views(_vertex_set) if model == "hardcore" else table.states
+        views = table.vertex_sets() if model == "hardcore" else table.states
         for k in compress(table.sizes, map(predicate, views)):
             hits[k] += 1
         total = total + table.total

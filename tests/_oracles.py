@@ -17,13 +17,17 @@ subgraphs read from the `neighbors` generator, which the adjacency-mask
 versions replaced (`generator_edge_count`, `generator_induced`), and the
 correlation check's events classified state by state through
 `state_polynomials`, which the bit-sliced columns replaced
-(`classified_correlation`). Other canonical keys come from the labelling
-search `_canonical_form` itself.
+(`classified_correlation`), and the recursive matching generator that the
+explicit-stack walk replaced (`reference_matchings`), which every
+reference here that needs matchings uses. Other canonical keys come from
+the labelling search `_canonical_form` itself. The three reference laws are
+kept per (graph6, lam) for the life of the process, as read-only values.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations, permutations, product
+from types import MappingProxyType
 
 from occufrac.bounds import DEFAULT_TOLERANCE, tree_occupancy
 from occufrac.exactmath import IntPolynomial, fugacity
@@ -46,7 +50,7 @@ from occufrac.matching import (
     enumerate_triples,
     local_edge_occupancy,
 )
-from occufrac.polynomials import independent_sets, matchings, occupancy, state_polynomials
+from occufrac.polynomials import independent_sets, occupancy, state_polynomials
 
 
 def brute_independence_counts(g: Graph):
@@ -87,6 +91,57 @@ def brute_matching_counts(g: Graph):
     while counts and counts[-1] == 0:
         counts.pop()
     return counts
+
+
+def reference_matchings(g: Graph):
+    """Yield every matching as a frozenset of (u, v) edges with u < v, by
+    a recursive generator that copies its list of chosen edges per matching:
+    the enumeration that the explicit-stack walk of
+    `polynomials._matching_walk` replaced, in the same order."""
+    edge_list = g.edges()
+
+    def extend(chosen, used_mask, start):
+        for idx in range(start, len(edge_list)):
+            u, v = edge_list[idx]
+            if used_mask >> u & 1 or used_mask >> v & 1:
+                continue
+            new = chosen + [(u, v)]
+            yield frozenset(new)
+            yield from extend(new, used_mask | 1 << u | 1 << v, idx + 1)
+
+    yield frozenset()
+    yield from extend([], 0, 0)
+
+
+def graph6(g: Graph) -> str:
+    """The short-format graph6 string of g (n < 63): the upper triangle
+    column by column, six bits to a byte, each byte plus 63."""
+    if g.n >= 63:
+        raise ValueError(f"short graph6 needs n < 63, got {g.n}")
+    bits = [g.adj[v] >> u & 1 for v in range(1, g.n) for u in range(v)]
+    bits += [0] * (-len(bits) % 6)
+    body = (
+        chr(63 + sum(b << (5 - t) for t, b in enumerate(bits[i : i + 6])))
+        for i in range(0, len(bits), 6)
+    )
+    return chr(63 + g.n) + "".join(body)
+
+
+def _kept_by_graph6(law):
+    """law(g, lam), computed once per (graph6(g), lam) and kept for the
+    life of the process: a list comes back as a tuple and a dict as a
+    read-only view, so no caller can alter what the next one receives."""
+    kept = {}
+
+    @wraps(law)
+    def cached(g: Graph, lam):
+        key = graph6(g), lam
+        if key not in kept:
+            value = law(g, lam)
+            kept[key] = MappingProxyType(value) if isinstance(value, dict) else tuple(value)
+        return kept[key]
+
+    return cached
 
 
 def graph_deletion_poly(g: Graph, model: str) -> IntPolynomial:
@@ -427,7 +482,7 @@ def empirical_edge_marginals(g: Graph, lam: Fraction):
     num_e: dict = {}
     num_f: dict = {}
     den: dict = {}
-    for matching in matchings(g):
+    for matching in reference_matchings(g):
         w = lam ** len(matching)
 
         def uncovered(a, b):
@@ -481,8 +536,10 @@ def edge_triple_by_definition(g: Graph, left: int, right: int, matching):
 
 # Fraction-weighted reference laws: one weight lam^size per state, summed
 # state by state, against which the library's integer-count engine is
-# compared.
+# compared. Each is kept per (graph6, lam), as a tuple or a read-only dict
+# view.
 
+@_kept_by_graph6
 def reference_uncovered_law(g: Graph, lam: Fraction):
     """Law of the number of uncovered neighbors of a uniform vertex."""
     d = regular_degree(g)
@@ -526,6 +583,7 @@ def _free_neighborhood(g: Graph, v: int, iset: frozenset) -> Graph:
     return g.induced(free)
 
 
+@_kept_by_graph6
 def reference_free_neighborhood_law(g: Graph, lam: Fraction):
     """Law of the free-neighborhood class of a uniform vertex, aligned with
     enumerate_configs(d)."""
@@ -542,13 +600,14 @@ def reference_free_neighborhood_law(g: Graph, lam: Fraction):
     return [w / (total * g.n) for w in weights]
 
 
+@_kept_by_graph6
 def reference_edge_law(g: Graph, lam: Fraction):
     """Law of the (i, j, k) triple of a uniform oriented edge, keyed by
     triple in sorted order."""
     edges = g.edges()
     weights: dict = {}
     total = Fraction(0)
-    for matching in matchings(g):
+    for matching in reference_matchings(g):
         w = lam ** len(matching)
         total += w
         for u, v in edges:

@@ -315,7 +315,7 @@ def test_representative_free_neighborhoods_need_no_canonical_form(monkeypatch, g
         return original(h)
 
     monkeypatch.setattr(graphs, "_canonical_form", counted)
-    assert free_neighborhood_distribution(g, lam) == expected
+    assert tuple(free_neighborhood_distribution(g, lam)) == expected
     assert calls == [g]
 
 

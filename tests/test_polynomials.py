@@ -10,11 +10,13 @@ from _oracles import (
     brute_independence_counts,
     brute_matching_counts,
     disjoint_union,
+    graph6,
     graph_deletion_poly,
     random_graph,
     random_regular_graph,
     reference_edge_law,
     reference_free_neighborhood_law,
+    reference_matchings,
     reference_uncovered_law,
     relabel,
 )
@@ -31,6 +33,7 @@ from occufrac.graphs import (
     kdd_union,
     label_key,
     mask_vertices,
+    parse_graph6,
     petersen,
     prism,
 )
@@ -543,8 +546,8 @@ def _laws(g, lam):
     from occufrac.matching import edge_neighborhood_distribution
 
     return (
-        uncovered_count_distribution(g, lam),
-        free_neighborhood_distribution(g, lam),
+        tuple(uncovered_count_distribution(g, lam)),
+        tuple(free_neighborhood_distribution(g, lam)),
         edge_neighborhood_distribution(g, lam),
     )
 
@@ -558,6 +561,25 @@ def test_engine_laws_equal_fraction_references():
             reference_free_neighborhood_law(g, lam),
             reference_edge_law(g, lam),
         )
+
+
+def test_reference_laws_are_kept_read_only_per_graph6():
+    g, lam = _law_cases()[0]
+    laws = (reference_uncovered_law, reference_free_neighborhood_law, reference_edge_law)
+    kept = [law(g, lam) for law in laws]
+    # an equal graph built anew gets the kept values themselves
+    assert all(law(Graph(g.n, g.edges()), lam) is value for law, value in zip(laws, kept))
+    assert isinstance(kept[0], tuple) and isinstance(kept[1], tuple)
+    with pytest.raises(TypeError):
+        kept[2][next(iter(kept[2]))] = Fraction(0)
+    assert reference_uncovered_law(g, lam + 1) != kept[0]
+
+
+def test_graph6_keys_round_trip():
+    for g in (Graph(0), Graph(1), complete(2), cycle(7), petersen(), hypercube(4), complete(12)):
+        assert parse_graph6(graph6(g)) == g
+    assert graph6(complete(2)) == "A_"
+    assert graph6(parse_graph6("K??AtRCUDGE_")) == "K??AtRCUDGE_"
 
 
 def test_enumerators_agree_with_polynomials():
@@ -632,19 +654,19 @@ def test_mkdd_derivative_identity():
 
 @pytest.fixture
 def enumerations(monkeypatch):
-    """Count the enumerations that state_polynomials starts, per model."""
+    """Count the walks that the engine starts, per model."""
     clear_memo_tables()
     counts = {"hardcore": 0, "matching": 0}
 
-    def counted(model, enumerate_states):
-        def run(g):
+    def counted(model, walk):
+        def run(g, bound):
             counts[model] += 1
-            return enumerate_states(g)
+            return walk(g, bound)
 
         return run
 
-    monkeypatch.setattr(polynomials, "independent_sets", counted("hardcore", independent_sets))
-    monkeypatch.setattr(polynomials, "matchings", counted("matching", matchings))
+    monkeypatch.setattr(polynomials, "_independent_walk", counted("hardcore", polynomials._independent_walk))
+    monkeypatch.setattr(polynomials, "_matching_walk", counted("matching", polynomials._matching_walk))
     yield counts
     clear_memo_tables()
 
@@ -735,6 +757,11 @@ def test_kept_tables_hold_each_state_size_and_the_size_polynomial():
         assert match.total == matching_poly(g)
         assert list(ind.sizes) == [int.bit_count(s) for s in ind.states]
         assert list(match.sizes) == [len(m) for m in match.states]
+        # a hard-core state is its own mask; a matching's mask has bit i
+        # for edge i of g.edges()
+        assert ind.masks == ind.states
+        edges = g.edges()
+        assert list(match.masks) == [sum(1 << edges.index(e) for e in m) for m in match.states]
     clear_memo_tables()
 
 
@@ -743,7 +770,7 @@ def _brute_probability(g, model, lam, predicate):
     if model == "hardcore":
         states = (frozenset(mask_vertices(mask)) for mask in independent_sets(g))
     else:
-        states = matchings(g)
+        states = reference_matchings(g)
     hit = total = Fraction(0)
     for state in states:
         weight = lam ** len(state)

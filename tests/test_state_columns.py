@@ -84,7 +84,7 @@ def test_split_states_adds_weights_and_merges_equal_sums():
 
 @pytest.mark.parametrize("g", [g for _, g in BUNDLED], ids=[name for name, _ in BUNDLED])
 def test_uncovered_law_and_correlations_match_on_bundled_graphs(g):
-    assert uncovered_count_distribution(g, LAM) == reference_uncovered_law(g, LAM)
+    assert tuple(uncovered_count_distribution(g, LAM)) == reference_uncovered_law(g, LAM)
     for vs in _groups(g):
         for mode in ("occupied", "uncovered"):
             verdict = fkg_check(g, vs, LAM, mode)
@@ -94,7 +94,7 @@ def test_uncovered_law_and_correlations_match_on_bundled_graphs(g):
 def test_uncovered_law_and_correlations_match_on_random_regular_graphs():
     for g in _random_regular():
         lam = Fraction(g.n, 7)
-        assert uncovered_count_distribution(g, lam) == reference_uncovered_law(g, lam)
+        assert tuple(uncovered_count_distribution(g, lam)) == reference_uncovered_law(g, lam)
         if bipartition(g) is not None:
             for vs in _groups(g):
                 for mode in ("occupied", "uncovered"):
@@ -114,7 +114,7 @@ def test_equal_orbits_with_one_triple_add_up():
     law = edge_neighborhood_distribution(g, lam)
     assert (0, 0, 0) in law
     assert law == reference_edge_law(g, lam)
-    assert free_neighborhood_distribution(g, lam) == reference_free_neighborhood_law(g, lam)
+    assert tuple(free_neighborhood_distribution(g, lam)) == reference_free_neighborhood_law(g, lam)
 
 
 def test_a_hard_core_graph_above_the_bound_is_counted_in_chunks(monkeypatch):
@@ -145,8 +145,8 @@ def test_laws_in_small_chunks_equal_the_references(monkeypatch, bound):
     several = graphs.parse_graph6("K??AtRCUDGE_")  # 5 vertex orbits, 4 edge orbits
     for g in (cycle(8), several, disjoint_union(complete_bipartite(2), cycle(6))):
         clear_memo_tables()
-        assert uncovered_count_distribution(g, LAM) == reference_uncovered_law(g, LAM)
-        assert free_neighborhood_distribution(g, LAM) == reference_free_neighborhood_law(g, LAM)
+        assert tuple(uncovered_count_distribution(g, LAM)) == reference_uncovered_law(g, LAM)
+        assert tuple(free_neighborhood_distribution(g, LAM)) == reference_free_neighborhood_law(g, LAM)
         assert edge_neighborhood_distribution(g, LAM) == reference_edge_law(g, LAM)
         vs = _groups(g)[2]
         for mode in ("occupied", "uncovered"):
