@@ -6,17 +6,16 @@ probabilities, and the empirical ratio conjecture report.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from math import comb, factorial
-from operator import and_
 from typing import NamedTuple
 
 from .errors import CapabilityError, CertificateError, DomainError
 from .exactmath import IntPolynomial, fugacity
 from .graphs import Graph, bipartition, is_vertex_transitive, kdd_union, regular_degree
 from .polynomials import (
-    _union,
-    column_polynomials,
+    ORACLE_LIMIT,
+    _event_polynomials,
+    _state_model,
     independence_poly,
     kdd_independence_poly,
     kdd_matching_poly,
@@ -132,7 +131,13 @@ class CorrelationVerdict(NamedTuple):
 def fkg_check(g: Graph, vertices, lam: Fraction, mode: str = "occupied") -> CorrelationVerdict:
     """Exact check that same-side vertices of a bipartite graph are
     positively correlated, for occupation or uncoveredness, with strictness
-    whenever two of them share a connected component."""
+    whenever two of them share a connected component.
+
+    The hard-core model is Markov, so every vertex of a set S is occupied
+    with weight x^|S| P(G - N[S]) and uncovered with weight P(G - N(S)),
+    both read from the deletion recurrence (polynomials._event_polynomials)
+    and divided by P(G). Capped at ORACLE_LIMIT vertices, checked after the
+    arguments."""
     lam = fugacity(lam)
     if mode not in ("occupied", "uncovered"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -145,25 +150,20 @@ def fkg_check(g: Graph, vertices, lam: Fraction, mode: str = "occupied") -> Corr
     if not (set(vs) <= set(sides[0]) or set(vs) <= set(sides[1])):
         raise DomainError("vertices must lie on one side of the bipartition")
 
-    # each single event is labelled by its vertex and the joint event by
-    # "joint"; v is uncovered when no neighbor of v is occupied
-    targets = set(vs)
+    _state_model(g, "hardcore", ORACLE_LIMIT)
+    z = _event_polynomials(g, "hardcore", 0, [])[0](lam)
 
-    def split(occupied, everyone):
-        if mode == "occupied":
-            events = {v: occupied[v] for v in targets}
-        else:
-            events = {v: everyone & ~_union(occupied, g.adj[v]) for v in targets}
-        yield from events.items()
-        yield "joint", reduce(and_, events.values(), everyone)
+    def probability(targets):
+        near = 0
+        for v in targets:
+            near |= g.adj[v] | (1 << v if mode == "occupied" else 0)
+        value = _event_polynomials(g, "hardcore", near, [])[0](lam) / z
+        return lam ** len(targets) * value if mode == "occupied" else value
 
-    total, by_event = column_polynomials(g, "hardcore", split)
-    z = total(lam)
-    zero = IntPolynomial.zero()
-    joint = by_event.get("joint", zero)(lam) / z
+    joint = probability(set(vs))
     product = Fraction(1)
     for v in vs:
-        product *= by_event.get(v, zero)(lam) / z
+        product *= probability({v})
     comp_of = {}
     for idx, comp in enumerate(g.components()):
         for v in comp:

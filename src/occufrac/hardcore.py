@@ -28,14 +28,13 @@ from .graphs import (
 )
 from .lp import LinearProgram, dual_slacks, primal_value
 from .polynomials import (
+    ORACLE_LIMIT,
+    _event_polynomials,
     _independence_step,
     _mask_recursion,
     _pack,
-    _split_states,
     _state_model,
-    _union,
     _unpack,
-    column_polynomials,
     independence_poly,
     kdd_occupancy,
     occupancy,
@@ -239,26 +238,27 @@ def ratio_gap_coefficients(c: Graph, d: int):
 
 
 def uncovered_count_distribution(g: Graph, lam: Fraction):
-    """Exact law of the number of uncovered neighbors of a uniform vertex,
-    by enumeration capped at ORACLE_LIMIT vertices, counted from the
-    bit-sliced state columns (polynomials.column_polynomials)."""
+    """Exact law of the number of uncovered neighbors of a uniform vertex.
+
+    A neighbor w of v is uncovered when no vertex of N(w) is occupied, so
+    the law of v is counted by `polynomials._event_polynomials` with one
+    unit-weight event per neighbor; every vertex of one automorphism orbit
+    has the same law (graphs.automorphism_orbits), so one representative
+    per orbit is counted, weighted by the orbit size. Capped at
+    ORACLE_LIMIT vertices, checked before the orbits are searched."""
     lam = fugacity(lam)
     d = regular_degree(g)
     if d is None:
         raise DomainError("graph must be regular")
-
-    def split(occupied, everyone):
-        # w is uncovered when no neighbor of w is occupied; the states of
-        # each vertex are labelled by how many of its neighbors are
-        uncovered = [everyone & ~_union(occupied, row) for row in g.adj]
-        for row in g.adj:
-            counted = [(1, uncovered[w]) for w in mask_vertices(row)]
-            yield from _split_states(everyone, counted).items()
-
-    total, by_count = column_polynomials(g, "hardcore", split)
-    z = total(lam) * g.n
-    zero = IntPolynomial.zero()
-    return [by_count.get(t, zero)(lam) / z for t in range(d + 1)]
+    _state_model(g, "hardcore", ORACLE_LIMIT)
+    orbits, _ = automorphism_orbits(g)
+    by_count = [IntPolynomial.zero()] * (d + 1)
+    for v, size in orbits:
+        events = [(1, g.adj[w]) for w in g.neighbors(v)]
+        for t, poly in _event_polynomials(g, "hardcore", 0, events).items():
+            by_count[t] = by_count[t] + size * poly
+    z = _event_polynomials(g, "hardcore", 0, [])[0](lam) * g.n
+    return [poly(lam) / z for poly in by_count]
 
 
 # ---------------------------------------------------------------------------
@@ -268,19 +268,21 @@ def free_neighborhood_distribution(g: Graph, lam: Fraction):
     """Exact law of the free-neighborhood class of a uniform vertex under
     the hard-core model, as a vector aligned with enumerate_configs(d).
 
-    An automorphism carries each independent set to one of the same size
-    and the free neighborhood of v to that of its image, so every vertex
-    of one orbit has the same law: the states are split, from their
-    bit-sliced columns, by the free neighborhood of one vertex per
-    automorphism orbit, weighted by the orbit size
+    A neighbor w of v is free when no vertex of N(w) - N(v) is occupied;
+    v is one of them, so an occupied v leaves no neighbor free. The states
+    are counted by their free-neighborhood pattern, one bit per neighbor,
+    by `polynomials._event_polynomials`. An automorphism carries each
+    independent set to one of the same size and the free neighborhood of v
+    to that of its image, so every vertex of one orbit has the same law:
+    one vertex per automorphism orbit is counted, weighted by the orbit size
     (graphs.automorphism_orbits).
 
     Verifies on the way out that the vector is a feasible point of
     build_primal(d, lam) (a distribution satisfying the balance constraint)
     whose objective is the true occupancy of g. With the balance holding,
     that objective is lam/(1+lam) E[vacancy] = lam/(1+lam) E[crowding].
-    Enumeration is capped at FREE_LAW_LIMIT vertices, checked before the
-    orbits are searched.
+    Capped at FREE_LAW_LIMIT vertices, checked before the orbits are
+    searched.
     """
     lam = fugacity(lam)
     d = regular_degree(g)
@@ -288,30 +290,18 @@ def free_neighborhood_distribution(g: Graph, lam: Fraction):
         raise DomainError("graph must be regular")
     _state_model(g, "hardcore", FREE_LAW_LIMIT)
     orbits, _ = automorphism_orbits(g)
-    # w in N(v) is free when no vertex of the set outside N(v) is adjacent
-    # to it; an occupied v blocks all of N(v). Per representative v, each
-    # neighbor w as a bit with the vertices that block it
-    reps = [(v, [(1 << w, g.adj[w] & ~g.adj[v]) for w in g.neighbors(v)]) for v, _ in orbits]
-
-    def split(occupied, everyone):
-        # labelled by (representative, free-neighborhood mask)
-        for v, around in reps:
-            free = [(bit, everyone & ~_union(occupied, blockers)) for bit, blockers in around]
-            for mask, part in _split_states(everyone, free).items():
-                yield (v, mask), part
-
-    total, by_label = column_polynomials(g, "hardcore", split, FREE_LAW_LIMIT)
     configs = enumerate_configs(d)
     by_graph = {cfg.graph: cfg.index for cfg in configs}
     by_key = {cfg.key: cfg.index for cfg in configs}
-    size = dict(orbits)
     weights = [IntPolynomial.zero()] * len(configs)
-    for (v, mask), poly in by_label.items():
-        # a class representative, as a labeled graph, needs no canonical form
-        h = g.induced(mask_vertices(mask))
-        idx = by_graph[h] if h in by_graph else by_key[canonical_key(h)]
-        weights[idx] = weights[idx] + size[v] * poly
-    z = total(lam) * g.n
+    for v, size in orbits:
+        events = [(1 << w, g.adj[w] & ~g.adj[v]) for w in g.neighbors(v)]
+        for mask, poly in _event_polynomials(g, "hardcore", 0, events).items():
+            # a class representative, as a labeled graph, needs no canonical form
+            h = g.induced(mask_vertices(mask))
+            idx = by_graph[h] if h in by_graph else by_key[canonical_key(h)]
+            weights[idx] = weights[idx] + size * poly
+    z = _event_polynomials(g, "hardcore", 0, [])[0](lam) * g.n
     probs = [w(lam) / z for w in weights]
     if objective_value(probs, d, lam) != occupancy(g, lam):
         raise CertificateError("free-neighborhood law does not reproduce occupancy")

@@ -23,10 +23,8 @@ from .graphs import Graph, automorphism_orbits, mask_vertices, regular_degree
 from .hardcore import CertificateReport
 from .lp import LinearProgram, _over_one_denominator, dual_slacks, primal_value
 from .polynomials import (
-    _split_states,
+    _event_polynomials,
     _state_model,
-    _union,
-    column_polynomials,
     edge_occupancy,
     kdd_edge_occupancy,
     kdd_matching_poly,
@@ -396,12 +394,18 @@ def edge_neighborhood_distribution(g: Graph, lam: Fraction, limit: int = 20):
     """Exact law of the (i, j, k) configuration of a uniform oriented edge
     under the monomer-dimer model, as a dict keyed by triple.
 
-    An automorphism carries each matching to one of the same size and the
-    triple of an edge to that of its image, so every edge of one orbit has
-    the same law: the matchings are split, from their bit-sliced columns,
-    by the triple of one edge per automorphism orbit, weighted by the orbit
-    size (graphs.automorphism_orbits), and each triple of (u, v) also
-    counts as its mirror, the triple of (v, u).
+    A neighbor w of the edge (u, v) counts when it is unmatched or matched
+    to u or v, that is when no edge of g - u - v covers it. So the
+    matchings of g - u - v are counted by their triple by
+    `polynomials._event_polynomials`, with one event per neighbor w, and
+    u and v extend one with triple (i, j, k) in
+    1 + (1 + i + j + 2k) x + ((i + k)(j + k) - k) x^2 ways: the edge (u, v),
+    one edge from u or v to a counted neighbor, or one from each to two
+    distinct ones. An automorphism carries each matching to one of the same
+    size and the triple of an edge to that of its image, so one edge per
+    automorphism orbit is counted, weighted by the orbit size
+    (graphs.automorphism_orbits), and each triple of (u, v) also counts as
+    its mirror, the triple of (v, u).
 
     Verifies that the law is a feasible point of build_primal(d, lam) and
     that its objective reproduces the edge occupancy of g. The edge cap
@@ -413,41 +417,25 @@ def edge_neighborhood_distribution(g: Graph, lam: Fraction, limit: int = 20):
         raise DomainError("graph must be d-regular with d >= 2")
     _state_model(g, "matching", limit)
     _, orbits = automorphism_orbits(g)
-    edges = g.edges()
-    at = [0] * g.n  # the edges at each vertex, as a mask over edges
-    for i, (u, v) in enumerate(edges):
-        at[u] |= 1 << i
-        at[v] |= 1 << i
-    # per orbit representative (u, v): its orbit size and each neighbor w
-    # of u or v other than u and v, weighted 1, d or d^2 as it neighbors u
-    # only, v only or both, so that a sum of weights reads i + j d + k d^2,
-    # with the edges that join w to u or v
-    per_edge = []
-    for (u, v), size in orbits:
-        around = []
-        for w in mask_vertices((g.adj[u] | g.adj[v]) & ~(1 << u | 1 << v)):
-            near_u, near_v = g.adj[u] >> w & 1, g.adj[v] >> w & 1
-            weight = d * d if near_u and near_v else 1 if near_u else d
-            around.append((weight, w, at[w] & (at[u] | at[v])))
-        per_edge.append((size, around))
-
-    def split(present, everyone):
-        # a neighboring edge (x, w) of (u, v) survives iff w is unmatched or
-        # matched to u or v. Labelled by (orbit size, i, j, k).
-        unmatched = [everyone & ~_union(present, mask) for mask in at]
-        for size, around in per_edge:
-            live = [(weight, unmatched[w] | _union(present, joins)) for weight, w, joins in around]
-            for key, part in _split_states(everyone, live).items():
-                yield (size, key % d, key // d % d, key // (d * d)), part
-
-    total, by_label = column_polynomials(g, "matching", split, limit)
+    total = _event_polynomials(g, "matching", 0, [])[0]
     # weights as integers over the common denominator q^n at lam = p/q
     p, q, n = lam.numerator, lam.denominator, total.degree
     oriented = defaultdict(int)
-    for (size, i, j, k), w in by_label.items():
-        weight = size * w.homogeneous(p, q, n)
-        oriented[i, j, k] += weight
-        oriented[j, i, k] += weight
+    for (u, v), size in orbits:
+        # each neighbor w of u or v other than u and v, weighted 1, d or d^2
+        # as it neighbors u only, v only or both, so that a sum of weights
+        # reads i + j d + k d^2
+        events = []
+        for w in mask_vertices((g.adj[u] | g.adj[v]) & ~(1 << u | 1 << v)):
+            near_u, near_v = g.adj[u] >> w & 1, g.adj[v] >> w & 1
+            events.append((d * d if near_u and near_v else 1 if near_u else d, 1 << w))
+        ends = 1 << u | 1 << v
+        for key, poly in _event_polynomials(g, "matching", ends, events).items():
+            i, j, k = key % d, key // d % d, key // (d * d)
+            extended = poly * IntPolynomial((1, 1 + i + j + 2 * k, (i + k) * (j + k) - k))
+            weight = size * extended.homogeneous(p, q, n)
+            oriented[i, j, k] += weight
+            oriented[j, i, k] += weight
     denom = total.homogeneous(p, q, n) * g.edge_count * 2
     law = {t: Fraction(weight, denom) for t, weight in sorted(oriented.items())}
     if objective_value(law, d, lam) != edge_occupancy(g, lam):

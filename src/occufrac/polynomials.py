@@ -1,4 +1,5 @@
-"""Independence and matching polynomials, occupancy fractions, size
+"""Independence and matching polynomials, the event polynomials behind the
+neighborhood laws and correlation checks, occupancy fractions, size
 distributions, and the brute-force enumeration engine (with the probability
 oracle built on it) for the hard-core and monomer-dimer models. Everything
 is exact.
@@ -12,10 +13,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from functools import reduce
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, islice
 from math import comb, factorial
-from operator import or_
 
 from .errors import CapabilityError, DomainError
 from .exactmath import IntPolynomial, binomial_poly, fugacity
@@ -53,6 +52,11 @@ _MATCH_MEMO: dict = {}
 # walked in tables of at most _STATE_BOUND states.
 _STATES: dict = {}
 _STATE_BOUND = 1 << 15
+
+# The deletion recurrence behind the neighborhood laws and the correlation
+# checks, kept for the last graph asked about under each model as (graph,
+# position of each vertex in the relabeling, poly, field width).
+_RECURSIONS: dict = {}
 
 
 def _memoized(memo: dict, g: Graph, compute) -> IntPolynomial:
@@ -262,6 +266,72 @@ def _matching_step(adj, mask, poly):
     return without_v, high
 
 
+def _event_polynomials(g: Graph, model: str, base: int, events) -> dict:
+    """{label: IntPolynomial} over the states of the model on g - base, an
+    independent set (hardcore) or a matching (matching) as the recurrences
+    count them: `events` is a list of (weight, blockers) pairs, vertex masks
+    of g, and event i holds when no vertex of blockers_i is occupied
+    (hardcore) or covered (matching). A state is labelled by the sum of the
+    weights of the events that hold in it, so that distinct bits key a label
+    by its pattern and unit weights by a count. With no events the one label
+    0 holds the polynomial of g - base.
+
+    Both models are Markov, so the states in which the events of a set U
+    hold are those of g - base - (the union of blockers_U), and the product
+    over events of 1 + (z^weight - 1)[event holds] expands, by
+    inclusion-exclusion, into signed terms keyed by (union of blockers,
+    label). Equal keys merge as the events are taken in turn, and each
+    distinct union is looked up once in the deletion recurrence of g. That
+    recurrence runs over g relabeled breadth-first, one component after
+    another, and is kept for the last graph under each model (see
+    `_RECURSIONS`).
+    """
+    n, full = g.n, (1 << g.n) - 1
+    kept = _RECURSIONS.get(model)
+    if kept is None or kept[0] != g:
+        if kept is not None:  # the old recursion refers to itself: free it now
+            kept[2].memo.clear()
+        order = [v for comp in mask_components(g.adj, full) for v in _bfs_order(g.adj, comp)]
+        adj = g.induced(order).adj
+        if model == "hardcore":
+            single, step = (1, 1), _independence_step
+        else:
+            single, step = (1,), _matching_step
+        position = [0] * n
+        for i, v in enumerate(order):
+            position[v] = i
+        poly = _mask_recursion(adj, single, step)
+        kept = _RECURSIONS[model] = (g, position, poly, _field_width(adj, single))
+    _, position, poly, width = kept
+
+    def relabeled(mask):
+        return sum(1 << position[v] for v in mask_vertices(mask))
+
+    # a term is keyed by label << n | union: union the relabeled base and
+    # blockers of the events it requires to hold, label the weight it gives
+    terms = {relabeled(base): 1}
+    for weight, blockers in events:
+        blocked, step, grown = relabeled(blockers), weight << n, {}
+        for key, sign in terms.items():
+            joined = key | blocked
+            if joined != key:  # the states where the event fails keep the label
+                grown[key] = grown.get(key, 0) + sign
+                grown[joined] = grown.get(joined, 0) - sign
+            grown[joined + step] = grown.get(joined + step, 0) + sign
+        terms = grown
+    lookups, packed = {}, defaultdict(int)
+    for key, sign in terms.items():
+        if sign:
+            union = key & full
+            value = lookups.get(union)
+            if value is None:
+                value = lookups[union] = poly(full ^ union)
+            packed[key >> n] += sign * value
+    # every field of a label's sum counts states of one size, so the sum
+    # unpacks as it stands; a caller weighs or adds the unpacked polynomials
+    return {label: IntPolynomial(_unpack(value, width)) for label, value in packed.items() if value}
+
+
 def kdd_independence_poly(d: int) -> IntPolynomial:
     """Independence polynomial of K_{d,d}: 2(1+x)^d - 1."""
     if d <= 0:
@@ -457,8 +527,7 @@ def state_polynomials(g: Graph, model: str, classify, limit: int = ORACLE_LIMIT)
     The states of the last graph enumerated under each model are kept with
     their masks and sizes (see `_state_tables`), so further questions about
     an equal graph classify them again without a walk. The cap is checked
-    first, whatever is kept. `column_polynomials` counts from bit-sliced
-    columns of the masks instead, with no call per state.
+    first, whatever is kept.
     """
     width, tables = _state_tables(g, model, limit)
     counts, total = defaultdict(lambda: [0] * width), IntPolynomial.zero()
@@ -470,79 +539,20 @@ def state_polynomials(g: Graph, model: str, classify, limit: int = ORACLE_LIMIT)
     return total, {label: IntPolynomial(row) for label, row in counts.items()}
 
 
-def column_polynomials(g: Graph, model: str, split, limit: int = ORACLE_LIMIT):
-    """`state_polynomials` from bit-sliced columns, with no call per state.
-
-    A set of states is an int whose bit i selects state i. split(items,
-    everyone) receives items[b], the set of the states that hold vertex b
-    (hardcore) or edge b of g.edges() (matching), and everyone, the set of
-    all states; it yields (label, states) pairs, and each pair counts the
-    states it selects once under the label. An enumeration of more than
-    _STATE_BOUND states goes through the same code in chunks (see
-    `_state_tables`), split once per chunk. Returns (total, {label:
-    IntPolynomial}) as state_polynomials does, with the same cap.
-    """
-    width, tables = _state_tables(g, model, limit)
-    counts, total = defaultdict(lambda: [0] * width), IntPolynomial.zero()
-    for table in tables:
-        items, by_size = table.columns()
-        for label, part in split(items, (1 << len(table.states)) - 1):
-            if part:
-                row = counts[label]
-                for k, sized in enumerate(by_size):
-                    row[k] += (part & sized).bit_count()
-        total = total + table.total
-    return total, {label: IntPolynomial(row) for label, row in counts.items()}
-
-
-def _split_states(states: int, columns) -> dict:
-    """{key: part}: the set `states` split by the (weight, column) pairs of
-    `columns`, each state under the sum of the weights of the columns that
-    hold it. States with equal sums share one part, and no part is empty:
-    distinct bits as weights key a part by its whole pattern, unit weights
-    by a count."""
-    parts = {0: states}
-    for weight, column in columns:
-        grown = {}
-        for key, part in parts.items():
-            inside = part & column
-            if inside:
-                grown[key + weight] = grown.get(key + weight, 0) | inside
-            if part ^ inside:
-                grown[key] = grown.get(key, 0) | part ^ inside
-        parts = grown
-    return parts
-
-
-def _union(items, mask: int) -> int:
-    """The set of the states that hold any vertex or edge of `mask`."""
-    return reduce(or_, map(items.__getitem__, mask_vertices(mask)), 0)
-
-
-# Row t maps a byte to b"1" when its bit t is set and to b"0" otherwise.
-_BIT_ROWS = tuple((b"0" * (1 << t) + b"1" * (1 << t)) * (128 >> t) for t in range(8))
-
-
-def _bit_column(column: bytes, row: bytes) -> int:
-    """The int whose bit i is row[column[i]], for a 256-byte row of b"0"s
-    and b"1"s: the translated bytes, last first, read in binary."""
-    return int(column.translate(row)[::-1], 2)
-
-
 class _StateTable:
     """States of one graph under one model: all of them when kept, else one
     chunk of an enumeration. `masks[i]` is the walk's mask of `states[i]`
     over the vertices or the edges of g.edges(), `sizes[i]` its bit count,
-    and `total` counts the states by size. The hard-core vertex sets and the
-    bit-sliced columns are made on the first request."""
+    and `total` counts the states by size. The hard-core vertex sets are
+    made on the first request."""
 
-    __slots__ = ("graph", "states", "masks", "sizes", "total", "_count", "_vertex_sets", "_columns")
+    __slots__ = ("graph", "states", "masks", "sizes", "total", "_vertex_sets")
 
-    def __init__(self, graph: Graph, states: tuple, masks: tuple, count: int, width: int):
-        self.graph, self.states, self.masks, self._count = graph, states, masks, count
+    def __init__(self, graph: Graph, states: tuple, masks: tuple, width: int):
+        self.graph, self.states, self.masks = graph, states, masks
         self.sizes = bytes(map(int.bit_count, masks))
         self.total = IntPolynomial(self.sizes.count(k) for k in range(width))
-        self._vertex_sets = self._columns = None
+        self._vertex_sets = None
 
     def vertex_sets(self):
         """Each mask as a frozenset of vertices, as hard-core predicates take it."""
@@ -550,38 +560,21 @@ class _StateTable:
             self._vertex_sets = tuple(map(frozenset, map(mask_vertices, self.masks)))
         return self._vertex_sets
 
-    def columns(self):
-        """(items, by_size): items[b] is the int whose bit i says whether
-        state i holds vertex or edge b, by_size[k] the int of the states of
-        size k. C-level passes make them: the masks are packed into bytes,
-        and each column is one stride of bytes translated to binary digits."""
-        if self._columns is None:
-            count = self._count
-            step = (count + 7) // 8 or 1
-            packed = b"".join(map(int.to_bytes, self.masks, repeat(step), repeat("little")))
-            items = [_bit_column(packed[b >> 3 :: step], _BIT_ROWS[b & 7]) for b in range(count)]
-            by_size = [
-                _bit_column(self.sizes, b"0" * k + b"1" + b"0" * (255 - k))
-                for k in range(len(self.total.coeffs))
-            ]
-            self._columns = items, by_size
-        return self._columns
-
 
 def _state_model(g: Graph, model: str, limit: int):
-    """(walk, count, width) of the model on g once g is within the cap of
-    `limit` vertices (hardcore) or edges (matching), else CapabilityError:
-    walk(g, bound) gives (states, masks) chunks, each mask over `count`
-    vertices or edges, and a state has one of `width` sizes. Callers that
-    work on g before enumerating check here."""
+    """(walk, width) of the model on g once g is within the cap of `limit`
+    vertices (hardcore) or edges (matching), else CapabilityError:
+    walk(g, bound) gives (states, masks) chunks, and a state has one of
+    `width` sizes. The laws and correlation checks, which enumerate
+    nothing, check their caps here too, before any other work."""
     if model == "hardcore":
         if g.n > limit:
             raise CapabilityError(f"oracle limit is {limit} vertices, got {g.n}")
-        return _independent_walk, g.n, g.n + 1
+        return _independent_walk, g.n + 1
     if model == "matching":
         if g.edge_count > limit:
             raise CapabilityError(f"oracle limit is {limit} edges, got {g.edge_count}")
-        return _matching_walk, g.edge_count, g.n // 2 + 1
+        return _matching_walk, g.n // 2 + 1
     raise DomainError(f"unknown model {model!r}")
 
 
@@ -590,14 +583,14 @@ def _state_tables(g: Graph, model: str, limit: int):
     under the model; else a fresh walk, kept when it gives at most
     _STATE_BOUND states and otherwise streamed once in tables of at most
     _STATE_BOUND states, none kept. The cap is checked first, whatever is kept."""
-    walk, count, width = _state_model(g, model, limit)
+    walk, width = _state_model(g, model, limit)
     table = _STATES.get(model)
     if table is None or table.graph != g:
         chunks = walk(g, _STATE_BOUND)
         head = tuple(islice(chunks, 2))
         if len(head) > 1:
-            return width, (_StateTable(g, *c, count, width) for c in chain(head, chunks))
-        table = _STATES[model] = _StateTable(g, *head[0], count, width)
+            return width, (_StateTable(g, *c, width) for c in chain(head, chunks))
+        table = _STATES[model] = _StateTable(g, *head[0], width)
     return width, (table,)
 
 
@@ -625,9 +618,13 @@ def event_probability_oracle(
 
 
 def clear_memo_tables():
-    """Drop memoized polynomials, kept oracle state tables and the kept
-    automorphism orbits (mainly for benchmarks and tests)."""
+    """Drop memoized polynomials, kept oracle state tables, the kept
+    recurrences of the laws and the kept automorphism orbits (mainly for
+    benchmarks and tests)."""
     _IND_MEMO.clear()
     _MATCH_MEMO.clear()
     _STATES.clear()
+    for _, _, poly, _ in _RECURSIONS.values():  # each refers to itself
+        poly.memo.clear()
+    _RECURSIONS.clear()
     _ORBITS.clear()

@@ -353,9 +353,10 @@ def _c10(failures, details, quick):
                 failures.append(f"{name} edge oracle lam={format_rational(lam)}")
             oracle_checks += 1
 
-        # the laws count the states just enumerated again, from the kept
-        # states of each model. They verify feasibility and the objective
-        # identity internally and raise when either fails.
+        # the laws enumerate nothing: they come from the deletion
+        # recurrence. They verify feasibility and the objective identity
+        # internally and raise when either fails; the identity ties them to
+        # the occupancies that the enumeration above has just checked.
         d = regular_degree(g)
         lam = Fraction(1)
         try:

@@ -16,12 +16,14 @@ automorphism found by testing each degree-preserving bijection
 subgraphs read from the `neighbors` generator, which the adjacency-mask
 versions replaced (`generator_edge_count`, `generator_induced`), and the
 correlation check's events classified state by state through
-`state_polynomials`, which the bit-sliced columns replaced
-(`classified_correlation`), and the recursive matching generator that the
+`state_polynomials` (`classified_correlation`), where `fkg_check` reads
+each probability from the deletion recurrence, and the recursive matching generator that the
 explicit-stack walk replaced (`reference_matchings`), which every
 reference here that needs matchings uses. Other canonical keys come from
 the labelling search `_canonical_form` itself. The three reference laws are
-kept per (graph6, lam) for the life of the process, as read-only values.
+classified state by state by definition, counted in integers by state
+size, and kept per (graph6, lam) for the life of the process, as read-only
+values.
 """
 
 from fractions import Fraction
@@ -534,24 +536,37 @@ def edge_triple_by_definition(g: Graph, left: int, right: int, matching):
     return (len(at_left - at_right), len(at_right - at_left), len(at_left & at_right))
 
 
-# Fraction-weighted reference laws: one weight lam^size per state, summed
-# state by state, against which the library's integer-count engine is
-# compared. Each is kept per (graph6, lam), as a tuple or a read-only dict
-# view.
+# Reference laws by definition: each state is classified on its own, its
+# labels counted in integers by the state's size, and each label's counts
+# evaluated once at lam, against which the library's laws from the deletion
+# recurrence are compared. Each is kept per (graph6, lam), as a tuple or a
+# read-only dict view.
+
+def _counted_law(states, width: int, labels_of, lam: Fraction):
+    """({label: weight}, total weight) at lam: each (state, size) pair of
+    `states` counted under its size, once in the total and once under each
+    label that labels_of(state) yields, and each row of counts evaluated
+    once by `fraction_horner`."""
+    total, rows = [0] * width, {}
+    for state, size in states:
+        total[size] += 1
+        for label in labels_of(state):
+            rows.setdefault(label, [0] * width)[size] += 1
+    weights = {label: fraction_horner(row, lam) for label, row in rows.items()}
+    return weights, fraction_horner(total, lam)
+
 
 @_kept_by_graph6
 def reference_uncovered_law(g: Graph, lam: Fraction):
     """Law of the number of uncovered neighbors of a uniform vertex."""
-    d = regular_degree(g)
-    total = Fraction(0)
-    weights = [Fraction(0)] * (d + 1)
-    for mask in independent_sets(g):
-        w = lam ** mask.bit_count()
-        total += w
+
+    def counts(mask):
         for v in range(g.n):
-            uncovered = sum(1 for u in g.neighbors(v) if not (g.adj[u] & mask))
-            weights[uncovered] += w
-    return [w / (total * g.n) for w in weights]
+            yield sum(1 for u in g.neighbors(v) if not (g.adj[u] & mask))
+
+    states = ((mask, mask.bit_count()) for mask in independent_sets(g))
+    weights, total = _counted_law(states, g.n + 1, counts, lam)
+    return [weights.get(t, Fraction(0)) / (total * g.n) for t in range(regular_degree(g) + 1)]
 
 
 def classified_correlation(g: Graph, vertices, lam: Fraction, mode: str):
@@ -589,15 +604,15 @@ def reference_free_neighborhood_law(g: Graph, lam: Fraction):
     enumerate_configs(d)."""
     configs = enumerate_configs(regular_degree(g))
     by_key = {cfg.key: cfg.index for cfg in configs}
-    weights = [Fraction(0)] * len(configs)
-    total = Fraction(0)
-    for mask in independent_sets(g):
-        w = lam ** mask.bit_count()
-        total += w
+
+    def classes(mask):
         iset = frozenset(mask_vertices(mask))
         for v in range(g.n):
-            weights[by_key[_canonical_form(_free_neighborhood(g, v, iset))[0]]] += w
-    return [w / (total * g.n) for w in weights]
+            yield by_key[_canonical_form(_free_neighborhood(g, v, iset))[0]]
+
+    states = ((mask, mask.bit_count()) for mask in independent_sets(g))
+    weights, total = _counted_law(states, g.n + 1, classes, lam)
+    return [weights.get(cfg.index, Fraction(0)) / (total * g.n) for cfg in configs]
 
 
 @_kept_by_graph6
@@ -605,15 +620,14 @@ def reference_edge_law(g: Graph, lam: Fraction):
     """Law of the (i, j, k) triple of a uniform oriented edge, keyed by
     triple in sorted order."""
     edges = g.edges()
-    weights: dict = {}
-    total = Fraction(0)
-    for matching in reference_matchings(g):
-        w = lam ** len(matching)
-        total += w
+
+    def triples(matching):
         for u, v in edges:
             for left, right in ((u, v), (v, u)):
-                triple = edge_triple_by_definition(g, left, right, matching)
-                weights[triple] = weights.get(triple, Fraction(0)) + w
+                yield edge_triple_by_definition(g, left, right, matching)
+
+    states = ((matching, len(matching)) for matching in reference_matchings(g))
+    weights, total = _counted_law(states, g.n // 2 + 1, triples, lam)
     denom = total * len(edges) * 2
     return {t: w / denom for t, w in sorted(weights.items())}
 

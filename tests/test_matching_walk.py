@@ -23,7 +23,6 @@ from occufrac.graphs import (
 )
 from occufrac.polynomials import (
     clear_memo_tables,
-    column_polynomials,
     event_probability_oracle,
     matchings,
     state_polynomials,
@@ -115,19 +114,12 @@ def test_mask_bit_i_says_whether_edge_i_is_matched(g):
 
 
 def _chunked_laws(g, lam):
-    # an event probability, a classifier and a column split over the 16
-    # disjoint edges of g, each a law of the whole enumeration
+    # an event probability and a classifier over the 16 disjoint edges of
+    # g, each a law of the whole enumeration
     first, last = g.edges()[0], g.edges()[-1]
     probability = event_probability_oracle(g, "matching", lam, lambda m: first in m and last not in m)
     classified = state_polynomials(g, "matching", lambda m: [e for e in (first, last) if e in m])
-
-    def split(items, everyone):
-        yield "first", items[0]
-        yield "both ends", items[0] & items[-1]
-        yield "neither", everyone & ~(items[0] | items[-1])
-
-    columns = column_polynomials(g, "matching", split)
-    return probability, classified, columns
+    return probability, classified
 
 
 def test_chunked_matchings_give_the_laws_of_one_table(monkeypatch):
@@ -138,13 +130,12 @@ def test_chunked_matchings_give_the_laws_of_one_table(monkeypatch):
     clear_memo_tables()
     chunked = _chunked_laws(loose, lam)
     assert polynomials._STATES == {}
-    probability, (total, classified), (column_total, columns) = chunked
+    probability, (total, classified) = chunked
     x = IntPolynomial((1, 1))
-    assert total == column_total == x**16
+    assert total == x**16
     assert probability == lam / (1 + lam) / (1 + lam)
-    assert classified[loose.edges()[0]] == columns["first"] == IntPolynomial((0, 1)) * x**15
-    assert columns["both ends"] == IntPolynomial((0, 0, 1)) * x**14
-    assert columns["neither"] == x**14
+    edge_once = IntPolynomial((0, 1)) * x**15
+    assert classified[loose.edges()[0]] == classified[loose.edges()[-1]] == edge_once
     monkeypatch.setattr(polynomials, "_STATE_BOUND", 1 << 16)
     clear_memo_tables()
     assert _chunked_laws(loose, lam) == chunked

@@ -685,21 +685,32 @@ def _ask_everything(g, lam):
     ]
 
 
+def _kept_recursions():
+    return {model: kept[2] for model, kept in polynomials._RECURSIONS.items()}
+
+
 def test_states_are_enumerated_once_per_graph_and_model(enumerations):
-    # K_{3,3} with vertices 0 and 1 on one side
+    # K_{3,3} with vertices 0 and 1 on one side. The oracles walk each model
+    # once; the laws and correlation checks start no walk, and read one kept
+    # recursion per model
     g = Graph(6, [(u, v) for u in (0, 1, 2) for v in (3, 4, 5)])
     lam = Fraction(3, 2)
     first = _ask_everything(g, lam)
     assert enumerations == {"hardcore": 1, "matching": 1}
+    kept = _kept_recursions()
+    assert set(kept) == {"hardcore", "matching"}
     assert _ask_everything(g, lam) == first
     assert enumerations == {"hardcore": 1, "matching": 1}
-    # an equal graph built anew reuses the kept states
+    # an equal graph built anew reuses the kept states and recursions
     assert _ask_everything(Graph(6, g.edges()), lam) == first
     assert enumerations == {"hardcore": 1, "matching": 1}
+    assert all(_kept_recursions()[model] is poly for model, poly in kept.items())
     # a different graph of the same order does not
     other = Graph(6, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 5), (2, 3)])  # a 6-cycle
     _ask_everything(other, lam)
     assert enumerations == {"hardcore": 2, "matching": 2}
+    assert all(_kept_recursions()[model] is not poly for model, poly in kept.items())
+    assert all(not poly.memo for poly in kept.values())  # the replaced memos are freed
 
 
 def test_warm_states_give_the_cold_results(enumerations):
@@ -712,7 +723,7 @@ def test_warm_states_give_the_cold_results(enumerations):
             reference_free_neighborhood_law(g, lam),
             reference_edge_law(g, lam),
         )
-    assert enumerations == {"hardcore": 6, "matching": 6}
+    assert enumerations == {"hardcore": 0, "matching": 0}  # the laws start no walk
 
 
 def test_warm_states_still_meet_the_caps():
@@ -819,6 +830,19 @@ def test_clear_memo_tables_drops_kept_states():
     assert polynomials._STATES
     clear_memo_tables()
     assert polynomials._STATES == {}
+
+
+def test_clear_memo_tables_drops_and_frees_kept_recursions():
+    from occufrac.hardcore import uncovered_count_distribution
+    from occufrac.matching import edge_neighborhood_distribution
+
+    uncovered_count_distribution(cycle(6), ONE)
+    edge_neighborhood_distribution(cycle(6), ONE)
+    kept = _kept_recursions()
+    assert set(kept) == {"hardcore", "matching"} and all(poly.memo for poly in kept.values())
+    clear_memo_tables()
+    assert polynomials._RECURSIONS == {}
+    assert all(not poly.memo for poly in kept.values())  # each closure refers to itself
 
 
 def test_budgets_are_checked_before_any_subgraph_is_built(monkeypatch):
