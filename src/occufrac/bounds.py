@@ -14,7 +14,7 @@ from .exactmath import IntPolynomial, fugacity
 from .graphs import Graph, bipartition, is_vertex_transitive, kdd_union, regular_degree
 from .polynomials import (
     ORACLE_LIMIT,
-    _event_polynomials,
+    _event_values,
     _state_model,
     independence_poly,
     kdd_independence_poly,
@@ -135,30 +135,35 @@ def fkg_check(g: Graph, vertices, lam: Fraction, mode: str = "occupied") -> Corr
 
     The hard-core model is Markov, so every vertex of a set S is occupied
     with weight x^|S| P(G - N[S]) and uncovered with weight P(G - N(S)),
-    both read from the deletion recurrence (polynomials._event_polynomials)
-    and divided by P(G). Capped at ORACLE_LIMIT vertices, checked after the
-    arguments."""
+    each read at lam in integers (polynomials._event_values) over P(G).
+    The vertices must be distinct ints. Capped at ORACLE_LIMIT vertices,
+    checked after the arguments."""
     lam = fugacity(lam)
+    vs = list(vertices)
+    for i, v in enumerate(vs):
+        if type(v) is not int:  # a bool is not a vertex either
+            raise DomainError(f"vertex {v!r} is not an int")
+        if v in vs[:i]:
+            raise DomainError(f"vertex {v} is repeated")
     if mode not in ("occupied", "uncovered"):
         raise DomainError(f"unknown mode {mode!r}")
     sides = bipartition(g)
     if sides is None:
         raise DomainError("graph must be bipartite")
-    vs = list(vertices)
     if len(vs) < 2:
         raise DomainError("need at least two vertices")
     if not (set(vs) <= set(sides[0]) or set(vs) <= set(sides[1])):
         raise DomainError("vertices must lie on one side of the bipartition")
 
     _state_model(g, "hardcore", ORACLE_LIMIT)
-    z = _event_polynomials(g, "hardcore", 0, [])[0](lam)
+    p, q, z = lam.numerator, lam.denominator, _event_values(g, "hardcore", lam, 0, [])[0]
 
     def probability(targets):
         near = 0
         for v in targets:
             near |= g.adj[v] | (1 << v if mode == "occupied" else 0)
-        value = _event_polynomials(g, "hardcore", near, [])[0](lam) / z
-        return lam ** len(targets) * value if mode == "occupied" else value
+        s = len(targets) if mode == "occupied" else 0
+        return Fraction(p**s * _event_values(g, "hardcore", lam, near, [])[0], q**s * z)
 
     joint = probability(set(vs))
     product = Fraction(1)

@@ -29,8 +29,7 @@ from .graphs import (
 from .lp import LinearProgram, dual_slacks, primal_value
 from .polynomials import (
     ORACLE_LIMIT,
-    _event_polynomials,
-    _independence_step,
+    _event_values,
     _mask_recursion,
     _pack,
     _state_model,
@@ -64,8 +63,8 @@ def enumerate_configs(d: int):
     Each class's independence polynomial is grown from its parent record
     (i, S) of graphs._classes_and_automorphisms: the representative is
     class i on one vertex fewer plus a vertex with neighborhood S, so
-    P = P(class i) + x P(class i - S), read from class i's memoized mask
-    recursion, whose memo is cleared once the level is grown."""
+    P = P(class i) + x P(class i - S), read packed from class i's memoized
+    mask recursion, whose memo is cleared once the level is grown."""
     if d < MIN_D:
         raise DomainError(f"need d >= {MIN_D}")
     if d > MAX_D:
@@ -73,9 +72,9 @@ def enumerate_configs(d: int):
     configs = list(enumerate_configs(d - 1)) if d > MIN_D else []
     for n in range(d if configs else 0, d + 1):
         below = [cfg for cfg in configs if cfg.graph.n == n - 1]
-        recursions = [_mask_recursion(cfg.graph.adj, (1, 1), _independence_step) for cfg in below]
         # a recursion on n - 1 vertices packs its polynomials in fields of
         # n bits, wide enough for the counts of the classes on n vertices
+        recursions = [_mask_recursion(cfg.graph.adj, "hardcore", 1 << n, 1) for cfg in below]
         packed = [_pack(cfg.poly.coeffs, n) for cfg in below]
         classes, _, parents = _classes_and_automorphisms(n)
         for (key, h), parent in zip(classes, parents):
@@ -241,7 +240,7 @@ def uncovered_count_distribution(g: Graph, lam: Fraction):
     """Exact law of the number of uncovered neighbors of a uniform vertex.
 
     A neighbor w of v is uncovered when no vertex of N(w) is occupied, so
-    the law of v is counted by `polynomials._event_polynomials` with one
+    the law of v is weighed at lam by `polynomials._event_values` with one
     unit-weight event per neighbor; every vertex of one automorphism orbit
     has the same law (graphs.automorphism_orbits), so one representative
     per orbit is counted, weighted by the orbit size. Capped at
@@ -252,13 +251,13 @@ def uncovered_count_distribution(g: Graph, lam: Fraction):
         raise DomainError("graph must be regular")
     _state_model(g, "hardcore", ORACLE_LIMIT)
     orbits, _ = automorphism_orbits(g)
-    by_count = [IntPolynomial.zero()] * (d + 1)
+    by_count = [0] * (d + 1)
     for v, size in orbits:
         events = [(1, g.adj[w]) for w in g.neighbors(v)]
-        for t, poly in _event_polynomials(g, "hardcore", 0, events).items():
-            by_count[t] = by_count[t] + size * poly
-    z = _event_polynomials(g, "hardcore", 0, [])[0](lam) * g.n
-    return [poly(lam) / z for poly in by_count]
+        for t, value in _event_values(g, "hardcore", lam, 0, events).items():
+            by_count[t] += size * value
+    z = _event_values(g, "hardcore", lam, 0, [])[0] * g.n
+    return [Fraction(w, z) for w in by_count]
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +269,8 @@ def free_neighborhood_distribution(g: Graph, lam: Fraction):
 
     A neighbor w of v is free when no vertex of N(w) - N(v) is occupied;
     v is one of them, so an occupied v leaves no neighbor free. The states
-    are counted by their free-neighborhood pattern, one bit per neighbor,
-    by `polynomials._event_polynomials`. An automorphism carries each
+    are weighed at lam by their free-neighborhood pattern, one bit per
+    neighbor, by `polynomials._event_values`. An automorphism carries each
     independent set to one of the same size and the free neighborhood of v
     to that of its image, so every vertex of one orbit has the same law:
     one vertex per automorphism orbit is counted, weighted by the orbit size
@@ -293,16 +292,16 @@ def free_neighborhood_distribution(g: Graph, lam: Fraction):
     configs = enumerate_configs(d)
     by_graph = {cfg.graph: cfg.index for cfg in configs}
     by_key = {cfg.key: cfg.index for cfg in configs}
-    weights = [IntPolynomial.zero()] * len(configs)
+    weights = [0] * len(configs)
     for v, size in orbits:
         events = [(1 << w, g.adj[w] & ~g.adj[v]) for w in g.neighbors(v)]
-        for mask, poly in _event_polynomials(g, "hardcore", 0, events).items():
+        for mask, value in _event_values(g, "hardcore", lam, 0, events).items():
             # a class representative, as a labeled graph, needs no canonical form
             h = g.induced(mask_vertices(mask))
             idx = by_graph[h] if h in by_graph else by_key[canonical_key(h)]
-            weights[idx] = weights[idx] + size * poly
-    z = _event_polynomials(g, "hardcore", 0, [])[0](lam) * g.n
-    probs = [w(lam) / z for w in weights]
+            weights[idx] += size * value
+    z = _event_values(g, "hardcore", lam, 0, [])[0] * g.n
+    probs = [Fraction(w, z) for w in weights]
     if objective_value(probs, d, lam) != occupancy(g, lam):
         raise CertificateError("free-neighborhood law does not reproduce occupancy")
     return probs

@@ -23,7 +23,7 @@ from .graphs import Graph, automorphism_orbits, mask_vertices, regular_degree
 from .hardcore import CertificateReport
 from .lp import LinearProgram, _over_one_denominator, dual_slacks, primal_value
 from .polynomials import (
-    _event_polynomials,
+    _event_values,
     _state_model,
     edge_occupancy,
     kdd_edge_occupancy,
@@ -396,14 +396,15 @@ def edge_neighborhood_distribution(g: Graph, lam: Fraction, limit: int = 20):
 
     A neighbor w of the edge (u, v) counts when it is unmatched or matched
     to u or v, that is when no edge of g - u - v covers it. So the
-    matchings of g - u - v are counted by their triple by
-    `polynomials._event_polynomials`, with one event per neighbor w, and
-    u and v extend one with triple (i, j, k) in
+    matchings of g - u - v are weighed at lam = p/q by their triple by
+    `polynomials._event_values`, with one event per neighbor w, and u and v
+    extend one with triple (i, j, k) in
     1 + (1 + i + j + 2k) x + ((i + k)(j + k) - k) x^2 ways: the edge (u, v),
     one edge from u or v to a counted neighbor, or one from each to two
-    distinct ones. An automorphism carries each matching to one of the same
-    size and the triple of an edge to that of its image, so one edge per
-    automorphism orbit is counted, weighted by the orbit size
+    distinct ones; every weight is an integer over q^(n+2) M(lam), M the
+    matching polynomial of g. An automorphism carries each matching to one
+    of the same size and the triple of an edge to that of its image, so one
+    edge per automorphism orbit is counted, weighted by the orbit size
     (graphs.automorphism_orbits), and each triple of (u, v) also counts as
     its mirror, the triple of (v, u).
 
@@ -417,9 +418,7 @@ def edge_neighborhood_distribution(g: Graph, lam: Fraction, limit: int = 20):
         raise DomainError("graph must be d-regular with d >= 2")
     _state_model(g, "matching", limit)
     _, orbits = automorphism_orbits(g)
-    total = _event_polynomials(g, "matching", 0, [])[0]
-    # weights as integers over the common denominator q^n at lam = p/q
-    p, q, n = lam.numerator, lam.denominator, total.degree
+    p, q = lam.numerator, lam.denominator
     oriented = defaultdict(int)
     for (u, v), size in orbits:
         # each neighbor w of u or v other than u and v, weighted 1, d or d^2
@@ -430,13 +429,13 @@ def edge_neighborhood_distribution(g: Graph, lam: Fraction, limit: int = 20):
             near_u, near_v = g.adj[u] >> w & 1, g.adj[v] >> w & 1
             events.append((d * d if near_u and near_v else 1 if near_u else d, 1 << w))
         ends = 1 << u | 1 << v
-        for key, poly in _event_polynomials(g, "matching", ends, events).items():
+        for key, value in _event_values(g, "matching", lam, ends, events).items():
             i, j, k = key % d, key // d % d, key // (d * d)
-            extended = poly * IntPolynomial((1, 1 + i + j + 2 * k, (i + k) * (j + k) - k))
-            weight = size * extended.homogeneous(p, q, n)
+            ways = q * q + (1 + i + j + 2 * k) * p * q + ((i + k) * (j + k) - k) * p * p
+            weight = size * value * ways
             oriented[i, j, k] += weight
             oriented[j, i, k] += weight
-    denom = total.homogeneous(p, q, n) * g.edge_count * 2
+    denom = _event_values(g, "matching", lam, 0, [])[0] * q * q * g.edge_count * 2
     law = {t: Fraction(weight, denom) for t, weight in sorted(oriented.items())}
     if objective_value(law, d, lam) != edge_occupancy(g, lam):
         raise CertificateError("edge-neighborhood law misses the edge occupancy")

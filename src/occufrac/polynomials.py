@@ -1,4 +1,4 @@
-"""Independence and matching polynomials, the event polynomials behind the
+"""Independence and matching polynomials, the event weights behind the
 neighborhood laws and correlation checks, occupancy fractions, size
 distributions, and the brute-force enumeration engine (with the probability
 oracle built on it) for the hard-core and monomer-dimer models. Everything
@@ -54,8 +54,8 @@ _STATES: dict = {}
 _STATE_BOUND = 1 << 15
 
 # The deletion recurrence behind the neighborhood laws and the correlation
-# checks, kept for the last graph asked about under each model as (graph,
-# position of each vertex in the relabeling, poly, field width).
+# checks, kept for the last graph and fugacity asked about under each model
+# as (graph, fugacity, position of each vertex in the relabeling, value).
 _RECURSIONS: dict = {}
 
 
@@ -82,7 +82,7 @@ def independence_poly(g: Graph) -> IntPolynomial:
     with v the lowest vertex of S in that order (see `_mask_recursion`).
     The budget applies per component, as in matching_poly.
     """
-    return _by_components(g, _IND_MEMO, (1, 1), _independence_step, _vertex_budget)
+    return _by_components(g, _IND_MEMO, "hardcore", _vertex_budget)
 
 
 def matching_poly(g: Graph) -> IntPolynomial:
@@ -95,7 +95,7 @@ def matching_poly(g: Graph) -> IntPolynomial:
     The budget applies per component, which is where the recursion cost
     lives.
     """
-    return _by_components(g, _MATCH_MEMO, (1,), _matching_step, _edge_budget)
+    return _by_components(g, _MATCH_MEMO, "matching", _edge_budget)
 
 
 def _vertex_budget(adj, comps) -> None:
@@ -117,7 +117,7 @@ def _edge_budget(adj, comps) -> None:
             )
 
 
-def _by_components(g: Graph, memo: dict, single, step, budget) -> IntPolynomial:
+def _by_components(g: Graph, memo: dict, model: str, budget) -> IntPolynomial:
     """The product of the polynomials of g's components under
     `_mask_recursion`, after budget(adj, component masks) has had its say,
     so an over-budget graph raises before any subgraph is built. A
@@ -129,12 +129,13 @@ def _by_components(g: Graph, memo: dict, single, step, budget) -> IntPolynomial:
     def compute(sub):
         top = (1 << sub.n) - 1
         adj = sub.induced(_bfs_order(sub.adj, top)).adj
-        poly = _mask_recursion(adj, single, step)
-        packed = poly(top)
-        poly.memo.clear()
-        return IntPolynomial(_unpack(packed, _field_width(adj, single)))
+        width = _field_width(adj, model)
+        value = _mask_recursion(adj, model, 1 << width, 1)
+        packed = value(top)
+        value.memo.clear()
+        return IntPolynomial(_unpack(packed, width))
 
-    one, out = IntPolynomial(single), IntPolynomial.one()
+    one, out = IntPolynomial((1, 1) if model == "hardcore" else (1,)), IntPolynomial.one()
     for comp in comps:
         if comp.bit_count() == 1:
             p = one
@@ -149,10 +150,10 @@ def _by_components(g: Graph, memo: dict, single, step, budget) -> IntPolynomial:
 # sits next to the part already removed and the masks it reaches stay few,
 # whatever the input's labels. Subproblems are vertex masks of that
 # relabeled adjacency: induced subgraphs, so a mask is an exact key and no
-# Graph is built. A polynomial is one int (Kronecker substitution):
-# coefficient k sits in bits [kW, (k+1)W) for the field width W of
-# `_field_width`, wide enough that no field ever carries into the next, so
-# x * P is P << W and the product of two polynomials is one int product.
+# Graph is built. Mask S gets V(S) = q^|S| P_S(p/q) at a fugacity p/q; a
+# polynomial is V at (p, q) = (2^W, 1), one int (Kronecker substitution)
+# with coefficient k in bits [kW, (k+1)W) for the field width W of
+# `_field_width`, wide enough that no field ever carries into the next.
 
 def _bfs_order(adj, comp):
     """The vertices of the connected mask `comp`, breadth-first from its
@@ -166,12 +167,11 @@ def _bfs_order(adj, comp):
     return order
 
 
-def _field_width(adj, single) -> int:
-    """Bits per packed coefficient of the polynomials of `adj`'s masks. A
-    model whose one-vertex polynomial `single` has an x term counts vertex
-    sets (hard-core), and fewer than 2^n of them have any one size; else it
-    counts edge sets (matchings), fewer than 2^m of any one size."""
-    if len(single) > 1:
+def _field_width(adj, model: str) -> int:
+    """Bits per packed coefficient of the polynomials of `adj`'s masks. The
+    hard-core model counts vertex sets, fewer than 2^n of any one size; the
+    matching model counts edge sets, fewer than 2^m of any one size."""
+    if model == "hardcore":
         return len(adj) + 1
     return sum(map(int.bit_count, adj)) // 2 + 1
 
@@ -192,15 +192,16 @@ def _unpack(packed: int, width: int) -> tuple:
     return tuple(out)
 
 
-def _mask_recursion(adj, single, step):
-    """The memoized poly(mask, touch=0): the polynomial of any vertex mask
-    of the adjacency `adj`, packed in fields of `_field_width(adj, single)`
-    bits, where `single` is the coefficient tuple of one vertex and
-    step(adj, mask, poly) gives (A, B), packed, with P = A + x B for a
-    connected mask of two or more vertices, from poly of smaller masks.
-    `adj` is used as labelled: `_by_components` passes a breadth-first
-    relabeling, while `hardcore.enumerate_configs` asks for masks in a
-    class representative's own labels.
+def _mask_recursion(adj, model: str, p: int, q: int):
+    """The memoized value(mask, touch=0): V(S) = q^|S| P_S(p/q) for any
+    vertex mask S of the adjacency `adj`, P_S the polynomial of S under the
+    model, "hardcore" or "matching"; at (p, q) = (2^W, 1), W the
+    `_field_width(adj, model)`, it is P_S packed. One vertex is p + q or q,
+    a connected mask is stepped from smaller ones by the model's step, and
+    a split mask is the product of its parts. `adj` is used as labelled:
+    `_by_components` and `_event_values` pass a breadth-first relabeling,
+    while `hardcore.enumerate_configs` asks for masks in a class
+    representative's own labels.
 
     `touch` is a set of the mask's vertices that meets each of its
     components; the whole mask when not given, any one vertex for a mask
@@ -210,34 +211,36 @@ def _mask_recursion(adj, single, step):
     from one vertex of touch: a mask in which it reaches all of touch is
     connected and stepped; otherwise the component found and the rest of
     the mask are looked up apart and multiplied. Either way the result is
-    memoized under the mask. The memo is `poly.memo`; poly refers to
+    memoized under the mask. The memo is `value.memo`; value refers to
     itself, so a caller done with it clears the memo rather than leave it
     to the cycle collector."""
-    width = _field_width(adj, single)
-    unit = _pack(single, width)
+    if model == "hardcore":
+        step, unit = _independence_step, p + q
+    else:
+        step, unit = _matching_step, q
     memo = {1 << v: unit for v in range(len(adj))}
     memo[0] = 1
 
-    def poly(mask, touch=0):
+    def value(mask, touch=0):
         out = memo.get(mask)
         if out is None:
             touch = touch or mask
             comp = mask_component(adj, mask, touch)
             if comp == mask:
-                low, high = step(adj, mask, poly)
-                out = low + (high << width)
+                out = step(adj, mask, value, p, q)
             else:
-                out = poly(comp, comp & -comp) * poly(mask ^ comp, touch & ~comp)
+                out = value(comp, comp & -comp) * value(mask ^ comp, touch & ~comp)
             memo[mask] = out
         return out
 
-    poly.memo = memo
-    return poly
+    value.memo = memo
+    return value
 
 
-def _independence_step(adj, mask, poly):
-    # P(S) = P(S - v) + x P(S - N[v]) at the lowest vertex v of S, each cut
-    # mask passed on with its vertices next to what was cut
+def _independence_step(adj, mask, value, p, q):
+    # P(S) = P(S - v) + x P(S - N[v]) at the lowest vertex v of S, so
+    # V(S) = q V(S - v) + p q^|N(v) & S| V(S - N[v]), each cut mask passed
+    # on with its vertices next to what was cut
     low = mask & -mask
     rest = mask ^ low
     near = adj[low.bit_length() - 1] & rest
@@ -247,62 +250,60 @@ def _independence_step(adj, mask, poly):
         u = nbrs & -nbrs
         touch |= adj[u.bit_length() - 1]
         nbrs ^= u
-    return poly(rest, near), poly(far, touch & far)
+    return q * value(rest, near) + p * q ** near.bit_count() * value(far, touch & far)
 
 
-def _matching_step(adj, mask, poly):
+def _matching_step(adj, mask, value, p, q):
     # M(S) = M(S - v) + x sum_{u in N(v) & S} M(S - u - v), v lowest in S,
-    # each cut mask passed on with its vertices next to what was cut
+    # so V(S) = q V(S - v) + p q sum_u V(S - u - v), each cut mask passed
+    # on with its vertices next to what was cut
     low = mask & -mask
     rest = mask ^ low
     near = adj[low.bit_length() - 1] & rest
-    without_v = poly(rest, near)
-    high, nbrs = 0, near
+    without_v = value(rest, near)
+    pairs, nbrs = 0, near
     while nbrs:
         u = nbrs & -nbrs
         cut = rest ^ u
-        high += poly(cut, (near | adj[u.bit_length() - 1]) & cut)
+        pairs += value(cut, (near | adj[u.bit_length() - 1]) & cut)
         nbrs ^= u
-    return without_v, high
+    return q * (without_v + p * pairs)
 
 
-def _event_polynomials(g: Graph, model: str, base: int, events) -> dict:
-    """{label: IntPolynomial} over the states of the model on g - base, an
-    independent set (hardcore) or a matching (matching) as the recurrences
-    count them: `events` is a list of (weight, blockers) pairs, vertex masks
-    of g, and event i holds when no vertex of blockers_i is occupied
-    (hardcore) or covered (matching). A state is labelled by the sum of the
-    weights of the events that hold in it, so that distinct bits key a label
-    by its pattern and unit weights by a count. With no events the one label
-    0 holds the polynomial of g - base.
+def _event_values(g: Graph, model: str, lam: Fraction, base: int, events) -> dict:
+    """{label: q^n W(p/q)} at the fugacity lam = p/q, n = g.n, where W
+    counts by size the states of the model on g - base, independent sets
+    (hardcore) or matchings (matching), that carry the label: `events` is a
+    list of (weight, blockers) pairs, vertex masks of g, and event i holds
+    when no vertex of blockers_i is occupied (hardcore) or covered
+    (matching). A state is labelled by the sum of the weights of the events
+    that hold in it, so that distinct bits key a label by its pattern and
+    unit weights by a count. With no events the one label 0 holds q^n times
+    the polynomial of g - base at lam.
 
     Both models are Markov, so the states in which the events of a set U
     hold are those of g - base - (the union of blockers_U), and the product
     over events of 1 + (z^weight - 1)[event holds] expands, by
     inclusion-exclusion, into signed terms keyed by (union of blockers,
     label). Equal keys merge as the events are taken in turn, and each
-    distinct union is looked up once in the deletion recurrence of g. That
-    recurrence runs over g relabeled breadth-first, one component after
-    another, and is kept for the last graph under each model (see
-    `_RECURSIONS`).
+    distinct union U is one lookup, V(g - U) q^|U|, in the deletion
+    recurrence of g at lam (`_mask_recursion`). That recurrence runs over g
+    relabeled breadth-first, one component after another, and is kept for
+    the last graph and fugacity under each model (see `_RECURSIONS`).
     """
     n, full = g.n, (1 << g.n) - 1
     kept = _RECURSIONS.get(model)
-    if kept is None or kept[0] != g:
+    if kept is None or kept[1] != lam or kept[0] != g:
         if kept is not None:  # the old recursion refers to itself: free it now
-            kept[2].memo.clear()
+            kept[3].memo.clear()
         order = [v for comp in mask_components(g.adj, full) for v in _bfs_order(g.adj, comp)]
-        adj = g.induced(order).adj
-        if model == "hardcore":
-            single, step = (1, 1), _independence_step
-        else:
-            single, step = (1,), _matching_step
         position = [0] * n
         for i, v in enumerate(order):
             position[v] = i
-        poly = _mask_recursion(adj, single, step)
-        kept = _RECURSIONS[model] = (g, position, poly, _field_width(adj, single))
-    _, position, poly, width = kept
+        value = _mask_recursion(g.induced(order).adj, model, lam.numerator, lam.denominator)
+        kept = _RECURSIONS[model] = (g, lam, position, value)
+    _, _, position, value = kept
+    q = lam.denominator
 
     def relabeled(mask):
         return sum(1 << position[v] for v in mask_vertices(mask))
@@ -319,17 +320,17 @@ def _event_polynomials(g: Graph, model: str, base: int, events) -> dict:
                 grown[joined] = grown.get(joined, 0) - sign
             grown[joined + step] = grown.get(joined + step, 0) + sign
         terms = grown
-    lookups, packed = {}, defaultdict(int)
+    lookups, values = {}, defaultdict(int)
     for key, sign in terms.items():
         if sign:
             union = key & full
-            value = lookups.get(union)
-            if value is None:
-                value = lookups[union] = poly(full ^ union)
-            packed[key >> n] += sign * value
-    # every field of a label's sum counts states of one size, so the sum
-    # unpacks as it stands; a caller weighs or adds the unpacked polynomials
-    return {label: IntPolynomial(_unpack(value, width)) for label, value in packed.items() if value}
+            looked = lookups.get(union)
+            if looked is None:
+                looked = lookups[union] = value(full ^ union) * q ** union.bit_count()
+            values[key >> n] += sign * looked
+    # every state weighs a positive amount at lam > 0, so a label
+    # whose sum is 0 holds no state
+    return {label: v for label, v in values.items() if v}
 
 
 def kdd_independence_poly(d: int) -> IntPolynomial:
@@ -624,7 +625,7 @@ def clear_memo_tables():
     _IND_MEMO.clear()
     _MATCH_MEMO.clear()
     _STATES.clear()
-    for _, _, poly, _ in _RECURSIONS.values():  # each refers to itself
-        poly.memo.clear()
+    for _, _, _, value in _RECURSIONS.values():  # each refers to itself
+        value.memo.clear()
     _RECURSIONS.clear()
     _ORBITS.clear()

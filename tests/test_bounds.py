@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -172,7 +173,7 @@ def test_fkg_one_pass_equals_per_event_oracle():
     lam = Fraction(3, 5)
     for g, vs in (
         (hypercube(3), [0, 3, 5]),
-        (cycle(8), [0, 2, 2]),  # a repeated vertex is one more factor
+        (cycle(8), [0, 2, 4]),
         (kdd_union(2, 8), [0, 1, 4]),
     ):
         for mode in ("occupied", "uncovered"):
@@ -197,6 +198,27 @@ def test_fkg_precondition_errors():
         fkg_check(cycle(6), [0], ONE)
     with pytest.raises(DomainError):
         fkg_check(cycle(6), [0, 2], Fraction(0))
+
+
+@pytest.mark.parametrize(
+    "vertices, message",
+    [
+        ([0, 0], "vertex 0 is repeated"),
+        ([0, 2, 4, 2], "vertex 2 is repeated"),
+        ([True, 3], "vertex True is not an int"),
+        ([0, 2.0], "vertex 2.0 is not an int"),
+        (["0", 2], "vertex '0' is not an int"),
+    ],
+)
+def test_fkg_rejects_repeated_and_non_int_vertices(monkeypatch, vertices, message):
+    # a vertex is not correlated with itself, and True is not vertex 1: both
+    # are refused before the bipartition is searched
+    def refuse(g):
+        raise AssertionError("bipartition called before the vertex check")
+
+    monkeypatch.setattr(bounds_module, "bipartition", refuse)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        fkg_check(cycle(6), vertices, ONE)
 
 
 def test_counts_known_values():

@@ -55,8 +55,8 @@ def test_growing_with_the_neighborhood_mask_fails(monkeypatch):
     # mutation: read P(g[S]) from the parent's memo in place of P(g - S)
     original = hardcore._mask_recursion
 
-    def wrong_mask(adj, single, step):
-        poly = original(adj, single, step)
+    def wrong_mask(adj, *rest):
+        poly = original(adj, *rest)
         full = (1 << len(adj)) - 1
 
         def wrong(mask):

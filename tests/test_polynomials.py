@@ -202,9 +202,9 @@ def _cold_steps(model, g):
     steps = []
     original = getattr(polynomials, name)
 
-    def counted(adj, mask, poly):
+    def counted(adj, mask, *rest):
         steps.append(mask)
-        return original(adj, mask, poly)
+        return original(adj, mask, *rest)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(polynomials, name, counted)
@@ -303,9 +303,9 @@ def test_too_narrow_packed_fields_differ_from_graph_deletion(monkeypatch):
     for poly, g, model in ((matching_poly, prism(6), "matching"), (independence_poly, cubic, "hardcore")):
         want = graph_deletion_poly(g, model)
         narrow = max(want.coeffs).bit_length() - 1
-        assert narrow < polynomials._field_width(g.adj, (1, 1) if model == "hardcore" else (1,))
+        assert narrow < polynomials._field_width(g.adj, model)
         with monkeypatch.context() as patch:
-            patch.setattr(polynomials, "_field_width", lambda adj, single: narrow)
+            patch.setattr(polynomials, "_field_width", lambda adj, model: narrow)
             clear_memo_tables()
             assert poly(g) != want
         clear_memo_tables()
@@ -686,7 +686,7 @@ def _ask_everything(g, lam):
 
 
 def _kept_recursions():
-    return {model: kept[2] for model, kept in polynomials._RECURSIONS.items()}
+    return {model: kept[3] for model, kept in polynomials._RECURSIONS.items()}
 
 
 def test_states_are_enumerated_once_per_graph_and_model(enumerations):

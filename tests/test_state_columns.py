@@ -1,7 +1,8 @@
 """The neighbourhood laws and correlation checks from the deletion
-recurrence: `polynomials._event_polynomials` against a per-state count by
-definition, the four callers against the reference laws of `_oracles` and,
-for the correlation check, against the per-state classifier path, and the
+recurrence: `polynomials._event_values` against a per-state count by
+definition, packed and at rational fugacities, the four callers against the
+reference laws of `_oracles` and, for the correlation check, against the
+per-state classifier path, the kept recurrence across fugacities, and the
 uncovered law on dense graphs at the oracle cap. The free and edge laws on
 the bundled graphs and on asymmetric graphs are also checked in
 test_orbit_laws, and all three laws on seeded random regular graphs in
@@ -25,6 +26,7 @@ from _oracles import (
 )
 from occufrac import graphs, polynomials
 from occufrac.bounds import fkg_check
+from occufrac.cli import FUGACITY_DIGITS
 from occufrac.corpus import bipartite_correlation_corpus, transitive_bipartite_corpus
 from occufrac.exactmath import IntPolynomial
 from occufrac.graphs import (
@@ -52,9 +54,9 @@ def _random_regular():
 
 
 def _groups(g):
-    # same-side pairs and triples, and one vertex named twice
+    # same-side pairs and triples
     side = max(bipartition(g), key=len)
-    return [vs for vs in (side[:2], side[1:3], side[:3], [side[0], side[0]]) if len(vs) > 1]
+    return [vs for vs in (side[:2], side[1:3], side[:3]) if len(vs) > 1]
 
 
 def _states_by_definition(g, model, base):
@@ -108,26 +110,79 @@ def _event_cases():
                 yield g, model, base, events
 
 
-def test_event_polynomials_count_each_state_under_its_weight_sum():
+def _homogeneous(poly, lam, n):
+    # q^n poly(p/q) as the sum of c_k p^k q^(n - k), in integers
+    p, q = lam.numerator, lam.denominator
+    return sum(c * p**k * q ** (n - k) for k, c in enumerate(poly.coeffs))
+
+
+def test_event_values_pack_each_state_under_its_weight_sum():
+    # at lam = 2^W the value of a label is its count polynomial packed in
+    # fields of W bits, so each case is a full polynomial identity
     cases = 0
     for g, model, base, events in _event_cases():
         clear_memo_tables()
-        assert polynomials._event_polynomials(g, model, base, events) == _counted_by_definition(
-            g, model, base, events
-        )
+        width = polynomials._field_width(g.adj, model)
+        want = _counted_by_definition(g, model, base, events)
+        assert polynomials._event_values(g, model, Fraction(1 << width), base, events) == {
+            label: polynomials._pack(poly.coeffs, width) for label, poly in want.items()
+        }
         cases += 1
     assert cases == 96
     clear_memo_tables()
 
 
-def test_event_polynomials_with_no_events_give_the_polynomial():
+def test_event_values_weigh_each_state_at_rational_fugacities():
+    cases = 0
+    for g, model, base, events in _event_cases():
+        want = _counted_by_definition(g, model, base, events)
+        for lam in (Fraction(7, 5), Fraction(2, 9)):
+            clear_memo_tables()
+            assert polynomials._event_values(g, model, lam, base, events) == {
+                label: _homogeneous(poly, lam, g.n) for label, poly in want.items()
+            }
+        cases += 1
+    assert cases == 96
+    clear_memo_tables()
+
+
+def test_event_values_with_no_events_give_the_polynomial():
     for g in (petersen(), disjoint_union(cycle(3), hypercube(3))):
-        assert polynomials._event_polynomials(g, "hardcore", 0, []) == {
-            0: polynomials.independence_poly(g)
-        }
-        assert polynomials._event_polynomials(g, "matching", 0, []) == {
-            0: polynomials.matching_poly(g)
-        }
+        for lam in (Fraction(7, 5), Fraction(2, 9), Fraction(3)):
+            scale = lam.denominator**g.n
+            assert polynomials._event_values(g, "hardcore", lam, 0, []) == {
+                0: scale * polynomials.independence_poly(g)(lam)
+            }
+            assert polynomials._event_values(g, "matching", lam, 0, []) == {
+                0: scale * polynomials.matching_poly(g)(lam)
+            }
+    clear_memo_tables()
+
+
+def _everything(g, vs, lam):
+    # every law and both correlation checks of g at lam
+    return (
+        uncovered_count_distribution(g, lam),
+        free_neighborhood_distribution(g, lam),
+        edge_neighborhood_distribution(g, lam),
+        fkg_check(g, vs, lam, "occupied"),
+        fkg_check(g, vs, lam, "uncovered"),
+    )
+
+
+def test_kept_recursion_is_keyed_by_graph_and_fugacity():
+    # interleaved fugacities on one graph each give the fresh results: a
+    # recursion kept for one fugacity is never read at another
+    g, vs = hypercube(3), [0, 3, 5]
+    first, second = Fraction(7, 5), Fraction(1, 3)
+    fresh = {}
+    for lam in (first, second):
+        clear_memo_tables()
+        fresh[lam] = _everything(g, vs, lam)
+    clear_memo_tables()
+    for lam in (first, second, first, second):
+        assert _everything(g, vs, lam) == fresh[lam]
+        assert {kept[:2] for kept in polynomials._RECURSIONS.values()} == {(g, lam)}
     clear_memo_tables()
 
 
@@ -219,24 +274,30 @@ def _dense_regular(rng, n, d, swaps):
     return Graph(n, sorted(edges))
 
 
+# a fugacity with as many digits as the CLI accepts: the recurrence's
+# integers grow with them
+LONG_LAM = Fraction(10**FUGACITY_DIGITS - 1, 10**FUGACITY_DIGITS // 7)
+
+
 def test_uncovered_law_is_fast_on_dense_graphs_at_the_cap():
     # K24: the inclusion-exclusion over a vertex's 23 neighbors merges its
     # terms by union, where 2^23 plain terms would not run. The empty set
     # leaves all 23 neighbors uncovered, v alone none, any other vertex u
-    # alone just u
-    lam = LAM
-    z = 1 + 24 * lam
-    started = time.perf_counter()
-    law = uncovered_count_distribution(complete(24), lam)
-    assert time.perf_counter() - started < 2
-    assert law == [lam / z, 23 * lam / z] + [0] * 21 + [1 / z]
-    # a dense 12-regular graph on 24 vertices with every vertex its own orbit
+    # alone just u. Then a dense 12-regular graph on 24 vertices with every
+    # vertex its own orbit. Both at a short fugacity and a long one
     g = _dense_regular(random.Random(7), 24, 12, 200)
     assert graphs.regular_degree(g) == 12
     assert len(graphs.automorphism_orbits(g)[0]) == 24
-    clear_memo_tables()
-    started = time.perf_counter()
-    law = uncovered_count_distribution(g, lam)
-    assert time.perf_counter() - started < 2
-    assert sum(law) == 1
+    for lam in (LAM, LONG_LAM):
+        z = 1 + 24 * lam
+        clear_memo_tables()
+        started = time.perf_counter()
+        law = uncovered_count_distribution(complete(24), lam)
+        assert time.perf_counter() - started < 2
+        assert law == [lam / z, 23 * lam / z] + [0] * 21 + [1 / z]
+        clear_memo_tables()
+        started = time.perf_counter()
+        law = uncovered_count_distribution(g, lam)
+        assert time.perf_counter() - started < 2
+        assert sum(law) == 1
     clear_memo_tables()
