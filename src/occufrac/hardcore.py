@@ -53,7 +53,7 @@ class NeighborhoodConfig(NamedTuple):
     label: str  # "<n>v<m>e#<index>", the name reports give the class
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # so 3.0 or True never reads 3's or 1's entry
 def enumerate_configs(d: int):
     """All isomorphism classes on 0..d vertices, ordered by vertex count then
     canonical key. Column order of the primal program; the empty class
@@ -65,6 +65,8 @@ def enumerate_configs(d: int):
     class i on one vertex fewer plus a vertex with neighborhood S, so
     P = P(class i) + x P(class i - S), read packed from class i's memoized
     mask recursion, whose memo is cleared once the level is grown."""
+    if type(d) is not int:  # a bool is no degree either
+        raise DomainError(f"d {d!r} is not an int")
     if d < MIN_D:
         raise DomainError(f"need d >= {MIN_D}")
     if d > MAX_D:

@@ -10,7 +10,9 @@ builds of the two certify programs that the integer-column builds replaced,
 the tree lower-bound verdict by bisection that the exact sign replaced, and
 the canonical search with count-dict refinement and fixed-point orbits that
 the mask-split refinement and union-find orbits replaced
-(`reference_canonical_form`), vertex and edge orbits from every
+(`reference_canonical_form`), the certificate of every leaf of that
+search's tree walked without pruning (`reference_leaf_certificates`),
+vertex and edge orbits from every
 automorphism found by testing each degree-preserving bijection
 (`brute_orbits`, `brute_edge_orbits`), and edge counts and induced
 subgraphs read from the `neighbors` generator, which the adjacency-mask
@@ -712,14 +714,41 @@ def _reference_orbit_reps(n: int, automorphisms):
     return rep
 
 
-def reference_canonical_form(g: Graph):
-    """(canonical key, smallest vertex of each vertex's automorphism orbit,
-    automorphisms as image lists that generate a group with those orbits)."""
+def _reference_root(g: Graph):
+    """The root of the search tree: the degree cells, refined."""
     n, adj = g.n, g.adj
     cells = [
         sum(1 << v for v in range(n) if adj[v].bit_count() == d)
         for d in sorted({m.bit_count() for m in adj})
     ]
+    big = max(cells, key=int.bit_count, default=0)
+    return _reference_refine(adj, cells, [c for c in cells if c != big])
+
+
+def reference_leaf_certificates(g: Graph):
+    """The set of the certificates of every leaf of the search tree of g,
+    walked without pruning: each vertex of the first non-singleton cell is
+    individualized in turn at every node."""
+    n, adj = g.n, g.adj
+    certificates = set()
+
+    def visit(cells):
+        if len(cells) == n:
+            certificates.add(_reference_certificate(adj, [c.bit_length() - 1 for c in cells]))
+            return
+        t = next(i for i, c in enumerate(cells) if c & (c - 1))
+        for v in mask_vertices(cells[t]):
+            child = cells[:t] + [1 << v, cells[t] ^ 1 << v] + cells[t + 1 :]
+            visit(_reference_refine(adj, child, [1 << v]))
+
+    visit(_reference_root(g))
+    return certificates
+
+
+def reference_canonical_form(g: Graph):
+    """(canonical key, smallest vertex of each vertex's automorphism orbit,
+    automorphisms as image lists that generate a group with those orbits)."""
+    n, adj = g.n, g.adj
     automorphisms = []
     leaves = []  # the first and the best leaf: (certificate, ordering, path)
 
@@ -755,8 +784,7 @@ def reference_canonical_form(g: Graph):
                 return resume
         return len(path)
 
-    big = max(cells, key=int.bit_count, default=0)
-    visit(_reference_refine(adj, cells, [c for c in cells if c != big]), [])
+    visit(_reference_root(g), [])
     nbits = n * (n - 1) // 2
     pad = -nbits % 8
     key = bytes([n]) + (leaves[1][0] << pad).to_bytes((nbits + pad) // 8, "big")

@@ -18,6 +18,7 @@ from _oracles import (
     random_graph,
     random_regular_graph,
     reference_canonical_form,
+    reference_leaf_certificates,
     relabel,
 )
 from occufrac import graphs, polynomials
@@ -310,6 +311,15 @@ def test_isomorphism_classes_domain_and_cap_messages():
         isomorphism_classes(8)
 
 
+def test_isomorphism_classes_reject_a_non_int_vertex_count():
+    # checked before the class table's cache, whose entries for 2 and 1
+    # would answer for 2.0 and True
+    isomorphism_classes(2)
+    for bad in (2.0, True, "2"):
+        with pytest.raises(DomainError, match=f"^vertex count {re.escape(repr(bad))} is not an int$"):
+            isomorphism_classes(bad)
+
+
 @pytest.mark.parametrize("n", range(8))
 def test_isomorphism_classes_match_every_mask_growth(n):
     classes = isomorphism_classes(n)
@@ -351,9 +361,9 @@ def test_cold_configs_canonicalize_only_in_class_growth(monkeypatch):
     original_form = graphs._canonical_form
     original_key = polynomials.canonical_key
 
-    def counted_form(g):
+    def counted_form(g, seen=None):
         callers[sys._getframe(1).f_code.co_name] += 1
-        return original_form(g)
+        return original_form(g, seen)
 
     def counted_key(g):
         probes.append(g.n)
@@ -386,43 +396,54 @@ def test_each_class_is_its_parent_plus_one_vertex():
 def test_cold_class_enumeration_canonicalizes_few_extensions(monkeypatch):
     # extending every class by every mask takes 11292 canonical forms; each
     # level reuses the automorphisms found with its representatives, so the
-    # 209 classes on 0..6 vertices are not canonicalized a second time
+    # 209 classes on 0..6 vertices are not canonicalized a second time; the
+    # 388 extensions of an already found class stop at their first leaf, so
+    # only the 1253 classes on 0..7 vertices are searched in full
     calls = []
+    forms = []
     original = graphs._canonical_form
 
-    def counted(g):
+    def counted(g, seen=None):
         calls.append(g.n)
-        return original(g)
+        form = original(g, seen)
+        if form is not None:
+            forms.append(g.n)
+        return form
 
     monkeypatch.setattr(graphs, "_canonical_form", counted)
     graphs._classes_and_automorphisms.cache_clear()
     assert len(isomorphism_classes(7)) == 1044
     assert len(calls) < 2500
     assert len(calls) == 1641
+    assert len(forms) == 1253
+    assert Counter(forms) == {n: len(isomorphism_classes(n)) for n in range(8)}
 
 
 def _growth_graphs(monkeypatch):
     """Every graph that a cold class growth on 0..7 vertices canonicalizes,
-    in the order it does so."""
-    seen = []
+    in the order it does so, and {n: the leaf certificates it keeps on n
+    vertices} for n = 1..7; the one class on 0 vertices is searched alone."""
+    seen, kept = [], {}
     original = graphs._canonical_form
 
-    def recorded(g):
+    def recorded(g, certificates=None):
         seen.append(g)
-        return original(g)
+        if certificates is not None:
+            kept[g.n] = certificates
+        return original(g, certificates)
 
     monkeypatch.setattr(graphs, "_canonical_form", recorded)
     graphs._classes_and_automorphisms.cache_clear()
     graphs._classes_and_automorphisms(7)
     monkeypatch.setattr(graphs, "_canonical_form", original)
-    return seen
+    return seen, kept
 
 
 def test_canonical_form_matches_the_reference_search(monkeypatch):
     # the mask-split refinement and union-find orbits walk the same search
     # tree: the same key, orbit representatives and generators, in order
     rng = random.Random(24)
-    cases = _growth_graphs(monkeypatch)
+    cases, _ = _growth_graphs(monkeypatch)
     assert len(cases) == 1641
     for _ in range(4000):
         n = rng.randint(0, 16)
@@ -431,6 +452,51 @@ def test_canonical_form_matches_the_reference_search(monkeypatch):
     cases += [parse_spec(spec)[1] for spec in specs]
     for g in cases:
         assert _canonical_form(g) == reference_canonical_form(g), g
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_visited_leaves_give_every_leaf_certificate_of_a_class(n):
+    # automorphism pruning skips only images of visited leaves, so the full
+    # search collects the certificates of the whole unpruned tree, under
+    # any labelling, and finds what it finds without a set; C3 + C4 and its
+    # complement are the only classes here with more than one certificate
+    rng = random.Random(40 + n)
+    for _, rep in isomorphism_classes(n):
+        for h in (rep, _shuffled(rep, rng), _shuffled(rep, rng)):
+            certificates = set()
+            assert _canonical_form(h, certificates) == _canonical_form(h)
+            assert certificates == reference_leaf_certificates(h), h
+
+
+def test_visited_leaves_give_every_leaf_certificate_of_random_graphs():
+    # random cubic graphs on 8 and 10 vertices often have several
+    rng = random.Random(41)
+    cases = [random_graph(rng, rng.randint(0, 7), rng.random()) for _ in range(300)]
+    cases += [random_regular_graph(rng, n, 3) for n in (8, 10) for _ in range(20)]
+    for g in cases:
+        certificates = set()
+        _canonical_form(g, certificates)
+        assert certificates == reference_leaf_certificates(g), g
+
+
+def test_relabelled_classes_stop_at_their_first_leaf(monkeypatch):
+    # against the certificates its level kept, a relabelled representative
+    # stops at its first leaf and adds nothing; against none it is searched
+    # in full, and the classes' own sets are disjoint and make up the level's
+    _, kept = _growth_graphs(monkeypatch)
+    assert sorted(kept) == list(range(1, 8))
+    rng = random.Random(19)
+    for n in range(1, 8):
+        level = set(kept[n])
+        total = 0
+        for key, rep in isomorphism_classes(n):
+            h = _moved(rep, rng)
+            assert _canonical_form(h, kept[n]) is None
+            fresh = set()
+            assert _canonical_form(h, fresh)[0] == key
+            assert fresh <= level
+            total += len(fresh)
+        assert kept[n] == level and total == len(level)
 
 
 def test_class_growth_output_is_pinned():

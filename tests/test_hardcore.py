@@ -37,6 +37,14 @@ def test_enumerate_configs_counts():
         enumerate_configs(1)
 
 
+def test_enumerate_configs_rejects_a_non_int_d():
+    # the cached tables of 3 and 1 never answer for 3.0 or True
+    enumerate_configs(3)
+    for bad in (3.0, True, "3"):
+        with pytest.raises(DomainError, match=f"^d {re.escape(repr(bad))} is not an int$"):
+            enumerate_configs(bad)
+
+
 def _grown_polys_match_reference():
     enumerate_configs.cache_clear()
     try:
