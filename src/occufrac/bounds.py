@@ -10,7 +10,7 @@ from math import comb, factorial
 from typing import NamedTuple
 
 from .errors import CapabilityError, CertificateError, DomainError
-from .exactmath import IntPolynomial, fugacity
+from .exactmath import IntPolynomial, degree, fugacity
 from .graphs import Graph, bipartition, is_vertex_transitive, kdd_union, regular_degree
 from .polynomials import (
     ORACLE_LIMIT,
@@ -55,7 +55,7 @@ def _tree_gap(alpha: Fraction, d: int, lam: Fraction) -> Fraction:
 def tree_occupancy(d: int, lam: Fraction, tolerance: Fraction = DEFAULT_TOLERANCE) -> TreeOccupancy:
     """Bisect the fixed-point equation exactly; the returned bracket has
     width <= tolerance, straddles the sign change, and sits inside (0, 1/2)."""
-    lam = fugacity(lam)
+    d, lam = degree(d), fugacity(lam)
     if d < 2:
         raise DomainError("need d >= 2")
     if tolerance <= 0:

@@ -9,6 +9,7 @@ evaluation at a Fraction stays exact. No floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, wraps
 from math import comb
 
 from .errors import DomainError, FormatError, StructureError
@@ -54,6 +55,34 @@ def fugacity(lam) -> Fraction:
     if lam.numerator <= 0:
         raise DomainError("fugacity must be positive")
     return lam
+
+
+def degree(d) -> int:
+    """d itself when it is an int, else DomainError. A float or a bool is no
+    degree: it would compute in floats, or read what was cached for the
+    equal int."""
+    if type(d) is not int:
+        raise DomainError(f"d {d!r} is not an int")
+    return d
+
+
+def last_program(check_degree):
+    """Cache build(d, lam) for the last (d, lam) asked, its key made exact
+    before the cache is read: d by check_degree, which returns it or
+    raises, and lam by `fugacity`. So 3.0 never reads the entry of 3, while
+    1 and Fraction(1) share one. The result keeps lru_cache's cache_clear."""
+
+    def decorate(build):
+        cached = lru_cache(maxsize=1)(build)
+
+        @wraps(build)
+        def checked(d, lam):
+            return cached(check_degree(d), fugacity(lam))
+
+        checked.cache_clear = cached.cache_clear
+        return checked
+
+    return decorate
 
 
 def format_rational(x: Fraction) -> str:

@@ -17,7 +17,7 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import CapabilityError, CertificateError, DomainError
-from .exactmath import IntPolynomial, fugacity
+from .exactmath import IntPolynomial, degree, fugacity, last_program
 from .graphs import (
     Graph,
     _classes_and_automorphisms,
@@ -65,9 +65,7 @@ def enumerate_configs(d: int):
     class i on one vertex fewer plus a vertex with neighborhood S, so
     P = P(class i) + x P(class i - S), read packed from class i's memoized
     mask recursion, whose memo is cleared once the level is grown."""
-    if type(d) is not int:  # a bool is no degree either
-        raise DomainError(f"d {d!r} is not an int")
-    if d < MIN_D:
+    if degree(d) < MIN_D:
         raise DomainError(f"need d >= {MIN_D}")
     if d > MAX_D:
         raise CapabilityError(f"configuration enumeration supports {MIN_D} <= d <= {MAX_D}")
@@ -115,7 +113,7 @@ def _column(poly: IntPolynomial, d: int, p: int, q: int):
     return den, p * (top + slope), (den, 2 * s * (top - slope))
 
 
-@lru_cache(maxsize=1)  # the last program: build, solve and certify share it
+@last_program(degree)  # build, solve and certify share the last program
 def build_primal(d: int, lam: Fraction) -> LinearProgram:
     """maximize scale * sum p_C (vacancy + crowding)
     s.t. sum p_C = 1 and sum p_C (vacancy - crowding) = 0, p >= 0, with
@@ -123,7 +121,6 @@ def build_primal(d: int, lam: Fraction) -> LinearProgram:
     probability that all its vertices are unoccupied, and its crowding
     (1+lam) P'(lam) / (d P(lam)) the scaled mean occupied-neighbor count.
     A column depends only on P, so each distinct P is evaluated once."""
-    lam = fugacity(lam)  # 1 and Fraction(1) share a cache entry: build exactly
     p, q = lam.numerator, lam.denominator
     made = {}
     columns = []
@@ -152,7 +149,7 @@ def solver_dual_for_certificate(d: int, lam: Fraction):
     """The certificate prices as the dual of build_primal(d, lam)'s rows:
     scale * (norm, balance), where with u = (1+lam)^(-d) the mass row has
     norm = 2/(2-u) and the vacancy/crowding balance row balance = 1 - norm."""
-    lam = fugacity(lam)
+    d, lam = degree(d), fugacity(lam)
     norm_price = 2 / (2 - Fraction(1) / (1 + lam) ** d)
     scale = objective_scale(lam)
     return (scale * norm_price, scale * (1 - norm_price))

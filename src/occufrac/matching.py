@@ -13,12 +13,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from typing import NamedTuple
 
 from .errors import CapabilityError, CertificateError, DomainError
-from .exactmath import IntPolynomial, fugacity
+from .exactmath import IntPolynomial, degree, fugacity, last_program
 from .graphs import Graph, automorphism_orbits, mask_vertices, regular_degree
 from .hardcore import CertificateReport
 from .lp import LinearProgram, _over_one_denominator, dual_slacks, primal_value
@@ -33,6 +32,13 @@ from .polynomials import (
 # the program has d(d+1)(2d+1)/6 columns, 9455 at d = 30; the cap keeps a
 # certificate over a few fugacities well inside 10 s
 MAX_D = 30
+
+
+def _certified_degree(d) -> int:
+    """d once it is an int of at most MAX_D, else DomainError or CapabilityError."""
+    if degree(d) > MAX_D:
+        raise CapabilityError(f"matching certificate supports d <= {MAX_D}")
+    return d
 
 
 def enumerate_triples(d: int):
@@ -75,7 +81,7 @@ def conditional_partition(i: int, j: int, k: int, lam: Fraction) -> Fraction:
 def local_edge_occupancy(i: int, j: int, k: int, lam: Fraction, d: int) -> Fraction:
     """Expected fraction of the 2(d-1) incident edges that are matched,
     conditioned on the configuration: lam M' / (2(d-1)(lam + M))."""
-    lam = fugacity(lam)
+    d, lam = degree(d), fugacity(lam)
     _check_triple(i, j, k, d)
     m = local_matching_poly(i, j, k)
     return lam * m.derivative()(lam) / (2 * (d - 1) * conditional_partition(i, j, k, lam))
@@ -110,7 +116,7 @@ def _marginal_gap(i: int, j: int, k: int, d: int, p: int, q: int) -> list:
     return gap
 
 
-@lru_cache(maxsize=1)  # the last program: build, solve and certify share it
+@last_program(_certified_degree)  # build, solve and certify share the last program
 def build_primal(d: int, lam: Fraction) -> LinearProgram:
     """maximize sum q(i,j,k) * local_edge_occupancy subject to sum q = 1 and,
     for t = 0..d-2, equality of the symmetrized neighbor/edge marginals.
@@ -120,7 +126,6 @@ def build_primal(d: int, lam: Fraction) -> LinearProgram:
     the objective, the denominator itself in the mass row, and in marginal
     row t the gap of (i, j, k) plus the gap of its (j, i, k) twin, which
     has the same M: twins have equal columns, built once."""
-    lam = fugacity(lam)  # 1 and Fraction(1) share a cache entry: build exactly
     p, q = lam.numerator, lam.denominator
     columns = {}
     for i, j, k in enumerate_triples(d):
@@ -300,8 +305,7 @@ def check_dual_constraints(d: int, lam: Fraction) -> CertificateReport:
     simplified slacks and the profile are compared as integer numerators
     over one denominator D."""
     lam = fugacity(lam)
-    if d > MAX_D:
-        raise CapabilityError(f"matching certificate supports d <= {MAX_D}")
+    _certified_degree(d)
     checked = check_slack_profile(d, lam)
     duals, profile = checked["duals"], checked["profile"]
     priced = dual_slacks(build_primal(d, lam), standard_dual_vector(duals))

@@ -1,8 +1,8 @@
 """Independence and matching polynomials, the event weights behind the
 neighborhood laws and correlation checks, occupancy fractions, size
-distributions, and the brute-force enumeration engine (with the probability
-oracle built on it) for the hard-core and monomer-dimer models. Everything
-is exact.
+distributions, and the brute-force enumeration engine, with the probability
+oracle on it: one walk over the states of the hard-core and monomer-dimer
+models as sets of pairwise non-conflicting vertices or edges. All exact.
 
 "Matching polynomial" throughout means the generating polynomial
 sum_k m_k * x^k counting matchings by size, not the signed characteristic
@@ -17,7 +17,7 @@ from itertools import chain, compress, islice
 from math import comb, factorial
 
 from .errors import CapabilityError, DomainError
-from .exactmath import IntPolynomial, binomial_poly, fugacity
+from .exactmath import IntPolynomial, binomial_poly, degree, fugacity
 from .graphs import (
     _ORBITS,
     CANONICAL_LIMIT,
@@ -45,9 +45,9 @@ _IND_MEMO: dict = {}
 _MATCH_MEMO: dict = {}
 
 # The states that the oracles last enumerated under each model, as one
-# _StateTable per model: the graph, its states with their masks and sizes
-# as the walk gave them, and what is made from them on first request. A
-# table is replaced whole, so a reader never pairs one graph with another's
+# _StateTable per model: the graph, its states as sets and masks, as the
+# walk gave them, their sizes and their size polynomial. A table is
+# replaced whole, so a reader never pairs one graph with another's
 # states. An enumeration of more than _STATE_BOUND states is not kept: it is
 # walked in tables of at most _STATE_BOUND states.
 _STATES: dict = {}
@@ -373,7 +373,7 @@ def edge_occupancy(g: Graph, lam: Fraction) -> Fraction:
 
 def kdd_occupancy(d: int, lam: Fraction) -> Fraction:
     """Closed form lam(1+lam)^(d-1) / (2(1+lam)^d - 1)."""
-    lam = fugacity(lam)
+    d, lam = degree(d), fugacity(lam)
     return lam * (1 + lam) ** (d - 1) / (2 * (1 + lam) ** d - 1)
 
 
@@ -449,75 +449,64 @@ def size_distribution(poly: IntPolynomial, lam: Fraction) -> SizeDistribution:
 # Exhaustive enumeration and the probability oracle
 
 def independent_sets(g: Graph):
-    """Yield every independent set as a vertex bitmask (including 0)."""
-
-    # depth-first: extend sets only with vertices above the current maximum,
-    # skipping blocked ones, so each set is produced exactly once
-    def extend(mask, allowed, start):
-        for v in range(start, g.n):
-            if not (allowed >> v & 1):
-                continue
-            new_mask = mask | 1 << v
-            yield new_mask
-            yield from extend(new_mask, allowed & ~g.adj[v], v + 1)
-
-    yield 0
-    yield from extend(0, (1 << g.n) - 1, 0)
+    """Yield every independent set as a vertex bitmask (including 0), once
+    each, in the order of `_walk`."""
+    for _, masks in _walk(g, "hardcore", _STATE_BOUND):
+        yield from masks
 
 
 def matchings(g: Graph):
     """Yield every matching as a frozenset of (u, v) edges with u < v, once
-    each, in the order of `_matching_walk`."""
-    for states, _ in _matching_walk(g, _STATE_BOUND):
-        yield from states
+    each, in the order of `_walk`."""
+    for sets, _ in _walk(g, "matching", _STATE_BOUND):
+        yield from sets
 
 
-def _matching_walk(g: Graph, bound: int):
-    """The matchings of g as (states, masks) chunks of at most `bound`:
-    states[i] is a frozenset of edges and masks[i] the same matching over
-    g.edges(), bit i for edge i. A depth-first walk on an explicit stack
-    records each matching it pops, then pushes its extensions by one later
-    edge disjoint from it, last first: a matching comes before its
-    extensions, and these come in the order of the edge added."""
-    edges = g.edges()
-    ends = [1 << u | 1 << v for u, v in edges]
-    # each edge as a frozenset, its bit, and the edges disjoint from it
-    extend = [
-        (frozenset((e,)), 1 << i, sum(1 << j for j, other in enumerate(ends) if not end & other))
-        for i, (e, end) in enumerate(zip(edges, ends))
-    ]
-    states, masks = [], []
-    stack = [(frozenset(), 0, (1 << len(edges)) - 1)]
+def _walk(g: Graph, model: str, bound: int):
+    """The states of the model on g as (sets, masks) chunks of at most
+    `bound`. A state is a set of items no two of which conflict: vertices,
+    each conflicting with its closed neighbourhood (hardcore), or the edges
+    of g.edges(), each conflicting with the edges at its ends (matching), a
+    matching being an independent set of the line graph. sets[i] is a
+    frozenset of items and masks[i] has bit j for each item j in it. A
+    depth-first walk on an explicit stack records each set it pops, then
+    pushes its extensions by one later item that conflicts with none of
+    its items, last first: a set comes before its extensions, and these
+    come in the order of the item added."""
+    if model == "hardcore":
+        items = range(g.n)
+        conflicts = [nbrs | 1 << v for v, nbrs in enumerate(g.adj)]
+    else:
+        items = g.edges()
+        ends = [1 << u | 1 << v for u, v in items]
+        conflicts = [sum(1 << j for j, other in enumerate(ends) if end & other) for end in ends]
+    # each item as a frozenset, its bit, and the items it conflicts with
+    extend = [(frozenset((item,)), 1 << i, c) for i, (item, c) in enumerate(zip(items, conflicts))]
+    sets, masks = [], []
+    stack = [(frozenset(), 0, (1 << len(extend)) - 1)]
     while stack:
         state, mask, free = stack.pop()
-        states.append(state)
+        sets.append(state)
         masks.append(mask)
-        if len(states) == bound:
-            yield tuple(states), tuple(masks)
-            states, masks = [], []
+        if len(sets) == bound:
+            yield tuple(sets), tuple(masks)
+            sets, masks = [], []
         rest = free
         while rest:
-            edge, bit, disjoint = extend[rest.bit_length() - 1]
+            single, bit, conflict = extend[rest.bit_length() - 1]
             rest ^= bit
-            stack.append((state | edge, mask | bit, (free ^ rest) & disjoint))
-    if states:
-        yield tuple(states), tuple(masks)
-
-
-def _independent_walk(g: Graph, bound: int):
-    """`independent_sets` in (states, masks) chunks of at most `bound`."""
-    states = independent_sets(g)
-    while chunk := tuple(islice(states, bound)):
-        yield chunk, chunk
+            stack.append((state | single, mask | bit, (free ^ rest) & ~conflict))
+    if sets:
+        yield tuple(sets), tuple(masks)
 
 
 def state_polynomials(g: Graph, model: str, classify, limit: int = ORACLE_LIMIT):
     """Enumerate every state of the model on g once and count states by size.
 
     A state is an independent set as a vertex bitmask (hardcore) or a
-    matching as a frozenset of (u, v) edges (matching), as the model's walk
-    gives it together with its mask (see `_state_model`). `classify(state)`
-    yields labels; each yield counts the state once under that label.
+    matching as a frozenset of (u, v) edges (matching), as `_walk` gives
+    it. `classify(state)` yields labels; each yield counts the state once
+    under that label.
     Returns (total, {label: IntPolynomial}), where coefficient k counts the
     states (with multiplicity) of size k, so a probability at fugacity lam
     is a ratio of two polynomials evaluated once. The total comes from the
@@ -533,7 +522,8 @@ def state_polynomials(g: Graph, model: str, classify, limit: int = ORACLE_LIMIT)
     width, tables = _state_tables(g, model, limit)
     counts, total = defaultdict(lambda: [0] * width), IntPolynomial.zero()
     for table in tables:
-        for state, k in zip(table.states, table.sizes):
+        states = table.masks if model == "hardcore" else table.sets
+        for state, k in zip(states, table.sizes):
             for label in classify(state):
                 counts[label][k] += 1
         total = total + table.total
@@ -542,40 +532,31 @@ def state_polynomials(g: Graph, model: str, classify, limit: int = ORACLE_LIMIT)
 
 class _StateTable:
     """States of one graph under one model: all of them when kept, else one
-    chunk of an enumeration. `masks[i]` is the walk's mask of `states[i]`
-    over the vertices or the edges of g.edges(), `sizes[i]` its bit count,
-    and `total` counts the states by size. The hard-core vertex sets are
-    made on the first request."""
+    chunk of an enumeration, as `_walk` gives them. `sets[i]` is a state as
+    a frozenset of items, `masks[i]` the same state as a mask over the
+    items, `sizes[i]` its size, and `total` counts the states by size."""
 
-    __slots__ = ("graph", "states", "masks", "sizes", "total", "_vertex_sets")
+    __slots__ = ("graph", "sets", "masks", "sizes", "total")
 
-    def __init__(self, graph: Graph, states: tuple, masks: tuple, width: int):
-        self.graph, self.states, self.masks = graph, states, masks
+    def __init__(self, graph: Graph, sets: tuple, masks: tuple, width: int):
+        self.graph, self.sets, self.masks = graph, sets, masks
         self.sizes = bytes(map(int.bit_count, masks))
         self.total = IntPolynomial(self.sizes.count(k) for k in range(width))
-        self._vertex_sets = None
-
-    def vertex_sets(self):
-        """Each mask as a frozenset of vertices, as hard-core predicates take it."""
-        if self._vertex_sets is None:
-            self._vertex_sets = tuple(map(frozenset, map(mask_vertices, self.masks)))
-        return self._vertex_sets
 
 
-def _state_model(g: Graph, model: str, limit: int):
-    """(walk, width) of the model on g once g is within the cap of `limit`
-    vertices (hardcore) or edges (matching), else CapabilityError:
-    walk(g, bound) gives (states, masks) chunks, and a state has one of
-    `width` sizes. The laws and correlation checks, which enumerate
+def _state_model(g: Graph, model: str, limit: int) -> int:
+    """The number of sizes a state of the model on g can have, once g is
+    within the cap of `limit` vertices (hardcore) or edges (matching), else
+    CapabilityError. The laws and correlation checks, which enumerate
     nothing, check their caps here too, before any other work."""
     if model == "hardcore":
         if g.n > limit:
             raise CapabilityError(f"oracle limit is {limit} vertices, got {g.n}")
-        return _independent_walk, g.n + 1
+        return g.n + 1
     if model == "matching":
         if g.edge_count > limit:
             raise CapabilityError(f"oracle limit is {limit} edges, got {g.edge_count}")
-        return _matching_walk, g.n // 2 + 1
+        return g.n // 2 + 1
     raise DomainError(f"unknown model {model!r}")
 
 
@@ -584,10 +565,10 @@ def _state_tables(g: Graph, model: str, limit: int):
     under the model; else a fresh walk, kept when it gives at most
     _STATE_BOUND states and otherwise streamed once in tables of at most
     _STATE_BOUND states, none kept. The cap is checked first, whatever is kept."""
-    walk, width = _state_model(g, model, limit)
+    width = _state_model(g, model, limit)
     table = _STATES.get(model)
     if table is None or table.graph != g:
-        chunks = walk(g, _STATE_BOUND)
+        chunks = _walk(g, model, _STATE_BOUND)
         head = tuple(islice(chunks, 2))
         if len(head) > 1:
             return width, (_StateTable(g, *c, width) for c in chain(head, chunks))
@@ -602,17 +583,15 @@ def event_probability_oracle(
     model, by full enumeration (see `state_polynomials`).
 
     `predicate` receives a frozenset of vertices (hardcore) or of (u, v)
-    edges (matching). One pass counts the states it accepts by size. The
-    matching walk gives each frozenset with its mask; the hard-core
-    frozensets are made from the masks on the first call and kept with the
-    table, so the predicate is the only work per state.
+    edges (matching), as `_walk` gives it with the state. One pass counts
+    the states it accepts by size, so the predicate is the only work per
+    state.
     """
     lam = fugacity(lam)
     width, tables = _state_tables(g, model, limit)
     hits, total = [0] * width, IntPolynomial.zero()
     for table in tables:
-        views = table.vertex_sets() if model == "hardcore" else table.states
-        for k in compress(table.sizes, map(predicate, views)):
+        for k in compress(table.sizes, map(predicate, table.sets)):
             hits[k] += 1
         total = total + table.total
     return IntPolynomial(hits)(lam) / total(lam)

@@ -19,9 +19,11 @@ subgraphs read from the `neighbors` generator, which the adjacency-mask
 versions replaced (`generator_edge_count`, `generator_induced`), and the
 correlation check's events classified state by state through
 `state_polynomials` (`classified_correlation`), where `fkg_check` reads
-each probability from the deletion recurrence, and the recursive matching generator that the
-explicit-stack walk replaced (`reference_matchings`), which every
-reference here that needs matchings uses. Other canonical keys come from
+each probability from the deletion recurrence, and the recursive
+independent-set and matching generators that the package's one
+explicit-stack walk replaced (`reference_independent_sets`,
+`reference_matchings`), which every reference here that needs states
+uses, so no reference reads the walk it checks. Other canonical keys come from
 the labelling search `_canonical_form` itself. The three reference laws are
 classified state by state by definition, counted in integers by state
 size, and kept per (graph6, lam) for the life of the process, as read-only
@@ -54,7 +56,7 @@ from occufrac.matching import (
     enumerate_triples,
     local_edge_occupancy,
 )
-from occufrac.polynomials import independent_sets, occupancy, state_polynomials
+from occufrac.polynomials import occupancy, state_polynomials
 
 
 def brute_independence_counts(g: Graph):
@@ -97,11 +99,30 @@ def brute_matching_counts(g: Graph):
     return counts
 
 
+def reference_independent_sets(g: Graph):
+    """Yield every independent set as a vertex bitmask (including 0), by a
+    recursive generator: the enumeration that the explicit-stack walk of
+    `polynomials._walk` replaced, in the same order."""
+
+    # depth-first: extend sets only with vertices above the current maximum,
+    # skipping blocked ones, so each set is produced exactly once
+    def extend(mask, allowed, start):
+        for v in range(start, g.n):
+            if not (allowed >> v & 1):
+                continue
+            new_mask = mask | 1 << v
+            yield new_mask
+            yield from extend(new_mask, allowed & ~g.adj[v], v + 1)
+
+    yield 0
+    yield from extend(0, (1 << g.n) - 1, 0)
+
+
 def reference_matchings(g: Graph):
     """Yield every matching as a frozenset of (u, v) edges with u < v, by
     a recursive generator that copies its list of chosen edges per matching:
-    the enumeration that the explicit-stack walk of
-    `polynomials._matching_walk` replaced, in the same order."""
+    the enumeration that the explicit-stack walk of `polynomials._walk`
+    replaced, in the same order."""
     edge_list = g.edges()
 
     def extend(chosen, used_mask, start):
@@ -566,7 +587,7 @@ def reference_uncovered_law(g: Graph, lam: Fraction):
         for v in range(g.n):
             yield sum(1 for u in g.neighbors(v) if not (g.adj[u] & mask))
 
-    states = ((mask, mask.bit_count()) for mask in independent_sets(g))
+    states = ((mask, mask.bit_count()) for mask in reference_independent_sets(g))
     weights, total = _counted_law(states, g.n + 1, counts, lam)
     return [weights.get(t, Fraction(0)) / (total * g.n) for t in range(regular_degree(g) + 1)]
 
@@ -612,7 +633,7 @@ def reference_free_neighborhood_law(g: Graph, lam: Fraction):
         for v in range(g.n):
             yield by_key[_canonical_form(_free_neighborhood(g, v, iset))[0]]
 
-    states = ((mask, mask.bit_count()) for mask in independent_sets(g))
+    states = ((mask, mask.bit_count()) for mask in reference_independent_sets(g))
     weights, total = _counted_law(states, g.n + 1, classes, lam)
     return [weights.get(cfg.index, Fraction(0)) / (total * g.n) for cfg in configs]
 

@@ -7,10 +7,15 @@ CALLS, which the other tests then run through the gate. The Fraction
 reference functions in `_oracles` that the differential tests compare the
 integer-column builds against hold the same contract; REFERENCE_CALLS runs
 them under the names of the package functions they replaced.
+
+The degree d has a gate of its own, `exactmath.degree`: DEGREE_CALLS
+reach it with a float and a bool, before and after the equal int was
+asked, so no cached program answers them.
 """
 
 import inspect
 import numbers
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -95,6 +100,16 @@ REFERENCE_CALLS = {
 }
 GATED = {**CALLS, **REFERENCE_CALLS}
 
+DEGREE_CALLS = {
+    "hardcore.build_primal": lambda d: hardcore.build_primal(d, ONE),
+    "hardcore.solver_dual_for_certificate": lambda d: hardcore.solver_dual_for_certificate(d, 1),
+    "matching.build_primal": lambda d: matching.build_primal(d, ONE),
+    "matching.check_dual_constraints": lambda d: matching.check_dual_constraints(d, ONE),
+    "matching.local_edge_occupancy": lambda d: matching.local_edge_occupancy(0, 0, 0, 1, d),
+    "polynomials.kdd_occupancy": lambda d: polynomials.kdd_occupancy(d, 1),
+    "bounds.tree_occupancy": lambda d: bounds.tree_occupancy(d, 1, Fraction(1, 100)),
+}
+
 
 def _takes_lam(fn) -> bool:
     return "lam" in inspect.signature(fn).parameters
@@ -158,3 +173,18 @@ def test_int_fugacity_is_the_exact_fraction(name):
     matching.build_primal.cache_clear()
     assert from_int == GATED[name](ONE)
     assert all(type(x) is Fraction for x in _scalars(from_int))
+
+
+@pytest.mark.parametrize("name", sorted(DEGREE_CALLS))
+@pytest.mark.parametrize("bad", [3.0, True])
+def test_a_degree_that_is_no_int_is_rejected(name, bad):
+    message = f"^{re.escape(f'd {bad!r} is not an int')}$"
+    hardcore.build_primal.cache_clear()
+    matching.build_primal.cache_clear()
+    with pytest.raises(DomainError, match=message):
+        DEGREE_CALLS[name](bad)
+    DEGREE_CALLS[name](3)  # the equal int of 3.0, now cached where there is a cache
+    with pytest.raises(DomainError, match=message):
+        DEGREE_CALLS[name](bad)
+    hardcore.build_primal.cache_clear()
+    matching.build_primal.cache_clear()

@@ -561,6 +561,25 @@ def test_certificate_degree_cap_comes_before_any_work(monkeypatch):
         check_dual_constraints(30, ONE)
 
 
+def test_program_degree_cap_comes_before_any_work(monkeypatch):
+    import occufrac.matching as mod
+
+    class Worked(Exception):
+        pass
+
+    def work(*args):
+        raise Worked
+
+    monkeypatch.setattr(mod, "enumerate_triples", work)
+    build_primal.cache_clear()
+    for d in (31, 10**9):
+        with pytest.raises(CapabilityError, match="^matching certificate supports d <= 30$"):
+            build_primal(d, ONE)
+    with pytest.raises(Worked):
+        build_primal(30, ONE)
+    build_primal.cache_clear()
+
+
 def test_edge_neighborhood_law_of_union_matches_single_block():
     # a disjoint union of extremal blocks induces the extremal law itself
     from occufrac.graphs import kdd_union

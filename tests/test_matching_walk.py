@@ -1,7 +1,8 @@
-"""The explicit-stack matching walk: differential tests against the
-recursive generator it replaced (`_oracles.reference_matchings`), against
-brute force over edge subsets, of each matching's edge mask, and of the
-chunked path against one kept table."""
+"""The explicit-stack walk of both models' states: differential tests
+against the recursive generators it replaced
+(`_oracles.reference_matchings`, `_oracles.reference_independent_sets`),
+against brute force over edge subsets and vertex masks, of each state's
+mask, and of the chunked path against one kept table."""
 
 import random
 from fractions import Fraction
@@ -9,7 +10,13 @@ from itertools import combinations
 
 import pytest
 
-from _oracles import disjoint_union, random_graph, random_regular_graph, reference_matchings
+from _oracles import (
+    disjoint_union,
+    random_graph,
+    random_regular_graph,
+    reference_independent_sets,
+    reference_matchings,
+)
 from occufrac import polynomials
 from occufrac.exactmath import IntPolynomial
 from occufrac.graphs import (
@@ -18,17 +25,20 @@ from occufrac.graphs import (
     complete_bipartite,
     cycle,
     hypercube,
+    mask_vertices,
     petersen,
     prism,
 )
 from occufrac.polynomials import (
     clear_memo_tables,
     event_probability_oracle,
+    independent_sets,
     matchings,
     state_polynomials,
 )
 
 BRUTE_EDGES = 14  # the subset check visits 2^m edge sets; never more edges than this
+BRUTE_VERTICES = 14  # and 2^n vertex masks; never more vertices than this
 
 NAMED = [
     ("empty", Graph(0)),
@@ -57,10 +67,10 @@ GRAPHS = [g for _, g in NAMED] + _random_graphs()
 IDS = [name for name, _ in NAMED] + [f"random{i}" for i in range(len(GRAPHS) - len(NAMED))]
 
 
-def _walked(g, bound):
+def _walked(g, bound, model="matching"):
     # the concatenated chunks of one walk, and the chunk lengths
     states, masks, lengths = [], [], []
-    for chunk_states, chunk_masks in polynomials._matching_walk(g, bound):
+    for chunk_states, chunk_masks in polynomials._walk(g, model, bound):
         assert len(chunk_states) == len(chunk_masks)
         states += chunk_states
         masks += chunk_masks
@@ -113,6 +123,45 @@ def test_mask_bit_i_says_whether_edge_i_is_matched(g):
         assert [mask >> i & 1 for i in range(len(edges))] == [int(e in state) for e in edges]
 
 
+def _independent_vertex_masks(g):
+    # every vertex mask that holds no edge, by testing all 2^n masks
+    assert g.n <= BRUTE_VERTICES
+    return [mask for mask in range(1 << g.n) if not any(g.adj[v] & mask for v in mask_vertices(mask))]
+
+
+@pytest.mark.parametrize("g", GRAPHS, ids=IDS)
+def test_independent_sets_come_in_the_reference_order(g):
+    assert list(independent_sets(g)) == list(reference_independent_sets(g))
+
+
+@pytest.mark.parametrize("bound", [1, 7, 1 << 15])
+def test_chunks_of_any_bound_give_the_same_independent_sets(bound):
+    for g in (cycle(7), petersen(), complete(5)):
+        states, masks, lengths = _walked(g, bound, "hardcore")
+        assert masks == list(reference_independent_sets(g))
+        assert states == [frozenset(mask_vertices(mask)) for mask in masks]
+        assert all(n == bound for n in lengths[:-1]) and 0 < lengths[-1] <= bound
+
+
+@pytest.mark.parametrize(
+    "g", [g for g in GRAPHS if g.n <= BRUTE_VERTICES],
+    ids=[i for i, g in zip(IDS, GRAPHS) if g.n <= BRUTE_VERTICES],
+)
+def test_each_independent_set_comes_exactly_once(g):
+    walked = list(independent_sets(g))
+    brute = _independent_vertex_masks(g)
+    assert len(walked) == len(brute) == len(set(walked))
+    assert set(walked) == set(brute)
+
+
+@pytest.mark.parametrize("g", GRAPHS, ids=IDS)
+def test_mask_bit_v_says_whether_vertex_v_is_occupied(g):
+    states, masks, _ = _walked(g, 1 << 15, "hardcore")
+    for state, mask in zip(states, masks):
+        assert mask >> g.n == 0
+        assert [mask >> v & 1 for v in range(g.n)] == [int(v in state) for v in range(g.n)]
+
+
 def _chunked_laws(g, lam):
     # an event probability and a classifier over the 16 disjoint edges of
     # g, each a law of the whole enumeration
@@ -139,5 +188,5 @@ def test_chunked_matchings_give_the_laws_of_one_table(monkeypatch):
     monkeypatch.setattr(polynomials, "_STATE_BOUND", 1 << 16)
     clear_memo_tables()
     assert _chunked_laws(loose, lam) == chunked
-    assert len(polynomials._STATES["matching"].states) == 1 << 16
+    assert len(polynomials._STATES["matching"].sets) == 1 << 16
     clear_memo_tables()

@@ -16,6 +16,7 @@ from _oracles import (
     random_regular_graph,
     reference_edge_law,
     reference_free_neighborhood_law,
+    reference_independent_sets,
     reference_matchings,
     reference_uncovered_law,
     relabel,
@@ -657,16 +658,13 @@ def enumerations(monkeypatch):
     """Count the walks that the engine starts, per model."""
     clear_memo_tables()
     counts = {"hardcore": 0, "matching": 0}
+    walk = polynomials._walk
 
-    def counted(model, walk):
-        def run(g, bound):
-            counts[model] += 1
-            return walk(g, bound)
+    def counted(g, model, bound):
+        counts[model] += 1
+        return walk(g, model, bound)
 
-        return run
-
-    monkeypatch.setattr(polynomials, "_independent_walk", counted("hardcore", polynomials._independent_walk))
-    monkeypatch.setattr(polynomials, "_matching_walk", counted("matching", polynomials._matching_walk))
+    monkeypatch.setattr(polynomials, "_walk", counted)
     yield counts
     clear_memo_tables()
 
@@ -766,20 +764,20 @@ def test_kept_tables_hold_each_state_size_and_the_size_polynomial():
         assert ind.graph == g and match.graph == g
         assert ind.total == independence_poly(g)
         assert match.total == matching_poly(g)
-        assert list(ind.sizes) == [int.bit_count(s) for s in ind.states]
-        assert list(match.sizes) == [len(m) for m in match.states]
-        # a hard-core state is its own mask; a matching's mask has bit i
-        # for edge i of g.edges()
-        assert ind.masks == ind.states
+        assert list(ind.sizes) == [int.bit_count(s) for s in ind.masks]
+        assert list(match.sizes) == [len(m) for m in match.sets]
+        # a hard-core state's mask has bit v for vertex v; a matching's mask
+        # has bit i for edge i of g.edges()
+        assert list(ind.sets) == [frozenset(mask_vertices(mask)) for mask in ind.masks]
         edges = g.edges()
-        assert list(match.masks) == [sum(1 << edges.index(e) for e in m) for m in match.states]
+        assert list(match.masks) == [sum(1 << edges.index(e) for e in m) for m in match.sets]
     clear_memo_tables()
 
 
 def _brute_probability(g, model, lam, predicate):
     # a Fraction sum over the states of a fresh enumeration, one by one
     if model == "hardcore":
-        states = (frozenset(mask_vertices(mask)) for mask in independent_sets(g))
+        states = (frozenset(mask_vertices(mask)) for mask in reference_independent_sets(g))
     else:
         states = reference_matchings(g)
     hit = total = Fraction(0)
