@@ -84,7 +84,7 @@ def tree_occupancy(d: int, lam: Fraction, tolerance: Fraction = DEFAULT_TOLERANC
 
 def uniqueness_threshold(d: int) -> Fraction:
     """(d-1)^(d-1) / (d-2)^d for d >= 3."""
-    if d < 3:
+    if degree(d) < 3:
         raise DomainError("uniqueness threshold needs d >= 3")
     return Fraction((d - 1) ** (d - 1), (d - 2) ** d)
 
@@ -206,7 +206,7 @@ def mode_probability_bound_check(d: int, n: int, model: str = "hardcore"):
     """For every size 1 <= k <= n/2, pick the equalizing fugacity (for the
     top size, the one equalizing k-1 and k) and check the mode probability
     beats 1/(2 sqrt(n)). Returns the per-k (lam, prob) list."""
-    if d < 1:
+    if degree(d) < 1:
         raise DomainError("need d >= 1")
     if n % (2 * d):
         raise DomainError(f"2d = {2 * d} must divide n = {n}")
@@ -244,7 +244,7 @@ def log_concavity_check(p: IntPolynomial, lam: Fraction) -> bool:
 def binomial_base_inequalities(d: int) -> bool:
     """C(d,j)^2 > C(d,j-1) C(d,j+1) and its matching analogue
     C(d,j)^4 j!^2 > C(d,j-1)^2 (j-1)! C(d,j+1)^2 (j+1)! for 1 <= j <= d-1."""
-    for j in range(1, d):
+    for j in range(1, degree(d)):
         if comb(d, j) ** 2 <= comb(d, j - 1) * comb(d, j + 1):
             return False
         lhs = comb(d, j) ** 4 * factorial(j) ** 2
@@ -257,7 +257,7 @@ def binomial_base_inequalities(d: int) -> bool:
 def variance_check(d: int, lam: Fraction):
     """Exact size variances on K_{d,d} for both models, checked against the
     d/4 bound (one quarter of the vertex count over two)."""
-    lam = fugacity(lam)
+    d, lam = degree(d), fugacity(lam)
     bound = Fraction(d, 4)
     var_hc = size_distribution(kdd_independence_poly(d), lam).variance()
     var_md = size_distribution(kdd_matching_poly(d), lam).variance()
@@ -304,7 +304,7 @@ def ratio_conjecture_report(corpus, d: int, n: int):
     """Per-size maxima of the successive count ratios over a corpus of
     d-regular n-vertex graphs, reporting whether the K_{d,d} union attains
     each maximum. Purely empirical; never raises on a counterexample."""
-    if d < 1:
+    if degree(d) < 1:
         raise DomainError("need d >= 1")
     if n % (2 * d):
         raise DomainError(f"2d = {2 * d} must divide n = {n}")

@@ -427,7 +427,7 @@ def _triangle(n: int):
     return tuple((i, j) for j in range(1, n) for i in range(j))
 
 
-def _canonical_form(g: Graph, seen=None):
+def _canonical_form(g: Graph, seen=None, seeds=()):
     """(canonical key, smallest vertex of each vertex's automorphism orbit,
     automorphisms as image lists that generate a group with those orbits).
 
@@ -438,7 +438,17 @@ def _canonical_form(g: Graph, seen=None):
     isomorphism class, disjoint from any other class's. If the first
     leaf's certificate is in `seen`, g is isomorphic to a graph searched
     with it: the search stops there and returns None. Otherwise it runs in
-    full and adds each visited leaf's certificate to `seen`."""
+    full and adds each visited leaf's certificate to `seen`.
+
+    `seeds` are automorphisms of g already known, as image lists: any
+    set of them, but each must be an automorphism. The search starts its
+    list of automorphisms from them, so orbit pruning can skip a vertex
+    before the leaf that would show it equivalent is reached, and the
+    returned list begins with them. The first child of each node is never
+    skipped, so the first path and a stop at the first leaf are those of
+    the unseeded search, and each skipped subtree is still the image of an
+    explored one under an automorphism: the key and the certificates added
+    to `seen` stay those of the unseeded search."""
     n, adj = g.n, g.adj
     by_degree = {}
     for v, m in enumerate(adj):
@@ -446,7 +456,7 @@ def _canonical_form(g: Graph, seen=None):
         by_degree[d] = by_degree.get(d, 0) | 1 << v
     cells = [by_degree[d] for d in sorted(by_degree)]
     pairs = _triangle(n)
-    automorphisms = []
+    automorphisms = list(seeds)
     leaves = []  # the first and the best leaf: (certificate, ordering, path)
 
     def visit(cells, path):
@@ -674,6 +684,11 @@ def isomorphism_classes(n: int):
     its canonical search there, so no class appears twice and each class
     is searched in full once: on 0..7 vertices 1253 full searches and 388
     first-leaf stops (McKay, "Isomorph-free exhaustive generation", 1998).
+    The searches on the last level, CLASS_LIMIT vertices, start from the
+    parent's automorphisms that fix the new vertex's neighborhood, which
+    prunes without changing what is found; the lower levels are not
+    seeded, so the generators that they hand on stay those their searches
+    found (see `_classes_and_automorphisms`).
     """
     if type(n) is not int:  # a bool is no vertex count either
         raise DomainError(f"vertex count {n!r} is not an int")
@@ -698,23 +713,40 @@ def _classes_and_automorphisms(n: int):
     extension of its class; the later ones stop at their first leaf
     against the level's leaf certificates (see `_canonical_form`).
     Classes on CLASS_LIMIT vertices are never grown and keep none: at 7
-    vertices their generators would hold about 0.4 MB."""
+    vertices their generators would hold about 0.4 MB.
+
+    On CLASS_LIMIT vertices each search is seeded with the generators of
+    g (representative i) that map S onto itself, extended to fix vertex
+    n-1: automorphisms of the extension, which orbit pruning then need not
+    find again (McKay and Piperno, "Practical graph isomorphism, II").
+    Only there: seeded generator lists hold the seeds as well, and the
+    lists of the lower levels are what the next level reads and what
+    callers get, so seeding them would change them, though not the groups
+    they generate."""
     if n == 0:
         key, _, automorphisms = _canonical_form(Graph(0))
         return ((key, Graph(0)),), (automorphisms,), (None,)
-    keep_generators = n < CLASS_LIMIT
+    last = n == CLASS_LIMIT
     found = {}  # canonical key -> (key, representative), generators, parent
     seen = set()  # the leaf certificates of the classes in found
     below = _classes_and_automorphisms(n - 1)
     for i, ((_, g), automorphisms) in enumerate(zip(*below[:2])):
         need, bar = _least_degree_masks(g.adj)
         for mask in _mask_orbit_reps(n - 1, automorphisms, need, bar):
+            vs = mask_vertices(mask)
             adj = list(g.adj) + [mask]
-            for w in mask_vertices(mask):
+            for w in vs:
                 adj[w] |= 1 << (n - 1)
             h = Graph._from_adj(adj)
-            form = _canonical_form(h, seen)
+            seeds = ()
+            if last:
+                seeds = [
+                    perm + [n - 1]
+                    for perm in automorphisms
+                    if sum(1 << perm[w] for w in vs) == mask
+                ]
+            form = _canonical_form(h, seen, seeds)
             if form is not None:  # the first of its class
                 key, _, generators = form
-                found[key] = (key, h), generators if keep_generators else (), (i, mask)
+                found[key] = (key, h), () if last else generators, (i, mask)
     return tuple(zip(*(found[key] for key in sorted(found))))

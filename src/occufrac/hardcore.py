@@ -213,7 +213,7 @@ def ratio_gap_coefficients(c: Graph, d: int):
     certificate, so N has non-negative coefficients too. (For the empty
     graph R vanishes identically.) Violations raise CertificateError.
     """
-    if c.n > d:
+    if c.n > degree(d):
         raise DomainError("configuration exceeds d vertices")
     r = independence_poly(c)
 

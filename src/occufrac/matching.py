@@ -43,7 +43,7 @@ def _certified_degree(d) -> int:
 
 def enumerate_triples(d: int):
     """All admissible (i, j, k) in lexicographic order."""
-    if d < 2:
+    if degree(d) < 2:
         raise DomainError("need d >= 2")
     return [
         (i, j, k)
@@ -57,7 +57,20 @@ def local_matching_poly(i: int, j: int, k: int) -> IntPolynomial:
     """Matching polynomial of the configuration graph:
     1 + (i+j+2k) x + (k^2 + k(i+j-1) + ij) x^2."""
     _check_triple_shape(i, j, k)
-    return IntPolynomial((1, i + j + 2 * k, k * k + k * (i + j - 1) + i * j))
+    return IntPolynomial((1, *_local_coefficients(i, j, k)))
+
+
+def _local_coefficients(i: int, j: int, k: int):
+    """(s1, s2): the x and x^2 coefficients of local_matching_poly(i, j, k)."""
+    return i + j + 2 * k, k * k + k * (i + j - 1) + i * j
+
+
+def _local_numerators(i: int, j: int, k: int, p: int, q: int):
+    """(q^2 M(lam), q^2 lam M'(lam)) at lam = p/q in integers, for
+    M = local_matching_poly(i, j, k) = 1 + s1 x + s2 x^2: the closed forms
+    q^2 + s1 pq + s2 p^2 and p (s1 q + 2 s2 p), with no polynomial built."""
+    s1, s2 = _local_coefficients(i, j, k)
+    return q * q + s1 * p * q + s2 * p * p, p * (s1 * q + 2 * s2 * p)
 
 
 def _check_triple_shape(i, j, k):
@@ -132,12 +145,12 @@ def build_primal(d: int, lam: Fraction) -> LinearProgram:
         if j < i:  # the twin (j, i, k) came first and has the same column
             columns[i, j, k] = columns[j, i, k]
             continue
-        m = local_matching_poly(i, j, k)
-        den = 2 * (d - 1) * (p * q + m.homogeneous(p, q, 2))
+        m, objective = _local_numerators(i, j, k, p, q)
+        den = 2 * (d - 1) * (p * q + m)
         gap = _marginal_gap(i, j, k, d, p, q)
         twin = gap if i == j else _marginal_gap(j, i, k, d, p, q)
         marginal = [x + y for x, y in zip(gap, twin)]
-        columns[i, j, k] = (den, p * m.derivative().homogeneous(p, q, 1), [den] + marginal)
+        columns[i, j, k] = (den, objective, [den] + marginal)
     return LinearProgram.from_columns(columns.values(), [Fraction(1)] + [Fraction(0)] * (d - 1))
 
 
@@ -163,7 +176,7 @@ def dual_row_prices(d: int, lam: Fraction) -> MatchingDuals:
     constraint for price[i-1], whose coefficient there is i^2 lam. Verifies
     every diagonal constraint afterwards, the i = 0 one the solve never
     used included."""
-    lam = fugacity(lam)
+    d, lam = _certified_degree(d), fugacity(lam)
     if d < 2:
         raise DomainError("need d >= 2")
     alpha = kdd_edge_occupancy(d, lam)
@@ -243,7 +256,7 @@ def check_slack_profile(d: int, lam: Fraction) -> dict:
     Returns the row prices ("duals"), F(0..d-1) ("profile"), the
     normalized increments M_d/(d-1) * (F(t+1) - F(t)) / (d-2-t)! for
     t = 1..d-2 ("increments") and the pairs (M_t, t lam M_{t-1}) ("crude")."""
-    lam = fugacity(lam)
+    d, lam = _certified_degree(d), fugacity(lam)
     duals = dual_row_prices(d, lam)
     kdd = [kdd_matching_poly(s)(lam) for s in range(d + 1)]
     profile = [slack_profile(t, duals) for t in range(d)]
@@ -328,7 +341,7 @@ def check_dual_constraints(d: int, lam: Fraction) -> CertificateReport:
         else:
             val = _slack_numerator(i, j, k, drift, prices)
             # 2(d-1)(lam + M) raw = lam L, times q^2 D
-            scale = 2 * (d - 1) * (pq + local_matching_poly(i, j, k).homogeneous(p, q, 2))
+            scale = 2 * (d - 1) * (pq + _local_numerators(i, j, k, p, q)[0])
             if scale * raw.numerator * den != pq * val * raw.denominator:
                 raise CertificateError(
                     f"raw and simplified slacks inconsistent at ({i},{j},{k})"
@@ -370,7 +383,7 @@ def check_monotone_profile(d: int, lam: Fraction) -> dict:
     """Strict monotonicity of the slack profile plus the positivity of the
     normalized increments and the crude star bound M_t > t lam M_{t-1},
     as checked by check_slack_profile."""
-    lam = fugacity(lam)
+    d, lam = _certified_degree(d), fugacity(lam)
     if d < 3:
         raise DomainError("profile monotonicity needs d >= 3")
     checked = check_slack_profile(d, lam)
@@ -380,7 +393,7 @@ def check_monotone_profile(d: int, lam: Fraction) -> dict:
 def laguerre_identity_residual(d: int) -> IntPolynomial:
     """M_d - (1 + (2d-1)x) M_{d-1} + (d-1)^2 x^2 M_{d-2} as a polynomial;
     identically zero for every d >= 2."""
-    if d < 2:
+    if degree(d) < 2:
         raise DomainError("need d >= 2")
     beta = IntPolynomial((1, 2 * d - 1))
     correction = ((d - 1) ** 2) * kdd_matching_poly(d - 2).shift(2)
@@ -450,7 +463,7 @@ def objective_value(law: dict, d: int, lam: Fraction) -> Fraction:
     """Program objective of a law keyed by triple; raises CertificateError
     when it is not a feasible point of build_primal(d, lam), naming a
     violated marginal row by its t."""
-    lam = fugacity(lam)
+    d, lam = degree(d), fugacity(lam)
     column = {triple: c for c, triple in enumerate(enumerate_triples(d))}
     point = [Fraction(0)] * len(column)
     for triple, q in law.items():

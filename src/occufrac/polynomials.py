@@ -335,14 +335,14 @@ def _event_values(g: Graph, model: str, lam: Fraction, base: int, events) -> dic
 
 def kdd_independence_poly(d: int) -> IntPolynomial:
     """Independence polynomial of K_{d,d}: 2(1+x)^d - 1."""
-    if d <= 0:
+    if degree(d) <= 0:
         raise DomainError("need d >= 1")
     return 2 * binomial_poly(d) - IntPolynomial.one()
 
 
 def kdd_matching_poly(d: int) -> IntPolynomial:
     """Matching polynomial of K_{d,d}: sum_k C(d,k)^2 k! x^k. K_{0,0} gives 1."""
-    if d < 0:
+    if degree(d) < 0:
         raise DomainError("need d >= 0")
     return IntPolynomial(comb(d, k) ** 2 * factorial(k) for k in range(d + 1))
 
@@ -379,7 +379,7 @@ def kdd_occupancy(d: int, lam: Fraction) -> Fraction:
 
 def kdd_edge_occupancy(d: int, lam: Fraction) -> Fraction:
     """lam * M_{K_{d-1,d-1}}(lam) / M_{K_{d,d}}(lam)."""
-    lam = fugacity(lam)
+    d, lam = degree(d), fugacity(lam)
     return lam * kdd_matching_poly(d - 1)(lam) / kdd_matching_poly(d)(lam)
 
 

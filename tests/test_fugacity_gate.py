@@ -10,7 +10,9 @@ them under the names of the package functions they replaced.
 
 The degree d has a gate of its own, `exactmath.degree`: DEGREE_CALLS
 reach it with a float and a bool, before and after the equal int was
-asked, so no cached program answers them.
+asked, so no cached program answers them. A new public function with a
+`d` parameter fails `test_every_degree_function_has_a_call` until it gets
+a call there.
 """
 
 import inspect
@@ -25,7 +27,7 @@ from _oracles import crowding, marginal_from_edge, marginal_from_neighbor, vacan
 
 from occufrac import bounds, hardcore, matching, polynomials
 from occufrac.errors import DomainError
-from occufrac.graphs import cycle
+from occufrac.graphs import complete_bipartite, cycle, prism
 from occufrac.hardcore import NeighborhoodConfig, enumerate_configs
 from occufrac.polynomials import kdd_independence_poly, kdd_matching_poly
 
@@ -100,34 +102,71 @@ REFERENCE_CALLS = {
 }
 GATED = {**CALLS, **REFERENCE_CALLS}
 
+K33 = complete_bipartite(3)
+
 DEGREE_CALLS = {
+    "polynomials.kdd_independence_poly": lambda d: polynomials.kdd_independence_poly(d),
+    "polynomials.kdd_matching_poly": lambda d: polynomials.kdd_matching_poly(d),
+    "polynomials.kdd_occupancy": lambda d: polynomials.kdd_occupancy(d, 1),
+    "polynomials.kdd_edge_occupancy": lambda d: polynomials.kdd_edge_occupancy(d, 1),
+    "hardcore.enumerate_configs": lambda d: hardcore.enumerate_configs(d),
+    "hardcore.edgeless_config_index": lambda d: hardcore.edgeless_config_index(d),
     "hardcore.build_primal": lambda d: hardcore.build_primal(d, ONE),
     "hardcore.solver_dual_for_certificate": lambda d: hardcore.solver_dual_for_certificate(d, 1),
-    "matching.build_primal": lambda d: matching.build_primal(d, ONE),
-    "matching.check_dual_constraints": lambda d: matching.check_dual_constraints(d, ONE),
+    "hardcore.dual_certificate": lambda d: hardcore.dual_certificate(d, ONE),
+    "hardcore.ratio_gap_coefficients": lambda d: hardcore.ratio_gap_coefficients(
+        _config().graph, d
+    ),
+    "hardcore.objective_value": lambda d: hardcore.objective_value(
+        hardcore.free_neighborhood_distribution(K33, ONE), d, ONE
+    ),
+    "matching.enumerate_triples": lambda d: matching.enumerate_triples(d),
     "matching.local_edge_occupancy": lambda d: matching.local_edge_occupancy(0, 0, 0, 1, d),
-    "polynomials.kdd_occupancy": lambda d: polynomials.kdd_occupancy(d, 1),
+    "matching.build_primal": lambda d: matching.build_primal(d, ONE),
+    "matching.dual_row_prices": lambda d: matching.dual_row_prices(d, ONE),
+    "matching.check_slack_profile": lambda d: matching.check_slack_profile(d, ONE),
+    "matching.check_dual_constraints": lambda d: matching.check_dual_constraints(d, ONE),
+    "matching.check_monotone_profile": lambda d: matching.check_monotone_profile(d, ONE),
+    "matching.laguerre_identity_residual": lambda d: matching.laguerre_identity_residual(d),
+    "matching.laguerre_identity_holds": lambda d: matching.laguerre_identity_holds(d),
+    "matching.objective_value": lambda d: matching.objective_value(
+        matching.edge_neighborhood_distribution(K33, ONE), d, ONE
+    ),
     "bounds.tree_occupancy": lambda d: bounds.tree_occupancy(d, 1, Fraction(1, 100)),
+    "bounds.uniqueness_threshold": lambda d: bounds.uniqueness_threshold(d),
+    "bounds.mode_probability_bound_check": lambda d: bounds.mode_probability_bound_check(d, 12),
+    "bounds.binomial_base_inequalities": lambda d: bounds.binomial_base_inequalities(d),
+    "bounds.variance_check": lambda d: bounds.variance_check(d, 1),
+    "bounds.ratio_conjecture_report": lambda d: bounds.ratio_conjecture_report(
+        [("K33", K33), ("prism3", prism(3))], d, 6
+    ),
 }
 
 
-def _takes_lam(fn) -> bool:
-    return "lam" in inspect.signature(fn).parameters
+def _takes(fn, parameter) -> bool:
+    return parameter in inspect.signature(fn).parameters
 
 
-def _fugacity_functions():
-    """Public functions of MODULES, and NeighborhoodConfig methods, that
-    take a `lam` parameter, named module.function or class.method."""
+def _public_functions(parameter):
+    """Public functions of MODULES that take `parameter`, named
+    module.function."""
     found = set()
     for module in MODULES:
         short = module.__name__.rsplit(".", 1)[-1]
         for name, obj in vars(module).items():
             if name.startswith("_") or inspect.isclass(obj) or not callable(obj):
                 continue
-            if getattr(obj, "__module__", None) == module.__name__ and _takes_lam(obj):
+            if getattr(obj, "__module__", None) == module.__name__ and _takes(obj, parameter):
                 found.add(f"{short}.{name}")
+    return found
+
+
+def _fugacity_functions():
+    """Public functions of MODULES, and NeighborhoodConfig methods, that
+    take a `lam` parameter, named module.function or class.method."""
+    found = _public_functions("lam")
     for name, obj in vars(NeighborhoodConfig).items():
-        if not name.startswith("_") and inspect.isfunction(obj) and _takes_lam(obj):
+        if not name.startswith("_") and inspect.isfunction(obj) and _takes(obj, "lam"):
             found.add(f"NeighborhoodConfig.{name}")
     return found
 
@@ -153,6 +192,10 @@ def test_gate_message_is_written_once():
 
 def test_every_fugacity_function_has_a_call():
     assert _fugacity_functions() == set(CALLS)
+
+
+def test_every_degree_function_has_a_call():
+    assert _public_functions("d") == set(DEGREE_CALLS)
 
 
 def test_reference_functions_left_the_package():

@@ -361,9 +361,9 @@ def test_cold_configs_canonicalize_only_in_class_growth(monkeypatch):
     original_form = graphs._canonical_form
     original_key = polynomials.canonical_key
 
-    def counted_form(g, seen=None):
+    def counted_form(g, seen=None, seeds=()):
         callers[sys._getframe(1).f_code.co_name] += 1
-        return original_form(g, seen)
+        return original_form(g, seen, seeds)
 
     def counted_key(g):
         probes.append(g.n)
@@ -401,42 +401,117 @@ def test_cold_class_enumeration_canonicalizes_few_extensions(monkeypatch):
     # only the 1253 classes on 0..7 vertices are searched in full
     calls = []
     forms = []
+    refinements = []
     original = graphs._canonical_form
+    original_refine = graphs._refine
 
-    def counted(g, seen=None):
+    def counted(g, seen=None, seeds=()):
         calls.append(g.n)
-        form = original(g, seen)
+        form = original(g, seen, seeds)
         if form is not None:
             forms.append(g.n)
         return form
 
+    def counted_refine(adj, cells, splitters):
+        refinements.append(len(adj))
+        return original_refine(adj, cells, splitters)
+
     monkeypatch.setattr(graphs, "_canonical_form", counted)
+    monkeypatch.setattr(graphs, "_refine", counted_refine)
     graphs._classes_and_automorphisms.cache_clear()
     assert len(isomorphism_classes(7)) == 1044
     assert len(calls) < 2500
     assert len(calls) == 1641
+    # 8091 refinements unseeded; the last level's seeds prune the rest
+    assert len(refinements) == 5761
     assert len(forms) == 1253
     assert Counter(forms) == {n: len(isomorphism_classes(n)) for n in range(8)}
 
 
-def _growth_graphs(monkeypatch):
+def _growth_graphs(monkeypatch, passed=None):
     """Every graph that a cold class growth on 0..7 vertices canonicalizes,
     in the order it does so, and {n: the leaf certificates it keeps on n
-    vertices} for n = 1..7; the one class on 0 vertices is searched alone."""
+    vertices} for n = 1..7; the one class on 0 vertices is searched alone.
+    A list `passed` receives (graph, seeds) of each search, in order."""
     seen, kept = [], {}
     original = graphs._canonical_form
 
-    def recorded(g, certificates=None):
+    def recorded(g, certificates=None, seeds=()):
         seen.append(g)
         if certificates is not None:
             kept[g.n] = certificates
-        return original(g, certificates)
+        if passed is not None:
+            passed.append((g, list(seeds)))
+        return original(g, certificates, seeds)
 
     monkeypatch.setattr(graphs, "_canonical_form", recorded)
     graphs._classes_and_automorphisms.cache_clear()
     graphs._classes_and_automorphisms(7)
     monkeypatch.setattr(graphs, "_canonical_form", original)
     return seen, kept
+
+
+def _is_automorphism(g, perm):
+    return sorted(perm) == list(range(g.n)) and all(
+        sum(1 << perm[w] for w in mask_vertices(row)) == g.adj[perm[v]]
+        for v, row in enumerate(g.adj)
+    )
+
+
+def test_growth_seeds_only_the_last_level_and_only_with_automorphisms(monkeypatch):
+    # each seed is a permutation mapping adj onto adj that fixes the new
+    # vertex; the lower levels hand their generators on, so get none
+    passed = []
+    _growth_graphs(monkeypatch, passed)
+    assert len(passed) == 1641
+    seeded = Counter()
+    for h, seeds in passed:
+        assert h.n == graphs.CLASS_LIMIT or not seeds
+        for perm in seeds:
+            assert _is_automorphism(h, perm) and perm[h.n - 1] == h.n - 1, (h, perm)
+        seeded[bool(seeds)] += h.n == graphs.CLASS_LIMIT
+    assert seeded[True] > 0 and seeded[False] > 0
+
+
+def _compare_seeded(g, seeds):
+    plain, certificates = set(), set()
+    form = _canonical_form(g, plain)
+    seeded = _canonical_form(g, certificates, seeds)
+    assert seeded[:2] == form[:2] and certificates == plain, (g, seeds)
+    assert seeded[2][: len(seeds)] == list(seeds)
+
+
+def test_seeded_growth_searches_find_what_unseeded_ones_do(monkeypatch):
+    # every search of the last level, in order and against the level's
+    # certificates so far, stops or finishes as the unseeded search does,
+    # with the same key, orbits and certificates
+    passed = []
+    _growth_graphs(monkeypatch, passed)
+    last = [(h, seeds) for h, seeds in passed if h.n == graphs.CLASS_LIMIT]
+    assert len(last) > 1044
+    plain, certificates = set(), set()
+    for h, seeds in last:
+        form = _canonical_form(h, plain)
+        seeded = _canonical_form(h, certificates, seeds)
+        assert (seeded is None) == (form is None), h
+        if form is not None:
+            assert seeded[:2] == form[:2], h
+        assert certificates == plain, h
+        _compare_seeded(h, seeds)
+
+
+def test_searches_seeded_with_their_own_generators_are_unchanged():
+    # random graphs, and symmetric ones shuffled, seeded with random subsets
+    # of their generators in random order
+    rng = random.Random(38)
+    cases = [random_graph(rng, rng.randint(0, 10), rng.random()) for _ in range(300)]
+    specs = ("petersen", "hypercube:3", "prism:5", "kdd:5", "cycle:10", "complete:6")
+    cases += [_shuffled(parse_spec(spec)[1], rng) for spec in specs]
+    for g in cases:
+        generators = _canonical_form(g)[2]
+        for _ in range(3):
+            seeds = rng.sample(generators, rng.randint(0, len(generators)))
+            _compare_seeded(g, seeds)
 
 
 def test_canonical_form_matches_the_reference_search(monkeypatch):

@@ -13,6 +13,7 @@ from occufrac.graphs import complete, complete_bipartite, cycle, prism, regular_
 from occufrac.lp import dual_slacks, solve
 from occufrac.matching import (
     MatchingDuals,
+    _local_numerators,
     build_primal,
     check_dual_constraints,
     check_monotone_profile,
@@ -44,6 +45,17 @@ def test_enumerate_triples_known_values():
     assert d2 == sorted(d2)
     for i, j, k in enumerate_triples(5):
         assert i + k <= 4 and j + k <= 4
+
+
+def test_closed_form_numerators_match_the_local_polynomial():
+    # the columns read q^2 M(p/q) and q^2 lam M'(p/q) from closed forms
+    for d in range(2, 13):
+        for i, j, k in enumerate_triples(d):
+            m = local_matching_poly(i, j, k)
+            for lam in GRID:
+                p, q = lam.numerator, lam.denominator
+                expected = (m.homogeneous(p, q, 2), p * m.derivative().homogeneous(p, q, 1))
+                assert _local_numerators(i, j, k, p, q) == expected, (i, j, k, lam)
 
 
 def test_local_matching_poly_known_values():
@@ -578,6 +590,31 @@ def test_program_degree_cap_comes_before_any_work(monkeypatch):
     with pytest.raises(Worked):
         build_primal(30, ONE)
     build_primal.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "name, work",
+    [
+        ("dual_row_prices", "kdd_edge_occupancy"),
+        ("check_slack_profile", "dual_row_prices"),
+        ("check_monotone_profile", "check_slack_profile"),
+    ],
+)
+def test_profile_degree_cap_comes_before_any_work(monkeypatch, name, work):
+    import occufrac.matching as mod
+
+    class Worked(Exception):
+        pass
+
+    def worked(*args):
+        raise Worked
+
+    monkeypatch.setattr(mod, work, worked)
+    for d in (31, 10**9):
+        with pytest.raises(CapabilityError, match="^matching certificate supports d <= 30$"):
+            getattr(mod, name)(d, ONE)
+    with pytest.raises(Worked):
+        getattr(mod, name)(30, ONE)
 
 
 def test_edge_neighborhood_law_of_union_matches_single_block():
