@@ -10,7 +10,7 @@ from math import comb, factorial
 from typing import NamedTuple
 
 from .errors import CapabilityError, CertificateError, DomainError
-from .exactmath import IntPolynomial, degree, fugacity
+from .exactmath import IntPolynomial, degree, fugacity, vertex_count
 from .graphs import Graph, bipartition, is_vertex_transitive, kdd_union, regular_degree
 from .polynomials import (
     ORACLE_LIMIT,
@@ -199,7 +199,7 @@ def lampick_lambda(p: IntPolynomial, k: int):
 
 def mode_probability_exceeds_half_inv_sqrt(prob: Fraction, n: int) -> bool:
     """prob > 1/(2 sqrt(n)), decided in integers by squaring."""
-    return 4 * n * prob.numerator**2 > prob.denominator**2
+    return 4 * vertex_count(n) * prob.numerator**2 > prob.denominator**2
 
 
 def mode_probability_bound_check(d: int, n: int, model: str = "hardcore"):
@@ -208,7 +208,7 @@ def mode_probability_bound_check(d: int, n: int, model: str = "hardcore"):
     beats 1/(2 sqrt(n)). Returns the per-k (lam, prob) list."""
     if degree(d) < 1:
         raise DomainError("need d >= 1")
-    if n % (2 * d):
+    if vertex_count(n) % (2 * d):
         raise DomainError(f"2d = {2 * d} must divide n = {n}")
     copies = n // (2 * d)
     if model == "hardcore":
@@ -306,7 +306,7 @@ def ratio_conjecture_report(corpus, d: int, n: int):
     each maximum. Purely empirical; never raises on a counterexample."""
     if degree(d) < 1:
         raise DomainError("need d >= 1")
-    if n % (2 * d):
+    if vertex_count(n) % (2 * d):
         raise DomainError(f"2d = {2 * d} must divide n = {n}")
     h = kdd_union(d, n)
     named = list(corpus)

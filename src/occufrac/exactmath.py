@@ -66,6 +66,25 @@ def degree(d) -> int:
     return d
 
 
+def vertex_count(n) -> int:
+    """n itself when it is an int, else DomainError: as for `degree`, a
+    float or a bool is no vertex count. Every public function with a
+    vertex-count parameter `n` passes it through here first."""
+    if type(n) is not int:
+        raise DomainError(f"vertex count {n!r} is not an int")
+    return n
+
+
+def exact_quotient(num: int, den: int) -> int:
+    """num / den for a den that divides num, else ArithmeticError: the
+    integer certificate checks divide only where the quotient is known to
+    be exact, and a remainder means that knowledge failed, never a floor."""
+    quotient, remainder = divmod(num, den)
+    if remainder:
+        raise ArithmeticError(f"{den} does not divide {num}")
+    return quotient
+
+
 def last_program(check_degree):
     """Cache build(d, lam) for the last (d, lam) asked, its key made exact
     before the cache is read: d by check_degree, which returns it or

@@ -13,7 +13,7 @@ from collections import Counter
 from functools import lru_cache
 
 from .errors import CapabilityError, CertificateError, DomainError, FormatError
-from .exactmath import ASCII_WHITESPACE, parse_int
+from .exactmath import ASCII_WHITESPACE, parse_int, vertex_count
 
 CANONICAL_LIMIT = 10
 TRANSITIVITY_LIMIT = 16
@@ -253,7 +253,7 @@ def complete_bipartite(d: int) -> Graph:
 
 def kdd_union(d: int, n: int) -> Graph:
     """Disjoint union of n/(2d) copies of K_{d,d}; requires 2d | n."""
-    if d <= 0 or n <= 0:
+    if d <= 0 or vertex_count(n) <= 0:
         raise DomainError("kdd_union needs positive d and n")
     if n % (2 * d):
         raise DomainError(f"2d = {2 * d} must divide n = {n}")
@@ -267,13 +267,13 @@ def kdd_union(d: int, n: int) -> Graph:
 
 
 def cycle(n: int) -> Graph:
-    if n < 3:
+    if vertex_count(n) < 3:
         raise DomainError("cycle needs n >= 3")
     return Graph(n, [(v, (v + 1) % n) for v in range(n)])
 
 
 def complete(n: int) -> Graph:
-    if n <= 0:
+    if vertex_count(n) <= 0:
         raise DomainError("complete needs n >= 1")
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
@@ -288,7 +288,7 @@ def hypercube(k: int) -> Graph:
 
 def prism(n: int) -> Graph:
     """Circular ladder: two n-cycles 0..n-1 and n..2n-1 joined by rungs."""
-    if n < 3:
+    if vertex_count(n) < 3:
         raise DomainError("prism needs n >= 3")
     edges = [(v, (v + 1) % n) for v in range(n)]
     edges += [(n + v, n + (v + 1) % n) for v in range(n)]
@@ -690,9 +690,7 @@ def isomorphism_classes(n: int):
     seeded, so the generators that they hand on stay those their searches
     found (see `_classes_and_automorphisms`).
     """
-    if type(n) is not int:  # a bool is no vertex count either
-        raise DomainError(f"vertex count {n!r} is not an int")
-    if n > CLASS_LIMIT:
+    if vertex_count(n) > CLASS_LIMIT:
         raise CapabilityError(
             f"isomorphism class enumeration capped at {CLASS_LIMIT} vertices"
         )

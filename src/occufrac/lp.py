@@ -28,8 +28,9 @@ are compared as integers. Pivots are fraction-free (Bareiss 1968,
 "Sylvester's identity and multistep integer-preserving Gaussian
 elimination"), so every division in them is exact; Fractions appear only
 in the result. Every reported optimum, basis and dual vector is exact and
-checked before it is returned; the programs solved here have at most a
-dozen rows.
+checked in integers before it is returned (`_check_optimal`, on the slack
+numerators `dual_slacks` reads too); the programs solved here have at most
+a dozen rows.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import CertificateError, StructureError
+from .exactmath import exact_quotient
 
 ZERO = Fraction(0)
 
@@ -206,11 +208,17 @@ def _prices(rows, basis, cost):
     return [sum(map(mul, weights, col)) for col in zip(*rows)]
 
 
-def _over_one_denominator(y):
-    """(Y, D) with y = Y / D, Y integers and D > 0 the least common
-    denominator."""
-    den = lcm(*(p.denominator for p in y))
-    return [p.numerator * (den // p.denominator) for p in y], den
+def _over_one_denominator(pairs):
+    """(Y, D) for the values n_j / d_j given as (n_j, d_j) pairs with
+    d_j > 0: y = Y / D, Y integers and D the lcm of the d_j, so every
+    division is exact."""
+    den = lcm(*(d for _, d in pairs))
+    return [n * exact_quotient(den, d) for n, d in pairs], den
+
+
+def _ratios(values):
+    """(numerator, denominator) of each int or Fraction."""
+    return [(v.numerator, v.denominator) for v in values]
 
 
 def _run_simplex(columns, cost, rows, values, basis, den, priced=None):
@@ -283,13 +291,13 @@ def solve(lp: LinearProgram) -> LPSolution:
     m, n = lp.nrows, lp.ncols
     columns = lp.integer_columns
     firsts = [group[0] for group in lp.column_groups]  # the columns priced
-    scale = lcm(*(b.denominator for b in lp.rhs))  # Q_b, with b = beta / Q_b
+    beta, scale = _over_one_denominator(_ratios(lp.rhs))  # b = beta / Q_b
 
     # phase 1: artificial basis, minimize the artificials' sum; an original
     # column costs nothing, so its cost numerator is 0
-    sign = [-1 if b < 0 else 1 for b in lp.rhs]
+    sign = [-1 if b < 0 else 1 for b in beta]
     rows = [[sign[r] if c == r else 0 for c in range(m)] for r in range(m)]
-    values = [abs(b.numerator) * (scale // b.denominator) for b in lp.rhs]
+    values = [abs(b) for b in beta]
     basis = [n + r for r in range(m)]
     phase_one = [(q, 0, a) for q, _, a in columns]
     den = _run_simplex(phase_one, [0] * n + [-1] * m, rows, values, basis, 1, firsts)
@@ -334,33 +342,56 @@ def solve(lp: LinearProgram) -> LPSolution:
 def primal_value(lp: LinearProgram, x) -> Fraction:
     """c . x of a feasible point x: raises CertificateError naming the
     first row with A x != b, or the first negative entry. With x_j / q_j
-    = w_j / D over one denominator, row r is (sum w_j a_jr) / D."""
+    = w_j / D over one denominator, row r is (sum w_j a_jr) / D, compared
+    with b_r = beta_r / Q_b by cross-multiplication."""
     if len(x) != lp.ncols:
         raise StructureError(f"point has {len(x)} entries for {lp.ncols} columns")
-    for j, v in enumerate(x):
-        if v < 0:
+    for j, v in enumerate(x):  # an int or Fraction has the sign of its numerator
+        if v.numerator < 0:
             raise CertificateError(f"negative entry {v} in column {j}", ("column", j))
     support, scaled = [], []
     for (q, e, a), v in zip(lp.integer_columns, x):
-        if v != 0:
+        if v.numerator:
             support.append((e, a))
-            scaled.append(Fraction(v, q))
+            scaled.append((v.numerator, v.denominator * q))
     weights, den = _over_one_denominator(scaled)
+    beta, scale = _over_one_denominator(_ratios(lp.rhs))
     for r, b in enumerate(lp.rhs):
-        lhs = Fraction(sum(w * a[r] for w, (_, a) in zip(weights, support)), den)
-        if lhs != b:
-            raise CertificateError(f"row {r} violated: A x = {lhs}, b = {b}", ("row", r))
+        lhs = sum(w * a[r] for w, (_, a) in zip(weights, support))
+        if lhs * scale != beta[r] * den:
+            raise CertificateError(
+                f"row {r} violated: A x = {Fraction(lhs, den)}, b = {b}", ("row", r)
+            )
     return Fraction(sum(w * e for w, (e, _) in zip(weights, support)), den)
 
 
+def _slack_numerators(lp: LinearProgram, dual):
+    """(Y, D, nums): the dual entries (ints or Fractions) as Y / D over
+    their least common denominator, and per group of equal columns
+    (`column_groups`) the slack numerator Y . a_j - e_j D, the slack of
+    each column of the group being num / (D q_j). The one slack kernel of
+    `dual_slacks` and the solver's self-check."""
+    ys, den = _over_one_denominator(_ratios(dual))
+    columns = lp.integer_columns
+    nums = []
+    for group in lp.column_groups:
+        _, e, a = columns[group[0]]
+        nums.append(sum(map(mul, ys, a)) - e * den)
+    return ys, den, nums
+
+
 def _check_optimal(lp: LinearProgram, sol: LPSolution):
-    # exactness self-checks; violations would mean a solver bug
+    """Exactness self-checks in integers; a violation would mean a solver
+    bug: c . x is the value, every slack numerator is >= 0 and the dual
+    objective Y . beta / (D Q_b) is the value, by cross-multiplication."""
     if primal_value(lp, sol.primal) != sol.value:
         raise AssertionError("objective row disagrees with c . x")
-    report = dual_slacks(lp, sol.dual)
-    if not report.feasible:
+    ys, den, nums = _slack_numerators(lp, sol.dual)
+    if any(num < 0 for num in nums):
         raise AssertionError("dual infeasible at claimed optimum")
-    if report.dual_objective != sol.value:
+    beta, scale = _over_one_denominator(_ratios(lp.rhs))
+    value = sol.value
+    if sum(map(mul, ys, beta)) * value.denominator != value.numerator * den * scale:
         raise AssertionError("strong duality violated")
 
 
@@ -368,7 +399,8 @@ def dual_slacks(lp: LinearProgram, dual) -> DualSlackReport:
     """Slack (dual^T A - c)_j per column; feasible iff all slacks >= 0.
     The dual entries must be ints or Fractions; with dual = Y / D over one
     denominator, slack j is (Y . a_j - e_j D) / (D q_j) on the integer
-    columns, made once per group of equal columns (`column_groups`)."""
+    columns (`_slack_numerators`), made once per group of equal columns
+    (`column_groups`), and the dual objective is Y . beta / (D Q_b)."""
     if len(dual) != lp.nrows:
         raise StructureError(
             f"dual has {len(dual)} entries for {lp.nrows} rows"
@@ -376,22 +408,19 @@ def dual_slacks(lp: LinearProgram, dual) -> DualSlackReport:
     for r, y in enumerate(dual):
         if not isinstance(y, (int, Fraction)):
             raise StructureError(f"dual entry {r} is {y!r}, not an int or a Fraction")
-    ys, den = _over_one_denominator(dual)
+    ys, den, nums = _slack_numerators(lp, dual)
     columns = lp.integer_columns
-    slacks, feasible, tight = [ZERO] * lp.ncols, True, []
-    for group in lp.column_groups:  # equal columns share one slack
-        q, e, a = columns[group[0]]
-        num = sum(map(mul, ys, a)) - e * den
-        slack = Fraction(num, den * q)
+    slacks, tight = [ZERO] * lp.ncols, []
+    for group, num in zip(lp.column_groups, nums):  # equal columns share one slack
+        slack = Fraction(num, den * columns[group[0]][0])
         for j in group:
             slacks[j] = slack
-        feasible = feasible and num >= 0
         if num == 0:
             tight += group
-    dual_obj = sum((y * b for y, b in zip(dual, lp.rhs)), ZERO)
+    beta, scale = _over_one_denominator(_ratios(lp.rhs))
     return DualSlackReport(
         slacks=tuple(slacks),
-        feasible=feasible,
+        feasible=all(num >= 0 for num in nums),
         tight=tuple(sorted(tight)),
-        dual_objective=dual_obj,
+        dual_objective=Fraction(sum(map(mul, ys, beta)), den * scale),
     )

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from typing import NamedTuple
 
 from .errors import CapabilityError, CertificateError, DomainError
-from .exactmath import IntPolynomial, degree, fugacity, last_program
+from .exactmath import IntPolynomial, degree, exact_quotient, fugacity, last_program
 from .graphs import Graph, automorphism_orbits, mask_vertices, regular_degree
 from .hardcore import CertificateReport
-from .lp import LinearProgram, _over_one_denominator, dual_slacks, primal_value
+from .lp import LinearProgram, _over_one_denominator, _ratios, dual_slacks, primal_value
 from .polynomials import (
     _event_values,
     _state_model,
@@ -100,11 +100,6 @@ def local_edge_occupancy(i: int, j: int, k: int, lam: Fraction, d: int) -> Fract
     return lam * m.derivative()(lam) / (2 * (d - 1) * conditional_partition(i, j, k, lam))
 
 
-def _star(t: int, lam: Fraction) -> Fraction:
-    """Matching partition function of a t-edge star: 1 + t*lam."""
-    return 1 + t * lam
-
-
 def _marginal_gap(i: int, j: int, k: int, d: int, p: int, q: int) -> list:
     """Neighbor marginal minus edge marginal of (i, j, k) at lam = p/q for
     t = 0..d-2, times (d-1) q^2 (lam + M): each entry is a form of degree 2
@@ -175,36 +170,55 @@ def dual_row_prices(d: int, lam: Fraction) -> MatchingDuals:
     prices: pin price[d-1] = 0, then for i = d-1 down to 1 solve the (i, i, 0)
     constraint for price[i-1], whose coefficient there is i^2 lam. Verifies
     every diagonal constraint afterwards, the i = 0 one the solve never
-    used included."""
+    used included.
+
+    In integers at lam = p/q, with K_s = q^s M_s(p/q) for the matching
+    polynomial M_s of K_{s,s}: the optimum is alpha = p K_{d-1} / K_d
+    (kdd_edge_occupancy), and the prices are integers over D = q K_d,
+    where the closed form of the slack profile puts them, so each solve
+    step divides by i^2 p exactly; a remainder raises CertificateError
+    naming the constraint."""
     d, lam = _certified_degree(d), fugacity(lam)
     if d < 2:
         raise DomainError("need d >= 2")
-    alpha = kdd_edge_occupancy(d, lam)
-    prices = [Fraction(0)] * d
-    partial = MatchingDuals(d=d, lam=lam, prices=prices, optimum=alpha)
+    optimum = kdd_edge_occupancy(d, lam)
+    p, q = lam.numerator, lam.denominator
+    top = kdd_matching_poly(d).homogeneous(p, q, d)
+    alpha = optimum.numerator * exact_quotient(top, optimum.denominator)  # p K_{d-1}
+    prices = [0] * (d + 1)  # over q top; price[d] pads the i = d-1 step
     for i in range(d - 1, 0, -1):
         # price[i-1] is still 0, so the residual is the rest of the constraint
-        prices[i - 1] = -_diagonal_residual(partial, i) / (i * i * lam)
-    duals = MatchingDuals(d=d, lam=lam, prices=tuple(prices), optimum=alpha)
+        rest = _diagonal_numerator(i, d, p, q, alpha, top, prices)
+        try:
+            prices[i - 1] = -exact_quotient(rest, i * i * p)
+        except ArithmeticError:
+            message = f"diagonal constraint {i} puts price_{i - 1} off the denominator q^(d+1) M_d"
+            raise CertificateError(message, i) from None
     for i in range(d):
-        if _diagonal_residual(duals, i) != 0:
+        if _diagonal_numerator(i, d, p, q, alpha, top, prices) != 0:
             raise CertificateError(f"diagonal constraint {i} violated", i)
-    return duals
+    den = q * top
+    return MatchingDuals(
+        d=d,
+        lam=lam,
+        prices=tuple(Fraction(x, den) for x in prices[:d]),
+        optimum=optimum,
+    )
 
 
-def _diagonal_residual(duals: MatchingDuals, i: int) -> Fraction:
-    """(d-1) times the diagonal equality constraint at (i, i, 0); zero when
-    the prices are consistent."""
-    d, lam = duals.d, duals.lam
-    star, ilam = _star(i, lam), i * lam
-    res = star * (duals.optimum * ((d - 1) * star + ilam) - ilam)
-    if i >= 1:
-        res += duals.price(i - 1) * i * ilam
-    res -= duals.price(i) * (d - 1 - i + i * ilam)
-    if i + 1 <= d - 1:
-        res += duals.price(i + 1) * (d - 1 - i)
-    # for i = d-1 the price[d] coefficient (d-1-i) vanishes
-    return res
+def _diagonal_numerator(i: int, d: int, p: int, q: int, a: int, b: int, prices) -> int:
+    """(d-1) times the diagonal equality constraint at (i, i, 0), times
+    q^2 b, at lam = p/q with optimum a / b and price t = prices[t] / (q b);
+    zero when the prices are consistent. prices has d + 1 entries, the
+    last 0: the price[d] coefficient (d-1-i) vanishes at i = d-1, as the
+    price[i-1] one does at i = 0."""
+    star, ilam = q + i * p, i * p  # (1 + i lam) q and i lam q
+    return (
+        star * (a * ((d - 1) * star + ilam) - ilam * b)
+        + i * ilam * prices[i - 1]
+        - prices[i] * ((d - 1 - i) * q + i * ilam)
+        + (d - 1 - i) * q * prices[i + 1]
+    )
 
 
 def standard_dual_vector(duals: MatchingDuals):
@@ -215,33 +229,62 @@ def standard_dual_vector(duals: MatchingDuals):
 # ---------------------------------------------------------------------------
 # The slack profile F and the per-triple slack L
 
+def _profile_index(t, d: int) -> int:
+    """t once it is an int in 0..d-1, else DomainError: a bool would read
+    as 0 or 1 and a float would compute in floats."""
+    if type(t) is not int:
+        raise DomainError(f"t {t!r} is not an int")
+    if t and not 1 <= t <= d - 1:
+        raise DomainError(f"slack profile defined for 0 <= t <= {d - 1}")
+    return t
+
+
+def _profile_numerators(drift: int, prices) -> list:
+    """F(0..d-1) times D, from drift = lam (1 - d optimum) D and the prices
+    times D (see _scaled_duals): F(t) = t [lam (1 - d optimum) + price_t -
+    price_{t-1}] for t >= 1 and F(0) = 0."""
+    return [0] + [t * (drift + prices[t] - prices[t - 1]) for t in range(1, len(prices))]
+
+
 def slack_profile(t: int, duals: MatchingDuals) -> Fraction:
     """t * [lam (1 - d*optimum) + price_t - price_{t-1}] for 1 <= t <= d-1;
-    0 at t = 0."""
-    d, lam = duals.d, duals.lam
-    if t == 0:
+    0 at t = 0. One Fraction, from the integer numerators over one
+    denominator."""
+    if _profile_index(t, duals.d) == 0:
         return Fraction(0)
-    if not 1 <= t <= d - 1:
-        raise DomainError(f"slack profile defined for 0 <= t <= {d - 1}")
-    return t * (
-        lam * (1 - d * duals.optimum) + duals.price(t) - duals.price(t - 1)
-    )
+    den, drift, prices, _ = _scaled_duals(duals)
+    return Fraction(_profile_numerators(drift, prices)[t], den)
 
 
 def slack_profile_explicit(t: int, lam: Fraction, kdd) -> Fraction:
     """Closed form: t(d-1)/M_d * sum_{l=t-1}^{d-2} (d-1-t)!/(l+1-t)! *
     lam^(d-l) * M_l, with kdd = (M_0(lam), ..., M_d(lam)) the matching
-    polynomials of K_{s,s} evaluated at lam."""
+    polynomials of K_{s,s} evaluated at lam.
+
+    In integers at lam = p/q: with K_l = q^l M_l, lam^(d-l) M_l / M_d is
+    p^(d-l) K_l / K_d, so F(t) = t(d-1) p^2 B / K_d for B the Horner sum
+    B_{t-1} = K_{t-1}, B_l = K_l + (l+1-t) p B_{l-1} up to l = d-2; one
+    Fraction. Each kdd[s] must be an integer over q^s, as M_s(p/q) is,
+    else DomainError."""
     lam = fugacity(lam)
     d = len(kdd) - 1
-    if t == 0:
+    if _profile_index(t, d) == 0:
         return Fraction(0)
-    if not 1 <= t <= d - 1:
-        raise DomainError(f"slack profile defined for 0 <= t <= {d - 1}")
-    total = Fraction(0)
-    for ell in range(t - 1, d - 1):  # ell + 1 - t <= d - 1 - t: the ratio is an int
-        total += factorial(d - 1 - t) // factorial(ell + 1 - t) * lam ** (d - ell) * kdd[ell]
-    return t * (d - 1) * total / kdd[d]
+    p, q = lam.numerator, lam.denominator
+    acc, power = 0, q ** (t - 1)
+    for ell in range(t - 1, d - 1):
+        acc = acc * (ell + 1 - t) * p + _kdd_numerator(kdd, ell, power)
+        power *= q
+    return Fraction(t * (d - 1) * p * p * acc, _kdd_numerator(kdd, d, power * q))
+
+
+def _kdd_numerator(kdd, s: int, power: int) -> int:
+    """K_s = power kdd[s] for power = q^s, exact or DomainError."""
+    value = kdd[s]
+    try:
+        return value.numerator * exact_quotient(power, value.denominator)
+    except ArithmeticError:
+        raise DomainError(f"kdd[{s}] = {value} is not an integer over q^{s}") from None
 
 
 def check_slack_profile(d: int, lam: Fraction) -> dict:
@@ -253,44 +296,64 @@ def check_slack_profile(d: int, lam: Fraction) -> dict:
     strictly; and the crude star bound M_t > t lam M_{t-1} holds for
     t = 1..d. Each failure is a CertificateError naming its t.
 
+    In integers at lam = p/q: K_s = q^s M_s(p/q), and F(t) = f_t / D with
+    the prices over one denominator D (_scaled_duals), so each identity is
+    compared as integer numerators; the closed form is compared as the
+    Fraction slack_profile_explicit returns. Fractions are made only for
+    the values returned.
+
     Returns the row prices ("duals"), F(0..d-1) ("profile"), the
     normalized increments M_d/(d-1) * (F(t+1) - F(t)) / (d-2-t)! for
     t = 1..d-2 ("increments") and the pairs (M_t, t lam M_{t-1}) ("crude")."""
     d, lam = _certified_degree(d), fugacity(lam)
     duals = dual_row_prices(d, lam)
-    kdd = [kdd_matching_poly(s)(lam) for s in range(d + 1)]
-    profile = [slack_profile(t, duals) for t in range(d)]
+    p, q = lam.numerator, lam.denominator
+    big = [kdd_matching_poly(s).homogeneous(p, q, s) for s in range(d + 1)]
+    powers = [q**s for s in range(d + 1)]
+    kdd = [Fraction(k, power) for k, power in zip(big, powers)]
+    den, drift, prices, _ = _scaled_duals(duals)
+    f = _profile_numerators(drift, prices)
+    profile = [Fraction(x, den) for x in f]
     for t in range(1, d):
         if profile[t] != slack_profile_explicit(t, lam, kdd):
             raise CertificateError(f"slack profile forms disagree at t={t}", t)
-    if profile[d - 1] != (d - 1) ** 2 * lam * lam * kdd[d - 2] / kdd[d]:
+    # F(d-1) = (d-1)^2 p^2 K_{d-2} / K_d
+    if f[d - 1] * big[d] != (d - 1) ** 2 * p * p * big[d - 2] * den:
         raise CertificateError(f"slack profile end value mismatch at t={d - 1}", d - 1)
+    a, b = duals.optimum.numerator, duals.optimum.denominator
     for t in range(1, d - 1):
-        tail = (d - 1) * lam - (d - 1) * duals.optimum * _star(d + t, lam)
-        if (d - 1 - t) * profile[t + 1] != (t + 1) * (t * lam * profile[t] + tail):
+        # the recurrence times q b D, with alpha = a / b
+        tail = (d - 1) * (p * b - a * (q + (d + t) * p)) * den
+        if (d - 1 - t) * f[t + 1] * q * b != (t + 1) * (t * p * b * f[t] + tail):
             raise CertificateError(f"profile recurrence fails at t={t}", t)
     increments = []
+    scale = powers[d] * (d - 1) * den
     for t in range(1, d - 1):
-        inc = profile[t + 1] - profile[t]
-        if inc <= 0:
+        step = f[t + 1] - f[t]
+        if step <= 0:
             raise CertificateError(f"profile not increasing at t={t}", t)
-        increments.append(kdd[d] / (d - 1) * inc / factorial(d - 2 - t))
+        increments.append(Fraction(big[d] * step, scale * factorial(d - 2 - t)))
     crude = []
     for t in range(1, d + 1):
-        pair = (kdd[t], t * lam * kdd[t - 1])
-        if pair[0] <= pair[1]:
+        below = t * p * big[t - 1]  # t lam M_{t-1} times q^t
+        if big[t] <= below:
             raise CertificateError(f"crude star bound fails at t={t}", t)
-        crude.append(pair)
+        crude.append((kdd[t], Fraction(below, powers[t])))
     return {"duals": duals, "profile": profile, "increments": increments, "crude": crude}
 
 
 def _scaled_duals(duals: MatchingDuals, profile=()):
     """(D, A, P, F): D > 0 the least common denominator of
     lam (1 - d optimum), the prices and the profile values, and as integers
-    A = lam (1 - d optimum) D, the prices times D and the profile times D."""
+    A = lam (1 - d optimum) D, the prices times D and the profile times D.
+    For lam = p/q and optimum a / b, lam (1 - d optimum) is
+    p (b - d a) / (q b), brought to lowest terms by one gcd."""
     d = duals.d
-    drift = duals.lam * (1 - d * duals.optimum)
-    scaled, den = _over_one_denominator([drift, *duals.prices, *profile])
+    p, q = duals.lam.numerator, duals.lam.denominator
+    a, b = duals.optimum.numerator, duals.optimum.denominator
+    drift, common = p * (b - d * a), gcd(p * (b - d * a), q * b)
+    pairs = [(exact_quotient(drift, common), exact_quotient(q * b, common))]
+    scaled, den = _over_one_denominator(pairs + _ratios([*duals.prices, *profile]))
     return den, scaled[0], scaled[1 : d + 1], scaled[d + 1 :]
 
 

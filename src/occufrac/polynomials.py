@@ -378,9 +378,14 @@ def kdd_occupancy(d: int, lam: Fraction) -> Fraction:
 
 
 def kdd_edge_occupancy(d: int, lam: Fraction) -> Fraction:
-    """lam * M_{K_{d-1,d-1}}(lam) / M_{K_{d,d}}(lam)."""
+    """lam * M_{K_{d-1,d-1}}(lam) / M_{K_{d,d}}(lam): p K_{d-1} / K_d in
+    integers at lam = p/q, with K_s = q^s M_{K_{s,s}}(p/q)."""
     d, lam = degree(d), fugacity(lam)
-    return lam * kdd_matching_poly(d - 1)(lam) / kdd_matching_poly(d)(lam)
+    if d < 1:
+        raise DomainError("need d >= 1")
+    p, q = lam.numerator, lam.denominator
+    low = kdd_matching_poly(d - 1).homogeneous(p, q, d - 1)
+    return Fraction(p * low, kdd_matching_poly(d).homogeneous(p, q, d))
 
 
 # ---------------------------------------------------------------------------

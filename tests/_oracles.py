@@ -23,7 +23,9 @@ each probability from the deletion recurrence, and the recursive
 independent-set and matching generators that the package's one
 explicit-stack walk replaced (`reference_independent_sets`,
 `reference_matchings`), which every reference here that needs states
-uses, so no reference reads the walk it checks. Other canonical keys come from
+uses, so no reference reads the walk it checks, and the slack-profile pass
+in Fractions that the integer pass replaced (`reference_slack_profile`,
+with its row prices, diagonal residual, profile and closed form). Other canonical keys come from
 the labelling search `_canonical_form` itself. The three reference laws are
 classified state by state by definition, counted in integers by state
 size, and kept per (graph6, lam) for the life of the process, as read-only
@@ -33,9 +35,11 @@ values.
 from fractions import Fraction
 from functools import lru_cache, wraps
 from itertools import combinations, permutations, product
+from math import factorial
 from types import MappingProxyType
 
 from occufrac.bounds import DEFAULT_TOLERANCE, tree_occupancy
+from occufrac.errors import CertificateError
 from occufrac.exactmath import IntPolynomial, fugacity
 from occufrac.graphs import (
     CANONICAL_LIMIT,
@@ -56,7 +60,7 @@ from occufrac.matching import (
     enumerate_triples,
     local_edge_occupancy,
 )
-from occufrac.polynomials import occupancy, state_polynomials
+from occufrac.polynomials import kdd_matching_poly, occupancy, state_polynomials
 
 
 def brute_independence_counts(g: Graph):
@@ -497,6 +501,100 @@ def reduced_slack(i: int, j: int, k: int, duals: MatchingDuals) -> Fraction:
     _check_triple(i, j, k, duals.d)
     den, drift, prices, _ = _scaled_duals(duals)
     return Fraction(_slack_numerator(i, j, k, drift, prices), den)
+
+
+def reference_edge_occupancy(d: int, lam: Fraction) -> Fraction:
+    """lam M_{d-1}(lam) / M_d(lam) in Fractions, for the matching
+    polynomials M_s of K_{s,s}."""
+    return lam * kdd_matching_poly(d - 1)(lam) / kdd_matching_poly(d)(lam)
+
+
+def reference_row_prices(d: int, lam: Fraction) -> MatchingDuals:
+    """matching.dual_row_prices in Fractions: price[d-1] = 0, then for
+    i = d-1 down to 1 the (i, i, 0) constraint solved for price[i-1],
+    whose coefficient there is i^2 lam; every diagonal constraint checked
+    afterwards."""
+    alpha = reference_edge_occupancy(d, lam)
+    prices = [Fraction(0)] * d
+    partial = MatchingDuals(d=d, lam=lam, prices=prices, optimum=alpha)
+    for i in range(d - 1, 0, -1):
+        # price[i-1] is still 0, so the residual is the rest of the constraint
+        prices[i - 1] = -diagonal_residual(partial, i) / (i * i * lam)
+    duals = MatchingDuals(d=d, lam=lam, prices=tuple(prices), optimum=alpha)
+    for i in range(d):
+        if diagonal_residual(duals, i) != 0:
+            raise CertificateError(f"diagonal constraint {i} violated", i)
+    return duals
+
+
+def diagonal_residual(duals: MatchingDuals, i: int) -> Fraction:
+    """(d-1) times the diagonal equality constraint at (i, i, 0) in
+    Fractions; zero when the prices are consistent."""
+    d, lam = duals.d, duals.lam
+    star, ilam = _star(i, lam), i * lam
+    res = star * (duals.optimum * ((d - 1) * star + ilam) - ilam)
+    if i >= 1:
+        res += duals.price(i - 1) * i * ilam
+    res -= duals.price(i) * (d - 1 - i + i * ilam)
+    if i + 1 <= d - 1:
+        res += duals.price(i + 1) * (d - 1 - i)
+    # for i = d-1 the price[d] coefficient (d-1-i) vanishes
+    return res
+
+
+def reference_profile_value(t: int, duals: MatchingDuals) -> Fraction:
+    """F(t) = t [lam (1 - d optimum) + price_t - price_{t-1}] in Fractions."""
+    if t == 0:
+        return Fraction(0)
+    return t * (
+        duals.lam * (1 - duals.d * duals.optimum) + duals.price(t) - duals.price(t - 1)
+    )
+
+
+def reference_profile_explicit(t: int, lam: Fraction, kdd) -> Fraction:
+    """The closed form t(d-1)/M_d * sum_{l=t-1}^{d-2} (d-1-t)!/(l+1-t)! *
+    lam^(d-l) * M_l term by term in Fractions, kdd = (M_0(lam), ..., M_d(lam))."""
+    d = len(kdd) - 1
+    if t == 0:
+        return Fraction(0)
+    total = Fraction(0)
+    for ell in range(t - 1, d - 1):  # ell + 1 - t <= d - 1 - t: the ratio is an int
+        total += factorial(d - 1 - t) // factorial(ell + 1 - t) * lam ** (d - ell) * kdd[ell]
+    return t * (d - 1) * total / kdd[d]
+
+
+def reference_slack_profile(d: int, lam: Fraction) -> dict:
+    """matching.check_slack_profile as a Fraction pass: the prices from
+    the diagonal constraints, F against its closed form, its end value
+    (d-1)^2 lam^2 M_{d-2}/M_d and its recurrence, strict increase with the
+    normalized increments, and the crude pairs (M_t, t lam M_{t-1}); each
+    failure a CertificateError with the package's message and t. Reference
+    for the integer pass."""
+    duals = reference_row_prices(d, lam)
+    kdd = [kdd_matching_poly(s)(lam) for s in range(d + 1)]
+    profile = [reference_profile_value(t, duals) for t in range(d)]
+    for t in range(1, d):
+        if profile[t] != reference_profile_explicit(t, lam, kdd):
+            raise CertificateError(f"slack profile forms disagree at t={t}", t)
+    if profile[d - 1] != (d - 1) ** 2 * lam * lam * kdd[d - 2] / kdd[d]:
+        raise CertificateError(f"slack profile end value mismatch at t={d - 1}", d - 1)
+    for t in range(1, d - 1):
+        tail = (d - 1) * lam - (d - 1) * duals.optimum * _star(d + t, lam)
+        if (d - 1 - t) * profile[t + 1] != (t + 1) * (t * lam * profile[t] + tail):
+            raise CertificateError(f"profile recurrence fails at t={t}", t)
+    increments = []
+    for t in range(1, d - 1):
+        inc = profile[t + 1] - profile[t]
+        if inc <= 0:
+            raise CertificateError(f"profile not increasing at t={t}", t)
+        increments.append(kdd[d] / (d - 1) * inc / factorial(d - 2 - t))
+    crude = []
+    for t in range(1, d + 1):
+        pair = (kdd[t], t * lam * kdd[t - 1])
+        if pair[0] <= pair[1]:
+            raise CertificateError(f"crude star bound fails at t={t}", t)
+        crude.append(pair)
+    return {"duals": duals, "profile": profile, "increments": increments, "crude": crude}
 
 
 def empirical_edge_marginals(g: Graph, lam: Fraction):

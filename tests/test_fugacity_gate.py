@@ -12,7 +12,9 @@ The degree d has a gate of its own, `exactmath.degree`: DEGREE_CALLS
 reach it with a float and a bool, before and after the equal int was
 asked, so no cached program answers them. A new public function with a
 `d` parameter fails `test_every_degree_function_has_a_call` until it gets
-a call there.
+a call there. The vertex count n has `exactmath.vertex_count`, reached the
+same way by VERTEX_COUNT_CALLS, which also cover the graph builders of
+`graphs`.
 """
 
 import inspect
@@ -25,7 +27,7 @@ import pytest
 
 from _oracles import crowding, marginal_from_edge, marginal_from_neighbor, vacancy
 
-from occufrac import bounds, hardcore, matching, polynomials
+from occufrac import bounds, graphs, hardcore, matching, polynomials
 from occufrac.errors import DomainError
 from occufrac.graphs import complete_bipartite, cycle, prism
 from occufrac.hardcore import NeighborhoodConfig, enumerate_configs
@@ -143,15 +145,31 @@ DEGREE_CALLS = {
 }
 
 
+VERTEX_COUNT_CALLS = {
+    "bounds.mode_probability_exceeds_half_inv_sqrt": lambda n: (
+        bounds.mode_probability_exceeds_half_inv_sqrt(Fraction(1, 2), n)
+    ),
+    "bounds.mode_probability_bound_check": lambda n: bounds.mode_probability_bound_check(3, n),
+    "bounds.ratio_conjecture_report": lambda n: bounds.ratio_conjecture_report(
+        [("K33", K33), ("prism3", prism(3))], 3, n
+    ),
+    "graphs.kdd_union": lambda n: graphs.kdd_union(3, n),
+    "graphs.cycle": lambda n: graphs.cycle(n),
+    "graphs.complete": lambda n: graphs.complete(n),
+    "graphs.prism": lambda n: graphs.prism(n),
+    "graphs.isomorphism_classes": lambda n: graphs.isomorphism_classes(n),
+}
+
+
 def _takes(fn, parameter) -> bool:
     return parameter in inspect.signature(fn).parameters
 
 
-def _public_functions(parameter):
-    """Public functions of MODULES that take `parameter`, named
+def _public_functions(parameter, modules=MODULES):
+    """Public functions of `modules` that take `parameter`, named
     module.function."""
     found = set()
-    for module in MODULES:
+    for module in modules:
         short = module.__name__.rsplit(".", 1)[-1]
         for name, obj in vars(module).items():
             if name.startswith("_") or inspect.isclass(obj) or not callable(obj):
@@ -231,3 +249,27 @@ def test_a_degree_that_is_no_int_is_rejected(name, bad):
         DEGREE_CALLS[name](bad)
     hardcore.build_primal.cache_clear()
     matching.build_primal.cache_clear()
+
+
+def test_every_vertex_count_function_has_a_call():
+    assert _public_functions("n", (*MODULES, graphs)) == set(VERTEX_COUNT_CALLS)
+
+
+@pytest.mark.parametrize("name", sorted(VERTEX_COUNT_CALLS))
+@pytest.mark.parametrize("bad", [12.0, True])
+def test_a_vertex_count_that_is_no_int_is_rejected(name, bad):
+    message = f"vertex count {bad!r} is not an int"
+    with pytest.raises(DomainError) as raised:
+        VERTEX_COUNT_CALLS[name](bad)
+    assert str(raised.value) == message
+    VERTEX_COUNT_CALLS[name](6)  # the gate lets an int through
+    with pytest.raises(DomainError) as raised:
+        VERTEX_COUNT_CALLS[name](bad)
+    assert str(raised.value) == message
+
+
+def test_mode_probability_comparison_needs_an_int_vertex_count():
+    # 4 n prob^2 > 1 was decided on a float n before the gate
+    assert bounds.mode_probability_exceeds_half_inv_sqrt(Fraction(1, 2), 12)
+    with pytest.raises(DomainError, match=r"^vertex count 12\.0 is not an int$"):
+        bounds.mode_probability_exceeds_half_inv_sqrt(Fraction(1, 2), 12.0)

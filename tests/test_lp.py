@@ -626,3 +626,50 @@ def test_equal_columns_are_priced_once(monkeypatch):
     for program, sol, dual, report in results:
         assert solve(program) == sol
         assert dual_slacks(program, dual) == report
+
+
+def _witness():
+    """max x_0 s.t. x_0 + x_1 = 1, x_1 = 0: optimum 1 at x = (1, 0), where
+    the dual (1, y_1) is feasible for y_1 >= -1, with objective 1 for any
+    y_1, and (y_0, y_1) is feasible with objective y_0 for y_0 >= 1."""
+    program = make_lp([1, 0], [[1, 1], [0, 1]], [1, 0])
+    sol = solve(program)
+    assert sol.value == 1 and sol.primal == (1, 0)
+    return program, sol
+
+
+def test_self_check_names_a_dual_infeasible_by_one_part_in_a_billion():
+    # the slack of column 1 is -1/10^9: a slack numerator of -1 over the
+    # dual's denominator 10^9, while strong duality still holds
+    program, sol = _witness()
+    dual = (Fraction(1), Fraction(-1) - Fraction(1, 10**9))
+    with pytest.raises(AssertionError, match="^dual infeasible at claimed optimum$"):
+        lp_module._check_optimal(program, sol._replace(dual=dual))
+    lp_module._check_optimal(program, sol._replace(dual=(Fraction(1), Fraction(-1))))
+
+
+def test_self_check_names_a_dual_objective_off_by_one_part_in_a_billion():
+    program, sol = _witness()
+    dual = (Fraction(1) + Fraction(1, 10**9), Fraction(0))
+    with pytest.raises(AssertionError, match="^strong duality violated$"):
+        lp_module._check_optimal(program, sol._replace(dual=dual))
+
+
+def test_self_check_names_a_wrong_value():
+    program, sol = _witness()
+    with pytest.raises(AssertionError, match="^objective row disagrees with c . x$"):
+        lp_module._check_optimal(program, sol._replace(value=Fraction(1) + Fraction(1, 10**9)))
+
+
+def test_self_check_rejects_perturbed_certify_duals():
+    # each entry of a certify program's solver dual moved by 1/10^9, up and
+    # down, fails the self-check; the dual itself passes
+    for program in (hardcore.build_primal(4, Fraction(7, 5)), matching.build_primal(5, Fraction(7, 5))):
+        sol = solve(program)
+        lp_module._check_optimal(program, sol)
+        for r in range(program.nrows):
+            for step in (Fraction(1, 10**9), Fraction(-1, 10**9)):
+                dual = list(sol.dual)
+                dual[r] += step
+                with pytest.raises(AssertionError):
+                    lp_module._check_optimal(program, sol._replace(dual=tuple(dual)))

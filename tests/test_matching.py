@@ -3,12 +3,14 @@ from fractions import Fraction
 import pytest
 
 from _oracles import (
+    diagonal_residual,
     empirical_edge_marginals,
     marginal_from_edge,
     marginal_from_neighbor,
     reduced_slack,
 )
 from occufrac.errors import CapabilityError, CertificateError, DomainError
+from occufrac.exactmath import IntPolynomial
 from occufrac.graphs import complete, complete_bipartite, cycle, prism, regular_degree
 from occufrac.lp import dual_slacks, solve
 from occufrac.matching import (
@@ -371,15 +373,35 @@ def test_slack_profile_pass_names_a_non_increasing_step(monkeypatch):
 
 
 def test_slack_profile_pass_names_a_failed_crude_bound(monkeypatch):
-    # only the crude bound reads M_{d-1}; M_d = d lam M_{d-1} breaks it at t = d
+    # only the crude bound reads M_{d-1}; M_d <= d lam M_{d-1} breaks it at
+    # t = d, here with M_{d-1}(1) the least integer at least M_d(1) / d
     d = 4
-    top = kdd_matching_poly(d)(ONE)
+    low = IntPolynomial((-(-kdd_matching_poly(d)(ONE).numerator // d),))
 
     def kdd_poly(s):
-        return (lambda lam: top / (d * lam)) if s == d - 1 else kdd_matching_poly(s)
+        return low if s == d - 1 else kdd_matching_poly(s)
 
     args = _fail_pass(monkeypatch, d, kdd_matching_poly=kdd_poly)
     assert args == ("crude star bound fails at t=4", 4)
+
+
+def test_slack_profile_pass_names_a_crude_bound_met_with_equality(monkeypatch):
+    # the bound is strict: at lam = 1/2 and d = 4, d divides K_d = q^d M_d,
+    # so a fake M_{d-1} with q^(d-1) M_{d-1} = K_d / (d p) meets it exactly
+    import occufrac.matching as mod
+
+    d, lam = 4, Fraction(1, 2)
+    top = kdd_matching_poly(d).homogeneous(1, 2, d)
+    assert top % d == 0
+    low = IntPolynomial((0,) * (d - 1) + (top // d,))  # p = 1: the value is the coefficient
+
+    def kdd_poly(s):
+        return low if s == d - 1 else kdd_matching_poly(s)
+
+    monkeypatch.setattr(mod, "kdd_matching_poly", kdd_poly)
+    with pytest.raises(CertificateError) as failed:
+        check_slack_profile(d, lam)
+    assert failed.value.args == ("crude star bound fails at t=4", 4)
 
 
 def test_laguerre_identity():
@@ -392,13 +414,12 @@ def test_corrupted_prices_fail_certification(monkeypatch):
     # the simplified diagonal slack vanishes identically, so corruption has
     # to show up in the equality-constraint residuals and in the certificate
     import occufrac.matching as mod
-    from occufrac.matching import _diagonal_residual
 
     duals = dual_row_prices(3, ONE)
     bad = duals.prices[:1] + (duals.prices[1] + 1,) + duals.prices[2:]
     broken = MatchingDuals(d=3, lam=ONE, prices=bad, optimum=duals.optimum)
     assert all(reduced_slack(i, i, 0, broken) == 0 for i in range(3))
-    assert any(_diagonal_residual(broken, i) != 0 for i in range(3))
+    assert any(diagonal_residual(broken, i) != 0 for i in range(3))
     monkeypatch.setattr(mod, "dual_row_prices", lambda d, lam: broken)
     with pytest.raises(CertificateError):
         check_dual_constraints(3, ONE)
@@ -409,14 +430,13 @@ def test_shifted_prices_fail_only_against_the_program(monkeypatch):
     # leaves the diagonal residuals, the slack profile and every simplified
     # slack unchanged; only the program, which has no row at t = d-1, sees it
     import occufrac.matching as mod
-    from occufrac.matching import _diagonal_residual
 
     for d in (3, 5):
         duals = dual_row_prices(d, ONE)
         shifted = MatchingDuals(
             d=d, lam=ONE, prices=tuple(p + 1 for p in duals.prices), optimum=duals.optimum
         )
-        assert all(_diagonal_residual(shifted, i) == 0 for i in range(d))
+        assert all(diagonal_residual(shifted, i) == 0 for i in range(d))
         for t in range(d):
             assert slack_profile(t, shifted) == slack_profile(t, duals)
         for i, j, k in enumerate_triples(d):
