@@ -58,6 +58,8 @@ def tree_occupancy(d: int, lam: Fraction, tolerance: Fraction = DEFAULT_TOLERANC
     d, lam = degree(d), fugacity(lam)
     if d < 2:
         raise DomainError("need d >= 2")
+    if type(tolerance) not in (int, Fraction):  # a float would bracket in floats
+        raise DomainError(f"tolerance {tolerance!r} is not an int or a Fraction")
     if tolerance <= 0:
         raise DomainError("tolerance must be positive")
     if d > TREE_MAX_D:

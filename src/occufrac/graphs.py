@@ -535,12 +535,7 @@ def canonical_key(g: Graph) -> bytes:
     return _canonical_form(g)[0]
 
 
-# The orbits of the graph that `automorphism_orbits` last searched, as
-# {graph: (vertex orbits, edge orbits)} with one entry of tuples, so the
-# neighbourhood laws of one graph share one search.
-_ORBITS: dict = {}
-
-
+@lru_cache(maxsize=1)  # the neighbourhood laws of one graph share one search
 def automorphism_orbits(g: Graph):
     """(vertex orbits, edge orbits) of the automorphism group of g, each a
     tuple of (representative, orbit size) pairs in increasing order of
@@ -548,11 +543,7 @@ def automorphism_orbits(g: Graph):
     smallest edge (u, v), u < v, in the order of g.edges() of each edge
     orbit. One canonical search gives the generators; each is checked to
     be a permutation mapping adj onto adj, else CertificateError, and the
-    edge orbits join each edge with its images under them. The result for
-    the last graph searched is kept (see `_ORBITS`)."""
-    kept = _ORBITS.get(g)
-    if kept is not None:
-        return kept
+    edge orbits join each edge with its images under them."""
     _, vertex_reps, automorphisms = _canonical_form(g)
     edges = g.edges()
     index = {e: i for i, e in enumerate(edges)}
@@ -566,12 +557,10 @@ def automorphism_orbits(g: Graph):
         edge_perms.append([index[min(perm[u], perm[v]), max(perm[u], perm[v])] for u, v in edges])
     edge_reps = _join_orbits(list(range(len(edges))), edge_perms)
     edge_orbits = sorted(Counter(edge_reps).items())
-    _ORBITS.clear()
-    _ORBITS[g] = kept = (
+    return (
         tuple(sorted(Counter(vertex_reps).items())),
         tuple((edges[i], size) for i, size in edge_orbits),
     )
-    return kept
 
 
 def label_key(g: Graph) -> bytes:

@@ -21,7 +21,6 @@ from .exactmath import IntPolynomial, degree, fugacity, last_program
 from .graphs import (
     Graph,
     _classes_and_automorphisms,
-    automorphism_orbits,
     canonical_key,
     mask_vertices,
     regular_degree,
@@ -29,10 +28,9 @@ from .graphs import (
 from .lp import LinearProgram, dual_slacks, primal_value
 from .polynomials import (
     ORACLE_LIMIT,
-    _event_values,
     _mask_recursion,
+    _orbit_law,
     _pack,
-    _state_model,
     _unpack,
     independence_poly,
     kdd_occupancy,
@@ -239,24 +237,16 @@ def uncovered_count_distribution(g: Graph, lam: Fraction):
     """Exact law of the number of uncovered neighbors of a uniform vertex.
 
     A neighbor w of v is uncovered when no vertex of N(w) is occupied, so
-    the law of v is weighed at lam by `polynomials._event_values` with one
-    unit-weight event per neighbor; every vertex of one automorphism orbit
-    has the same law (graphs.automorphism_orbits), so one representative
-    per orbit is counted, weighted by the orbit size. Capped at
-    ORACLE_LIMIT vertices, checked before the orbits are searched."""
+    the states are weighed by `polynomials._orbit_law` with one unit-weight
+    event per neighbor, after the cap of ORACLE_LIMIT vertices."""
     lam = fugacity(lam)
     d = regular_degree(g)
     if d is None:
         raise DomainError("graph must be regular")
-    _state_model(g, "hardcore", ORACLE_LIMIT)
-    orbits, _ = automorphism_orbits(g)
-    by_count = [0] * (d + 1)
-    for v, size in orbits:
-        events = [(1, g.adj[w]) for w in g.neighbors(v)]
-        for t, value in _event_values(g, "hardcore", lam, 0, events).items():
-            by_count[t] += size * value
-    z = _event_values(g, "hardcore", lam, 0, [])[0] * g.n
-    return [Fraction(w, z) for w in by_count]
+    weights, z = _orbit_law(
+        g, "hardcore", lam, ORACLE_LIMIT, lambda v: (0, [(1, g.adj[w]) for w in g.neighbors(v)])
+    )
+    return [Fraction(weights[t], z * g.n) for t in range(d + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -268,39 +258,34 @@ def free_neighborhood_distribution(g: Graph, lam: Fraction):
 
     A neighbor w of v is free when no vertex of N(w) - N(v) is occupied;
     v is one of them, so an occupied v leaves no neighbor free. The states
-    are weighed at lam by their free-neighborhood pattern, one bit per
-    neighbor, by `polynomials._event_values`. An automorphism carries each
-    independent set to one of the same size and the free neighborhood of v
-    to that of its image, so every vertex of one orbit has the same law:
-    one vertex per automorphism orbit is counted, weighted by the orbit size
-    (graphs.automorphism_orbits).
+    are weighed by their free neighborhood, one bit per neighbor, by
+    `polynomials._orbit_law`, and each free neighborhood is read as its
+    class.
 
     Verifies on the way out that the vector is a feasible point of
     build_primal(d, lam) (a distribution satisfying the balance constraint)
     whose objective is the true occupancy of g. With the balance holding,
     that objective is lam/(1+lam) E[vacancy] = lam/(1+lam) E[crowding].
-    Capped at FREE_LAW_LIMIT vertices, checked before the orbits are
-    searched.
+    Capped at FREE_LAW_LIMIT vertices, checked before the orbits are searched.
     """
     lam = fugacity(lam)
     d = regular_degree(g)
     if d is None:
         raise DomainError("graph must be regular")
-    _state_model(g, "hardcore", FREE_LAW_LIMIT)
-    orbits, _ = automorphism_orbits(g)
+
+    def events_of(v):  # bit w is set when neighbor w is free
+        return 0, [(1 << w, g.adj[w] & ~g.adj[v]) for w in g.neighbors(v)]
+
+    weights, z = _orbit_law(g, "hardcore", lam, FREE_LAW_LIMIT, events_of)
     configs = enumerate_configs(d)
     by_graph = {cfg.graph: cfg.index for cfg in configs}
     by_key = {cfg.key: cfg.index for cfg in configs}
-    weights = [0] * len(configs)
-    for v, size in orbits:
-        events = [(1 << w, g.adj[w] & ~g.adj[v]) for w in g.neighbors(v)]
-        for mask, value in _event_values(g, "hardcore", lam, 0, events).items():
-            # a class representative, as a labeled graph, needs no canonical form
-            h = g.induced(mask_vertices(mask))
-            idx = by_graph[h] if h in by_graph else by_key[canonical_key(h)]
-            weights[idx] += size * value
-    z = _event_values(g, "hardcore", lam, 0, [])[0] * g.n
-    probs = [Fraction(w, z) for w in weights]
+    by_class = [0] * len(configs)
+    for mask, weight in weights.items():
+        # a class representative, as a labeled graph, needs no canonical form
+        h = g.induced(mask_vertices(mask))
+        by_class[by_graph[h] if h in by_graph else by_key[canonical_key(h)]] += weight
+    probs = [Fraction(w, z * g.n) for w in by_class]
     if objective_value(probs, d, lam) != occupancy(g, lam):
         raise CertificateError("free-neighborhood law does not reproduce occupancy")
     return probs

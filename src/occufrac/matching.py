@@ -18,12 +18,11 @@ from typing import NamedTuple
 
 from .errors import CapabilityError, CertificateError, DomainError
 from .exactmath import IntPolynomial, degree, exact_quotient, fugacity, last_program
-from .graphs import Graph, automorphism_orbits, mask_vertices, regular_degree
+from .graphs import Graph, mask_vertices, regular_degree
 from .hardcore import CertificateReport
 from .lp import LinearProgram, _over_one_denominator, _ratios, dual_slacks, primal_value
 from .polynomials import (
-    _event_values,
-    _state_model,
+    _orbit_law,
     edge_occupancy,
     kdd_edge_occupancy,
     kdd_matching_poly,
@@ -477,16 +476,13 @@ def edge_neighborhood_distribution(g: Graph, lam: Fraction, limit: int = 20):
     A neighbor w of the edge (u, v) counts when it is unmatched or matched
     to u or v, that is when no edge of g - u - v covers it. So the
     matchings of g - u - v are weighed at lam = p/q by their triple by
-    `polynomials._event_values`, with one event per neighbor w, and u and v
+    `polynomials._orbit_law`, with one event per neighbor w, and u and v
     extend one with triple (i, j, k) in
     1 + (1 + i + j + 2k) x + ((i + k)(j + k) - k) x^2 ways: the edge (u, v),
     one edge from u or v to a counted neighbor, or one from each to two
     distinct ones; every weight is an integer over q^(n+2) M(lam), M the
-    matching polynomial of g. An automorphism carries each matching to one
-    of the same size and the triple of an edge to that of its image, so one
-    edge per automorphism orbit is counted, weighted by the orbit size
-    (graphs.automorphism_orbits), and each triple of (u, v) also counts as
-    its mirror, the triple of (v, u).
+    matching polynomial of g. Each triple of (u, v) also counts as its
+    mirror, the triple of (v, u).
 
     Verifies that the law is a feasible point of build_primal(d, lam) and
     that its objective reproduces the edge occupancy of g. The edge cap
@@ -496,26 +492,27 @@ def edge_neighborhood_distribution(g: Graph, lam: Fraction, limit: int = 20):
     d = regular_degree(g)
     if d is None or d < 2:
         raise DomainError("graph must be d-regular with d >= 2")
-    _state_model(g, "matching", limit)
-    _, orbits = automorphism_orbits(g)
-    p, q = lam.numerator, lam.denominator
-    oriented = defaultdict(int)
-    for (u, v), size in orbits:
+
+    def events_of(edge):
         # each neighbor w of u or v other than u and v, weighted 1, d or d^2
         # as it neighbors u only, v only or both, so that a sum of weights
         # reads i + j d + k d^2
+        u, v = edge
         events = []
         for w in mask_vertices((g.adj[u] | g.adj[v]) & ~(1 << u | 1 << v)):
             near_u, near_v = g.adj[u] >> w & 1, g.adj[v] >> w & 1
             events.append((d * d if near_u and near_v else 1 if near_u else d, 1 << w))
-        ends = 1 << u | 1 << v
-        for key, value in _event_values(g, "matching", lam, ends, events).items():
-            i, j, k = key % d, key // d % d, key // (d * d)
-            ways = q * q + (1 + i + j + 2 * k) * p * q + ((i + k) * (j + k) - k) * p * p
-            weight = size * value * ways
-            oriented[i, j, k] += weight
-            oriented[j, i, k] += weight
-    denom = _event_values(g, "matching", lam, 0, [])[0] * q * q * g.edge_count * 2
+        return 1 << u | 1 << v, events
+
+    weights, z = _orbit_law(g, "matching", lam, limit, events_of)
+    p, q = lam.numerator, lam.denominator
+    oriented = defaultdict(int)
+    for key, weight in weights.items():
+        i, j, k = key % d, key // d % d, key // (d * d)
+        weight *= q * q + (1 + i + j + 2 * k) * p * q + ((i + k) * (j + k) - k) * p * p
+        oriented[i, j, k] += weight
+        oriented[j, i, k] += weight
+    denom = z * q * q * g.edge_count * 2
     law = {t: Fraction(weight, denom) for t, weight in sorted(oriented.items())}
     if objective_value(law, d, lam) != edge_occupancy(g, lam):
         raise CertificateError("edge-neighborhood law misses the edge occupancy")

@@ -16,12 +16,13 @@ from fractions import Fraction
 from itertools import chain, compress, islice
 from math import comb, factorial
 
+from . import graphs
 from .errors import CapabilityError, DomainError
 from .exactmath import IntPolynomial, binomial_poly, degree, fugacity
 from .graphs import (
-    _ORBITS,
     CANONICAL_LIMIT,
     Graph,
+    automorphism_orbits,
     canonical_key,
     label_key,
     mask_component,
@@ -333,6 +334,25 @@ def _event_values(g: Graph, model: str, lam: Fraction, base: int, events) -> dic
     return {label: v for label, v in values.items() if v}
 
 
+def _orbit_law(g: Graph, model: str, lam: Fraction, limit: int, events_of):
+    """({label: weight}, z) at lam = p/q: weight sums over the vertices
+    (hardcore) or edges (matching) of g the value that
+    `_event_values(g, model, lam, *events_of(each))` gives the label, and
+    z = q^n Z(lam), n = g.n and Z the polynomial of g; the callers decode
+    the labels and divide. An automorphism carries each state to one of
+    the same size and the events of a vertex or edge to those of its image,
+    so all of one orbit share one law: one representative per orbit
+    (graphs.automorphism_orbits) is weighed, times the orbit size, once the
+    cap of `limit` vertices or edges (`_state_model`) has been checked."""
+    _state_model(g, model, limit)
+    vertex_orbits, edge_orbits = automorphism_orbits(g)
+    weights = defaultdict(int)
+    for rep, size in vertex_orbits if model == "hardcore" else edge_orbits:
+        for label, value in _event_values(g, model, lam, *events_of(rep)).items():
+            weights[label] += size * value
+    return weights, _event_values(g, model, lam, 0, [])[0]
+
+
 def kdd_independence_poly(d: int) -> IntPolynomial:
     """Independence polynomial of K_{d,d}: 2(1+x)^d - 1."""
     if degree(d) <= 0:
@@ -551,9 +571,12 @@ class _StateTable:
 
 def _state_model(g: Graph, model: str, limit: int) -> int:
     """The number of sizes a state of the model on g can have, once g is
-    within the cap of `limit` vertices (hardcore) or edges (matching), else
-    CapabilityError. The laws and correlation checks, which enumerate
-    nothing, check their caps here too, before any other work."""
+    within the cap of `limit` vertices (hardcore) or edges (matching), an
+    int and no bool, else DomainError or CapabilityError. The laws and
+    correlation checks, which enumerate nothing, check their caps here too,
+    before any other work."""
+    if type(limit) is not int:
+        raise DomainError(f"limit {limit!r} is not an int")
     if model == "hardcore":
         if g.n > limit:
             raise CapabilityError(f"oracle limit is {limit} vertices, got {g.n}")
@@ -612,4 +635,5 @@ def clear_memo_tables():
     for _, _, _, value in _RECURSIONS.values():  # each refers to itself
         value.memo.clear()
     _RECURSIONS.clear()
-    _ORBITS.clear()
+    # graphs' own attribute: this module's reference may be wrapped (by a tracer)
+    graphs.automorphism_orbits.cache_clear()

@@ -380,6 +380,16 @@ def test_tree_occupancy_exact_rational_root():
     assert _tree_gap(bracket.alpha_high, 2, Fraction(3, 4)) > 0
 
 
+@pytest.mark.parametrize(
+    "tolerance", [1e-9, True, "1/4", None], ids=["float", "bool", "str", "None"]
+)
+def test_tree_occupancy_takes_only_an_exact_tolerance(tolerance):
+    # at the exact root 1/4 a float tolerance made the bracket floats
+    message = f"^tolerance {re.escape(repr(tolerance))} is not an int or a Fraction$"
+    with pytest.raises(DomainError, match=message):
+        tree_occupancy(2, Fraction(3, 4), tolerance)
+
+
 def test_tree_caps_are_checked_before_any_bisection(monkeypatch):
     def fail(*args):
         raise AssertionError("bisected")

@@ -14,13 +14,18 @@ from _oracles import (
     reference_edge_law,
     reference_free_neighborhood_law,
 )
-from occufrac import graphs, hardcore, matching
+from occufrac import graphs, polynomials
 from occufrac.corpus import bipartite_correlation_corpus, transitive_bipartite_corpus
 from occufrac.errors import CapabilityError, CertificateError
 from occufrac.graphs import automorphism_orbits, complete_bipartite, cycle, hypercube
-from occufrac.hardcore import FREE_LAW_LIMIT, free_neighborhood_distribution
+from occufrac.hardcore import (
+    FREE_LAW_LIMIT,
+    enumerate_configs,
+    free_neighborhood_distribution,
+    uncovered_count_distribution,
+)
 from occufrac.matching import edge_neighborhood_distribution
-from occufrac.polynomials import clear_memo_tables
+from occufrac.polynomials import clear_memo_tables, edge_occupancy, occupancy
 
 LAM = Fraction(7, 5)
 EDGE_LIMIT = 25  # the reference edge law stays within a second up to here
@@ -76,14 +81,14 @@ def test_laws_match_reference_on_non_isomorphic_components():
     "g", [cycle(6), SEVERAL_ORBITS, TWO_COMPONENTS], ids=["C6", "rb3_12", "K33+Q3"]
 )
 @pytest.mark.parametrize(
-    "module, law",
+    "law",
     [
-        (hardcore, free_neighborhood_distribution),
-        (matching, lambda g, lam: edge_neighborhood_distribution(g, lam, limit=EDGE_LIMIT)),
+        free_neighborhood_distribution,
+        lambda g, lam: edge_neighborhood_distribution(g, lam, limit=EDGE_LIMIT),
     ],
     ids=["free", "edge"],
 )
-def test_unit_orbit_weights_fail(monkeypatch, module, law, g):
+def test_unit_orbit_weights_fail(monkeypatch, law, g):
     # every orbit weighed once in place of its size leaves mass off the law
     original = graphs.automorphism_orbits
 
@@ -91,7 +96,7 @@ def test_unit_orbit_weights_fail(monkeypatch, module, law, g):
         vertex_orbits, edge_orbits = original(h)
         return [(v, 1) for v, _ in vertex_orbits], [(e, 1) for e, _ in edge_orbits]
 
-    monkeypatch.setattr(module, "automorphism_orbits", unweighted)
+    monkeypatch.setattr(polynomials, "automorphism_orbits", unweighted)
     with pytest.raises(CertificateError):
         law(g, LAM)
 
@@ -121,7 +126,45 @@ def test_caps_raise_before_any_canonical_search(monkeypatch):
     monkeypatch.setattr(graphs, "_canonical_form", refusing)
     with pytest.raises(CapabilityError, match="^oracle limit is 14 vertices, got 16$"):
         free_neighborhood_distribution(cycle(16), LAM)
+    with pytest.raises(CapabilityError, match="^oracle limit is 24 vertices, got 25$"):
+        uncovered_count_distribution(cycle(25), LAM)
     with pytest.raises(CapabilityError, match="^oracle limit is 20 edges, got 25$"):
         edge_neighborhood_distribution(complete_bipartite(5), LAM)
     with pytest.raises(CapabilityError, match="^oracle limit is 24 edges, got 25$"):
         edge_neighborhood_distribution(complete_bipartite(5), LAM, limit=24)
+
+
+def test_laws_share_one_orbit_search(monkeypatch):
+    # the three laws of one graph search its orbits once between them; the
+    # kept orbits are those of the last graph searched, until cleared
+    first, second = complete_bipartite(3), cycle(8)
+    clear_memo_tables()
+    for g in (first, second):  # the polynomials of the occupancy checks, memoized beforehand
+        occupancy(g, LAM)
+        edge_occupancy(g, LAM)
+        enumerate_configs(graphs.regular_degree(g))
+    calls = []
+    original = graphs._canonical_form
+
+    def counted(h, *args):
+        calls.append(h)
+        return original(h, *args)
+
+    monkeypatch.setattr(graphs, "_canonical_form", counted)
+    free_neighborhood_distribution(first, LAM)
+    uncovered_count_distribution(first, LAM)
+    edge_neighborhood_distribution(first, LAM)
+    assert calls == [first]
+    uncovered_count_distribution(second, LAM)
+    uncovered_count_distribution(second, LAM)
+    assert calls == [first, second]
+    clear_memo_tables()
+    uncovered_count_distribution(second, LAM)
+    assert calls == [first, second, second]
+
+
+def test_clearing_reaches_the_orbits_past_a_wrapped_reference(monkeypatch):
+    monkeypatch.setattr(polynomials, "automorphism_orbits", lambda g: automorphism_orbits(g))
+    automorphism_orbits(cycle(6))
+    clear_memo_tables()
+    assert automorphism_orbits.cache_info().currsize == 0

@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import random
+import re
 import textwrap
 from fractions import Fraction
 
@@ -38,6 +39,7 @@ from occufrac.graphs import (
     petersen,
     prism,
 )
+from occufrac.matching import edge_neighborhood_distribution
 from occufrac.polynomials import (
     MATCHING_BUDGET,
     clear_memo_tables,
@@ -734,6 +736,22 @@ def test_warm_states_still_meet_the_caps():
         event_probability_oracle(g, "hardcore", ONE, lambda s: True, limit=9)
     with pytest.raises(CapabilityError, match="^oracle limit is 9 edges, got 10$"):
         event_probability_oracle(g, "matching", ONE, lambda m: True, limit=9)
+
+
+@pytest.mark.parametrize("limit", ["30", True, 3.5, None], ids=["str", "bool", "float", "None"])
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda g, limit: state_polynomials(g, "matching", lambda m: (), limit),
+        lambda g, limit: event_probability_oracle(g, "matching", ONE, lambda m: True, limit),
+        lambda g, limit: edge_neighborhood_distribution(g, ONE, limit),
+    ],
+    ids=["state_polynomials", "oracle", "edge_law"],
+)
+def test_a_limit_that_is_no_int_raises(run, limit):
+    # a bool would be read as 0 or 1, a float or a string compared as given
+    with pytest.raises(DomainError, match=f"^limit {re.escape(repr(limit))} is not an int$"):
+        run(hypercube(3), limit)
 
 
 def test_only_enumerations_within_the_bound_are_kept(enumerations):
