@@ -365,24 +365,37 @@ def _refine(adj, cells, splitters):
             break
         out = []
         if w & (w - 1):
-            counts = w.bit_count() + 1
+            # above[k]: the vertices with more than k neighbors in w
+            above = []
+            m = w
+            while m:
+                low = m & -m
+                carry = adj[low.bit_length() - 1]
+                m ^= low
+                for k, s in enumerate(above):
+                    above[k] = s | carry
+                    carry &= s
+                if carry:
+                    above.append(carry)
             for cell in cells:
-                if not cell & (cell - 1):
-                    out.append(cell)
-                    continue
-                groups = [0] * counts  # the cell's vertices by neighbors in w
-                m = cell
-                while m:
-                    low = m & -m
-                    groups[(adj[low.bit_length() - 1] & w).bit_count()] |= low
-                    m ^= low
-                parts = [part for part in groups if part]
-                if len(parts) > 1:
-                    big = max(parts, key=int.bit_count)
-                    queue += [p for p in parts if p != big]
-                    out += parts
+                for s in above:
+                    part = cell & s
+                    if part and part != cell:
+                        break
                 else:
                     out.append(cell)
+                    continue
+                parts = []
+                for s in above:  # the part with k neighbors in w, k = 0, 1, ...
+                    part = cell & ~s
+                    if part:
+                        parts.append(part)
+                    cell &= s
+                if cell:
+                    parts.append(cell)
+                big = max(parts, key=int.bit_count)
+                queue += [p for p in parts if p != big]
+                out += parts
         else:
             # a singleton splitter {u}, the common case: the counts are 0
             # and 1, so a cell splits into the rest and `cell & adj[u]`
@@ -406,6 +419,8 @@ def _join_orbits(rep, automorphisms):
     leaves each vertex pointing at its root."""
     for perm in automorphisms:
         for v, w in enumerate(perm):
+            if v == w:
+                continue
             while rep[v] != v:
                 v = rep[v]
             while rep[w] != w:
@@ -450,11 +465,10 @@ def _canonical_form(g: Graph, seen=None, seeds=()):
     explored one under an automorphism: the key and the certificates added
     to `seen` stay those of the unseeded search."""
     n, adj = g.n, g.adj
-    by_degree = {}
+    by_degree = [0] * n
     for v, m in enumerate(adj):
-        d = m.bit_count()
-        by_degree[d] = by_degree.get(d, 0) | 1 << v
-    cells = [by_degree[d] for d in sorted(by_degree)]
+        by_degree[m.bit_count()] |= 1 << v
+    cells = list(filter(None, by_degree))
     pairs = _triangle(n)
     automorphisms = list(seeds)
     leaves = []  # the first and the best leaf: (certificate, ordering, path)
@@ -464,10 +478,9 @@ def _canonical_form(g: Graph, seen=None, seeds=()):
         # -1, below every depth, unwinds the whole search
         if len(cells) == n:
             order = [c.bit_length() - 1 for c in cells]
-            rows = [adj[v] for v in order]
             cert = 0
             for i, j in pairs:
-                cert = cert << 1 | rows[j] >> order[i] & 1
+                cert = cert << 1 | adj[order[j]] >> order[i] & 1
             if seen is not None:
                 if not leaves and cert in seen:
                     return -1
@@ -479,7 +492,10 @@ def _canonical_form(g: Graph, seen=None, seeds=()):
                         perm[a] = b
                     automorphisms.append(perm)
                     # abandon the child of the deepest node shared with ref
-                    return next(k for k, (a, b) in enumerate(zip(path, ref_path)) if a != b)
+                    k = 0
+                    while path[k] == ref_path[k]:
+                        k += 1
+                    return k
             if not leaves:
                 leaves[:] = [(cert, order, path)] * 2
             elif cert < leaves[1][0]:
@@ -499,15 +515,15 @@ def _canonical_form(g: Graph, seen=None, seeds=()):
             rest ^= low
             v = low.bit_length() - 1
             if low != first and known < len(automorphisms):
-                fixing = [p for p in automorphisms[known:] if all(p[u] == u for u in path)]
+                fixing = automorphisms[known:]
+                if path:
+                    fixing = [p for p in fixing if all(p[u] == u for u in path)]
                 known = len(automorphisms)
                 if fixing:
                     rep = _join_orbits(rep or list(range(n)), fixing)
             if rep is not None and rep[v] != v:
                 continue
-            child = cells.copy()
-            child[t] = cell ^ low
-            child.insert(t, low)
+            child = cells[:t] + [low, cell ^ low] + cells[t + 1 :]
             resume = visit(_refine(adj, child, [low]), path + [v])
             if resume < len(path):
                 return resume
@@ -627,11 +643,27 @@ def _least_degree_masks(adj):
     return need, [0] + need[:-1]
 
 
-def _mask_orbit_reps(n: int, automorphisms, need, bar):
-    """Smallest mask of each orbit of the group generated by `automorphisms`
-    on vertex masks of 0..n-1, over the masks m that hold need[|m|] and
-    avoid bar[|m|]; those sets must be unions of orbits. Images are taken
-    only of accepted masks, as their orbits are walked."""
+def _mask_images(perm):
+    """The action of the vertex permutation `perm` on vertex masks, as two
+    tables of the images of the masks on the low len(perm) // 2 vertices
+    and of those on the rest: the image of mask m is
+    low[m & len(low) - 1] | high[m >> len(perm) // 2]."""
+    half = len(perm) // 2
+    low, high = [0], [0]
+    for v, w in enumerate(perm):
+        table = low if v < half else high
+        table += [image | 1 << w for image in table]
+    return low, high
+
+
+def _mask_orbit_reps(n: int, images, need, bar):
+    """Smallest mask of each orbit of the group generated by the
+    permutations of 0..n-1 whose mask tables (`_mask_images`) are `images`,
+    over the masks m that hold need[|m|] and avoid bar[|m|]; those sets
+    must be unions of orbits. Images are taken only of accepted masks, as
+    their orbits are walked."""
+    half = n // 2
+    low_bits = (1 << half) - 1
     seen = bytearray(1 << n)
     reps = []
     for mask in range(1 << n):
@@ -644,11 +676,10 @@ def _mask_orbit_reps(n: int, automorphisms, need, bar):
         seen[mask] = 1
         stack = [mask]
         while stack:
-            vs = mask_vertices(stack.pop())
-            for perm in automorphisms:
-                image = 0
-                for w in vs:
-                    image |= 1 << perm[w]
+            m = stack.pop()
+            m_low, m_high = m & low_bits, m >> half
+            for low, high in images:
+                image = low[m_low] | high[m_high]
                 if not seen[image]:
                     seen[image] = 1
                     stack.append(image)
@@ -706,6 +737,8 @@ def _classes_and_automorphisms(n: int):
     g (representative i) that map S onto itself, extended to fix vertex
     n-1: automorphisms of the extension, which orbit pruning then need not
     find again (McKay and Piperno, "Practical graph isomorphism, II").
+    Each generator's action on masks is tabled once (`_mask_images`), and
+    both the orbit walk over masks and this test read the tables.
     Only there: seeded generator lists hold the seeds as well, and the
     lists of the lower levels are what the next level reads and what
     callers get, so seeding them would change them, though not the groups
@@ -717,20 +750,23 @@ def _classes_and_automorphisms(n: int):
     found = {}  # canonical key -> (key, representative), generators, parent
     seen = set()  # the leaf certificates of the classes in found
     below = _classes_and_automorphisms(n - 1)
+    half = (n - 1) // 2
+    low_bits = (1 << half) - 1
     for i, ((_, g), automorphisms) in enumerate(zip(*below[:2])):
         need, bar = _least_degree_masks(g.adj)
-        for mask in _mask_orbit_reps(n - 1, automorphisms, need, bar):
-            vs = mask_vertices(mask)
+        images = [_mask_images(perm) for perm in automorphisms]
+        for mask in _mask_orbit_reps(n - 1, images, need, bar):
             adj = list(g.adj) + [mask]
-            for w in vs:
+            for w in mask_vertices(mask):
                 adj[w] |= 1 << (n - 1)
             h = Graph._from_adj(adj)
             seeds = ()
             if last:
+                m_low, m_high = mask & low_bits, mask >> half
                 seeds = [
                     perm + [n - 1]
-                    for perm in automorphisms
-                    if sum(1 << perm[w] for w in vs) == mask
+                    for perm, (low, high) in zip(automorphisms, images)
+                    if low[m_low] | high[m_high] == mask
                 ]
             form = _canonical_form(h, seen, seeds)
             if form is not None:  # the first of its class

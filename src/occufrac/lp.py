@@ -12,11 +12,12 @@ denominators. The Fraction views `objective` and `rows` are derived on
 first use, for callers and test references; the solver and the certificate
 checks read the columns.
 
-Equal integer columns are grouped once per program (`column_groups`, keyed
-by the int tuples) and every per-column step prices each group once: the
-simplex prices only a group's first column, which is the one that enters
-on any tie, so pivots, bases and duals are those of pricing every column,
-and `dual_slacks` makes one Fraction per group.
+Equal integer columns are grouped once per program, in the pass that
+validates them (`column_groups`, keyed by the int tuples), and every
+per-column step prices each group once: the simplex prices only a group's
+first column, which is the one that enters on any tie, so pivots, bases
+and duals are those of pricing every column, and `dual_slacks` makes one
+Fraction per group.
 
 Two-phase revised simplex over integers only. With Q = diag(q_b), the
 basis is B = B~ Q^-1 for the integer columns a_b of B~ (artificial column r
@@ -57,11 +58,22 @@ class LinearProgram:
         object.__setattr__(self, "integer_columns", integer_columns)
         object.__setattr__(self, "rhs", rhs)
         _check_exact(rhs, "rhs row {}")
-        for j, (q, e, a) in enumerate(integer_columns):
-            if len(a) != self.nrows:
-                raise StructureError(f"column {j} has {len(a)} entries, need {self.nrows}")
-            if not all(type(x) is int for x in (q, e, *a)) or q <= 0:
-                raise StructureError(f"column {j} is not (q, e, a) over ints with q > 0")
+        nrows = len(rhs)
+        groups = {}  # each distinct column -> the indices of its group
+        checked = {}  # id of each column object validated -> its group
+        for j, column in enumerate(integer_columns):
+            # only the very object checked may skip the check: an equal
+            # column can still hold a True or a Fraction(1)
+            group = checked.get(id(column))
+            if group is None:
+                q, e, a = column
+                if len(a) != nrows:
+                    raise StructureError(f"column {j} has {len(a)} entries, need {nrows}")
+                if {type(q), type(e), *map(type, a)} != {int} or q <= 0:
+                    raise StructureError(f"column {j} is not (q, e, a) over ints with q > 0")
+                group = checked[id(column)] = groups.setdefault((q, e, tuple(a)), [])
+            group.append(j)
+        object.__setattr__(self, "_groups", tuple(map(tuple, groups.values())))
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearProgram is immutable")
@@ -102,14 +114,12 @@ class LinearProgram:
     def nrows(self) -> int:
         return len(self.rhs)
 
-    @cached_property
+    @property
     def column_groups(self) -> tuple:
         """The indices of each distinct integer column, one increasing tuple
-        per group, the groups in order of their first index."""
-        groups = {}
-        for j, (q, e, a) in enumerate(self.integer_columns):
-            groups.setdefault((q, e, tuple(a)), []).append(j)
-        return tuple(map(tuple, groups.values()))
+        per group, the groups in order of their first index; built with the
+        columns' validation."""
+        return self._groups
 
     @cached_property
     def objective(self) -> tuple:
@@ -166,10 +176,14 @@ class LPSolution(NamedTuple):
 
     @property
     def support(self):
-        """Columns with a nonzero primal entry; () when there is no primal."""
+        """Columns with a nonzero primal entry, in increasing order; () when
+        there is no primal. A solver's solution is zero off its basis, so
+        only the basic entries are tested when the basis is given."""
         if self.primal is None:
             return ()
-        return tuple(j for j, x in enumerate(self.primal) if x != 0)
+        if self.basis is None:
+            return tuple(j for j, x in enumerate(self.primal) if x != 0)
+        return tuple(sorted(j for j in self.basis if self.primal[j] != 0))
 
 
 class DualSlackReport(NamedTuple):
@@ -340,20 +354,23 @@ def solve(lp: LinearProgram) -> LPSolution:
 
 
 def primal_value(lp: LinearProgram, x) -> Fraction:
-    """c . x of a feasible point x: raises CertificateError naming the
-    first row with A x != b, or the first negative entry. With x_j / q_j
-    = w_j / D over one denominator, row r is (sum w_j a_jr) / D, compared
-    with b_r = beta_r / Q_b by cross-multiplication."""
+    """c . x of a feasible point x of ints or Fractions: raises
+    StructureError naming the first entry that is neither, then
+    CertificateError naming the first negative entry, or the first row
+    with A x != b. With x_j / q_j = w_j / D over one denominator, row r is
+    (sum w_j a_jr) / D, compared with b_r = beta_r / Q_b by
+    cross-multiplication."""
     if len(x) != lp.ncols:
         raise StructureError(f"point has {len(x)} entries for {lp.ncols} columns")
-    for j, v in enumerate(x):  # an int or Fraction has the sign of its numerator
-        if v.numerator < 0:
-            raise CertificateError(f"negative entry {v} in column {j}", ("column", j))
+    _check_exact(x, "point entry {}")
     support, scaled = [], []
-    for (q, e, a), v in zip(lp.integer_columns, x):
-        if v.numerator:
+    for j, ((q, e, a), v) in enumerate(zip(lp.integer_columns, x)):
+        num = v.numerator  # an int or Fraction has the sign of its numerator
+        if num < 0:
+            raise CertificateError(f"negative entry {v} in column {j}", ("column", j))
+        if num:
             support.append((e, a))
-            scaled.append((v.numerator, v.denominator * q))
+            scaled.append((num, v.denominator * q))
     weights, den = _over_one_denominator(scaled)
     beta, scale = _over_one_denominator(_ratios(lp.rhs))
     for r, b in enumerate(lp.rhs):

@@ -473,6 +473,40 @@ def test_growth_seeds_only_the_last_level_and_only_with_automorphisms(monkeypatc
     assert seeded[True] > 0 and seeded[False] > 0
 
 
+def test_growth_seeds_are_those_of_the_per_mask_filter(monkeypatch):
+    # the last level's seeds, read from the image tables, are the parent's
+    # generators that map the new vertex's neighborhood onto itself, in order
+    passed = []
+    _growth_graphs(monkeypatch, passed)
+    n = graphs.CLASS_LIMIT
+    classes, generators, _ = graphs._classes_and_automorphisms(n - 1)
+    parents = {rep: perms for (_, rep), perms in zip(classes, generators)}
+    last = [(h, seeds) for h, seeds in passed if h.n == n]
+    assert len(last) == 1401
+    for h, seeds in last:
+        mask = h.adj[n - 1]
+        vs = mask_vertices(mask)
+        expected = [
+            perm + [n - 1]
+            for perm in parents[h.induced(range(n - 1))]
+            if sum(1 << perm[w] for w in vs) == mask
+        ]
+        assert seeds == expected, h
+    assert sum(bool(seeds) for _, seeds in last) > 0
+
+
+def test_mask_image_tables_map_every_mask():
+    # every generator of every class that class growth extends, on every mask
+    for n in range(graphs.CLASS_LIMIT):
+        for perms in graphs._classes_and_automorphisms(n)[1]:
+            for perm in perms:
+                low, high = graphs._mask_images(perm)
+                assert (len(low), len(high)) == (1 << n // 2, 1 << n - n // 2)
+                for mask in range(1 << n):
+                    image = low[mask & len(low) - 1] | high[mask >> n // 2]
+                    assert image == sum(1 << perm[w] for w in mask_vertices(mask)), (perm, mask)
+
+
 def _compare_seeded(g, seeds):
     plain, certificates = set(), set()
     form = _canonical_form(g, plain)

@@ -5,7 +5,7 @@ import pytest
 
 from _oracles import crowding, reference_free_neighborhood_law, vacancy
 from occufrac import graphs, hardcore
-from occufrac.errors import CapabilityError, CertificateError, DomainError
+from occufrac.errors import CapabilityError, CertificateError, DomainError, StructureError
 from occufrac.exactmath import IntPolynomial
 from occufrac.graphs import Graph, complete, complete_bipartite, cycle, petersen
 from occufrac.hardcore import (
@@ -151,6 +151,15 @@ def test_candidate_point_objective_value():
             probs[0] = p_empty
             probs[edgeless_config_index(d)] = p_edgeless
             assert objective_value(probs, d, lam) == kdd_occupancy(d, lam)
+
+
+def test_objective_value_names_an_inexact_entry():
+    # a float is neither an int nor a Fraction: named, not read as one
+    with pytest.raises(StructureError, match=r"^point entry 0 is 0\.25, not an int or a Fraction$"):
+        objective_value([0.25] * 4, 2, 1)
+    probs = [Fraction(1, 2), 0, 0, 0.5]
+    with pytest.raises(StructureError, match=r"^point entry 3 is 0\.5, not an int or a Fraction$"):
+        objective_value(probs, 2, 1)
 
 
 def test_dual_certificate_known_values():

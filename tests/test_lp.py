@@ -107,7 +107,7 @@ def test_against_basis_enumeration_oracle():
     solved = 0
     for _ in range(60):
         lp = _random_lp(rng, rng.randint(2, 6), rng.randint(1, 3))
-        sol = solve(lp)
+        sol = _solved(lp)
         if sol.status != "optimal":
             continue
         expected = brute_lp_max(lp.objective, lp.rows, lp.rhs)
@@ -121,7 +121,7 @@ def test_strong_duality_and_certificates():
     rng = random.Random(17)
     for _ in range(40):
         lp = _random_lp(rng, rng.randint(2, 6), rng.randint(1, 3))
-        sol = solve(lp)
+        sol = _solved(lp)
         if sol.status != "optimal":
             continue
         # primal feasibility
@@ -141,7 +141,7 @@ def test_row_permutation_invariance():
     rng = random.Random(23)
     for _ in range(20):
         lp = _random_lp(rng, 5, 3)
-        base = solve(lp)
+        base = _solved(lp)
         order = [0, 1, 2]
         rng.shuffle(order)
         permuted = make_lp(
@@ -149,7 +149,7 @@ def test_row_permutation_invariance():
             [lp.rows[r] for r in order],
             [lp.rhs[r] for r in order],
         )
-        again = solve(permuted)
+        again = _solved(permuted)
         assert again.status == base.status
         if base.status == "optimal":
             assert again.value == base.value
@@ -159,14 +159,14 @@ def test_negated_objective_flips_optimum():
     rng = random.Random(29)
     for _ in range(20):
         lp = _random_lp(rng, 4, 2)
-        if solve(lp).status != "optimal":
+        if _solved(lp).status != "optimal":
             continue
         neg = make_lp([-c for c in lp.objective], lp.rows, lp.rhs)
         if solve(neg).status != "optimal":
             continue
         max_c = brute_lp_max(lp.objective, lp.rows, lp.rhs)
         min_c = -brute_lp_max(neg.objective, neg.rows, neg.rhs)
-        assert solve(lp).value == max_c
+        assert _solved(lp).value == max_c
         assert solve(neg).value == -min_c
         assert min_c <= max_c
 
@@ -176,6 +176,22 @@ def test_zero_dual_on_positive_objective_reports_negative_slack():
     report = dual_slacks(lp, [Fraction(0)])
     assert not report.feasible
     assert min(report.slacks) < 0
+
+
+def _solved(program):
+    """solve(program), checking that its support, read from the basis,
+    is the one of scanning every primal entry."""
+    sol = solve(program)
+    assert sol.support == sol._replace(basis=None).support
+    return sol
+
+
+def test_support_skips_a_zero_basic_entry():
+    # x_1 is basic at 0: the support from the basis leaves it out, as the
+    # full scan does
+    sol = _solved(make_lp([1, 0], [[1, 1], [0, 1]], [1, 0]))
+    assert sorted(sol.basis) == [0, 1] and sol.primal == (1, 0)
+    assert sol.support == (0,)
 
 
 def test_support_is_empty_without_a_primal():
@@ -213,7 +229,7 @@ def test_duals_with_redundant_and_negated_rows():
             rows[flip] = [-a for a in rows[flip]]
             rhs[flip] = -rhs[flip]
         lp = make_lp(lp.objective, rows, rhs)
-        sol = solve(lp)
+        sol = _solved(lp)
         if sol.status != "optimal":
             continue
         report = dual_slacks(lp, sol.dual)
@@ -329,7 +345,7 @@ def test_matches_tableau_reference_on_random_lps():
     dropped = 0
     for i in range(240):
         lp = _differential_lp(rng, kinds[i % len(kinds)])
-        sol, ref = solve(lp), tableau_solve(lp)
+        sol, ref = _solved(lp), tableau_solve(lp)
         assert (sol.status, sol.value) == (ref.status, ref.value)
         statuses[sol.status] += 1
         if sol.status == "infeasible":
@@ -379,6 +395,35 @@ def test_certify_programs_match_the_fraction_builders(lam):
         assert program.rows == tuple(tuple(row) for row in rows)
         assert program.rhs == tuple(rhs)
         _assert_integer_columns(program)
+
+
+@pytest.mark.parametrize("bad", [True, Fraction(1)])
+def test_a_column_equal_to_a_valid_one_is_still_checked(bad):
+    # True and Fraction(1) compare and hash like 1, so each of these columns
+    # equals column 0 and would join its group; only the very object of a
+    # checked column skips the check
+    good = (1, 1, (1, 2))
+    for column in ((bad, 1, (1, 2)), (1, bad, (1, 2)), (1, 1, (bad, 2))):
+        assert column == good and hash(column) == hash(good)
+        with pytest.raises(StructureError, match="^column 2 is not"):
+            LinearProgram((good, good, column), (ONE, ONE))
+    program = LinearProgram((good, (1, 1, (1, 2)), good), (ONE, ONE))
+    assert program.column_groups == ((0, 1, 2),)
+
+
+def test_the_first_bad_column_is_named():
+    # mending the named column names the next bad one
+    good = (1, 1, (1, 2))
+    columns = [good] * 6
+    bad = {1: ((1, 1, (1,)), "has 1 entries, need 2"), 3: ((0, 1, (1, 2)), "is not")}
+    bad[4] = ((1, True, (1, 2)), "is not")
+    for j, (column, _) in bad.items():
+        columns[j] = column
+    for j, (_, message) in bad.items():
+        with pytest.raises(StructureError, match=f"^column {j} {message}"):
+            LinearProgram(tuple(columns), (ONE, ONE))
+        columns[j] = good
+    assert LinearProgram(tuple(columns), (ONE, ONE)).column_groups == (tuple(range(6)),)
 
 
 def test_columns_constructor_reduces_and_validates():
@@ -460,7 +505,7 @@ def test_rational_lps_match_tableau_reference():
     for _ in range(300):
         lp = _rational_lp(rng)
         _assert_integer_columns(lp)
-        sol, ref = solve(lp), tableau_solve(lp)
+        sol, ref = _solved(lp), tableau_solve(lp)
         assert (sol.status, sol.value) == (ref.status, ref.value)
         statuses[sol.status] += 1
         scaled += any(q > 1 for q, _, _ in lp.integer_columns)
@@ -511,7 +556,7 @@ def test_fraction_free_invariant_holds_after_every_pivot(monkeypatch):
     statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
     for i in range(300):
         program = _differential_lp(rng, kinds[i % len(kinds)]) if i % 2 else _rational_lp(rng)
-        statuses[solve(program).status] += 1
+        statuses[_solved(program).status] += 1
         seen["negative rhs"] += any(b < 0 for b in program.rhs)
     assert min(statuses.values()) >= 30, statuses
     assert min(seen.values()) >= 20, seen
@@ -600,7 +645,7 @@ def test_equal_columns_are_priced_once(monkeypatch):
         assert all(columns[j] == columns[group[0]] for group in groups for j in group)
         assert len(groups) == len(set(columns))
         entered.clear()
-        sol, ref = solve(program), tableau_solve(program)
+        sol, ref = _solved(program), tableau_solve(program)
         assert (sol.status, sol.value) == (ref.status, ref.value)
         assert all(columns[j] not in columns[:j] for j in entered)
         statuses[sol.status] += 1

@@ -9,7 +9,7 @@ from _oracles import (
     marginal_from_neighbor,
     reduced_slack,
 )
-from occufrac.errors import CapabilityError, CertificateError, DomainError
+from occufrac.errors import CapabilityError, CertificateError, DomainError, StructureError
 from occufrac.exactmath import IntPolynomial
 from occufrac.graphs import complete, complete_bipartite, cycle, prism, regular_degree
 from occufrac.lp import dual_slacks, solve
@@ -667,3 +667,10 @@ def test_objective_value_of_laws():
         objective_value({(1, 0, 1): ONE}, 2, ONE)
     with pytest.raises(CertificateError, match="row 0"):
         objective_value({(1, 1, 0): Fraction(2)}, 2, ONE)
+
+
+def test_objective_value_names_an_inexact_entry():
+    # the law's value at (1, 1, 0), column 4 of d = 2, is a float
+    law = {(0, 0, 0): Fraction(1, 2), (1, 1, 0): 0.5}
+    with pytest.raises(StructureError, match=r"^point entry 4 is 0\.5, not an int or a Fraction$"):
+        objective_value(law, 2, ONE)
