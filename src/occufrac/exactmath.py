@@ -49,30 +49,37 @@ def parse_rational(text: str) -> Fraction:
 def fugacity(lam) -> Fraction:
     """The fugacity lam as an exact Fraction. The paper's domain is lam > 0,
     and every public function with a `lam` parameter passes it through here
-    first, so this is the one place that rule is written."""
+    first, so this is the one place that rule is written. Only an int, a
+    Fraction or a float (taken exactly) is a fugacity: Fraction() would also
+    read a bool, and text such as "1e-3" or "1_0" that the CLI refuses."""
     if type(lam) is not Fraction:
+        if not isinstance(lam, (int, Fraction, float)) or isinstance(lam, bool):
+            raise DomainError(f"fugacity {lam!r} is not an int, a Fraction or a float")
         lam = Fraction(lam)
     if lam.numerator <= 0:
         raise DomainError("fugacity must be positive")
     return lam
 
 
+def integer(value, name: str) -> int:
+    """value itself when it is an int, else DomainError naming it `name`.
+    A float or a bool is no degree, count or dimension: it would compute in
+    floats, or read what was cached for the equal int."""
+    if type(value) is not int:
+        raise DomainError(f"{name} {value!r} is not an int")
+    return value
+
+
 def degree(d) -> int:
-    """d itself when it is an int, else DomainError. A float or a bool is no
-    degree: it would compute in floats, or read what was cached for the
-    equal int."""
-    if type(d) is not int:
-        raise DomainError(f"d {d!r} is not an int")
-    return d
+    """d itself when it is an int, else DomainError (`integer`)."""
+    return integer(d, "d")
 
 
 def vertex_count(n) -> int:
-    """n itself when it is an int, else DomainError: as for `degree`, a
-    float or a bool is no vertex count. Every public function with a
-    vertex-count parameter `n` passes it through here first."""
-    if type(n) is not int:
-        raise DomainError(f"vertex count {n!r} is not an int")
-    return n
+    """n itself when it is an int, else DomainError (`integer`). Every
+    public function with a vertex-count parameter `n` passes it through
+    here first."""
+    return integer(n, "vertex count")
 
 
 def exact_quotient(num: int, den: int) -> int:
@@ -130,6 +137,9 @@ class IntPolynomial:
         object.__setattr__(self, "coeffs", tuple(cs))
 
     def __setattr__(self, name, value):
+        raise AttributeError("IntPolynomial is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("IntPolynomial is immutable")
 
     @classmethod

@@ -13,7 +13,7 @@ from collections import Counter
 from functools import lru_cache
 
 from .errors import CapabilityError, CertificateError, DomainError, FormatError
-from .exactmath import ASCII_WHITESPACE, parse_int, vertex_count
+from .exactmath import ASCII_WHITESPACE, degree, integer, parse_int, vertex_count
 
 CANONICAL_LIMIT = 10
 TRANSITIVITY_LIMIT = 16
@@ -40,6 +40,9 @@ class Graph:
         object.__setattr__(self, "adj", tuple(adj))
 
     def __setattr__(self, name, value):
+        raise AttributeError("Graph is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("Graph is immutable")
 
     @classmethod
@@ -246,14 +249,14 @@ def parse_edge_list(text: str) -> Graph:
 
 def complete_bipartite(d: int) -> Graph:
     """K_{d,d}: vertices 0..d-1 on the left, d..2d-1 on the right."""
-    if d <= 0:
+    if degree(d) <= 0:
         raise DomainError("complete_bipartite needs d >= 1")
     return Graph(2 * d, [(u, d + v) for u in range(d) for v in range(d)])
 
 
 def kdd_union(d: int, n: int) -> Graph:
     """Disjoint union of n/(2d) copies of K_{d,d}; requires 2d | n."""
-    if d <= 0 or vertex_count(n) <= 0:
+    if degree(d) <= 0 or vertex_count(n) <= 0:
         raise DomainError("kdd_union needs positive d and n")
     if n % (2 * d):
         raise DomainError(f"2d = {2 * d} must divide n = {n}")
@@ -279,7 +282,7 @@ def complete(n: int) -> Graph:
 
 
 def hypercube(k: int) -> Graph:
-    if k <= 0:
+    if integer(k, "k") <= 0:
         raise DomainError("hypercube needs k >= 1")
     n = 1 << k
     edges = [(v, v ^ (1 << b)) for v in range(n) for b in range(k) if v < v ^ (1 << b)]
@@ -704,11 +707,9 @@ def isomorphism_classes(n: int):
     its canonical search there, so no class appears twice and each class
     is searched in full once: on 0..7 vertices 1253 full searches and 388
     first-leaf stops (McKay, "Isomorph-free exhaustive generation", 1998).
-    The searches on the last level, CLASS_LIMIT vertices, start from the
-    parent's automorphisms that fix the new vertex's neighborhood, which
-    prunes without changing what is found; the lower levels are not
-    seeded, so the generators that they hand on stay those their searches
-    found (see `_classes_and_automorphisms`).
+    Each search starts from the parent's automorphisms that fix the new
+    vertex's neighborhood, which prunes without changing what is found
+    (see `_classes_and_automorphisms`).
     """
     if vertex_count(n) > CLASS_LIMIT:
         raise CapabilityError(
@@ -733,16 +734,13 @@ def _classes_and_automorphisms(n: int):
     Classes on CLASS_LIMIT vertices are never grown and keep none: at 7
     vertices their generators would hold about 0.4 MB.
 
-    On CLASS_LIMIT vertices each search is seeded with the generators of
-    g (representative i) that map S onto itself, extended to fix vertex
-    n-1: automorphisms of the extension, which orbit pruning then need not
-    find again (McKay and Piperno, "Practical graph isomorphism, II").
-    Each generator's action on masks is tabled once (`_mask_images`), and
-    both the orbit walk over masks and this test read the tables.
-    Only there: seeded generator lists hold the seeds as well, and the
-    lists of the lower levels are what the next level reads and what
-    callers get, so seeding them would change them, though not the groups
-    they generate."""
+    Each search is seeded with the generators of g (representative i)
+    that map S onto itself, extended to fix vertex n-1: automorphisms of
+    the extension, which orbit pruning then need not find again (McKay and
+    Piperno, "Practical graph isomorphism, II"), and which begin the
+    generator list the search returns. Each generator's action on masks is
+    tabled once (`_mask_images`), and both the orbit walk over masks and
+    this test read the tables."""
     if n == 0:
         key, _, automorphisms = _canonical_form(Graph(0))
         return ((key, Graph(0)),), (automorphisms,), (None,)
@@ -760,14 +758,12 @@ def _classes_and_automorphisms(n: int):
             for w in mask_vertices(mask):
                 adj[w] |= 1 << (n - 1)
             h = Graph._from_adj(adj)
-            seeds = ()
-            if last:
-                m_low, m_high = mask & low_bits, mask >> half
-                seeds = [
-                    perm + [n - 1]
-                    for perm, (low, high) in zip(automorphisms, images)
-                    if low[m_low] | high[m_high] == mask
-                ]
+            m_low, m_high = mask & low_bits, mask >> half
+            seeds = [
+                perm + [n - 1]
+                for perm, (low, high) in zip(automorphisms, images)
+                if low[m_low] | high[m_high] == mask
+            ]
             form = _canonical_form(h, seen, seeds)
             if form is not None:  # the first of its class
                 key, _, generators = form

@@ -95,15 +95,18 @@ class LinearProgram:
     @classmethod
     def from_columns(cls, columns, rhs) -> LinearProgram:
         """The program whose column j is c_j = e_j / q_j, A_j = a_j / q_j for
-        integers (q_j, e_j, a_j) with q_j > 0: each is divided by its gcd."""
-        reduced, seen = [], {}
-        for q, e, a in columns:
-            key = (q, e, tuple(a))
-            column = seen.get(key)
-            if column is None:
+        integers (q_j, e_j, a_j) with q_j > 0: each is divided by its gcd,
+        once per column object (the builders pass one object per equal
+        column, and `__init__` groups equal columns by value)."""
+        reduced, seen = [], {}  # id of each column object -> (it, reduced)
+        for column in columns:
+            entry = seen.get(id(column))
+            if entry is None:
+                q, e, a = column
                 g = gcd(q, e, *a) or 1  # an all-zero column is rejected below
-                column = seen[key] = (q // g, e // g, tuple(x // g for x in a))
-            reduced.append(column)
+                # the object is held, so its id is not reused while it is a key
+                entry = seen[id(column)] = column, (q // g, e // g, tuple(x // g for x in a))
+            reduced.append(entry[1])
         return cls(tuple(reduced), _fractions(rhs))
 
     @property
@@ -422,9 +425,7 @@ def dual_slacks(lp: LinearProgram, dual) -> DualSlackReport:
         raise StructureError(
             f"dual has {len(dual)} entries for {lp.nrows} rows"
         )
-    for r, y in enumerate(dual):
-        if not isinstance(y, (int, Fraction)):
-            raise StructureError(f"dual entry {r} is {y!r}, not an int or a Fraction")
+    _check_exact(dual, "dual entry {}")
     ys, den, nums = _slack_numerators(lp, dual)
     columns = lp.integer_columns
     slacks, tight = [ZERO] * lp.ncols, []

@@ -173,4 +173,6 @@ def test_polynomial_is_immutable_and_hashable():
     p = IntPolynomial((1, 2))
     with pytest.raises(AttributeError):
         p.coeffs = (3,)
+    with pytest.raises(AttributeError, match="^IntPolynomial is immutable$"):
+        del p.coeffs
     assert p in {IntPolynomial((1, 2, 0))}

@@ -1,5 +1,6 @@
 """Every public fugacity path goes through `exactmath.fugacity`: it rejects
-lam <= 0 with one message and computes an int lam as the exact Fraction.
+what is not an int, a Fraction or a float, and lam <= 0 with one message,
+and computes an int lam as the exact Fraction.
 
 A new public function with a `lam` parameter in one of the modules below
 fails `test_every_fugacity_function_has_a_call` until it gets a call in
@@ -13,8 +14,8 @@ reach it with a float and a bool, before and after the equal int was
 asked, so no cached program answers them. A new public function with a
 `d` parameter fails `test_every_degree_function_has_a_call` until it gets
 a call there. The vertex count n has `exactmath.vertex_count`, reached the
-same way by VERTEX_COUNT_CALLS, which also cover the graph builders of
-`graphs`.
+same way by VERTEX_COUNT_CALLS. Both also cover the graph builders of
+`graphs`, and `hypercube`'s dimension k has the same int rule.
 """
 
 import inspect
@@ -142,6 +143,8 @@ DEGREE_CALLS = {
     "bounds.ratio_conjecture_report": lambda d: bounds.ratio_conjecture_report(
         [("K33", K33), ("prism3", prism(3))], d, 6
     ),
+    "graphs.complete_bipartite": lambda d: graphs.complete_bipartite(d),
+    "graphs.kdd_union": lambda d: graphs.kdd_union(d, 12),
 }
 
 
@@ -213,7 +216,7 @@ def test_every_fugacity_function_has_a_call():
 
 
 def test_every_degree_function_has_a_call():
-    assert _public_functions("d") == set(DEGREE_CALLS)
+    assert _public_functions("d", (*MODULES, graphs)) == set(DEGREE_CALLS)
 
 
 def test_reference_functions_left_the_package():
@@ -225,6 +228,15 @@ def test_reference_functions_left_the_package():
 def test_nonpositive_fugacity_is_rejected(name, bad):
     with pytest.raises(DomainError, match=f"^{GATE_MESSAGE}$"):
         GATED[name](bad)
+
+
+@pytest.mark.parametrize("name", sorted(GATED))
+@pytest.mark.parametrize("bad", ["1/2", True])
+def test_a_fugacity_that_is_no_number_is_rejected(name, bad):
+    # Fraction() would read both, as 1/2 and 1
+    with pytest.raises(DomainError) as raised:
+        GATED[name](bad)
+    assert str(raised.value) == f"fugacity {bad!r} is not an int, a Fraction or a float"
 
 
 @pytest.mark.parametrize("name", sorted(GATED))
@@ -249,6 +261,15 @@ def test_a_degree_that_is_no_int_is_rejected(name, bad):
         DEGREE_CALLS[name](bad)
     hardcore.build_primal.cache_clear()
     matching.build_primal.cache_clear()
+
+
+@pytest.mark.parametrize("bad", [3.0, True])
+def test_a_hypercube_dimension_that_is_no_int_is_rejected(bad):
+    # True built a single edge, and 3.0 raised a bare TypeError
+    with pytest.raises(DomainError) as raised:
+        graphs.hypercube(bad)
+    assert str(raised.value) == f"k {bad!r} is not an int"
+    assert graphs.hypercube(3).n == 8
 
 
 def test_every_vertex_count_function_has_a_call():

@@ -2,7 +2,7 @@ import hashlib
 import random
 import re
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -422,8 +422,9 @@ def test_cold_class_enumeration_canonicalizes_few_extensions(monkeypatch):
     assert len(isomorphism_classes(7)) == 1044
     assert len(calls) < 2500
     assert len(calls) == 1641
-    # 8091 refinements unseeded; the last level's seeds prune the rest
-    assert len(refinements) == 5761
+    # 8091 refinements unseeded; the parent's automorphisms seeded into
+    # every level's searches prune the rest
+    assert len(refinements) == 5240
     assert len(forms) == 1253
     assert Counter(forms) == {n: len(isomorphism_classes(n)) for n in range(8)}
 
@@ -458,41 +459,41 @@ def _is_automorphism(g, perm):
     )
 
 
-def test_growth_seeds_only_the_last_level_and_only_with_automorphisms(monkeypatch):
+def test_growth_seeds_every_level_and_only_with_automorphisms(monkeypatch):
     # each seed is a permutation mapping adj onto adj that fixes the new
-    # vertex; the lower levels hand their generators on, so get none
+    # vertex, and every level from 3 vertices up has seeded searches
     passed = []
     _growth_graphs(monkeypatch, passed)
     assert len(passed) == 1641
     seeded = Counter()
     for h, seeds in passed:
-        assert h.n == graphs.CLASS_LIMIT or not seeds
         for perm in seeds:
             assert _is_automorphism(h, perm) and perm[h.n - 1] == h.n - 1, (h, perm)
-        seeded[bool(seeds)] += h.n == graphs.CLASS_LIMIT
-    assert seeded[True] > 0 and seeded[False] > 0
+        seeded[h.n] += bool(seeds)
+    assert all(seeded[n] > 0 for n in range(3, 8)), seeded
 
 
 def test_growth_seeds_are_those_of_the_per_mask_filter(monkeypatch):
-    # the last level's seeds, read from the image tables, are the parent's
+    # every level's seeds, read from the image tables, are the parent's
     # generators that map the new vertex's neighborhood onto itself, in order
     passed = []
     _growth_graphs(monkeypatch, passed)
-    n = graphs.CLASS_LIMIT
-    classes, generators, _ = graphs._classes_and_automorphisms(n - 1)
-    parents = {rep: perms for (_, rep), perms in zip(classes, generators)}
-    last = [(h, seeds) for h, seeds in passed if h.n == n]
-    assert len(last) == 1401
-    for h, seeds in last:
-        mask = h.adj[n - 1]
-        vs = mask_vertices(mask)
-        expected = [
-            perm + [n - 1]
-            for perm in parents[h.induced(range(n - 1))]
-            if sum(1 << perm[w] for w in vs) == mask
-        ]
-        assert seeds == expected, h
-    assert sum(bool(seeds) for _, seeds in last) > 0
+    searches = Counter(h.n for h, _ in passed)
+    assert searches == {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 37, 6: 184, 7: 1401}
+    for n in range(1, graphs.CLASS_LIMIT + 1):
+        classes, generators, _ = graphs._classes_and_automorphisms(n - 1)
+        parents = {rep: perms for (_, rep), perms in zip(classes, generators)}
+        level = [(h, seeds) for h, seeds in passed if h.n == n]
+        for h, seeds in level:
+            mask = h.adj[n - 1]
+            vs = mask_vertices(mask)
+            expected = [
+                perm + [n - 1]
+                for perm in parents[h.induced(range(n - 1))]
+                if sum(1 << perm[w] for w in vs) == mask
+            ]
+            assert seeds == expected, h
+        assert n < 3 or sum(bool(seeds) for _, seeds in level) > 0, n
 
 
 def test_mask_image_tables_map_every_mask():
@@ -516,21 +517,20 @@ def _compare_seeded(g, seeds):
 
 
 def test_seeded_growth_searches_find_what_unseeded_ones_do(monkeypatch):
-    # every search of the last level, in order and against the level's
+    # every search of every level, in order and against its level's
     # certificates so far, stops or finishes as the unseeded search does,
     # with the same key, orbits and certificates
     passed = []
     _growth_graphs(monkeypatch, passed)
-    last = [(h, seeds) for h, seeds in passed if h.n == graphs.CLASS_LIMIT]
-    assert len(last) > 1044
-    plain, certificates = set(), set()
-    for h, seeds in last:
-        form = _canonical_form(h, plain)
-        seeded = _canonical_form(h, certificates, seeds)
+    assert len(passed) == 1641
+    plain, certificates = defaultdict(set), defaultdict(set)
+    for h, seeds in passed:
+        form = _canonical_form(h, plain[h.n])
+        seeded = _canonical_form(h, certificates[h.n], seeds)
         assert (seeded is None) == (form is None), h
         if form is not None:
             assert seeded[:2] == form[:2], h
-        assert certificates == plain, h
+        assert certificates[h.n] == plain[h.n], h
         _compare_seeded(h, seeds)
 
 
@@ -610,15 +610,21 @@ def test_relabelled_classes_stop_at_their_first_leaf(monkeypatch):
 
 def test_class_growth_output_is_pinned():
     # every key, representative, generator list and parent record of class
-    # growth on 0..7 vertices, in order, as one digest
-    digest = hashlib.sha256()
+    # growth on 0..7 vertices, in order, as one digest; and the classes
+    # alone, without the generators, which seeding may lengthen but never
+    # lets change what is found
+    digest, classes_digest = hashlib.sha256(), hashlib.sha256()
     for n in range(8):
         classes, generators, parents = graphs._classes_and_automorphisms(n)
         for (key, rep), perms, parent in zip(classes, generators, parents):
             record = (n, key.hex(), rep.edges(), [list(p) for p in perms], parent)
             digest.update(repr(record).encode())
+            classes_digest.update(repr((n, key.hex(), rep.edges(), parent)).encode())
     assert digest.hexdigest() == (
-        "62871b932d51c98197dabcf8460b4fd85c92f27255d334db83fcc11d189d03cc"
+        "71d74270e58fd985e515cb2f365633b60af190d06ed712d09c332812989681fb"
+    )
+    assert classes_digest.hexdigest() == (
+        "f58355cf95432f1c962ec03a7ee9f7082f5252343da6245f7225d17724bdf972"
     )
 
 
@@ -811,6 +817,9 @@ def test_graph_is_immutable_and_hashable():
     g = cycle(4)
     with pytest.raises(AttributeError):
         g.n = 5
+    with pytest.raises(AttributeError, match="^Graph is immutable$"):
+        del g.adj
+    assert g == cycle(4)
     assert hash(g) == hash(cycle(4))
     assert g in {cycle(4)}
 

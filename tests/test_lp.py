@@ -442,6 +442,17 @@ def test_columns_constructor_reduces_and_validates():
             LinearProgram.from_columns([column], [ONE])
 
 
+def test_columns_constructor_reduces_each_column_of_a_generator():
+    # columns made one at a time and dropped after use: a freed column's id
+    # can come back for the next one, which must still be reduced on its own
+    program = LinearProgram.from_columns(([2, 2 * k, [2 * k, 2]] for k in range(200)), [1, 1])
+    assert program.integer_columns == tuple((1, k, (k, 1)) for k in range(200))
+    shared = (6, 3, (3,))
+    program = LinearProgram.from_columns([shared, (2, 1, (1,)), shared], [1])
+    assert program.integer_columns == ((2, 1, (1,)),) * 3
+    assert program.column_groups == ((0, 1, 2),)
+
+
 @pytest.mark.parametrize("lam", [ONE, Fraction(7, 5)])
 def test_certify_never_builds_the_fraction_rows(lam):
     # solve, certificate and law checks all read the integer columns

@@ -83,7 +83,12 @@ RECORDS = [
         " failures=['f'], details={'k': 1})",
     ),
 ]
-IDS = [type(record).__name__ for record, _ in RECORDS]
+NAMES = [type(record).__name__ for record, _ in RECORDS]
+# each record's class name, numbered where a class has several records
+IDS = [
+    f"{name}{NAMES[:k].count(name)}" if NAMES.count(name) > 1 else name
+    for k, name in enumerate(NAMES)
+]
 
 
 def _names(record):
